@@ -16,7 +16,7 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,11 +33,64 @@ EXIT_IO = 4
 CLASSIFIER_FAMILIES = ("logreg", "gnb", "svm", "random_forest")
 ZEROSHOT_METHODS = ("detect_gpt", "single_revise")
 
+# Config keys with their defaults; a value is converted to its default's type.
+SKIPGRAM_DEFAULTS = {"dim": 32, "window": 5, "negatives": 5, "epochs": 3,
+                     "learning_rate": 0.025, "min_count": 2, "subsample": 1e-3}
+ZEROSHOT_DEFAULTS = {"order": 3, "discount": 0.75, "k": 10, "mask_fraction": 0.15,
+                     "threshold": 0.0}
+
 
 def derive_seed(root_seed: int, path: str) -> int:
     """Stable per-module seed: SHA-256 over 'root/path', first 8 bytes."""
     digest = hashlib.sha256(f"{root_seed}/{path}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def _section(raw: dict, name: str, default=None) -> dict | None:
+    """raw[name], which must be an object; *default* when absent or null."""
+    value = raw.get(name)
+    if value is None:
+        return default
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} section must be an object")
+    return value
+
+
+def _typed(section: str, raw: dict, defaults: dict) -> dict:
+    """Each key of *defaults*, read from *raw* and converted to the type
+    of its default."""
+    out = {}
+    for key, default in defaults.items():
+        value = raw.get(key, default)
+        try:
+            out[key] = type(default)(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(
+                f"{section}.{key} must be {type(default).__name__}, got {value!r}"
+            ) from None
+    return out
+
+
+@dataclass(frozen=True)
+class ZeroshotConfig:
+    """The zeroshot config section, typed; absent keys take their defaults."""
+
+    order: int
+    discount: float
+    k: int
+    mask_fraction: float
+    threshold: float
+    methods: tuple[str, ...]
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "ZeroshotConfig":
+        methods = raw.get("methods", ["detect_gpt"])
+        if not isinstance(methods, list):
+            raise ConfigError("zeroshot.methods must be a list of method names")
+        for m in methods:
+            if m not in ZEROSHOT_METHODS:
+                raise ConfigError(f"unknown zeroshot method {m!r}")
+        return cls(methods=tuple(methods), **_typed("zeroshot", raw, ZEROSHOT_DEFAULTS))
 
 
 @dataclass
@@ -51,7 +104,7 @@ class RunConfig:
     embedding_params: dict
     embedding_path: Path | None
     classifier: dict | None
-    zeroshot: dict | None
+    zeroshot: ZeroshotConfig | None
     transforms: list[evaluation.AdversarialTransform]
     detect_method: str
 
@@ -93,25 +146,26 @@ class RunConfig:
 
         conllu: dict[Label, Path] = {}
         for key, label in (("human", Label.HUMAN), ("machine", Label.MACHINE)):
-            value = (dataset.get("conllu") or {}).get(key)
+            value = _section(dataset, "conllu", {}).get(key)
             if value is not None:
                 path = resolve(str(value))
                 if not path.exists():
                     raise DataError(f"CoNLL-U file not found: {path}")
                 conllu[label] = path
 
-        split_raw = raw.get("split", {})
+        fractions = _typed("split", _section(raw, "split", {}),
+                           {"train": 0.8, "val": 0.1, "test": 0.1})
         try:
             split_spec = ingest.SplitSpec(
-                train_frac=float(split_raw.get("train", 0.8)),
-                val_frac=float(split_raw.get("val", 0.1)),
-                test_frac=float(split_raw.get("test", 0.1)),
+                train_frac=fractions["train"],
+                val_frac=fractions["val"],
+                test_frac=fractions["test"],
                 seed=derive_seed(seed, "split"),
             )
         except DataError as exc:
             raise ConfigError(f"invalid split spec: {exc}") from exc
 
-        emb_raw = raw.get("embeddings", {"source": "train"})
+        emb_raw = _section(raw, "embeddings", {"source": "train"})
         source = emb_raw.get("source")
         if source not in ("train", "load"):
             raise ConfigError("embeddings.source must be 'train' or 'load'")
@@ -122,9 +176,7 @@ class RunConfig:
             embedding_path = resolve(str(emb_raw["path"]))
             if not embedding_path.exists():
                 raise DataError(f"embedding file not found: {embedding_path}")
-        params = {
-            k: v for k, v in emb_raw.items() if k not in ("source", "path")
-        }
+        params = _typed("embeddings", emb_raw, SKIPGRAM_DEFAULTS)
 
         classifier = raw.get("classifier")
         if classifier is not None:
@@ -136,28 +188,29 @@ class RunConfig:
                     f"expected one of {CLASSIFIER_FAMILIES}"
                 )
 
-        zs = raw.get("zeroshot")
-        if zs is not None:
-            if not isinstance(zs, dict):
-                raise ConfigError("zeroshot section must be an object")
-            for m in zs.get("methods", ["detect_gpt"]):
-                if m not in ZEROSHOT_METHODS:
-                    raise ConfigError(f"unknown zeroshot method {m!r}")
+        zs = _section(raw, "zeroshot")
+        zeroshot_cfg = ZeroshotConfig.from_dict(zs) if zs is not None else None
 
+        if not isinstance(raw.get("transforms", []), list):
+            raise ConfigError("transforms must be a list")
         transforms = []
+        seen: set[str] = set()
         for i, t in enumerate(raw.get("transforms", [])):
             try:
-                transforms.append(
-                    evaluation.AdversarialTransform(
-                        kind=t["kind"],
-                        intensity=float(t.get("intensity", 0.1)),
-                        seed=derive_seed(seed, f"transforms.{i}.{t['kind']}"),
-                    )
+                tf = evaluation.AdversarialTransform(
+                    kind=t["kind"],
+                    intensity=float(t.get("intensity", 0.1)),
+                    seed=derive_seed(seed, f"transforms.{i}.{t['kind']}"),
                 )
-            except (KeyError, TypeError, DataError) as exc:
+            except (KeyError, TypeError, ValueError, AttributeError, DataError) as exc:
                 raise ConfigError(f"invalid transform #{i}: {exc}") from exc
+            key = f"{tf.kind}@{tf.intensity}"
+            if key in seen:
+                raise ConfigError(f"transform #{i} repeats {key}")
+            seen.add(key)
+            transforms.append(tf)
 
-        detect_method = raw.get("detect", {}).get("method")
+        detect_method = _section(raw, "detect", {}).get("method")
         if detect_method is None:
             detect_method = "classifier" if classifier is not None else "detect_gpt"
         if detect_method not in ("classifier",) + ZEROSHOT_METHODS:
@@ -176,7 +229,7 @@ class RunConfig:
             embedding_params=params,
             embedding_path=embedding_path,
             classifier=classifier,
-            zeroshot=zs,
+            zeroshot=zeroshot_cfg,
             transforms=transforms,
             detect_method=detect_method,
         )
@@ -203,21 +256,28 @@ def _load_cached_corpus(cfg: RunConfig) -> tuple[Corpus, dict[str, list[str]]]:
             f"no ingested corpus under {cfg.output_dir}; run 'ingest' first"
         )
     docs = []
-    with corpus_path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            docs.append(
-                Document(
-                    id=rec["id"],
-                    body=rec["body"],
-                    label=Label(rec["label"]),
+    lineno = 0
+    try:
+        with corpus_path.open("r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                rec = json.loads(line)
+                if not (isinstance(rec["id"], str) and isinstance(rec["body"], str)):
+                    raise TypeError("id and body must be strings")
+                docs.append(Document(
+                    id=rec["id"], body=rec["body"], label=Label(rec["label"]),
                     source_question=rec.get("question"),
-                )
-            )
-    manifest = json.loads(splits_path.read_text(encoding="utf-8"))
-    return Corpus(tuple(docs)), {
-        name: manifest[name] for name in ("train", "val", "test")
-    }
+                ))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{corpus_path}:{lineno}: malformed record: {exc!r}") from exc
+    try:
+        manifest = json.loads(splits_path.read_text(encoding="utf-8"))
+        splits = {name: manifest[name] for name in ("train", "val", "test")}
+        if not all(isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+                   for ids in splits.values()):
+            raise TypeError("train, val and test must be lists of document ids")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{splits_path}: malformed split manifest: {exc!r}") from exc
+    return Corpus(tuple(docs)), splits
 
 
 def _split_corpora(corpus: Corpus, manifest: dict[str, list[str]]) -> dict[str, Corpus]:
@@ -278,16 +338,8 @@ def cmd_stats(cfg: RunConfig) -> int:
 def _embedding_matrix(cfg: RunConfig, train_texts: list[str]) -> embeddings.EmbeddingMatrix:
     if cfg.embedding_source == "load":
         return embeddings.load_vectors(cfg.embedding_path)
-    params = cfg.embedding_params
     config = embeddings.SkipGramConfig(
-        dim=int(params.get("dim", 32)),
-        window=int(params.get("window", 5)),
-        negatives=int(params.get("negatives", 5)),
-        epochs=int(params.get("epochs", 3)),
-        learning_rate=float(params.get("learning_rate", 0.025)),
-        min_count=int(params.get("min_count", 2)),
-        subsample=float(params.get("subsample", 1e-3)),
-        seed=derive_seed(cfg.seed, "embeddings"),
+        **cfg.embedding_params, seed=derive_seed(cfg.seed, "embeddings")
     )
     return embeddings.train_skipgram(train_texts, config)
 
@@ -367,9 +419,7 @@ def cmd_train(cfg: RunConfig) -> int:
         if not machine_texts:
             raise DataError("zeroshot training needs Machine documents in train split")
         lm = zeroshot.train_kn_lm(
-            machine_texts,
-            order=int(cfg.zeroshot.get("order", 3)),
-            discount=float(cfg.zeroshot.get("discount", 0.75)),
+            machine_texts, order=cfg.zeroshot.order, discount=cfg.zeroshot.discount
         )
         zeroshot.save_lm(lm, cfg.output_dir / "lm.json")
         ppl = zeroshot.perplexity(lm, machine_texts)
@@ -382,16 +432,6 @@ def cmd_train(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _perturb_config(cfg: RunConfig, lm: zeroshot.NGramLM, k: int) -> zeroshot.PerturbConfig:
-    zs = cfg.zeroshot or {}
-    return zeroshot.PerturbConfig(
-        pool=lm.vocabulary,
-        mask_fraction=float(zs.get("mask_fraction", 0.15)),
-        seed=derive_seed(cfg.seed, "zeroshot.perturb"),
-        k=k,
-    )
-
-
 def _method_scorers(
     cfg: RunConfig, methods: list[str], val: Corpus | None = None
 ) -> list[tuple[evaluation.DetectorScorer, zeroshot.NGramLM | None]]:
@@ -401,6 +441,8 @@ def _method_scorers(
     Youden point when *val* is given.
     """
     scorers: list[tuple[evaluation.DetectorScorer, zeroshot.NGramLM | None]] = []
+    zs = cfg.zeroshot or ZeroshotConfig.from_dict({})
+    lm: zeroshot.NGramLM | None = None
     for method in methods:
         if method == "classifier":
             model_path = cfg.output_dir / "model.json"
@@ -422,37 +464,38 @@ def _method_scorers(
                 ),
                 None,
             ))
-        else:
+            continue
+        if lm is None:
             lm_path = cfg.output_dir / "lm.json"
             if not lm_path.exists():
                 raise DataError(
                     f"missing trained language model under {cfg.output_dir}; run 'train' first"
                 )
             lm = zeroshot.load_lm(lm_path)
-            zs = cfg.zeroshot or {}
-            if method == "detect_gpt":
-                pcfg = _perturb_config(cfg, lm, k=max(2, int(zs.get("k", 10))))
+            # One config, and so one substitution sampler, for every method
+            # and document of this command.
+            base = zeroshot.PerturbConfig(
+                pool=lm.vocabulary,
+                mask_fraction=zs.mask_fraction,
+                seed=derive_seed(cfg.seed, "zeroshot.perturb"),
+            )
+        if method == "detect_gpt":
+            score_fn, pcfg = zeroshot.detect_gpt_score, replace(base, k=max(2, zs.k))
+        else:
+            score_fn, pcfg = zeroshot.single_revise_score, replace(base, k=1)
 
-                def zs_score(doc: Document, _lm=lm, _c=pcfg) -> float:
-                    return zeroshot.detect_gpt_score(_lm, doc, _c).d
+        def zs_score(doc: Document, _f=score_fn, _lm=lm, _c=pcfg) -> float:
+            return _f(_lm, doc, _c).d
 
-            else:
-                pcfg = _perturb_config(cfg, lm, k=1)
-
-                def zs_score(doc: Document, _lm=lm, _c=pcfg) -> float:
-                    return zeroshot.single_revise_score(_lm, doc, _c).d
-
-            threshold = float(zs.get("threshold", 0.0))
-            if val is not None:
-                labels = [1 if d.label == Label.MACHINE else 0 for d in val.documents]
-                scores = [zs_score(d) for d in val.documents]
-                threshold = evaluation.youden_threshold(scores, labels)
-            scorers.append((
-                evaluation.DetectorScorer(
-                    name=method, score_fn=zs_score, threshold=threshold,
-                ),
-                lm,
-            ))
+        threshold = zs.threshold
+        if val is not None:
+            labels = [1 if d.label == Label.MACHINE else 0 for d in val.documents]
+            scores = [zs_score(d) for d in val.documents]
+            threshold = evaluation.youden_threshold(scores, labels)
+        scorers.append((
+            evaluation.DetectorScorer(name=method, score_fn=zs_score, threshold=threshold),
+            lm,
+        ))
     return scorers
 
 
@@ -503,7 +546,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     if cfg.classifier is not None and (cfg.output_dir / "model.json").exists():
         methods.append("classifier")
     if cfg.zeroshot is not None and (cfg.output_dir / "lm.json").exists():
-        methods.extend(cfg.zeroshot.get("methods", ["detect_gpt"]))
+        methods.extend(cfg.zeroshot.methods)
     if not methods:
         raise DataError("nothing to evaluate; run 'train' first")
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import DataError, ModelFormatError
 from .ingest import Document
 from .text_core import (
     UNK,
+    Token,
     Vocabulary,
     build_vocab,
     is_word_surface,
@@ -46,20 +48,21 @@ class NGramLM:
     The highest order keeps raw counts with absolute discounting; lower
     orders use continuation counts; the recursion bottoms out at the
     uniform distribution over the event space (vocabulary + UNK + END),
-    so every conditional sums to one.
+    so every conditional sums to one. The per-context totals and distinct
+    continuation counts are derived from ``counts`` on construction.
 
-    ``scoring_passes`` counts log_prob calls; the detectors' pass budget
-    is asserted against it in tests.
+    ``scoring_passes`` counts per_token_log_prob calls; the detectors' pass
+    budget is asserted against it in tests.
     """
 
     order: int
     discount: float
     vocabulary: Vocabulary
     counts: dict[int, dict[tuple[int, ...], float]]
-    context_totals: dict[int, dict[tuple[int, ...], float]]
-    context_distinct: dict[int, dict[tuple[int, ...], int]]
     end_id: int
     scoring_passes: int = 0
+    context_totals: dict[int, dict[tuple[int, ...], float]] = field(init=False)
+    context_distinct: dict[int, dict[tuple[int, ...], int]] = field(init=False)
     _dense_cache: dict[tuple[int, tuple[int, ...]], np.ndarray] = field(
         default_factory=dict, repr=False
     )
@@ -67,35 +70,53 @@ class NGramLM:
         default_factory=dict, repr=False
     )
 
+    def __post_init__(self) -> None:
+        self.context_totals = {}
+        self.context_distinct = {}
+        for k in range(1, self.order + 1):
+            totals: dict[tuple[int, ...], float] = {}
+            distinct: dict[tuple[int, ...], int] = {}
+            for gram, c in self.counts.get(k, {}).items():
+                ctx = gram[:-1]
+                totals[ctx] = totals.get(ctx, 0.0) + c
+                distinct[ctx] = distinct.get(ctx, 0) + 1
+            self.context_totals[k] = totals
+            self.context_distinct[k] = distinct
+
     @property
     def event_size(self) -> int:
         # All predictable symbols: vocabulary ids (UNK included) plus END.
         return self.vocabulary.size + 1
 
-    def token_ids(self, text: str) -> list[list[int]]:
-        """Per-sentence token ids with OOV folded to UNK."""
-        out = []
-        for sent in split_sentences(text):
-            ids = [self.vocabulary.id_of(t.surface) for t in tokenize(sent)]
-            if ids:
-                out.append(ids)
-        return out
+    def score_texts(self, texts: Iterable[str]) -> tuple[float, int, bool]:
+        """(sum of log P, number of predicted symbols, whether any token is
+        a word) over the sentences of *texts*, with boundary padding and OOV
+        tokens scored as UNK. Each text is tokenized once.
+        """
+        total = 0.0
+        symbols = 0
+        has_word = False
+        for tokens in _sentence_tokens(texts):
+            has_word = has_word or any(t.is_word for t in tokens)
+            lp, n = self.sentence_log_prob([self.vocabulary.id_of(t.surface) for t in tokens])
+            total += lp
+            symbols += n
+        return total, symbols, has_word
+
+    def _padded(self, context: tuple[int, ...]) -> tuple[int, ...]:
+        # The trailing order - 1 ids, left-padded with the start symbol.
+        ctx = tuple(context)[-(self.order - 1):]
+        return (START_ID,) * (self.order - 1 - len(ctx)) + ctx
 
     def prob(self, context: tuple[int, ...], target: int) -> float:
-        """P(target | context) via the interpolated recursion. The trailing
-        order - 1 ids are used, left-padded with the start symbol.
-        """
-        ctx = tuple(context)[-(self.order - 1):]
-        ctx = (START_ID,) * (self.order - 1 - len(ctx)) + ctx
-        return self._prob(self.order, ctx, target)
+        """P(target | context) via the interpolated recursion."""
+        return self._prob(self.order, self._padded(context), target)
 
     def distribution(self, context: tuple[int, ...]) -> np.ndarray:
         """Dense conditional distribution over the event space; the
         vectorized counterpart of prob(), cached per context.
         """
-        ctx = tuple(context)[-(self.order - 1):]
-        ctx = (START_ID,) * (self.order - 1 - len(ctx)) + ctx
-        return self._dense(self.order, ctx).copy()
+        return self._dense(self.order, self._padded(context)).copy()
 
     def _dense(self, level: int, context: tuple[int, ...]) -> np.ndarray:
         if level == 0:
@@ -160,6 +181,15 @@ class NGramLM:
         return total, len(ids) + 1
 
 
+def _sentence_tokens(texts: Iterable[str]) -> Iterator[list[Token]]:
+    """The tokens of each non-empty sentence of *texts*, in order."""
+    for text in texts:
+        for sent in split_sentences(text):
+            tokens = tokenize(sent)
+            if tokens:
+                yield tokens
+
+
 def train_kn_lm(texts: list[str], order: int = 3, discount: float = 0.75) -> NGramLM:
     """Count n-grams of all orders over start/end padded sentences and
     derive the continuation tables used below the top order.
@@ -173,16 +203,11 @@ def train_kn_lm(texts: list[str], order: int = 3, discount: float = 0.75) -> NGr
     vocab = build_vocab(texts, min_count=1)
     end_id = vocab.size  # one past the vocabulary ids
 
-    sentences: list[list[int]] = []
-    longest = 0
-    for text in texts:
-        for sent in split_sentences(text):
-            ids = [vocab.id_of(t.surface) for t in tokenize(sent)]
-            if ids:
-                sentences.append(ids)
-                longest = max(longest, len(ids))
+    sentences = [[vocab.id_of(t.surface) for t in tokens]
+                 for tokens in _sentence_tokens(texts)]
     if not sentences:
         raise DataError("corpus contains no tokens")
+    longest = max(len(ids) for ids in sentences)
     if order > longest + 2:
         raise DataError(
             f"order {order} exceeds the longest sentence plus padding ({longest + 2})"
@@ -210,70 +235,25 @@ def train_kn_lm(texts: list[str], order: int = 3, discount: float = 0.75) -> NGr
             cont[gram[1:]] = cont.get(gram[1:], 0.0) + 1.0
         counts[k] = cont
 
-    context_totals: dict[int, dict[tuple[int, ...], float]] = {}
-    context_distinct: dict[int, dict[tuple[int, ...], int]] = {}
-    for k in range(1, order + 1):
-        totals: dict[tuple[int, ...], float] = {}
-        distinct: dict[tuple[int, ...], int] = {}
-        for gram, c in counts[k].items():
-            ctx = gram[:-1]
-            totals[ctx] = totals.get(ctx, 0.0) + c
-            distinct[ctx] = distinct.get(ctx, 0) + 1
-        context_totals[k] = totals
-        context_distinct[k] = distinct
-
-    return NGramLM(
-        order=order,
-        discount=discount,
-        vocabulary=vocab,
-        counts=counts,
-        context_totals=context_totals,
-        context_distinct=context_distinct,
-        end_id=end_id,
-    )
-
-
-def log_prob(lm: NGramLM, doc: Document) -> float:
-    """Total natural-log probability of the document, summed over
-    sentences with boundary padding. OOV tokens score as UNK.
-    """
-    sentences = lm.token_ids(doc.body)
-    if not any(is_word_surface(s) for s in _surfaces(doc.body)):
-        raise DataError(f"document {doc.id!r} has no word tokens")
-    lm.scoring_passes += 1
-    return sum(lm.sentence_log_prob(ids)[0] for ids in sentences)
+    return NGramLM(order=order, discount=discount, vocabulary=vocab, counts=counts,
+                   end_id=end_id)
 
 
 def per_token_log_prob(lm: NGramLM, doc: Document) -> float:
-    """log_prob normalized by the number of predicted symbols, so the
-    statistic is comparable across document lengths.
+    """Total log probability of the document normalized by the number of
+    predicted symbols, so the statistic is comparable across document
+    lengths.
     """
-    sentences = lm.token_ids(doc.body)
-    if not any(is_word_surface(s) for s in _surfaces(doc.body)):
+    total, symbols, has_word = lm.score_texts([doc.body])
+    if not has_word:
         raise DataError(f"document {doc.id!r} has no word tokens")
     lm.scoring_passes += 1
-    total = 0.0
-    symbols = 0
-    for ids in sentences:
-        lp, n = lm.sentence_log_prob(ids)
-        total += lp
-        symbols += n
     return total / symbols
-
-
-def _surfaces(text: str) -> list[str]:
-    return [t.surface for t in tokenize(text)]
 
 
 def perplexity(lm: NGramLM, texts: list[str]) -> float:
     """exp(mean negative log probability per predicted symbol)."""
-    total = 0.0
-    symbols = 0
-    for text in texts:
-        for ids in lm.token_ids(text):
-            lp, n = lm.sentence_log_prob(ids)
-            total += lp
-            symbols += n
+    total, symbols, _ = lm.score_texts(texts)
     if symbols == 0:
         raise DataError("no symbols to evaluate")
     return math.exp(-total / symbols)
@@ -286,6 +266,10 @@ class PerturbConfig:
     k >= 2 drives the multi-perturbation estimator; k = 1 the single
     revision. When band_octaves is set, substitutes are drawn from words
     within that many frequency octaves of the original.
+
+    The substitution sampler is built on first use and shared with every
+    copy made by dataclasses.replace, so all perturbations drawn through
+    one config sort the pool once.
     """
 
     pool: Vocabulary
@@ -293,12 +277,22 @@ class PerturbConfig:
     seed: int = 0
     k: int = 10
     band_octaves: float | None = 1.0
+    _sampler_slot: list[_SubstitutionSampler] = field(
+        default_factory=list, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.mask_fraction <= 1.0):
             raise DataError("mask_fraction must lie in [0, 1]")
         if self.k < 1:
             raise DataError("k must be >= 1")
+
+    def _sampler(self) -> _SubstitutionSampler:
+        slot = self._sampler_slot
+        # A copy with another pool or band needs a sampler of its own.
+        if not slot or slot[0].pool is not self.pool or slot[0].band != self.band_octaves:
+            slot[:] = [_SubstitutionSampler(self.pool, self.band_octaves)]
+        return slot[0]
 
 
 @dataclass(frozen=True)
@@ -324,6 +318,7 @@ class _SubstitutionSampler:
     """
 
     def __init__(self, pool: Vocabulary, band_octaves: float | None):
+        self.pool = pool
         self.band = band_octaves
         items = sorted(
             ((w, c) for w, c in pool.frequencies.items()
@@ -379,7 +374,7 @@ def perturb(doc: Document, cfg: PerturbConfig) -> Document:
     if n_replace == 0:
         return doc
     rng = np.random.default_rng(cfg.seed)
-    sampler = _SubstitutionSampler(cfg.pool, cfg.band_octaves)
+    sampler = cfg._sampler()
     chosen = rng.choice(len(word_positions), size=n_replace, replace=False)
     chosen_positions = sorted(word_positions[int(i)] for i in chosen)
     pieces: list[str] = []
@@ -422,7 +417,7 @@ def detect_gpt_score(lm: NGramLM, doc: Document, cfg: PerturbConfig) -> Curvatur
     lp_orig = per_token_log_prob(lm, doc)
     perturbed = []
     for i in range(1, cfg.k + 1):
-        variant = perturb(doc, _with_seed(cfg, cfg.seed + i))
+        variant = perturb(doc, replace(cfg, seed=cfg.seed + i))
         perturbed.append(per_token_log_prob(lm, variant))
     d, mean, std = curvature_stat(lp_orig, perturbed)
     return CurvatureScore(
@@ -441,7 +436,7 @@ def single_revise_score(lm: NGramLM, doc: Document, cfg: PerturbConfig) -> Curva
     if cfg.k != 1:
         raise DataError("single_revise_score needs k = 1")
     lp_orig = per_token_log_prob(lm, doc)
-    variant = perturb(doc, _with_seed(cfg, cfg.seed + 1))
+    variant = perturb(doc, replace(cfg, seed=cfg.seed + 1))
     lp_pert = per_token_log_prob(lm, variant)
     return CurvatureScore(
         d=lp_orig - lp_pert,
@@ -449,16 +444,6 @@ def single_revise_score(lm: NGramLM, doc: Document, cfg: PerturbConfig) -> Curva
         logp_perturbed_mean=lp_pert,
         logp_perturbed_std=0.0,
         k_used=1,
-    )
-
-
-def _with_seed(cfg: PerturbConfig, seed: int) -> PerturbConfig:
-    return PerturbConfig(
-        pool=cfg.pool,
-        mask_fraction=cfg.mask_fraction,
-        seed=seed,
-        k=cfg.k,
-        band_octaves=cfg.band_octaves,
     )
 
 
@@ -518,6 +503,8 @@ def load_lm(path: str | Path) -> NGramLM:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"{path}: unreadable LM file: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ModelFormatError(f"{path}: LM file must hold a JSON object")
     version = payload.get("schema_version")
     if version != LM_SCHEMA_VERSION:
         raise ModelFormatError(
@@ -529,32 +516,42 @@ def load_lm(path: str | Path) -> NGramLM:
             frequencies={str(w): int(c) for w, c in payload["vocabulary"]["frequencies"].items()},
         )
         order = int(payload["order"])
+        discount = float(payload["discount"])
+        end_id = int(payload["end_id"])
+        if order < 2 or not (0.0 < discount < 1.0):
+            raise ValueError(f"order {order} or discount {discount} out of range")
+        if end_id != vocab.size:
+            raise ValueError(f"end_id {end_id} differs from the vocabulary size {vocab.size}")
+        tables = payload["counts"]
+        if sorted(tables) != sorted(str(k) for k in range(1, order + 1)):
+            raise ValueError(f"count levels {sorted(tables)} are not 1..{order}")
         counts: dict[int, dict[tuple[int, ...], float]] = {}
-        for k_str, rows in payload["counts"].items():
-            k = int(k_str)
+        for k in range(1, order + 1):
+            rows = tables[str(k)]
+            _check_count_rows(k, rows, end_id)
             counts[k] = {tuple(int(x) for x in row[:-1]): float(row[-1]) for row in rows}
-        lm = NGramLM(
-            order=order,
-            discount=float(payload["discount"]),
-            vocabulary=vocab,
-            counts=counts,
-            context_totals={},
-            context_distinct={},
-            end_id=int(payload["end_id"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+            if len(counts[k]) != len(rows):
+                raise ValueError(f"level {k} repeats an n-gram")
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, DataError) as exc:
         raise ModelFormatError(f"{path}: corrupted LM field: {exc}") from exc
-    context_totals: dict[int, dict[tuple[int, ...], float]] = {}
-    context_distinct: dict[int, dict[tuple[int, ...], int]] = {}
-    for k in range(1, order + 1):
-        totals: dict[tuple[int, ...], float] = {}
-        distinct: dict[tuple[int, ...], int] = {}
-        for gram, c in lm.counts.get(k, {}).items():
-            ctx = gram[:-1]
-            totals[ctx] = totals.get(ctx, 0.0) + c
-            distinct[ctx] = distinct.get(ctx, 0) + 1
-        context_totals[k] = totals
-        context_distinct[k] = distinct
-    lm.context_totals = context_totals
-    lm.context_distinct = context_distinct
-    return lm
+    return NGramLM(order=order, discount=discount, vocabulary=vocab, counts=counts,
+                   end_id=end_id)
+
+
+def _check_count_rows(level: int, rows: list, end_id: int) -> None:
+    """Raise ValueError unless *rows* is a non-empty table of
+    [context ids..., target id, count] rows: context ids in [START_ID,
+    end_id), the target in [0, end_id], integral ids, and a positive,
+    finite count.
+    """
+    table = np.asarray(rows, dtype=float)
+    if table.ndim != 2 or table.shape[0] == 0 or table.shape[1] != level + 1:
+        raise ValueError(f"level {level} must be a non-empty list of {level + 1}-item rows")
+    context, target, count = table[:, :-2], table[:, -2], table[:, -1]
+    ids = table[:, :-1]
+    if not (np.all(ids == np.floor(ids))
+            and np.all((context >= START_ID) & (context < end_id))
+            and np.all((target >= 0) & (target <= end_id))):
+        raise ValueError(f"level {level} holds an id outside the vocabulary")
+    if not np.all(np.isfinite(count) & (count > 0)):
+        raise ValueError(f"level {level} holds a count that is not positive and finite")

@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -238,3 +239,127 @@ class TestEvaluate:
         (out / "splits.json").write_text(json.dumps(manifest))
         rc = main(["evaluate", "--config", cfg_path(workspace), "--output", str(out)])
         assert rc == 3
+
+
+def one_error_line(capsys, prefix: str) -> str:
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix), err
+    return err[0]
+
+
+def write_config(tmp_path: Path, workspace: Path, **changes) -> str:
+    config = base_config(str(tmp_path / "out"))
+    config["dataset"]["hc3_path"] = str(workspace / "data.jsonl")
+    for dotted, value in changes.items():
+        section, _, key = dotted.partition("__")
+        if key:
+            config[section][key] = value
+        else:
+            config[section] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("command, changes", [
+        ("train", {"zeroshot__order": "three"}),
+        ("evaluate", {"zeroshot__k": "x"}),
+        ("train", {"embeddings__dim": "abc"}),
+        ("train", {"embeddings": 5}),
+        ("train", {"zeroshot__methods": "detect_gpt"}),
+        ("train", {"zeroshot__threshold": None}),
+        ("train", {"zeroshot__k": 1e400}),
+        ("ingest", {"split__train": "most"}),
+        ("ingest", {"split": [0.8, 0.1, 0.1]}),
+        ("evaluate", {"transforms": [{"kind": "special_chars", "intensity": 0.1},
+                                     {"kind": "case_flip", "intensity": 0.0},
+                                     {"kind": "special_chars", "intensity": 0.1}]}),
+        ("evaluate", {"transforms": [{"kind": "case_flip", "intensity": "high"}]}),
+        ("evaluate", {"transforms": 5}),
+        ("ingest", {"dataset__conllu": ["human.conllu"]}),
+        ("detect", {"detect": "detect_gpt"}),
+    ])
+    def test_config_value_of_wrong_type_exits_2(self, workspace, tmp_path, capsys,
+                                                command, changes):
+        config = write_config(tmp_path, workspace, **changes)
+        args = [command, "--config", config] + (["in.txt"] if command == "detect" else [])
+        assert main(args) == 2
+        one_error_line(capsys, "config error:")
+
+    def test_zeroshot_defaults(self, workspace, tmp_path):
+        from mgtdetect.cli import RunConfig
+
+        config = write_config(tmp_path, workspace, zeroshot={})
+        zs = RunConfig.from_file(config).zeroshot
+        assert (zs.order, zs.discount, zs.k, zs.mask_fraction, zs.threshold, zs.methods) == (
+            3, 0.75, 10, 0.15, 0.0, ("detect_gpt",))
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda out: (out / "corpus.jsonl").write_bytes(
+            (out / "corpus.jsonl").read_bytes()[:500]),
+        lambda out: (out / "corpus.jsonl").write_text("not json\n"),
+        lambda out: (out / "corpus.jsonl").write_text('{"id": "x", "body": "b"}\n'),
+        lambda out: (out / "corpus.jsonl").write_text('["x", "b", "human"]\n'),
+        lambda out: (out / "corpus.jsonl").write_text(
+            '{"id": "x", "body": "b", "label": "robot"}\n'),
+        lambda out: (out / "corpus.jsonl").write_text(
+            '{"id": "x", "body": ["b"], "label": "human"}\n'),
+        lambda out: (out / "splits.json").write_text('{"train": [], "val": []}'),
+        lambda out: (out / "splits.json").write_text('{"train": '),
+        lambda out: (out / "splits.json").write_text(
+            '{"train": [["x"]], "val": [], "test": []}'),
+    ], ids=["truncated", "not_json", "missing_label", "not_object", "unknown_label",
+            "body_not_string", "manifest_missing_test", "manifest_truncated",
+            "manifest_ids_not_strings"])
+    def test_malformed_corpus_or_manifest_exits_3(self, workspace, tmp_path, capsys,
+                                                  corrupt):
+        out = tmp_path / "out"
+        assert main(["ingest", "--config", cfg_path(workspace), "--output", str(out)]) == 0
+        capsys.readouterr()
+        corrupt(out)
+        assert main(["train", "--config", cfg_path(workspace), "--output", str(out)]) == 3
+        one_error_line(capsys, "data error:")
+
+    @pytest.mark.parametrize("mutate", [
+        lambda p: p["counts"].pop("1"),
+        lambda p: p["counts"]["1"][0].__setitem__(-1, -2.0),
+        lambda p: p["counts"]["2"][0].__setitem__(-2, 999999),
+        lambda p: p.__setitem__("counts", {}),
+        lambda p: p.__setitem__("end_id", p["end_id"] - 1),
+    ], ids=["level_1_deleted", "negative_count", "id_out_of_range", "no_counts",
+            "end_id_mismatch"])
+    def test_corrupt_lm_exits_3(self, workspace, tmp_path, capsys, mutate):
+        out = tmp_path / "out"
+        shutil.copytree(workspace / "out", out)
+        payload = json.loads((out / "lm.json").read_text())
+        mutate(payload)
+        (out / "lm.json").write_text(json.dumps(payload))
+        inp = tmp_path / "in.txt"
+        inp.write_text("waa wab wac wad wae.\n")
+        rc = main(["detect", "--config", cfg_path(workspace), str(inp),
+                   "--method", "detect_gpt", "--output", str(out)])
+        assert rc == 3
+        assert "lm.json" in one_error_line(capsys, "data error:")
+
+
+class TestOneLoadPerCommand:
+    def test_evaluate_loads_lm_and_builds_sampler_once(self, workspace, tmp_path,
+                                                       monkeypatch):
+        from mgtdetect import zeroshot
+
+        loads, samplers = [], []
+        load_lm = zeroshot.load_lm
+
+        class Counting(zeroshot._SubstitutionSampler):
+            def __init__(self, *args):
+                samplers.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(zeroshot, "load_lm", lambda p: loads.append(p) or load_lm(p))
+        monkeypatch.setattr(zeroshot, "_SubstitutionSampler", Counting)
+        out = tmp_path / "out"
+        shutil.copytree(workspace / "out", out)
+        assert main(["evaluate", "--config", cfg_path(workspace), "--output", str(out)]) == 0
+        assert len(loads) == 1
+        assert len(samplers) == 1

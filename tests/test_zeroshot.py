@@ -1,12 +1,14 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mgtdetect import zeroshot as zs
-from mgtdetect.errors import DataError
-from mgtdetect.text_core import build_vocab, tokenize
+from mgtdetect.errors import DataError, ModelFormatError
+from mgtdetect.text_core import build_vocab, is_word_surface, tokenize
 
 from conftest import make_doc
 
@@ -129,11 +131,15 @@ class TestTrainKnLm:
             zs.train_kn_lm(["a. b."], order=5)
 
 
+def log_prob(lm, body):
+    return lm.score_texts([body])[0]
+
+
 class TestLogProb:
     def test_memorized_sentence_beats_all_single_substitutions(self):
         corpus = ["a b c d e."] * 30 + ["c a d b e."] * 5
         lm = zs.train_kn_lm(corpus, order=3, discount=0.75)
-        base = zs.log_prob(lm, make_doc("a b c d e."))
+        base = log_prob(lm, "a b c d e.")
         words = ["a", "b", "c", "d", "e"]
         for pos in range(5):
             for alt in words:
@@ -141,25 +147,41 @@ class TestLogProb:
                     continue
                 variant = words.copy()
                 variant[pos] = alt
-                lp = zs.log_prob(lm, make_doc(" ".join(variant) + "."))
+                lp = log_prob(lm, " ".join(variant) + ".")
                 assert base > lp
 
     def test_concatenation_is_additive(self):
         lm = zs.train_kn_lm(["a b c.", "b c a.", "c a b."] * 3, order=2, discount=0.75)
-        lp1 = zs.log_prob(lm, make_doc("a b c."))
-        lp2 = zs.log_prob(lm, make_doc("b c a."))
-        both = zs.log_prob(lm, make_doc("a b c. b c a."))
+        lp1 = log_prob(lm, "a b c.")
+        lp2 = log_prob(lm, "b c a.")
+        both = log_prob(lm, "a b c. b c a.")
         assert both == lp1 + lp2
+        # Each sentence predicts its 4 tokens plus END, and scoring several
+        # texts at once gives the same sums.
+        assert lm.score_texts(["a b c. b c a."])[1] == 10
+        assert lm.score_texts(["a b c.", "b c a."])[:2] == (both, 10)
 
     def test_all_oov_finite_via_unk(self):
         lm = zs.train_kn_lm(["a b c."] * 5, order=2, discount=0.75)
-        lp = zs.log_prob(lm, make_doc("zz yy xx"))
+        lp = log_prob(lm, "zz yy xx")
         assert math.isfinite(lp)
+        assert math.isfinite(zs.per_token_log_prob(lm, make_doc("zz yy xx")))
 
     def test_empty_of_words_rejected(self):
         lm = zs.train_kn_lm(["a b c."] * 5, order=2, discount=0.75)
+        lm.scoring_passes = 0
         with pytest.raises(DataError):
-            zs.log_prob(lm, make_doc("..."))
+            zs.per_token_log_prob(lm, make_doc("..."))
+        assert lm.scoring_passes == 0
+        assert lm.score_texts(["..."])[2] is False
+        assert lm.score_texts(["... a"])[2] is True
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.text(min_size=1, max_size=40))
+    def test_word_flag_matches_word_surface_check(self, text):
+        lm = zs.train_kn_lm(["a b c."] * 5, order=2, discount=0.75)
+        expected = any(is_word_surface(t.surface) for t in tokenize(text))
+        assert lm.score_texts([text])[2] == expected
 
 
 def word_pool(texts):
@@ -326,16 +348,141 @@ class TestSamplingAndPersistence:
         loaded = zs.load_lm(path)
         for body in ("a b c d.", "zz c a.", "d d d."):
             doc = make_doc(body)
-            assert zs.log_prob(loaded, doc) == zs.log_prob(lm, doc)
+            assert loaded.score_texts([body]) == lm.score_texts([body])
+            assert zs.per_token_log_prob(loaded, doc) == zs.per_token_log_prob(lm, doc)
+        assert loaded.counts == lm.counts
+        assert loaded.context_totals == lm.context_totals
+        assert loaded.context_distinct == lm.context_distinct
 
     def test_schema_gate(self, tmp_path):
         lm = zs.train_kn_lm(["a b."] * 3, order=2, discount=0.75)
         path = tmp_path / "lm.json"
         zs.save_lm(lm, path)
-        import json
-
         payload = json.loads(path.read_text())
         payload["schema_version"] = 999
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError):
+            zs.load_lm(path)
+
+
+class TestSharedSampler:
+    BODIES = ["a b c d. d c b a.", "b a d c a b.", "c d a b c d a."]
+
+    def lm(self):
+        return zs.train_kn_lm(["a b c d.", "d c b a.", "b a d c."] * 4,
+                              order=2, discount=0.75)
+
+    @pytest.mark.parametrize("k, score_fn", [(5, zs.detect_gpt_score),
+                                             (1, zs.single_revise_score)])
+    def test_reused_config_scores_like_fresh_configs(self, k, score_fn):
+        lm = self.lm()
+        shared = zs.PerturbConfig(pool=lm.vocabulary, mask_fraction=0.3, seed=6, k=k)
+        reused = [score_fn(lm, make_doc(b), shared) for b in self.BODIES]
+        fresh = [
+            score_fn(lm, make_doc(b),
+                     zs.PerturbConfig(pool=lm.vocabulary, mask_fraction=0.3, seed=6, k=k))
+            for b in self.BODIES
+        ]
+        assert reused == fresh
+
+    def test_sampler_built_once_across_perturbations_and_documents(self, monkeypatch):
+        built = []
+
+        class Counting(zs._SubstitutionSampler):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(zs, "_SubstitutionSampler", Counting)
+        lm = self.lm()
+        cfg = zs.PerturbConfig(pool=lm.vocabulary, mask_fraction=0.3, seed=6, k=5)
+        for body in self.BODIES:
+            zs.detect_gpt_score(lm, make_doc(body), cfg)
+        single = replace(cfg, k=1)
+        for body in self.BODIES:
+            zs.single_revise_score(lm, make_doc(body), single)
+        assert len(built) == 1
+        # A copy with another band needs, and gets, its own sampler.
+        zs.perturb(make_doc(self.BODIES[0]), replace(cfg, band_octaves=None))
+        assert len(built) == 2
+        assert built[1][1] is None
+
+    def test_wordless_pool_raises_only_when_a_word_is_replaced(self):
+        pool = build_vocab([". , ! ?"], min_count=1)
+        cfg = zs.PerturbConfig(pool=pool, mask_fraction=0.5, seed=1, k=1)
+        assert zs.perturb(make_doc("a."), cfg).body == "a."  # floor(0.5) = 0
+        with pytest.raises(DataError):
+            zs.perturb(make_doc("a b c d."), cfg)
+        with pytest.raises(DataError):
+            zs.perturb(make_doc("a b c d."), cfg)
+
+
+def _corrupt():
+    def level_1_deleted(p):
+        del p["counts"]["1"]
+
+    def extra_level(p):
+        p["counts"]["4"] = p["counts"]["3"]
+
+    def no_counts(p):
+        p["counts"] = {}
+
+    def empty_level(p):
+        p["counts"]["2"] = []
+
+    def short_row(p):
+        p["counts"]["2"][0] = p["counts"]["2"][0][1:]
+
+    def negative_count(p):
+        p["counts"]["1"][0][-1] = -1.0
+
+    def zero_count(p):
+        p["counts"]["3"][0][-1] = 0.0
+
+    def target_out_of_range(p):
+        p["counts"]["2"][0][-2] = 999999
+
+    def target_is_start(p):
+        p["counts"]["1"][0][0] = -1
+
+    def context_out_of_range(p):
+        p["counts"]["3"][0][0] = p["end_id"]
+
+    def fractional_id(p):
+        p["counts"]["1"][0][0] = 0.5
+
+    def end_id_mismatch(p):
+        p["end_id"] += 1
+
+    def repeated_ngram(p):
+        p["counts"]["1"].append(p["counts"]["1"][0])
+
+    def non_numeric_count(p):
+        p["counts"]["1"][0][-1] = "many"
+
+    def order_too_small(p):
+        p["order"] = 1
+
+    return [level_1_deleted, extra_level, no_counts, empty_level, short_row,
+            negative_count, zero_count, target_out_of_range, target_is_start,
+            context_out_of_range, fractional_id, end_id_mismatch, repeated_ngram,
+            non_numeric_count, order_too_small]
+
+
+class TestLoadLmValidation:
+    @pytest.mark.parametrize("mutate", _corrupt(), ids=lambda f: f.__name__)
+    def test_corrupt_count_tables_rejected(self, tmp_path, mutate):
+        lm = zs.train_kn_lm(["a b c d.", "d a b c."] * 3, order=3, discount=0.75)
+        path = tmp_path / "lm.json"
+        zs.save_lm(lm, path)
+        payload = json.loads(path.read_text())
+        mutate(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError):
+            zs.load_lm(path)
+
+    def test_non_object_file_rejected(self, tmp_path):
+        path = tmp_path / "lm.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ModelFormatError):
             zs.load_lm(path)
