@@ -30,10 +30,18 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_IO = 4
 
-CLASSIFIER_FAMILIES = ("logreg", "gnb", "svm", "random_forest")
 ZEROSHOT_METHODS = ("detect_gpt", "single_revise")
 
 # Config keys with their defaults; a value is converted to its default's type.
+# The classifier keys are per family; gnb's "tune" (a JSON boolean) and
+# random_forest's "max_depth" (null or an integer) are checked apart.
+CLASSIFIER_DEFAULTS = {
+    "logreg": {"l2": 1e-4, "epochs": 150, "lr": 0.5},
+    "gnb": {"budget": 20, "var_smoothing": 1e-9},
+    "svm": {"lambda": 1e-3, "epochs": 50},
+    "random_forest": {"n_trees": 50},
+}
+CLASSIFIER_FAMILIES = tuple(CLASSIFIER_DEFAULTS)
 SKIPGRAM_DEFAULTS = {"dim": 32, "window": 5, "negatives": 5, "epochs": 3,
                      "learning_rate": 0.025, "min_count": 2, "subsample": 1e-3}
 ZEROSHOT_DEFAULTS = {"order": 3, "discount": 0.75, "k": 10, "mask_fraction": 0.15,
@@ -69,6 +77,27 @@ def _typed(section: str, raw: dict, defaults: dict) -> dict:
                 f"{section}.{key} must be {type(default).__name__}, got {value!r}"
             ) from None
     return out
+
+
+def _classifier_section(raw: dict) -> dict:
+    """The classifier section, typed: its family plus that family's keys,
+    absent keys taking their defaults."""
+    family = raw.get("family")
+    if family not in CLASSIFIER_FAMILIES:
+        raise ConfigError(
+            f"unknown classifier family {family!r}; expected one of {CLASSIFIER_FAMILIES}"
+        )
+    typed = {"family": family, **_typed("classifier", raw, CLASSIFIER_DEFAULTS[family])}
+    if family == "gnb":
+        # bool("no") is True, so no conversion by the default's type here.
+        typed["tune"] = raw.get("tune", False)
+        if not isinstance(typed["tune"], bool):
+            raise ConfigError(f"classifier.tune must be true or false, got {typed['tune']!r}")
+    if family == "random_forest":
+        typed["max_depth"] = depth = raw.get("max_depth", 8)
+        if depth is not None and (isinstance(depth, bool) or not isinstance(depth, int)):
+            raise ConfigError(f"classifier.max_depth must be null or an integer, got {depth!r}")
+    return typed
 
 
 @dataclass(frozen=True)
@@ -178,15 +207,9 @@ class RunConfig:
                 raise DataError(f"embedding file not found: {embedding_path}")
         params = _typed("embeddings", emb_raw, SKIPGRAM_DEFAULTS)
 
-        classifier = raw.get("classifier")
+        classifier = _section(raw, "classifier")
         if classifier is not None:
-            if not isinstance(classifier, dict) or "family" not in classifier:
-                raise ConfigError("classifier section needs a 'family'")
-            if classifier["family"] not in CLASSIFIER_FAMILIES:
-                raise ConfigError(
-                    f"unknown classifier family {classifier['family']!r}; "
-                    f"expected one of {CLASSIFIER_FAMILIES}"
-                )
+            classifier = _classifier_section(classifier)
 
         zs = _section(raw, "zeroshot")
         zeroshot_cfg = ZeroshotConfig.from_dict(zs) if zs is not None else None
@@ -360,35 +383,21 @@ def _train_classifier(cfg: RunConfig, data: classifiers.Dataset):
     seed = derive_seed(cfg.seed, "classifier")
     if family == "logreg":
         return classifiers.train_logreg(
-            data,
-            l2=float(section.get("l2", 1e-4)),
-            epochs=int(section.get("epochs", 150)),
-            lr=float(section.get("lr", 0.5)),
-            seed=seed,
+            data, l2=section["l2"], epochs=section["epochs"], lr=section["lr"], seed=seed
         )
     if family == "gnb":
-        if section.get("tune", False):
-            smoothing = classifiers.tune_gnb(
-                data, budget=int(section.get("budget", 20)), seed=seed
-            )
+        if section["tune"]:
+            smoothing = classifiers.tune_gnb(data, budget=section["budget"], seed=seed)
         else:
-            smoothing = float(section.get("var_smoothing", 1e-9))
+            smoothing = section["var_smoothing"]
         return classifiers.train_gnb(data, var_smoothing=smoothing)
     if family == "svm":
         return classifiers.train_linear_svm(
-            data,
-            lam=float(section.get("lambda", 1e-3)),
-            epochs=int(section.get("epochs", 50)),
-            seed=seed,
+            data, lam=section["lambda"], epochs=section["epochs"], seed=seed
         )
-    if family == "random_forest":
-        return classifiers.train_random_forest(
-            data,
-            n_trees=int(section.get("n_trees", 50)),
-            max_depth=section.get("max_depth", 8),
-            seed=seed,
-        )
-    raise ConfigError(f"unknown classifier family {family!r}")
+    return classifiers.train_random_forest(
+        data, n_trees=section["n_trees"], max_depth=section["max_depth"], seed=seed
+    )
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -453,6 +462,11 @@ def _method_scorers(
                 )
             model = classifiers.load_model(model_path)
             emb = embeddings.load_vectors(emb_path)
+            if emb.dim != model.dim:
+                raise DataError(
+                    f"{model_path}: model dimension {model.dim} != embedding "
+                    f"dimension {emb.dim} of {emb_path}"
+                )
 
             def clf_score(doc: Document, _m=model, _e=emb) -> float:
                 return classifiers.predict(_m, embeddings.doc_vector(doc.body, _e).values).score

@@ -175,13 +175,17 @@ def youden_threshold(scores: Sequence[float], labels: Sequence[int]) -> float:
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
         raise AurocUndefined("threshold selection needs both classes")
+    # One sorted sweep: the candidates are the distinct scores, and the
+    # scores at or above one are those from its first place in sorted order.
+    order = np.argsort(scores, kind="stable")
+    ranked = scores[order]
+    first = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    below_pos = np.r_[0, np.cumsum(labels[order] == 1)][first]
+    below_neg = np.r_[0, np.cumsum(labels[order] == 0)][first]
+    j_values = (n_pos - below_pos) / n_pos - (n_neg - below_neg) / n_neg
     best_t = float("-inf")
     best_j = -math.inf
-    for t in sorted(set(scores.tolist())):
-        preds = scores >= t
-        tpr = float(np.sum(preds & (labels == 1))) / n_pos
-        fpr = float(np.sum(preds & (labels == 0))) / n_neg
-        j = tpr - fpr
+    for t, j in zip(ranked[first].tolist(), j_values.tolist()):
         if j > best_j + 1e-12:
             best_j = j
             best_t = t

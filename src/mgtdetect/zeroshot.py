@@ -41,15 +41,21 @@ END = "</s>"  # predictable end-of-sentence symbol
 START_ID = -1  # context-only padding id, never predicted
 
 
-@dataclass
+@dataclass(eq=False)
 class NGramLM:
-    """Interpolated Kneser-Ney n-gram model.
+    """Interpolated Kneser-Ney n-gram model over packed n-gram keys.
 
     The highest order keeps raw counts with absolute discounting; lower
     orders use continuation counts; the recursion bottoms out at the
     uniform distribution over the event space (vocabulary + UNK + END),
-    so every conditional sums to one. The per-context totals and distinct
-    continuation counts are derived from ``counts`` on construction.
+    so every conditional sums to one.
+
+    An n-gram is one int64 key: its ids shifted by one (START_ID becomes 0)
+    are the digits of a base ``end_id + 2`` number, first id most
+    significant, so key order is the order of the id lists. ``grams[k]``
+    holds level k's sorted keys and their counts; ``contexts[k]``, derived
+    on construction, the sorted unique context keys (key // base) with
+    their count totals and numbers of distinct continuations.
 
     ``scoring_passes`` counts per_token_log_prob calls; the detectors' pass
     budget is asserted against it in tests.
@@ -58,30 +64,19 @@ class NGramLM:
     order: int
     discount: float
     vocabulary: Vocabulary
-    counts: dict[int, dict[tuple[int, ...], float]]
+    grams: dict[int, tuple[np.ndarray, np.ndarray]]
     end_id: int
     scoring_passes: int = 0
-    context_totals: dict[int, dict[tuple[int, ...], float]] = field(init=False)
-    context_distinct: dict[int, dict[tuple[int, ...], int]] = field(init=False)
-    _dense_cache: dict[tuple[int, tuple[int, ...]], np.ndarray] = field(
-        default_factory=dict, repr=False
-    )
-    _continuations: dict[int, dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]] = field(
-        default_factory=dict, repr=False
-    )
+    base: int = field(init=False, repr=False)
+    contexts: dict[int, tuple[np.ndarray, ...]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.context_totals = {}
-        self.context_distinct = {}
-        for k in range(1, self.order + 1):
-            totals: dict[tuple[int, ...], float] = {}
-            distinct: dict[tuple[int, ...], int] = {}
-            for gram, c in self.counts.get(k, {}).items():
-                ctx = gram[:-1]
-                totals[ctx] = totals.get(ctx, 0.0) + c
-                distinct[ctx] = distinct.get(ctx, 0) + 1
-            self.context_totals[k] = totals
-            self.context_distinct[k] = distinct
+        self.base = self.end_id + 2
+        self.contexts = {}
+        for k, (keys, counts) in self.grams.items():
+            context_keys, starts, distinct = np.unique(keys // self.base, return_index=True,
+                                                       return_counts=True)
+            self.contexts[k] = (context_keys, np.add.reduceat(counts, starts), distinct)
 
     @property
     def event_size(self) -> int:
@@ -91,94 +86,102 @@ class NGramLM:
     def score_texts(self, texts: Iterable[str]) -> tuple[float, int, bool]:
         """(sum of log P, number of predicted symbols, whether any token is
         a word) over the sentences of *texts*, with boundary padding and OOV
-        tokens scored as UNK. Each text is tokenized once.
+        tokens scored as UNK: one tokenization per text, one scoring sweep.
         """
-        total = 0.0
-        symbols = 0
+        sentences = []
         has_word = False
         for tokens in _sentence_tokens(texts):
             has_word = has_word or any(t.is_word for t in tokens)
-            lp, n = self.sentence_log_prob([self.vocabulary.id_of(t.surface) for t in tokens])
-            total += lp
-            symbols += n
-        return total, symbols, has_word
-
-    def _padded(self, context: tuple[int, ...]) -> tuple[int, ...]:
-        # The trailing order - 1 ids, left-padded with the start symbol.
-        ctx = tuple(context)[-(self.order - 1):]
-        return (START_ID,) * (self.order - 1 - len(ctx)) + ctx
+            sentences.append([self.vocabulary.id_of(t.surface) for t in tokens])
+        if not sentences:
+            return 0.0, 0, has_word
+        probs = self._probs(_windows(sentences, self.order, self.end_id)).tolist()
+        # math.log and left-to-right sums, per sentence and then over the
+        # sentences: np.log or np.sum could differ in the last bit.
+        total, start = 0.0, 0
+        for ids in sentences:
+            stop = start + len(ids) + 1
+            sentence = 0.0
+            for p in probs[start:stop]:
+                sentence += math.log(p)
+            total += sentence
+            start = stop
+        return total, start, has_word
 
     def prob(self, context: tuple[int, ...], target: int) -> float:
         """P(target | context) via the interpolated recursion."""
-        return self._prob(self.order, self._padded(context), target)
+        return float(self._probs(self._rows(context, [target]))[0])
 
     def distribution(self, context: tuple[int, ...]) -> np.ndarray:
         """Dense conditional distribution over the event space; the
-        vectorized counterpart of prob(), cached per context.
+        vectorized counterpart of prob().
         """
-        return self._dense(self.order, self._padded(context)).copy()
+        return self._probs(self._rows(context, np.arange(self.event_size)))
 
-    def _dense(self, level: int, context: tuple[int, ...]) -> np.ndarray:
-        if level == 0:
-            return np.full(self.event_size, 1.0 / self.event_size)
-        if level == 1:
-            context = ()
-        key = (level, context)
-        cached = self._dense_cache.get(key)
-        if cached is not None:
-            return cached
-        total = self.context_totals[level].get(context, 0.0)
-        if total <= 0.0:
-            vec = self._dense(level - 1, context[1:])
-        else:
-            distinct = self.context_distinct[level][context]
-            lam = self.discount * distinct / total
-            vec = lam * self._dense(level - 1, context[1:])
-            targets, counts = self._continuation_arrays(level, context)
-            vec[targets] += np.maximum(counts - self.discount, 0.0) / total
-        self._dense_cache[key] = vec
-        return vec
+    def _rows(self, context: tuple[int, ...], targets) -> np.ndarray:
+        # The trailing order - 1 context ids, left-padded with the start
+        # symbol, then each target; all shifted by one.
+        ctx = list(context)[-(self.order - 1):]
+        ids = [START_ID] * (self.order - 1 - len(ctx)) + ctx
+        rows = np.column_stack([np.tile(ids, (len(targets), 1)), targets]).astype(np.int64) + 1
+        if rows.min() < 0 or rows.max() > self.end_id + 1:
+            raise DataError(f"ids must lie in [{START_ID}, {self.end_id}]")
+        return rows
 
-    def _continuation_arrays(self, level: int, context: tuple[int, ...]):
-        by_level = self._continuations.get(level)
-        if by_level is None:
-            grouped: dict[tuple[int, ...], list[tuple[int, float]]] = {}
-            for g, c in self.counts[level].items():
-                grouped.setdefault(g[:-1], []).append((g[-1], c))
-            by_level = {
-                ctx: (
-                    np.array([t for t, _ in pairs], dtype=int),
-                    np.array([c for _, c in pairs], dtype=float),
-                )
-                for ctx, pairs in grouped.items()
-            }
-            self._continuations[level] = by_level
-        return by_level[context]
+    def _probs(self, windows: np.ndarray) -> np.ndarray:
+        """P(target | context) for each row of *windows* (order - 1 shifted
+        context ids, then the shifted target), walking the levels from 1 up:
+        a level that has not seen the context passes the lower value through.
+        """
+        target = windows[:, -1]
+        probs = np.full(len(windows), 1.0 / self.event_size)
+        context = np.zeros(len(windows), dtype=np.int64)
+        for k in range(1, self.order + 1):
+            if k > 1:
+                context += windows[:, -k] * self.base ** (k - 2)
+            keys, counts = self.grams[k]
+            context_keys, totals, distinct = self.contexts[k]
+            # Every total is positive, so an unseen context's stand-in row
+            # computes a finite value that the last step drops.
+            i = np.minimum(context_keys.searchsorted(context), len(context_keys) - 1)
+            gram = context * self.base + target
+            j = np.minimum(keys.searchsorted(gram), len(keys) - 1)
+            count = np.where(keys[j] == gram, counts[j], 0.0)
+            mixed = (np.maximum(count - self.discount, 0.0) / totals[i]
+                     + (self.discount * distinct[i] / totals[i]) * probs)
+            probs = np.where(context_keys[i] == context, mixed, probs)
+        return probs
 
-    def _prob(self, level: int, context: tuple[int, ...], target: int) -> float:
-        if level == 1:
-            context = ()
-        if level == 0:
-            return 1.0 / self.event_size
-        totals = self.context_totals[level]
-        total = totals.get(context, 0.0)
-        if total <= 0.0:
-            return self._prob(level - 1, context[1:], target)
-        count = self.counts[level].get(context + (target,), 0.0)
-        distinct = self.context_distinct[level][context]
-        backoff_mass = self.discount * distinct / total
-        cont = self._prob(level - 1, context[1:], target)
-        return max(count - self.discount, 0.0) / total + backoff_mass * cont
 
-    def sentence_log_prob(self, ids: list[int]) -> tuple[float, int]:
-        """(sum of log P, number of predicted symbols) for one sentence."""
-        context = [START_ID] * (self.order - 1)
-        total = 0.0
-        for target in ids + [self.end_id]:
-            p = self._prob(self.order, tuple(context), target)
-            total += math.log(p)
-            context = context[1:] + [target]
-        return total, len(ids) + 1
+def _pack_powers(level: int, base: int) -> np.ndarray:
+    """The place values of a *level*-digit key, most significant first."""
+    return base ** np.arange(level - 1, -1, -1, dtype=np.int64)
+
+
+def _pack(digits: np.ndarray, base: int) -> np.ndarray:
+    """The packed key of each row of *digits*: shifted ids, first most significant."""
+    return digits @ _pack_powers(digits.shape[1], base)
+
+
+def _pack_base(order: int, end_id: int) -> int:
+    """The key base; DataError when an order-gram key could pass int64."""
+    base = end_id + 2
+    if base**order > 2**63:
+        raise DataError(f"order {order} over {end_id + 1} symbols exceeds the packed-key "
+                        "limit (end_id + 2) ** order <= 2**63")
+    return base
+
+
+def _windows(sentences: list[list[int]], order: int, end_id: int) -> np.ndarray:
+    """One row per predicted position of the START/END-padded *sentences*:
+    the order - 1 context ids, then the target, all shifted by one."""
+    seq: list[int] = []
+    for ids in sentences:
+        seq += [START_ID] * (order - 1) + ids + [end_id]
+    shifted = np.array(seq, dtype=np.int64) + 1
+    # START (shifted to 0) is never predicted; every other place is.
+    targets = np.flatnonzero(shifted)
+    return shifted[targets[:, None] + np.arange(1 - order, 1)]
 
 
 def _sentence_tokens(texts: Iterable[str]) -> Iterator[list[Token]]:
@@ -192,7 +195,8 @@ def _sentence_tokens(texts: Iterable[str]) -> Iterator[list[Token]]:
 
 def train_kn_lm(texts: list[str], order: int = 3, discount: float = 0.75) -> NGramLM:
     """Count n-grams of all orders over start/end padded sentences and
-    derive the continuation tables used below the top order.
+    derive the continuation tables used below the top order. DataError
+    when (vocabulary size + 2) ** order passes 2**63, the packed-key limit.
     """
     if order < 2:
         raise DataError("order must be >= 2")
@@ -213,29 +217,20 @@ def train_kn_lm(texts: list[str], order: int = 3, discount: float = 0.75) -> NGr
             f"order {order} exceeds the longest sentence plus padding ({longest + 2})"
         )
 
-    raw: dict[int, dict[tuple[int, ...], int]] = {k: {} for k in range(1, order + 1)}
-    for ids in sentences:
-        padded = [START_ID] * (order - 1) + ids + [end_id]
-        for k in range(1, order + 1):
-            table = raw[k]
-            # Only n-grams ending at a predicted position count, so the
-            # padding start symbols are contexts, never events.
-            for end in range(order - 1, len(padded)):
-                gram = tuple(padded[end - k + 1 : end + 1])
-                table[gram] = table.get(gram, 0) + 1
-
-    counts: dict[int, dict[tuple[int, ...], float]] = {}
+    base = _pack_base(order, end_id)
+    # Only n-grams ending at a predicted position count, so the padding
+    # start symbols are contexts, never events.
+    windows = _windows(sentences, order, end_id)
+    grams: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for k in range(2, order + 1):
+        keys, raw = np.unique(_pack(windows[:, order - k:], base), return_counts=True)
+        # Level k - 1 uses continuation counts: how many distinct one-id
+        # left extensions of each (k-1)-gram the k-grams hold.
+        suffixes, cont = np.unique(keys % base ** (k - 1), return_counts=True)
+        grams[k - 1] = (suffixes, cont.astype(float))
     # Top order keeps raw counts.
-    counts[order] = {g: float(c) for g, c in raw[order].items()}
-    # Lower orders use continuation counts: how many distinct single-word
-    # left extensions the (k+1)-gram tables contain.
-    for k in range(1, order):
-        cont: dict[tuple[int, ...], float] = {}
-        for gram in raw[k + 1]:
-            cont[gram[1:]] = cont.get(gram[1:], 0.0) + 1.0
-        counts[k] = cont
-
-    return NGramLM(order=order, discount=discount, vocabulary=vocab, counts=counts,
+    grams[order] = (keys, raw.astype(float))
+    return NGramLM(order=order, discount=discount, vocabulary=vocab, grams=grams,
                    end_id=end_id)
 
 
@@ -481,6 +476,11 @@ def sample_document(lm: NGramLM, seed: int, max_tokens: int = 60,
 
 def save_lm(lm: NGramLM, path: str | Path) -> None:
     """Binary-free JSON: count tables as [ngram ids..., count] rows."""
+    rows = {}
+    for k, (keys, counts) in lm.grams.items():
+        # Sorted keys give the rows in the sorted() order of the id lists.
+        ids = keys[:, None] // _pack_powers(k, lm.base) % lm.base - 1
+        rows[str(k)] = [gram + [c] for gram, c in zip(ids.tolist(), counts.tolist())]
     payload = {
         "schema_version": LM_SCHEMA_VERSION,
         "order": lm.order,
@@ -490,10 +490,7 @@ def save_lm(lm: NGramLM, path: str | Path) -> None:
             "word_to_id": lm.vocabulary.word_to_id,
             "frequencies": lm.vocabulary.frequencies,
         },
-        "counts": {
-            str(k): sorted([list(g) + [c] for g, c in table.items()])
-            for k, table in lm.counts.items()
-        },
+        "counts": rows,
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
@@ -525,21 +522,23 @@ def load_lm(path: str | Path) -> NGramLM:
         tables = payload["counts"]
         if sorted(tables) != sorted(str(k) for k in range(1, order + 1)):
             raise ValueError(f"count levels {sorted(tables)} are not 1..{order}")
-        counts: dict[int, dict[tuple[int, ...], float]] = {}
+        base = _pack_base(order, end_id)
+        grams: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for k in range(1, order + 1):
-            rows = tables[str(k)]
-            _check_count_rows(k, rows, end_id)
-            counts[k] = {tuple(int(x) for x in row[:-1]): float(row[-1]) for row in rows}
-            if len(counts[k]) != len(rows):
+            table = _check_count_rows(k, tables[str(k)], end_id)
+            keys, first = np.unique(_pack(table[:, :-1].astype(np.int64) + 1, base),
+                                    return_index=True)
+            if len(keys) != len(table):
                 raise ValueError(f"level {k} repeats an n-gram")
+            grams[k] = (keys, table[first, -1])
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError, DataError) as exc:
         raise ModelFormatError(f"{path}: corrupted LM field: {exc}") from exc
-    return NGramLM(order=order, discount=discount, vocabulary=vocab, counts=counts,
+    return NGramLM(order=order, discount=discount, vocabulary=vocab, grams=grams,
                    end_id=end_id)
 
 
-def _check_count_rows(level: int, rows: list, end_id: int) -> None:
-    """Raise ValueError unless *rows* is a non-empty table of
+def _check_count_rows(level: int, rows: list, end_id: int) -> np.ndarray:
+    """*rows* as a float table; ValueError unless it is a non-empty table of
     [context ids..., target id, count] rows: context ids in [START_ID,
     end_id), the target in [0, end_id], integral ids, and a positive,
     finite count.
@@ -555,3 +554,4 @@ def _check_count_rows(level: int, rows: list, end_id: int) -> None:
         raise ValueError(f"level {level} holds an id outside the vocabulary")
     if not np.all(np.isfinite(count) & (count > 0)):
         raise ValueError(f"level {level} holds a count that is not positive and finite")
+    return table

@@ -287,6 +287,60 @@ class TestMalformedInputs:
         assert main(args) == 2
         one_error_line(capsys, "config error:")
 
+    @pytest.mark.parametrize("classifier", [
+        {"family": "logreg", "epochs": "many"},
+        {"family": "logreg", "l2": [1e-4]},
+        {"family": "logreg", "lr": "fast"},
+        {"family": "gnb", "tune": "no"},
+        {"family": "gnb", "tune": 1},
+        {"family": "gnb", "tune": True, "budget": "ten"},
+        {"family": "gnb", "var_smoothing": None},
+        {"family": "svm", "lambda": "small"},
+        {"family": "svm", "epochs": {}},
+        {"family": "random_forest", "n_trees": "lots"},
+        {"family": "random_forest", "max_depth": "deep"},
+        {"family": "random_forest", "max_depth": 2.5},
+        {"family": "random_forest", "max_depth": True},
+        {"epochs": 3},
+        "logreg",
+    ])
+    def test_classifier_value_of_wrong_type_exits_2(self, workspace, tmp_path, capsys,
+                                                    classifier):
+        config = write_config(tmp_path, workspace, classifier=classifier)
+        assert main(["train", "--config", config]) == 2
+        one_error_line(capsys, "config error:")
+
+    @pytest.mark.parametrize("section, expected", [
+        ({"family": "logreg"}, {"l2": 1e-4, "epochs": 150, "lr": 0.5}),
+        ({"family": "gnb"}, {"tune": False, "budget": 20, "var_smoothing": 1e-9}),
+        ({"family": "gnb", "tune": True, "budget": "7"},
+         {"tune": True, "budget": 7, "var_smoothing": 1e-9}),
+        ({"family": "svm", "lambda": 1}, {"lambda": 1.0, "epochs": 50}),
+        ({"family": "random_forest"}, {"n_trees": 50, "max_depth": 8}),
+        ({"family": "random_forest", "max_depth": None, "n_trees": 3.0},
+         {"n_trees": 3, "max_depth": None}),
+    ])
+    def test_classifier_keys_typed_per_family(self, workspace, tmp_path, section, expected):
+        from mgtdetect.cli import RunConfig
+
+        config = write_config(tmp_path, workspace, classifier=section)
+        typed = RunConfig.from_file(config).classifier
+        assert typed == {"family": section["family"], **expected}
+        assert all(type(typed[k]) is type(v) for k, v in expected.items())
+
+    def test_model_dimension_mismatch_exits_3(self, workspace, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(workspace / "out", out)
+        payload = json.loads((out / "model.json").read_text())
+        payload["weights"].pop()
+        (out / "model.json").write_text(json.dumps(payload))
+        inp = tmp_path / "in.txt"
+        inp.write_text("waa wab wac wad wae.\nwab wac.\n")
+        rc = main(["detect", "--config", cfg_path(workspace), str(inp),
+                   "--method", "classifier", "--output", str(out)])
+        assert rc == 3
+        assert "model.json" in one_error_line(capsys, "data error:")
+
     def test_zeroshot_defaults(self, workspace, tmp_path):
         from mgtdetect.cli import RunConfig
 

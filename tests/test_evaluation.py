@@ -128,6 +128,39 @@ class TestYouden:
                 best_j, best_t = tpr - fpr, t
         assert youden_threshold(scores, labels) == best_t
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0]),
+                      st.floats(min_value=-3, max_value=3)),
+            st.sampled_from([0, 1]),
+        ),
+        min_size=2, max_size=60,
+    ).filter(lambda rows: {y for _, y in rows} == {0, 1}))
+    def test_sorted_sweep_equals_per_threshold_oracle(self, rows):
+        scores = [s for s, _ in rows]
+        labels = [y for _, y in rows]
+        assert youden_threshold(scores, labels) == youden_per_threshold(scores, labels)
+
+
+def youden_per_threshold(scores, labels):
+    """The O(n^2) form: a full scan of the scores for every distinct score."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    n_pos = int(np.sum(labels == 1))
+    n_neg = int(np.sum(labels == 0))
+    best_t = float("-inf")
+    best_j = -np.inf
+    for t in sorted(set(scores.tolist())):
+        preds = scores >= t
+        tpr = float(np.sum(preds & (labels == 1))) / n_pos
+        fpr = float(np.sum(preds & (labels == 0))) / n_neg
+        j = tpr - fpr
+        if j > best_j + 1e-12:
+            best_j = j
+            best_t = t
+    return best_t
+
 
 class TestAdversarialTransforms:
     def test_intensity_zero_identity(self):

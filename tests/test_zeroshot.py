@@ -1,6 +1,8 @@
 import json
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,8 +68,12 @@ class TestTrainKnLm:
         #   P(b|a)  = max(2-D,0)/2 + (D*1/2)*P_uni(b)        = 0.8046875
         lm = zs.train_kn_lm(["a b a b"], order=2, discount=0.5)
         va, vb = lm.vocabulary.id_of("a"), lm.vocabulary.id_of("b")
-        assert lm.counts[2][(va, vb)] == 2
-        assert lm.counts[2][(vb, va)] == 1
+        keys, counts = lm.grams[2]
+        base = lm.end_id + 2  # ids shifted by one, packed in base end_id + 2
+        ab, ba = (va + 1) * base + vb + 1, (vb + 1) * base + va + 1
+        i, j = np.searchsorted(keys, [ab, ba])
+        assert (keys[i], counts[i]) == (ab, 2)
+        assert (keys[j], counts[j]) == (ba, 1)
         assert lm.prob((va,), vb) == pytest.approx(0.8046875, abs=1e-9)
         assert lm.prob((vb,), va) == pytest.approx(0.484375, abs=1e-9)
         assert lm.prob((vb,), lm.end_id) == pytest.approx(0.359375, abs=1e-9)
@@ -129,6 +135,128 @@ class TestTrainKnLm:
         # longest sentence has 2 tokens ("a" "."), so order 5 > 2 + 2 fails
         with pytest.raises(DataError):
             zs.train_kn_lm(["a. b."], order=5)
+
+
+# -- plain-Python reference over the saved rows ------------------------------
+# The interpolated recursion over an lm.json payload's count rows, with the
+# same floating-point operations as the packed model: its results must be
+# equal bit for bit.
+
+
+def kn_reference(payload):
+    order, discount = payload["order"], payload["discount"]
+    event_size = payload["end_id"] + 1
+    counts, totals, distinct = {}, {}, {}
+    for k in range(1, order + 1):
+        counts[k], totals[k], distinct[k] = {}, {}, {}
+        for row in payload["counts"][str(k)]:
+            gram, c = tuple(row[:-1]), row[-1]
+            counts[k][gram] = c
+            totals[k][gram[:-1]] = totals[k].get(gram[:-1], 0.0) + c
+            distinct[k][gram[:-1]] = distinct[k].get(gram[:-1], 0) + 1
+
+    def prob(level, context, target):
+        if level == 0:
+            return 1.0 / event_size
+        if level == 1:
+            context = ()
+        total = totals[level].get(context, 0.0)
+        if total <= 0.0:
+            return prob(level - 1, context[1:], target)
+        count = counts[level].get(context + (target,), 0.0)
+        backoff_mass = discount * distinct[level][context] / total
+        return max(count - discount, 0.0) / total + backoff_mass * prob(
+            level - 1, context[1:], target
+        )
+
+    def query(context, target):
+        ctx = tuple(context)[-(order - 1):]
+        return prob(order, (zs.START_ID,) * (order - 1 - len(ctx)) + ctx, target)
+
+    return query
+
+
+def saved_payload(lm):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lm.json"
+        zs.save_lm(lm, path)
+        return json.loads(path.read_text())
+
+
+WORDS = ["a", "b", "c", "d", "e"]
+
+
+class TestPackedModel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        corpus=st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=8),
+                        min_size=1, max_size=6),
+        order=st.integers(min_value=2, max_value=4),
+        discount=st.floats(min_value=0.01, max_value=0.99),
+        data=st.data(),
+    )
+    def test_prob_equals_plain_recursion_over_saved_rows(self, corpus, order, discount,
+                                                         data):
+        lm = zs.train_kn_lm([" ".join(s) + "." for s in corpus], order=order,
+                            discount=discount)
+        reference = kn_reference(saved_payload(lm))
+        # Contexts mix START, END and every id (unseen contexts included);
+        # targets include END and the UNK id of out-of-vocabulary words.
+        ids = st.integers(min_value=zs.START_ID, max_value=lm.end_id)
+        for _ in range(8):
+            ctx = tuple(data.draw(st.lists(ids, max_size=order + 1)))
+            target = data.draw(st.sampled_from(
+                [lm.end_id, lm.vocabulary.unk_id, data.draw(st.integers(0, lm.end_id))]))
+            assert lm.prob(ctx, target) == reference(ctx, target)
+            dense = lm.distribution(ctx)
+            assert np.array_equal(dense, [lm.prob(ctx, t) for t in range(lm.event_size)])
+        # A scoring pass sums the same probabilities, log by log.
+        words = data.draw(st.lists(st.sampled_from(WORDS + ["zz"]), min_size=1, max_size=9))
+        ids_of = [lm.vocabulary.id_of(w) for w in words + ["."]]
+        expected = 0.0
+        for i, target in enumerate(ids_of + [lm.end_id]):
+            expected += math.log(reference(ids_of[:i], target))
+        assert lm.score_texts([" ".join(words) + "."]) == (expected, len(ids_of) + 1, True)
+
+    def test_ids_outside_the_event_space_rejected(self):
+        lm = zs.train_kn_lm(["a b c."] * 3, order=3)
+        for ctx, target in [((0,), lm.end_id + 1), ((zs.START_ID - 1,), 0), ((0,), -2)]:
+            with pytest.raises(DataError):
+                lm.prob(ctx, target)
+
+    def test_save_matches_golden_bytes(self, tmp_path):
+        # tests/fixtures/lm_golden.json was written by the dict-table model
+        # this layout replaced; lm.json must not drift from it.
+        golden = (FIXTURES / "lm_golden.json").read_bytes()
+        lm = zs.train_kn_lm(GOLDEN_TEXTS, order=3, discount=0.75)
+        zs.save_lm(lm, tmp_path / "trained.json")
+        assert (tmp_path / "trained.json").read_bytes() == golden
+        zs.save_lm(zs.load_lm(FIXTURES / "lm_golden.json"), tmp_path / "reloaded.json")
+        assert (tmp_path / "reloaded.json").read_bytes() == golden
+
+    def test_pack_limit_at_train_time(self):
+        texts = [" ".join(f"w{i}" for i in range(90))]  # 91 ids with UNK: base 93
+        assert zs.train_kn_lm(texts, order=9).order == 9  # 93 ** 9 < 2 ** 63
+        with pytest.raises(DataError, match=r"2\*\*63"):
+            zs.train_kn_lm(texts, order=10)  # 93 ** 10 > 2 ** 63
+
+    def test_pack_limit_at_load_time(self, tmp_path):
+        lm = zs.train_kn_lm([" ".join(f"w{i}" for i in range(90))], order=9)
+        payload = saved_payload(lm)
+        vocab = payload["vocabulary"]
+        for i in range(40):  # base 133: 133 ** 9 > 2 ** 63
+            vocab["word_to_id"][f"x{i}"] = payload["end_id"] + i
+            vocab["frequencies"][f"x{i}"] = 1
+        payload["end_id"] += 40
+        path = tmp_path / "lm.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError, match=r"2\*\*63"):
+            zs.load_lm(path)
+
+
+GOLDEN_TEXTS = ["The cat sat on the mat. The dog sat too!", "A dog and a cat? Yes, a cat.",
+                "the mat, the cat; the end."]
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def log_prob(lm, body):
@@ -350,9 +478,10 @@ class TestSamplingAndPersistence:
             doc = make_doc(body)
             assert loaded.score_texts([body]) == lm.score_texts([body])
             assert zs.per_token_log_prob(loaded, doc) == zs.per_token_log_prob(lm, doc)
-        assert loaded.counts == lm.counts
-        assert loaded.context_totals == lm.context_totals
-        assert loaded.context_distinct == lm.context_distinct
+        for k in range(1, lm.order + 1):
+            for loaded_array, array in zip(loaded.grams[k] + loaded.contexts[k],
+                                           lm.grams[k] + lm.contexts[k]):
+                assert np.array_equal(loaded_array, array)
 
     def test_schema_gate(self, tmp_path):
         lm = zs.train_kn_lm(["a b."] * 3, order=2, discount=0.75)
