@@ -431,9 +431,8 @@ def cmd_train(cfg: RunConfig) -> int:
             machine_texts, order=cfg.zeroshot.order, discount=cfg.zeroshot.discount
         )
         zeroshot.save_lm(lm, cfg.output_dir / "lm.json")
-        ppl = zeroshot.perplexity(lm, machine_texts)
         print(f"lm: order={lm.order} vocab={lm.vocabulary.size} "
-              f"train_perplexity={ppl:.3f}")
+              f"train_perplexity={lm.train_perplexity:.3f}")
         trained_something = True
 
     if not trained_something:

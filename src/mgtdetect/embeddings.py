@@ -7,13 +7,14 @@ The training loop is deliberately single-threaded and seeded: identical
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, EmptyEmbedding
-from .text_core import UNK, Vocabulary, build_vocab, tokenize
+from .text_core import UNK, Vocabulary, tokenize, vocab_from_counts
 
 LR_FLOOR_FRACTION = 1e-4  # learning rate decays linearly to lr0 * this
 
@@ -97,11 +98,6 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _token_stream(texts: list[str], vocab: Vocabulary) -> list[list[int]]:
-    """Per-text token id sequences, OOV mapped to UNK."""
-    return [[vocab.id_of(t.surface) for t in tokenize(text)] for text in texts]
-
-
 def train_skipgram(texts: list[str], config: SkipGramConfig) -> EmbeddingMatrix:
     """Train skip-gram with negative sampling over the tokenized *texts*.
 
@@ -110,10 +106,12 @@ def train_skipgram(texts: list[str], config: SkipGramConfig) -> EmbeddingMatrix:
     input rows seeded uniform in [-0.5/dim, 0.5/dim], output rows zero,
     one mean loss recorded per epoch.
     """
-    vocab = build_vocab(texts, min_count=config.min_count)
+    # One tokenization per text feeds the vocabulary and the id sequences.
+    surfaces = [[t.surface for t in tokenize(text)] for text in texts]
+    vocab = vocab_from_counts(Counter(s for seq in surfaces for s in seq), config.min_count)
     if vocab.size <= 1:
         raise DataError("vocabulary is empty apart from UNK")
-    sequences = _token_stream(texts, vocab)
+    sequences = [[vocab.id_of(s) for s in seq] for seq in surfaces]
     total_tokens = sum(len(s) for s in sequences)
     if total_tokens < config.window + 1:
         raise DataError("corpus too small for the configured window")

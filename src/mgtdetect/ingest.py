@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
@@ -18,6 +19,13 @@ from .errors import DataError, DegenerateSplit, EmptyDocument
 log = logging.getLogger(__name__)
 
 _ZERO_WIDTH = {"​", "‌", "‍", "﻿", "⁠"}
+
+# Category Cc is exactly U+0000-U+001F and U+007F-U+009F; a body may keep
+# its newlines.
+_CONTROL_RE = re.compile(r"[\x00-\x09\x0b-\x1f\x7f-\x9f]")
+
+# Everything outside printable ASCII, which normalize() never removes.
+_NON_ASCII_PRINTABLE_RE = re.compile(r"[^\x20-\x7e]")
 
 
 class Label(str, Enum):
@@ -37,11 +45,11 @@ class Document:
     def __post_init__(self) -> None:
         if not self.body:
             raise EmptyDocument(f"document {self.id!r} has an empty body")
-        for ch in self.body:
-            if unicodedata.category(ch) == "Cc" and ch != "\n":
-                raise DataError(
-                    f"document {self.id!r} contains control character {ch!r}"
-                )
+        control = _CONTROL_RE.search(self.body)
+        if control:
+            raise DataError(
+                f"document {self.id!r} contains control character {control[0]!r}"
+            )
         if not isinstance(self.label, Label):
             raise DataError(f"document {self.id!r} has invalid label")
 
@@ -113,18 +121,21 @@ def normalize(raw: str) -> str:
     """
     text = unicodedata.normalize("NFC", raw)
     text = text.replace(" ", " ")
-    cleaned: list[str] = []
-    for ch in text:
-        if ch in _ZERO_WIDTH:
-            continue
-        cat = unicodedata.category(ch)
-        if cat in ("Cc", "Cf") and not ch.isspace():
-            continue
-        cleaned.append(ch)
-    collapsed = " ".join("".join(cleaned).split())
+    collapsed = " ".join(_NON_ASCII_PRINTABLE_RE.sub(_drop_invisible, text).split())
     if not collapsed:
         raise EmptyDocument("text is empty after normalization")
     return collapsed
+
+
+def _drop_invisible(m: re.Match) -> str:
+    """'' for a zero-width character or a control or format character
+    that is not whitespace, else the character itself."""
+    ch = m[0]
+    if ch in _ZERO_WIDTH:
+        return ""
+    if unicodedata.category(ch) in ("Cc", "Cf") and not ch.isspace():
+        return ""
+    return ch
 
 
 def load_hc3(path: str | Path) -> Corpus:

@@ -8,15 +8,22 @@ only in ``Document.body`` so the adversarial transforms can still see it.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DataError
 
 UNK = "<unk>"
 
-# Letters/digits form words; apostrophes are word-internal only, so a lone
-# quote stays punctuation.
-_WORD_RE = re.compile(r"[^\W_]+(?:['’][^\W_]+)*", re.UNICODE)
+# One scan: letters/digits form words (group 1), with apostrophes
+# word-internal only, so a lone quote stays punctuation; every other
+# non-space character is its own punctuation token (group 2). ``\S`` and
+# str.isspace agree on every code point.
+_TOKEN_RE = re.compile(r"([^\W_]+(?:['’][^\W_]+)*)|(\S)")
+
+# A sentence terminator followed by whitespace or the end of the text.
+_SENTENCE_END_RE = re.compile(r"[.!?](?!\S)")
 
 _VOWELS = set("aeiouy")
 
@@ -27,17 +34,10 @@ _ABBREVIATIONS = {
     "e.g.", "i.e.", "etc.", "vs.", "cf.", "fig.", "al.", "no.",
 }
 
-_TERMINATORS = ".!?"
 
-
-@dataclass(frozen=True)
-class Token:
-    surface: str
+class Token(NamedTuple):
+    surface: str  # lowercased, never empty
     is_word: bool
-
-    def __post_init__(self) -> None:
-        if not self.surface:
-            raise DataError("token surface must be non-empty")
 
 
 def token_spans(text: str) -> list[tuple[int, int, bool]]:
@@ -46,26 +46,13 @@ def token_spans(text: str) -> list[tuple[int, int, bool]]:
     Word spans come from the word regex; every other non-space character
     is its own punctuation span. Spans are disjoint and ordered.
     """
-    spans: list[tuple[int, int, bool]] = []
-    pos = 0
-    for m in _WORD_RE.finditer(text):
-        for i in range(pos, m.start()):
-            if not text[i].isspace():
-                spans.append((i, i + 1, False))
-        spans.append((m.start(), m.end(), True))
-        pos = m.end()
-    for i in range(pos, len(text)):
-        if not text[i].isspace():
-            spans.append((i, i + 1, False))
-    return spans
+    return [(*m.span(), m.lastindex == 1) for m in _TOKEN_RE.finditer(text)]
 
 
 def tokenize(text: str) -> list[Token]:
     """Segment *text* into lowercased word tokens and punctuation tokens."""
-    return [
-        Token(surface=text[a:b].lower(), is_word=w)
-        for a, b, w in token_spans(text)
-    ]
+    return [Token(word.lower(), True) if word else Token(mark.lower(), False)
+            for word, mark in _TOKEN_RE.findall(text)]
 
 
 def word_tokens(text: str) -> list[str]:
@@ -79,12 +66,9 @@ def split_sentences(text: str) -> list[str]:
     """
     sentences: list[str] = []
     start = 0
-    for i, ch in enumerate(text):
-        if ch not in _TERMINATORS:
-            continue
-        if i + 1 < len(text) and not text[i + 1].isspace():
-            continue
-        if ch == ".":
+    for m in _SENTENCE_END_RE.finditer(text):
+        i = m.start()
+        if m[0] == ".":
             # Walk back to the preceding whitespace to recover the word the
             # period is attached to, dots included ("e.g." ends two chunks).
             j = i
@@ -166,16 +150,21 @@ def is_word_surface(surface: str) -> bool:
 
 
 def build_vocab(texts: list[str], min_count: int = 1) -> Vocabulary:
-    """Count every token surface in *texts*; surfaces with frequency >=
-    min_count get ids ordered by (frequency desc, surface asc), all others
-    fold into UNK. Punctuation marks are counted as ordinary surfaces.
+    """Count every token surface in *texts* and build the vocabulary from
+    the counts (vocab_from_counts). Punctuation marks are counted as
+    ordinary surfaces.
+    """
+    return vocab_from_counts(
+        Counter(t.surface for text in texts for t in tokenize(text)), min_count
+    )
+
+
+def vocab_from_counts(counts: dict[str, int], min_count: int = 1) -> Vocabulary:
+    """Surfaces with frequency >= min_count get ids ordered by (frequency
+    desc, surface asc); all others fold into UNK.
     """
     if min_count < 1:
         raise DataError("min_count must be >= 1")
-    counts: dict[str, int] = {}
-    for text in texts:
-        for tok in tokenize(text):
-            counts[tok.surface] = counts.get(tok.surface, 0) + 1
     if not counts:
         raise DataError("cannot build a vocabulary from an empty corpus")
     kept = sorted(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -27,11 +28,11 @@ from .text_core import (
     UNK,
     Token,
     Vocabulary,
-    build_vocab,
     is_word_surface,
     split_sentences,
     token_spans,
     tokenize,
+    vocab_from_counts,
 )
 
 LM_SCHEMA_VERSION = 1
@@ -58,7 +59,9 @@ class NGramLM:
     their count totals and numbers of distinct continuations.
 
     ``scoring_passes`` counts per_token_log_prob calls; the detectors' pass
-    budget is asserted against it in tests.
+    budget is asserted against it in tests. ``train_perplexity`` is the
+    perplexity of the training texts, set by train_kn_lm from the windows
+    it counted; None for a loaded model.
     """
 
     order: int
@@ -67,6 +70,7 @@ class NGramLM:
     grams: dict[int, tuple[np.ndarray, np.ndarray]]
     end_id: int
     scoring_passes: int = 0
+    train_perplexity: float | None = None
     base: int = field(init=False, repr=False)
     contexts: dict[int, tuple[np.ndarray, ...]] = field(init=False, repr=False)
 
@@ -95,18 +99,8 @@ class NGramLM:
             sentences.append([self.vocabulary.id_of(t.surface) for t in tokens])
         if not sentences:
             return 0.0, 0, has_word
-        probs = self._probs(_windows(sentences, self.order, self.end_id)).tolist()
-        # math.log and left-to-right sums, per sentence and then over the
-        # sentences: np.log or np.sum could differ in the last bit.
-        total, start = 0.0, 0
-        for ids in sentences:
-            stop = start + len(ids) + 1
-            sentence = 0.0
-            for p in probs[start:stop]:
-                sentence += math.log(p)
-            total += sentence
-            start = stop
-        return total, start, has_word
+        windows = _windows(sentences, self.order, self.end_id)
+        return _log_total(self._probs(windows), sentences), len(windows), has_word
 
     def prob(self, context: tuple[int, ...], target: int) -> float:
         """P(target | context) via the interpolated recursion."""
@@ -184,6 +178,24 @@ def _windows(sentences: list[list[int]], order: int, end_id: int) -> np.ndarray:
     return shifted[targets[:, None] + np.arange(1 - order, 1)]
 
 
+def _log_total(probs: np.ndarray, sentences: list[list[int]]) -> float:
+    """Sum of log *probs*, whose rows are the len(ids) + 1 predicted
+    positions of each sentence in turn: math.log and left-to-right sums per
+    sentence, then over the sentences (np.log or np.sum could differ in the
+    last bit).
+    """
+    values = probs.tolist()
+    total, start = 0.0, 0
+    for ids in sentences:
+        stop = start + len(ids) + 1
+        sentence = 0.0
+        for p in values[start:stop]:
+            sentence += math.log(p)
+        total += sentence
+        start = stop
+    return total
+
+
 def _sentence_tokens(texts: Iterable[str]) -> Iterator[list[Token]]:
     """The tokens of each non-empty sentence of *texts*, in order."""
     for text in texts:
@@ -195,8 +207,10 @@ def _sentence_tokens(texts: Iterable[str]) -> Iterator[list[Token]]:
 
 def train_kn_lm(texts: list[str], order: int = 3, discount: float = 0.75) -> NGramLM:
     """Count n-grams of all orders over start/end padded sentences and
-    derive the continuation tables used below the top order. DataError
-    when (vocabulary size + 2) ** order passes 2**63, the packed-key limit.
+    derive the continuation tables used below the top order; one
+    tokenization per sentence feeds the vocabulary, the counts and the
+    training perplexity. DataError when (vocabulary size + 2) ** order
+    passes 2**63, the packed-key limit.
     """
     if order < 2:
         raise DataError("order must be >= 2")
@@ -204,13 +218,11 @@ def train_kn_lm(texts: list[str], order: int = 3, discount: float = 0.75) -> NGr
         raise DataError("discount must lie in (0, 1)")
     if not texts:
         raise DataError("cannot train a language model on an empty corpus")
-    vocab = build_vocab(texts, min_count=1)
+    tokenized = list(_sentence_tokens(texts))
+    vocab = vocab_from_counts(Counter(t.surface for tokens in tokenized for t in tokens))
     end_id = vocab.size  # one past the vocabulary ids
 
-    sentences = [[vocab.id_of(t.surface) for t in tokens]
-                 for tokens in _sentence_tokens(texts)]
-    if not sentences:
-        raise DataError("corpus contains no tokens")
+    sentences = [[vocab.id_of(t.surface) for t in tokens] for tokens in tokenized]
     longest = max(len(ids) for ids in sentences)
     if order > longest + 2:
         raise DataError(
@@ -230,8 +242,13 @@ def train_kn_lm(texts: list[str], order: int = 3, discount: float = 0.75) -> NGr
         grams[k - 1] = (suffixes, cont.astype(float))
     # Top order keeps raw counts.
     grams[order] = (keys, raw.astype(float))
-    return NGramLM(order=order, discount=discount, vocabulary=vocab, grams=grams,
-                   end_id=end_id)
+    lm = NGramLM(order=order, discount=discount, vocabulary=vocab, grams=grams,
+                 end_id=end_id)
+    # One sweep over the training windows gives what perplexity(lm, texts)
+    # computes, bit for bit, without tokenizing the texts again.
+    total = _log_total(lm._probs(windows), sentences)
+    lm.train_perplexity = math.exp(-total / len(windows))
+    return lm
 
 
 def per_token_log_prob(lm: NGramLM, doc: Document) -> float:
@@ -454,14 +471,19 @@ def sample_document(lm: NGramLM, seed: int, max_tokens: int = 60,
     """
     rng = np.random.default_rng(seed)
     id_to_surface = {i: s for s, i in lm.vocabulary.word_to_id.items()}
+    # Each context's cumulative distribution, computed on first use.
+    cdfs: dict[tuple[int, ...], np.ndarray] = {}
     out_sentences = []
     for _ in range(sentences):
         context = [START_ID] * (lm.order - 1)
         words: list[str] = []
         for _ in range(max_tokens):
-            probs = lm.distribution(tuple(context))
-            probs /= probs.sum()
-            target = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+            key = tuple(context)
+            cdf = cdfs.get(key)
+            if cdf is None:
+                probs = lm.distribution(key)
+                cdf = cdfs[key] = np.cumsum(probs / probs.sum())
+            target = int(np.searchsorted(cdf, rng.random(), side="right"))
             if target == lm.end_id:
                 break
             words.append(id_to_surface.get(target, UNK))

@@ -417,3 +417,52 @@ class TestOneLoadPerCommand:
         assert main(["evaluate", "--config", cfg_path(workspace), "--output", str(out)]) == 0
         assert len(loads) == 1
         assert len(samplers) == 1
+
+    def test_train_tokenizes_each_machine_text_once(self, tmp_path, monkeypatch, capsys):
+        from mgtdetect import text_core, zeroshot
+        from test_zeroshot import FIXTURES, GOLDEN_TEXTS
+
+        config = base_config()
+        config["split"] = {"train": 0.6, "val": 0.2, "test": 0.2}
+        del config["classifier"], config["embeddings"]
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        args = ["--config", str(tmp_path / "config.json")]
+
+        def ingest_with(machine):
+            with (tmp_path / "data.jsonl").open("w") as fh:
+                for i, answer in enumerate(machine):
+                    fh.write(json.dumps({"question": f"q{i}", "human_answers": [f"human {i}."],
+                                         "chatgpt_answers": [answer]}) + "\n")
+            assert main(["ingest", *args]) == 0
+            return json.loads((tmp_path / "out" / "splits.json").read_text())["train"]
+
+        # The split depends on the seed and the class sizes only: place the
+        # golden texts where the machine training documents fall.
+        train_ids = ingest_with([f"filler {i}." for i in range(5)])
+        slots = [i for i in range(5) if f"{i + 1}-m1" in train_ids]
+        golden = iter(GOLDEN_TEXTS)
+        ingest_with([next(golden) if i in slots else f"filler {i}." for i in range(5)])
+
+        split_sentences, tokenize = text_core.split_sentences, text_core.tokenize
+        calls = {"split_sentences": [], "tokenize": []}
+        for module in (text_core, zeroshot):
+            for name, fn in (("split_sentences", split_sentences), ("tokenize", tokenize)):
+                monkeypatch.setattr(module, name,
+                                    lambda t, fn=fn, name=name: calls[name].append(t) or fn(t))
+        perplexity, train_kn_lm = zeroshot.perplexity, zeroshot.train_kn_lm
+        trained = []
+        monkeypatch.setattr(zeroshot, "perplexity",
+                            lambda *a: pytest.fail("train scored its texts again"))
+        monkeypatch.setattr(zeroshot, "train_kn_lm",
+                            lambda *a, **k: trained.append(train_kn_lm(*a, **k)) or trained[0])
+        assert main(["train", *args]) == 0
+        monkeypatch.undo()
+
+        machine_texts = calls["split_sentences"]
+        assert sorted(machine_texts) == sorted(GOLDEN_TEXTS)
+        assert calls["tokenize"] == [s for t in machine_texts for s in split_sentences(t)]
+        ppl = perplexity(trained[0], machine_texts)
+        assert trained[0].train_perplexity == ppl  # bit for bit
+        assert f"train_perplexity={ppl:.3f}\n" in capsys.readouterr().out
+        assert (tmp_path / "out" / "lm.json").read_bytes() == \
+            (FIXTURES / "lm_golden.json").read_bytes()

@@ -14,7 +14,7 @@ from mgtdetect.embeddings import (
     train_skipgram,
 )
 from mgtdetect.errors import DataError, EmptyEmbedding
-from mgtdetect.text_core import UNK, Vocabulary
+from mgtdetect.text_core import UNK, Vocabulary, build_vocab
 
 
 def small_config(**overrides) -> SkipGramConfig:
@@ -36,6 +36,14 @@ class TestTrainSkipgram:
         init = rng.uniform(-0.5 / 8, 0.5 / 8, size=(mat.vocabulary.size, 8))
         assert np.array_equal(mat.input_vectors, init)
         assert np.array_equal(mat.output_vectors, np.zeros_like(init))
+
+    def test_vocabulary_is_build_vocab(self):
+        texts = ["a b, c a!", "b b d. e", "a c c"]
+        for min_count in (1, 2):
+            mat = train_skipgram(texts, small_config(min_count=min_count, window=1))
+            vocab = build_vocab(texts, min_count=min_count)
+            assert mat.vocabulary.word_to_id == vocab.word_to_id
+            assert mat.vocabulary.frequencies == vocab.frequencies
 
     def test_shared_context_words_align(self):
         # Words appearing in identical contexts end up closer than the

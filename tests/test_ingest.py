@@ -1,4 +1,6 @@
 import json
+import sys
+import unicodedata
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,68 @@ from mgtdetect.ingest import (
 )
 
 from conftest import make_corpus
+
+
+# Every code point but the surrogates, in order.
+ALL_CHARS = "".join(chr(c) for c in range(sys.maxunicode + 1) if not 0xD800 <= c < 0xE000)
+
+
+# The per-character implementations the regex scans replaced, kept as
+# oracles.
+def oracle_normalize(raw):
+    text = unicodedata.normalize("NFC", raw).replace("\xa0", " ")
+    cleaned = []
+    for ch in text:
+        if ch in {"\u200b", "\u200c", "\u200d", "\ufeff", "\u2060"}:
+            continue
+        if unicodedata.category(ch) in ("Cc", "Cf") and not ch.isspace():
+            continue
+        cleaned.append(ch)
+    collapsed = " ".join("".join(cleaned).split())
+    if not collapsed:
+        raise EmptyDocument("text is empty after normalization")
+    return collapsed
+
+
+def oracle_control_chars(body):
+    return [ch for ch in body if unicodedata.category(ch) == "Cc" and ch != "\n"]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DataError, EmptyDocument) as exc:
+        return type(exc), str(exc)
+
+
+def document_outcome(body):
+    return outcome(lambda: Document(id="d", body=body, label=Label.HUMAN).body)
+
+
+class TestOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_scans_match_per_character_oracles(self, raw):
+        assert outcome(normalize, raw) == outcome(oracle_normalize, raw)
+        controls = oracle_control_chars(raw)
+        if not raw:
+            expected = (EmptyDocument, "document 'd' has an empty body")
+        elif controls:
+            expected = (DataError, f"document 'd' contains control character {controls[0]!r}")
+        else:
+            expected = raw
+        assert document_outcome(raw) == expected
+
+    def test_every_code_point(self):
+        assert normalize(ALL_CHARS) == oracle_normalize(ALL_CHARS)
+        controls = oracle_control_chars(ALL_CHARS)
+        assert len(controls) == 64  # U+0000-U+001F and U+007F-U+009F, minus "\n"
+        for ch in controls:
+            assert document_outcome(f"a{ch}b") == (
+                DataError, f"document 'd' contains control character {ch!r}"
+            )
+        clean = "".join(ch for ch in ALL_CHARS if ch not in set(controls))
+        assert document_outcome(clean) == clean
 
 
 class TestNormalize:

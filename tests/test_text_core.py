@@ -1,5 +1,8 @@
+import re
+import sys
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mgtdetect.errors import DataError
 from mgtdetect.text_core import (
@@ -9,7 +12,105 @@ from mgtdetect.text_core import (
     split_sentences,
     token_spans,
     tokenize,
+    vocab_from_counts,
 )
+
+# Every code point but the surrogates, in order.
+ALL_CHARS = "".join(chr(c) for c in range(sys.maxunicode + 1) if not 0xD800 <= c < 0xE000)
+
+# Full-Unicode text mixed with the characters and words the splitter and the
+# tokenizer treat specially.
+SPECIAL = st.sampled_from([".", "!", "?", " ", "\t", "\n", "\u2003", "'", "’", "_",
+                           "Dr.", "e.g.", "No.", "ETC.", "x.y", "İ", "Ⓐ", "ß"])
+MIXED_TEXT = st.lists(st.one_of(st.text(max_size=8), SPECIAL), max_size=30).map("".join)
+
+
+# The per-character implementations the single regex scans replaced, kept
+# as oracles.
+_ORACLE_WORD_RE = re.compile(r"[^\W_]+(?:['’][^\W_]+)*", re.UNICODE)
+_ORACLE_ABBREVIATIONS = {
+    "mr.", "mrs.", "ms.", "dr.", "prof.", "sr.", "jr.", "st.",
+    "e.g.", "i.e.", "etc.", "vs.", "cf.", "fig.", "al.", "no.",
+}
+
+
+def oracle_token_spans(text):
+    spans = []
+    pos = 0
+    for m in _ORACLE_WORD_RE.finditer(text):
+        for i in range(pos, m.start()):
+            if not text[i].isspace():
+                spans.append((i, i + 1, False))
+        spans.append((m.start(), m.end(), True))
+        pos = m.end()
+    for i in range(pos, len(text)):
+        if not text[i].isspace():
+            spans.append((i, i + 1, False))
+    return spans
+
+
+def oracle_tokenize(text):
+    return [(text[a:b].lower(), w) for a, b, w in oracle_token_spans(text)]
+
+
+def oracle_split_sentences(text):
+    sentences = []
+    start = 0
+    for i, ch in enumerate(text):
+        if ch not in ".!?":
+            continue
+        if i + 1 < len(text) and not text[i + 1].isspace():
+            continue
+        if ch == ".":
+            j = i
+            while j > 0 and not text[j - 1].isspace():
+                j -= 1
+            if text[j : i + 1].lower() in _ORACLE_ABBREVIATIONS:
+                continue
+        chunk = text[start : i + 1].strip()
+        if chunk:
+            sentences.append(chunk)
+        start = i + 1
+    tail = text[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
+class TestOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), MIXED_TEXT))
+    def test_scans_match_per_character_oracles(self, text):
+        assert token_spans(text) == oracle_token_spans(text)
+        assert [tuple(t) for t in tokenize(text)] == oracle_tokenize(text)
+        assert split_sentences(text) == oracle_split_sentences(text)
+
+    def test_every_code_point(self):
+        spans = oracle_token_spans(ALL_CHARS)
+        assert token_spans(ALL_CHARS) == spans
+        assert [tuple(t) for t in tokenize(ALL_CHARS)] == [
+            (ALL_CHARS[a:b].lower(), w) for a, b, w in spans
+        ]
+        # Each terminator is followed by one code point.
+        dotted = ".".join(ALL_CHARS)
+        assert split_sentences(dotted) == oracle_split_sentences(dotted)
+        # Each abbreviation is preceded by one code point: only whitespace
+        # keeps it an abbreviation. The last whitespace code point is U+3000.
+        guarded = "".join(f"{c}Dr. " for c in ALL_CHARS[:0x3001])
+        assert split_sentences(guarded) == oracle_split_sentences(guarded)
+
+    def test_space_class_is_isspace_on_every_code_point(self):
+        space = re.compile(r"\s")
+        assert all(bool(space.match(chr(c))) == chr(c).isspace()
+                   for c in range(sys.maxunicode + 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), MIXED_TEXT))
+    def test_sentence_tokens_concatenate_to_text_tokens(self, text):
+        # Counting the vocabulary over sentence tokens relies on this.
+        joined = [t for sentence in split_sentences(text) for t in tokenize(sentence)]
+        assert joined == tokenize(text)
+
 
 
 class TestTokenize:
@@ -116,6 +217,19 @@ class TestBuildVocab:
         v1 = build_vocab(texts, min_count=1)
         v2 = build_vocab(texts, min_count=1)
         assert v1.word_to_id == v2.word_to_id
+
+    def test_vocab_from_counts_matches_build_vocab(self):
+        texts = ["b a c a b!", "c c a, d"]
+        counts = {"a": 3, "b": 2, "c": 3, "!": 1, ",": 1, "d": 1}
+        for min_count in (1, 2, 4):
+            built = build_vocab(texts, min_count=min_count)
+            direct = vocab_from_counts(counts, min_count)
+            assert direct.word_to_id == built.word_to_id
+            assert direct.frequencies == built.frequencies
+        with pytest.raises(DataError):
+            vocab_from_counts({}, 1)
+        with pytest.raises(DataError):
+            vocab_from_counts(counts, 0)
 
     def test_id_of_falls_back_to_unk(self):
         vocab = build_vocab(["a a b"], min_count=2)

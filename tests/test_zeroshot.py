@@ -125,6 +125,25 @@ class TestTrainKnLm:
         assert 1.0 < ppl < 5.0
         assert ppl < lm.event_size  # uniform-model perplexity
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.text(alphabet="abc .!?,'", min_size=1, max_size=40), min_size=1,
+                    max_size=6))
+    def test_one_tokenization_gives_vocab_and_training_perplexity(self, texts):
+        try:
+            lm = zs.train_kn_lm(texts, order=3, discount=0.75)
+        except DataError:
+            return  # no tokens, or every sentence too short for the order
+        vocab = build_vocab(texts, min_count=1)
+        assert lm.vocabulary.word_to_id == vocab.word_to_id
+        assert lm.vocabulary.frequencies == vocab.frequencies
+        assert lm.train_perplexity == zs.perplexity(lm, texts)  # bit for bit
+
+    def test_loaded_model_has_no_training_perplexity(self, tmp_path):
+        lm = zs.train_kn_lm(GOLDEN_TEXTS, order=3, discount=0.75)
+        assert lm.train_perplexity == zs.perplexity(lm, GOLDEN_TEXTS)
+        zs.save_lm(lm, tmp_path / "lm.json")
+        assert zs.load_lm(tmp_path / "lm.json").train_perplexity is None
+
     def test_order_and_discount_guards(self):
         with pytest.raises(DataError):
             zs.train_kn_lm(["a b"], order=1)
@@ -460,6 +479,27 @@ class TestClassifyCurvature:
         assert zs.classify_curvature(score, threshold=1.0) == 0
 
 
+def uncached_sample_document(lm, seed, max_tokens, sentences):
+    # sample_document as it was before it kept each context's CDF.
+    rng = np.random.default_rng(seed)
+    id_to_surface = {i: s for s, i in lm.vocabulary.word_to_id.items()}
+    out_sentences = []
+    for _ in range(sentences):
+        context = [zs.START_ID] * (lm.order - 1)
+        words = []
+        for _ in range(max_tokens):
+            probs = lm.distribution(tuple(context))
+            probs /= probs.sum()
+            target = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+            if target == lm.end_id:
+                break
+            words.append(id_to_surface.get(target, zs.UNK))
+            context = context[1:] + [target]
+        if words:
+            out_sentences.append(" ".join(words) + ".")
+    return " ".join(out_sentences)
+
+
 class TestSamplingAndPersistence:
     def test_sampling_deterministic(self):
         lm = zs.train_kn_lm(["a b c d.", "b c d a.", "c d a b."] * 5,
@@ -467,6 +507,13 @@ class TestSamplingAndPersistence:
         t1 = zs.sample_document(lm, seed=42, max_tokens=20, sentences=2)
         t2 = zs.sample_document(lm, seed=42, max_tokens=20, sentences=2)
         assert t1 == t2 and t1
+
+    def test_sampling_matches_uncached_sampler(self):
+        lm = zs.train_kn_lm(["a b c d.", "b c d a!", "c d a b, a b."] * 5,
+                            order=3, discount=0.75)
+        for seed in range(20):
+            assert zs.sample_document(lm, seed, max_tokens=25, sentences=3) == \
+                uncached_sample_document(lm, seed, max_tokens=25, sentences=3)
 
     def test_save_load_round_trip(self, tmp_path):
         texts = ["a b c d.", "d a b c.", "c b a d."] * 4
