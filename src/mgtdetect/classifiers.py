@@ -543,9 +543,14 @@ def save_model(model: AnyModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> AnyModel:
+    """Read a save_model file, checking every field each family's score
+    reads: numbers finite, weights 1-D, gnb arrays of shape (2, d) and
+    (2,), random-forest features in [0, dim). Any other content raises
+    ModelFormatError.
+    """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # incl. JSONDecodeError, UnicodeDecodeError
         raise ModelFormatError(f"{path}: unreadable model file: {exc}") from exc
     if not isinstance(payload, dict):
         raise ModelFormatError(f"{path}: model file must hold a JSON object")
@@ -559,43 +564,64 @@ def load_model(path: str | Path) -> AnyModel:
         model: AnyModel | None = None
         if family == "logreg":
             model = LogRegModel(
-                weights=_finite_array(payload["weights"]),
-                bias=float(payload["bias"]),
-                l2=float(payload["l2"]),
+                weights=_finite_array(payload["weights"], ndim=1),
+                bias=_finite_float(payload["bias"]),
+                l2=_finite_float(payload["l2"]),
             )
         elif family == "gnb":
             model = GnbModel(
-                means=_finite_array(payload["means"]),
-                variances=_finite_array(payload["variances"]),
-                priors=_finite_array(payload["priors"]),
-                var_smoothing=float(payload["var_smoothing"]),
+                means=_finite_array(payload["means"], ndim=2),
+                variances=_finite_array(payload["variances"], ndim=2),
+                priors=_finite_array(payload["priors"], ndim=1),
+                var_smoothing=_finite_float(payload["var_smoothing"]),
             )
+            if len(model.means) != 2 or model.variances.shape != model.means.shape:
+                raise ValueError("gnb means and variances must have shape (2, d)")
+            if model.priors.shape != (2,) or np.any(model.priors <= 0):
+                raise ValueError("gnb priors must be 2 positive numbers")
+            if np.any(model.variances < 0) or model.var_smoothing <= 0:
+                raise ValueError("gnb variances must be >= 0 and var_smoothing > 0")
         elif family == "svm":
             model = SvmModel(
-                weights=_finite_array(payload["weights"]),
-                bias=float(payload["bias"]),
-                lam=float(payload["lambda"]),
+                weights=_finite_array(payload["weights"], ndim=1),
+                bias=_finite_float(payload["bias"]),
+                lam=_finite_float(payload["lambda"]),
             )
         elif family == "random_forest":
+            dim = int(payload["dim"])
+            if dim < 1:
+                raise ValueError("random_forest dim must be >= 1")
+            trees = [_tree_from_dict(t, dim) for t in payload["trees"]]
+            if not trees:
+                raise ValueError("random_forest needs at least one tree")
             model = RfModel(
-                trees=[_tree_from_dict(t) for t in payload["trees"]],
+                trees=trees,
                 n_trees=int(payload["n_trees"]),
                 max_depth=payload["max_depth"],
                 seed=int(payload["seed"]),
-                dim=int(payload["dim"]),
+                dim=dim,
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: corrupted model field: {exc}") from exc
     if model is None:
         raise ModelFormatError(f"{path}: unknown model family {family!r}")
     return model
 
 
-def _finite_array(values) -> np.ndarray:
+def _finite_array(values, ndim: int) -> np.ndarray:
     arr = np.array(values, dtype=float)
+    if arr.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-D numeric array, got {arr.ndim}-D")
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite numeric field")
     return arr
+
+
+def _finite_float(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError("non-finite numeric field")
+    return x
 
 
 def _tree_to_dict(node: TreeNode) -> dict:
@@ -609,12 +635,17 @@ def _tree_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _tree_from_dict(d: dict) -> TreeNode:
+def _tree_from_dict(d: dict, dim: int) -> TreeNode:
+    if not isinstance(d, dict):
+        raise TypeError("tree node must be a JSON object")
     if "leaf" in d:
-        return TreeNode(leaf_fraction=float(d["leaf"]))
+        return TreeNode(leaf_fraction=_finite_float(d["leaf"]))
+    feature = int(d["feature"])
+    if not 0 <= feature < dim:
+        raise ValueError(f"tree feature {feature} outside [0, {dim})")
     return TreeNode(
-        feature=int(d["feature"]),
-        threshold=float(d["threshold"]),
-        left=_tree_from_dict(d["left"]),
-        right=_tree_from_dict(d["right"]),
+        feature=feature,
+        threshold=_finite_float(d["threshold"]),
+        left=_tree_from_dict(d["left"], dim),
+        right=_tree_from_dict(d["right"], dim),
     )

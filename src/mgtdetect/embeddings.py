@@ -105,6 +105,13 @@ def train_skipgram(texts: list[str], config: SkipGramConfig) -> EmbeddingMatrix:
     linear learning-rate decay to LR_FLOOR_FRACTION of the initial rate,
     input rows seeded uniform in [-0.5/dim, 0.5/dim], output rows zero,
     one mean loss recorded per epoch.
+
+    Each center is one mini-batch: its context pairs and their negatives
+    are scored at the current parameters, then every output row and the
+    center's input row are updated together. The draws (one subsampling
+    uniform per token, then per center the negatives and their re-draws)
+    and the floating-point operations are fixed in order, so the result
+    depends only on (texts, config) and the BLAS build.
     """
     # One tokenization per text feeds the vocabulary and the id sequences.
     surfaces = [[t.surface for t in tokenize(text)] for text in texts]
@@ -134,40 +141,72 @@ def train_skipgram(texts: list[str], config: SkipGramConfig) -> EmbeddingMatrix:
     seen = 0
     losses: list[float] = []
     lr0 = config.learning_rate
+    window, k = config.window, config.negatives
+    id_arrays = [np.array(seq, dtype=int) for seq in sequences]
+    random = rng.random
+    draw = noise_cdf.searchsorted
+    # cells[r] holds the flat indices of w_out's row r: a 1-D scatter is
+    # the fast ufunc.at path and keeps the row-wise accumulation order.
+    w_out_flat = w_out.reshape(-1)
+    cells = np.arange(w_out.size).reshape(w_out.shape)
     for _ in range(config.epochs):
         epoch_loss = 0.0
         epoch_pairs = 0
-        for seq in sequences:
-            kept = [t for t in seq if rng.random() < keep_prob[t]]
-            for i, center in enumerate(kept):
+        for seq_ids in id_arrays:
+            # One uniform per token, in token order, as one draw per text.
+            kept = seq_ids[random(len(seq_ids)) < keep_prob[seq_ids]]
+            n_kept = len(kept)
+            for i in range(n_kept):
                 progress = seen / total_centers
                 lr = lr0 * (1.0 - progress * (1.0 - LR_FLOOR_FRACTION))
                 seen += 1
-                lo = max(0, i - config.window)
-                hi = min(len(kept), i + config.window + 1)
-                ctx_ids = np.array(kept[lo:i] + kept[i + 1 : hi], dtype=int)
-                if ctx_ids.size == 0:
+                lo = max(0, i - window)
+                hi = min(n_kept, i + window + 1)
+                n = hi - lo - 1
+                if n == 0:
                     continue
-                negs = _draw_negatives(rng, noise_cdf, config.negatives, ctx_ids)
-                # One mini-batch per center: grads of every (center, context)
-                # pair at the current parameters, applied together.
+                # ids = contexts, then (n, k) negatives drawn from the noise
+                # CDF; a negative equal to its pair's context is re-drawn (in
+                # C order) at most 10 times.
+                ids = np.concatenate(
+                    (kept[lo:i], kept[i + 1 : hi], draw(random(n * k), "right"))
+                )
+                ctx_ids = ids[:n, None]
+                negs = ids[n:].reshape(n, k)
+                for _ in range(10):
+                    mask = negs == ctx_ids
+                    hits = np.count_nonzero(mask)
+                    if not hits:
+                        break
+                    negs[mask] = draw(random(hits), "right")
+                # The context block is scored as (n, dim) @ (dim,) and the
+                # negative block as (n, k, dim) @ (dim,): BLAS picks kernels
+                # by shape, so merging the two products could move the last
+                # bit. The elementwise steps run once over both blocks.
+                center = kept[i]
                 v_c = w_in[center]
-                u_ctx = w_out[ctx_ids]
-                u_neg = w_out[negs]
-                pos_scores = _sigmoid(u_ctx @ v_c)
-                neg_scores = _sigmoid(u_neg @ v_c)
-                epoch_loss += float(
-                    -np.sum(np.log(np.clip(pos_scores, 1e-12, None)))
-                    - np.sum(np.log(np.clip(1.0 - neg_scores, 1e-12, None)))
+                u = w_out.take(ids, axis=0)
+                u_ctx = u[:n]
+                u_neg = u[n:].reshape(n, k, dim)
+                logits = np.empty(len(ids))
+                np.matmul(u_ctx, v_c, out=logits[:n])
+                np.matmul(u_neg, v_c, out=logits[n:].reshape(n, k))
+                scores = _sigmoid(logits)
+                # -log sigmoid(pos) - sum log(1 - sigmoid(neg)), clipped.
+                fit = 1.0 - scores
+                fit[:n] = scores[:n]
+                log_fit = np.log(np.maximum(fit, 1e-12))
+                epoch_loss += float(-np.add.reduce(log_fit[:n]) - np.add.reduce(log_fit[n:]))
+                epoch_pairs += n
+                scores[:n] -= 1.0  # d loss / d logit of each context pair
+                g_center = scores[:n] @ u_ctx + np.einsum(
+                    "ck,ckd->d", scores[n:].reshape(n, k), u_neg
                 )
-                epoch_pairs += len(ctx_ids)
-                g_center = (pos_scores - 1.0) @ u_ctx + np.einsum(
-                    "ck,ckd->d", neg_scores, u_neg
-                )
-                g_ctx = (pos_scores - 1.0)[:, None] * v_c[None, :]
-                g_neg = neg_scores[:, :, None] * v_c[None, None, :]
-                np.add.at(w_out, ctx_ids, -lr * g_ctx)
-                np.add.at(w_out, negs.reshape(-1), -lr * g_neg.reshape(-1, dim))
+                # Context rows first, then negative rows; a repeated row
+                # accumulates its updates in that order.
+                step = scores[:, None] * v_c
+                step *= -lr
+                np.add.at(w_out_flat, cells.take(ids, axis=0).ravel(), step.ravel())
                 w_in[center] = v_c - lr * g_center
         losses.append(epoch_loss / epoch_pairs if epoch_pairs else 0.0)
 
@@ -180,58 +219,49 @@ def train_skipgram(texts: list[str], config: SkipGramConfig) -> EmbeddingMatrix:
     )
 
 
-def _draw_negatives(rng, noise_cdf: np.ndarray, k: int, contexts: np.ndarray) -> np.ndarray:
-    """(len(contexts), k) draws from the noise distribution, re-drawing
-    collisions with each pair's true context a bounded number of times.
-    """
-    n = len(contexts)
-    negs = np.searchsorted(noise_cdf, rng.random((n, k)), side="right")
-    for _ in range(10):
-        mask = negs == contexts[:, None]
-        hits = int(mask.sum())
-        if hits == 0:
-            break
-        negs[mask] = np.searchsorted(noise_cdf, rng.random(hits), side="right")
-    return negs
-
-
 def load_vectors(path: str | Path) -> EmbeddingMatrix:
     """Load the standard text format: header ``count dim``, then one
-    ``word v1 ... v_dim`` line per vector.
+    ``word v1 ... v_dim`` line per vector. Malformed content (bad UTF-8,
+    a header that is not two positive integers, lines of the wrong width,
+    repeated words, non-finite values) raises DataError.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise DataError(f"{path}: header must be 'count dim'")
-        try:
-            count, dim = int(header[0]), int(header[1])
-        except ValueError as exc:
-            raise DataError(f"{path}: non-integer header") from exc
-        if count == 0:
-            raise EmptyEmbedding(f"{path}: embedding declares zero vectors")
-        if dim < 1:
-            raise DataError(f"{path}: dim must be >= 1")
-        matrix = np.empty((count, dim))
-        word_to_id: dict[str, int] = {}
-        for row, line in enumerate(fh):
-            if row >= count:
-                raise DataError(f"{path}: more vector lines than header count {count}")
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != dim + 1:
-                raise DataError(
-                    f"{path}: line {row + 2} has {len(parts) - 1} values, expected {dim}"
-                )
-            word = parts[0]
-            if word in word_to_id:
-                raise DataError(f"{path}: duplicate word {word!r} on line {row + 2}")
-            word_to_id[word] = row
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            header = fh.readline().split()
+            if len(header) != 2:
+                raise DataError(f"{path}: header must be 'count dim'")
             try:
-                matrix[row] = [float(x) for x in parts[1:]]
+                count, dim = int(header[0]), int(header[1])
             except ValueError as exc:
-                raise DataError(f"{path}: line {row + 2} has a non-numeric value") from exc
+                raise DataError(f"{path}: non-integer header") from exc
+            if count == 0:
+                raise EmptyEmbedding(f"{path}: embedding declares zero vectors")
+            if count < 0 or dim < 1:
+                raise DataError(f"{path}: header count and dim must be positive")
+            rows: list[list[float]] = []
+            word_to_id: dict[str, int] = {}
+            for row, line in enumerate(fh):
+                if row >= count:
+                    raise DataError(f"{path}: more vector lines than header count {count}")
+                parts = line.rstrip("\n").split(" ")
+                if len(parts) != dim + 1:
+                    raise DataError(
+                        f"{path}: line {row + 2} has {len(parts) - 1} values, expected {dim}"
+                    )
+                word = parts[0]
+                if word in word_to_id:
+                    raise DataError(f"{path}: duplicate word {word!r} on line {row + 2}")
+                word_to_id[word] = row
+                try:
+                    rows.append([float(x) for x in parts[1:]])
+                except ValueError as exc:
+                    raise DataError(f"{path}: line {row + 2} has a non-numeric value") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8: {exc}") from exc
     if len(word_to_id) != count:
         raise DataError(f"{path}: header declares {count} rows, found {len(word_to_id)}")
+    matrix = np.array(rows, dtype=float)
     if not np.all(np.isfinite(matrix)):
         raise DataError(f"{path}: vectors must be finite")
     frequencies = {w: 1 for w in word_to_id}

@@ -112,16 +112,19 @@ def auroc(scores: Sequence[float], labels: Sequence[int]) -> float:
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned their group average."""
+    """1-based ranks with ties assigned their group average.
+
+    A group of equal scores spans sorted positions first..last and gets
+    (first + last) / 2 + 1. NaN never equals itself, so each NaN is its
+    own group.
+    """
     order = np.argsort(scores, kind="stable")
+    _, first, counts = np.unique(
+        scores[order], return_index=True, return_counts=True, equal_nan=False
+    )
+    last = first + counts - 1
     ranks = np.empty(len(scores))
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, counts)
     return ranks
 
 

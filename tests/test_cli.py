@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mgtdetect.cli import main
 from mgtdetect.synthetic import write_hc3_file
@@ -466,3 +470,227 @@ class TestOneLoadPerCommand:
         assert f"train_perplexity={ppl:.3f}\n" in capsys.readouterr().out
         assert (tmp_path / "out" / "lm.json").read_bytes() == \
             (FIXTURES / "lm_golden.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def family_models(workspace, tmp_path_factory) -> dict[str, bytes]:
+    """model.json bytes of each classifier family at the workspace's
+    embedding dimension."""
+    from mgtdetect import classifiers
+
+    dim = json.loads((workspace / "out" / "model.json").read_text())["dim"]
+    rng = np.random.default_rng(0)
+    data = classifiers.Dataset(features=rng.normal(size=(40, dim)),
+                               labels=np.arange(40) % 2,
+                               ids=tuple(str(i) for i in range(40)))
+    models = {
+        "logreg": classifiers.train_logreg(data, epochs=5),
+        "gnb": classifiers.train_gnb(data),
+        "svm": classifiers.train_linear_svm(data, epochs=2),
+        "random_forest": classifiers.train_random_forest(data, n_trees=3, max_depth=3),
+    }
+    root = tmp_path_factory.mktemp("models")
+    blobs = {}
+    for family, model in models.items():
+        path = root / f"{family}.model.json"
+        classifiers.save_model(model, path)
+        blobs[family] = path.read_bytes()
+    return blobs
+
+
+class TestCorruptClassifierArtifacts:
+    """A corrupt model.json or embeddings.txt makes `detect --method
+    classifier` exit 3 with one data error line naming the file."""
+
+    def _detect(self, workspace, tmp_path, capsys, model: bytes | None = None,
+                vectors: bytes | None = None) -> str:
+        out = tmp_path / "out"
+        shutil.copytree(workspace / "out", out)
+        if model is not None:
+            (out / "model.json").write_bytes(model)
+        if vectors is not None:
+            (out / "embeddings.txt").write_bytes(vectors)
+        inp = tmp_path / "in.txt"
+        inp.write_text("waa wab wac wad wae.\nwab wac.\n")
+        capsys.readouterr()
+        rc = main(["detect", "--config", cfg_path(workspace), str(inp),
+                   "--method", "classifier", "--output", str(out)])
+        assert rc == 3
+        return one_error_line(capsys, "data error:")
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda b: b[:40] + b"\xff\xfe" + b[42:],
+        lambda b: b"-5" + b[b.index(b" "):],
+        lambda b: b"99999999999999999999" + b[b.index(b" "):],
+        lambda b: b[:b.index(b" ")] + b" 0\n",
+    ], ids=["invalid_utf8", "negative_count", "huge_count", "zero_dim"])
+    def test_corrupt_embeddings_exit_3(self, workspace, tmp_path, capsys, corrupt):
+        vectors = (workspace / "out" / "embeddings.txt").read_bytes()
+        err = self._detect(workspace, tmp_path, capsys, vectors=corrupt(vectors))
+        assert "embeddings.txt" in err
+
+    @pytest.mark.parametrize("family, mutate", [
+        ("svm", lambda p: p.__setitem__("weights", [[w] for w in p["weights"]])),
+        ("logreg", lambda p: p.__setitem__("weights", [[w] for w in p["weights"]])),
+        ("logreg", lambda p: p.__setitem__("weights", 0.5)),
+        ("logreg", lambda p: p.__setitem__("bias", 1e400)),
+        ("gnb", lambda p: p.__setitem__("means", p["means"][0])),
+        ("gnb", lambda p: p.__setitem__("means", p["means"] + [p["means"][0]])),
+        ("gnb", lambda p: p.__setitem__("variances", [r[:-1] for r in p["variances"]])),
+        ("gnb", lambda p: p.__setitem__("priors", p["priors"] + [0.5])),
+        ("gnb", lambda p: p.__setitem__("priors", [-0.5, 1.5])),
+        ("random_forest", lambda p: p["trees"][0].__setitem__("feature", 999)),
+        ("random_forest", lambda p: p["trees"][0].__setitem__("feature", -1)),
+        ("random_forest", lambda p: p.__setitem__("trees", [])),
+        ("random_forest", lambda p: p.__setitem__("dim", 1e400)),
+    ], ids=["svm_weights_2d", "logreg_weights_2d", "logreg_weights_scalar",
+            "logreg_bias_infinite", "gnb_means_1d", "gnb_three_classes",
+            "gnb_variance_width", "gnb_three_priors", "gnb_negative_prior",
+            "rf_feature_999", "rf_feature_negative", "rf_no_trees", "rf_dim_overflow"])
+    def test_corrupt_model_exit_3(self, workspace, family_models, tmp_path, capsys,
+                                  family, mutate):
+        payload = json.loads(family_models[family])
+        mutate(payload)
+        err = self._detect(workspace, tmp_path, capsys, model=json.dumps(payload).encode())
+        assert "model.json" in err
+
+    @pytest.mark.parametrize("family", ["logreg", "gnb", "svm", "random_forest"])
+    def test_intact_family_models_load(self, workspace, family_models, tmp_path, capsys,
+                                       family):
+        out = tmp_path / "out"
+        shutil.copytree(workspace / "out", out)
+        (out / "model.json").write_bytes(family_models[family])
+        inp = tmp_path / "in.txt"
+        inp.write_text("waa wab wac wad wae.\n")
+        assert main(["detect", "--config", cfg_path(workspace), str(inp),
+                     "--method", "classifier", "--output", str(out)]) == 0
+        assert capsys.readouterr().out.count("\n") == 2
+
+
+# -- fuzzing the classifier artifacts --
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-2**70, max_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=5),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+def _json_paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _json_paths(node[key], prefix + (key,))
+    elif isinstance(node, list):
+        for i, item in enumerate(node[:3]):
+            yield from _json_paths(item, prefix + (i,))
+
+
+def _replace_at(node, path, value):
+    if not path:
+        return value
+    node[path[0]] = _replace_at(node[path[0]], path[1:], value)
+    return node
+
+
+@st.composite
+def byte_edits(draw, blob: bytes) -> bytes:
+    out = bytearray(blob)
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, max(len(out) - 1, 0)))
+        kind = draw(st.sampled_from(["set", "insert", "delete", "truncate"]))
+        byte = draw(st.integers(0, 255))
+        if kind == "set" and out:
+            out[pos] = byte
+        elif kind == "insert":
+            out.insert(pos, byte)
+        elif kind == "delete" and out:
+            del out[pos]
+        elif kind == "truncate":
+            del out[pos:]
+    return bytes(out)
+
+
+@st.composite
+def model_field_edits(draw, blob: bytes) -> bytes:
+    payload = json.loads(blob)
+    paths = list(_json_paths(payload))
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(paths))
+        payload = _replace_at(payload, path, draw(JSON_VALUES))
+        paths = list(_json_paths(payload))
+    return json.dumps(payload).encode()
+
+
+@st.composite
+def vector_token_edits(draw, blob: bytes) -> bytes:
+    lines = blob.decode("utf-8").split("\n")
+    row = draw(st.integers(0, min(len(lines) - 1, 4)))
+    tokens = lines[row].split(" ")
+    col = draw(st.integers(0, len(tokens) - 1))
+    tokens[col] = draw(st.one_of(
+        st.sampled_from(["", "-1", "0", "nan", "inf", "1e400", "unk", "<unk>", "a b",
+                         "99999999999999999999", "0x10", str(len(lines))]),
+        st.text(max_size=4),
+    ))
+    lines[row] = " ".join(tokens)
+    return "\n".join(lines).encode("utf-8", errors="surrogatepass")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(workspace, tmp_path_factory) -> tuple[Path, Path, Path]:
+    """A copy of the trained output and a classifier-only config, so
+    `evaluate` runs the classifier alone."""
+    root = tmp_path_factory.mktemp("fuzz")
+    out = root / "out"
+    shutil.copytree(workspace / "out", out)
+    config = base_config(str(out))
+    config["dataset"]["hc3_path"] = str(workspace / "data.jsonl")
+    del config["zeroshot"]
+    (root / "config.json").write_text(json.dumps(config))
+    inp = root / "in.txt"
+    inp.write_text("waa wab wac wad wae.\nwab wac.\nThe human wrote this line here.\n")
+    return root / "config.json", out, inp
+
+
+def _run_quietly(args: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(args)
+    return rc, err.getvalue()
+
+
+class TestClassifierArtifactFuzz:
+    """Mutated model.json and embeddings.txt never crash detect or evaluate:
+    every run ends in exit 0 or 3 with no traceback."""
+
+    @settings(deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), family=st.sampled_from(["logreg", "gnb", "svm", "random_forest"]),
+           target=st.sampled_from(["model_bytes", "model_fields", "vector_bytes",
+                                   "vector_tokens"]))
+    def test_mutated_artifacts_exit_0_or_3(self, workspace, family_models, fuzz_dir,
+                                           data, family, target):
+        config, out, inp = fuzz_dir
+        model = family_models[family]
+        vectors = (workspace / "out" / "embeddings.txt").read_bytes()
+        if target == "model_bytes":
+            model = data.draw(byte_edits(model))
+        elif target == "model_fields":
+            model = data.draw(model_field_edits(model))
+        elif target == "vector_bytes":
+            vectors = data.draw(byte_edits(vectors))
+        else:
+            vectors = data.draw(vector_token_edits(vectors))
+        (out / "model.json").write_bytes(model)
+        (out / "embeddings.txt").write_bytes(vectors)
+        for args in (["detect", "--config", str(config), str(inp), "--method", "classifier"],
+                     ["evaluate", "--config", str(config)]):
+            rc, err = _run_quietly(args)
+            assert rc in (0, 3), (args[0], rc, err)
+            assert "Traceback" not in err

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mgtdetect import synthetic
 from mgtdetect.embeddings import (
+    LR_FLOOR_FRACTION,
     EmbeddingMatrix,
     SkipGramConfig,
     cosine_similarity,
@@ -14,7 +17,7 @@ from mgtdetect.embeddings import (
     train_skipgram,
 )
 from mgtdetect.errors import DataError, EmptyEmbedding
-from mgtdetect.text_core import UNK, Vocabulary, build_vocab
+from mgtdetect.text_core import UNK, Vocabulary, build_vocab, tokenize, vocab_from_counts
 
 
 def small_config(**overrides) -> SkipGramConfig:
@@ -22,6 +25,110 @@ def small_config(**overrides) -> SkipGramConfig:
                 min_count=1, subsample=1.0, seed=11)
     base.update(overrides)
     return SkipGramConfig(**base)
+
+
+# The per-token training loop the fused per-center step replaced, kept as an
+# oracle: the fused loop must reproduce its matrices and losses bit for bit.
+def _oracle_sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _oracle_draw_negatives(rng, noise_cdf, k, contexts):
+    n = len(contexts)
+    negs = np.searchsorted(noise_cdf, rng.random((n, k)), side="right")
+    for _ in range(10):
+        mask = negs == contexts[:, None]
+        hits = int(mask.sum())
+        if hits == 0:
+            break
+        negs[mask] = np.searchsorted(noise_cdf, rng.random(hits), side="right")
+    return negs
+
+
+def oracle_train_skipgram(texts, config):
+    surfaces = [[t.surface for t in tokenize(text)] for text in texts]
+    vocab = vocab_from_counts(Counter(s for seq in surfaces for s in seq), config.min_count)
+    if vocab.size <= 1:
+        raise DataError("vocabulary is empty apart from UNK")
+    sequences = [[vocab.id_of(s) for s in seq] for seq in surfaces]
+    total_tokens = sum(len(s) for s in sequences)
+    if total_tokens < config.window + 1:
+        raise DataError("corpus too small for the configured window")
+
+    rng = np.random.default_rng(config.seed)
+    dim = config.dim
+    w_in = rng.uniform(-0.5 / dim, 0.5 / dim, size=(vocab.size, dim))
+    w_out = np.zeros((vocab.size, dim))
+
+    freqs = np.array([vocab.frequencies[s] for s in vocab.surfaces()], dtype=float)
+    noise = freqs**0.75
+    noise_cdf = np.cumsum(noise / noise.sum())
+    keep_prob = np.ones_like(freqs)
+    nz = freqs > 0
+    keep_prob[nz] = np.minimum(
+        1.0, np.sqrt(config.subsample * freqs.sum() / freqs[nz])
+    )
+
+    total_centers = max(total_tokens * max(config.epochs, 1), 1)
+    seen = 0
+    losses = []
+    lr0 = config.learning_rate
+    for _ in range(config.epochs):
+        epoch_loss = 0.0
+        epoch_pairs = 0
+        for seq in sequences:
+            kept = [t for t in seq if rng.random() < keep_prob[t]]
+            for i, center in enumerate(kept):
+                progress = seen / total_centers
+                lr = lr0 * (1.0 - progress * (1.0 - LR_FLOOR_FRACTION))
+                seen += 1
+                lo = max(0, i - config.window)
+                hi = min(len(kept), i + config.window + 1)
+                ctx_ids = np.array(kept[lo:i] + kept[i + 1 : hi], dtype=int)
+                if ctx_ids.size == 0:
+                    continue
+                negs = _oracle_draw_negatives(rng, noise_cdf, config.negatives, ctx_ids)
+                v_c = w_in[center]
+                u_ctx = w_out[ctx_ids]
+                u_neg = w_out[negs]
+                pos_scores = _oracle_sigmoid(u_ctx @ v_c)
+                neg_scores = _oracle_sigmoid(u_neg @ v_c)
+                epoch_loss += float(
+                    -np.sum(np.log(np.clip(pos_scores, 1e-12, None)))
+                    - np.sum(np.log(np.clip(1.0 - neg_scores, 1e-12, None)))
+                )
+                epoch_pairs += len(ctx_ids)
+                g_center = (pos_scores - 1.0) @ u_ctx + np.einsum(
+                    "ck,ckd->d", neg_scores, u_neg
+                )
+                g_ctx = (pos_scores - 1.0)[:, None] * v_c[None, :]
+                g_neg = neg_scores[:, :, None] * v_c[None, None, :]
+                np.add.at(w_out, ctx_ids, -lr * g_ctx)
+                np.add.at(w_out, negs.reshape(-1), -lr * g_neg.reshape(-1, dim))
+                w_in[center] = v_c - lr * g_center
+        losses.append(epoch_loss / epoch_pairs if epoch_pairs else 0.0)
+    return vocab, w_in, w_out, losses
+
+
+def assert_matches_oracle(texts, config):
+    try:
+        vocab, w_in, w_out, losses = oracle_train_skipgram(texts, config)
+    except DataError:
+        with pytest.raises(DataError):
+            train_skipgram(texts, config)
+        return
+    mat = train_skipgram(texts, config)
+    assert mat.vocabulary.word_to_id == vocab.word_to_id
+    assert np.array_equal(mat.input_vectors, w_in)
+    assert np.array_equal(mat.output_vectors, w_out)
+    assert mat.epoch_losses == losses
+
+
+# Texts over a few words of skewed frequency, so contexts repeat, negatives
+# collide with their contexts and subsampling drops tokens.
+_WORDS = st.sampled_from(["the", "the", "the", "a", "a", "cat", "dog", "sat", "on",
+                          "mat", "ran", ".", ",", "zebra"])
+_TEXTS = st.lists(st.lists(_WORDS, max_size=14).map(" ".join), min_size=1, max_size=12)
 
 
 class TestTrainSkipgram:
@@ -88,6 +195,33 @@ class TestTrainSkipgram:
     def test_empty_vocab_rejected(self):
         with pytest.raises(DataError):
             train_skipgram(["a b"], small_config(min_count=99))
+
+
+class TestFusedLoopOracle:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        texts=_TEXTS,
+        dim=st.integers(1, 40),
+        window=st.integers(1, 5),
+        negatives=st.integers(1, 8),
+        epochs=st.integers(0, 3),
+        min_count=st.integers(1, 3),
+        subsample=st.sampled_from([1e-4, 1e-3, 1e-2, 0.1, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_per_token_loop(self, texts, dim, window, negatives,
+                                             epochs, min_count, subsample, seed):
+        config = SkipGramConfig(dim=dim, window=window, negatives=negatives, epochs=epochs,
+                                learning_rate=0.05, min_count=min_count,
+                                subsample=subsample, seed=seed)
+        assert_matches_oracle(texts, config)
+
+    def test_synthetic_corpus_bit_identical(self):
+        human, machine = synthetic.two_source_corpus(40, seed=3)
+        for dim, window, negatives in ((32, 3, 5), (7, 5, 1), (64, 1, 8)):
+            cfg = SkipGramConfig(dim=dim, window=window, negatives=negatives, epochs=2,
+                                 learning_rate=0.05, min_count=2, subsample=0.01, seed=5)
+            assert_matches_oracle(human + machine, cfg)
 
 
 class TestGradients:

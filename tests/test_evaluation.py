@@ -143,6 +143,57 @@ class TestYouden:
         assert youden_threshold(scores, labels) == youden_per_threshold(scores, labels)
 
 
+def average_ranks_tie_walk(scores):
+    """The Python tie walk _average_ranks replaced, kept as an oracle."""
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(len(scores))
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def auroc_tie_walk(scores, labels):
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    n_pos = int(np.sum(labels == 1))
+    n_neg = int(np.sum(labels == 0))
+    ranks = average_ranks_tie_walk(scores)
+    rank_sum = float(np.sum(ranks[labels == 1]))
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+class TestAverageRanks:
+    TIED_ROWS = st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, float("nan")]),
+                      st.floats(min_value=-3, max_value=3)),
+            st.sampled_from([0, 1]),
+        ),
+        min_size=2, max_size=80,
+    ).filter(lambda rows: {y for _, y in rows} == {0, 1})
+
+    @settings(max_examples=300, deadline=None)
+    @given(TIED_ROWS)
+    def test_ranks_and_auroc_equal_tie_walk(self, rows):
+        from mgtdetect.evaluation import _average_ranks
+
+        scores = np.array([s for s, _ in rows])
+        labels = [y for _, y in rows]
+        assert np.array_equal(_average_ranks(scores), average_ranks_tie_walk(scores))
+        assert auroc(scores, labels) == auroc_tie_walk(scores, labels)
+
+    def test_large_heavily_tied_input(self):
+        rng = np.random.default_rng(9)
+        scores = rng.integers(0, 7, size=5000).astype(float)
+        labels = rng.integers(0, 2, size=5000)
+        assert auroc(scores, labels) == auroc_tie_walk(scores, labels)
+
+
 def youden_per_threshold(scores, labels):
     """The O(n^2) form: a full scan of the scores for every distinct score."""
     scores = np.asarray(scores, dtype=float)
