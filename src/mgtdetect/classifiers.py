@@ -198,7 +198,7 @@ def logreg_loss_and_grad(
 def train_logreg(
     data: Dataset,
     l2: float = 1e-4,
-    epochs: int = 200,
+    epochs: int = 150,
     lr: float = 0.5,
     seed: int = 0,
     batch_size: int = 32,
@@ -308,7 +308,7 @@ def bayes_opt_1d(
     return xs[best_idx], list(zip(xs, ys))
 
 
-def tune_gnb(data: Dataset, budget: int = 25, seed: int = 0) -> float:
+def tune_gnb(data: Dataset, budget: int = 20, seed: int = 0) -> float:
     """Bayesian-optimize log10(var_smoothing) over [-12, 0], scoring each
     candidate by validation F1 on an internal stratified 80/20 split.
     """

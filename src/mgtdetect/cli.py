@@ -16,7 +16,7 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +42,8 @@ CLASSIFIER_DEFAULTS = {
     "random_forest": {"n_trees": 50},
 }
 CLASSIFIER_FAMILIES = tuple(CLASSIFIER_DEFAULTS)
-SKIPGRAM_DEFAULTS = {"dim": 32, "window": 5, "negatives": 5, "epochs": 3,
-                     "learning_rate": 0.025, "min_count": 2, "subsample": 1e-3}
+SKIPGRAM_DEFAULTS = {f.name: f.default for f in fields(embeddings.SkipGramConfig)
+                     if f.name != "seed"}
 ZEROSHOT_DEFAULTS = {"order": 3, "discount": 0.75, "k": 10, "mask_fraction": 0.15,
                      "threshold": 0.0}
 
@@ -149,7 +149,7 @@ class RunConfig:
             raise ConfigError(f"config file not found: {config_path}")
         try:
             raw = json.loads(config_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"{config_path}: invalid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{config_path}: config must be a JSON object")
@@ -314,6 +314,67 @@ def _split_corpora(corpus: Corpus, manifest: dict[str, list[str]]) -> dict[str, 
     return out
 
 
+# -- detectors: trained artifacts as scorers --
+
+
+def _classifier_scorer(model: classifiers.AnyModel,
+                       emb: embeddings.EmbeddingMatrix) -> evaluation.DetectorScorer:
+    def score(doc: Document) -> float:
+        return classifiers.predict(model, embeddings.doc_vector(doc.body, emb).values).score
+
+    return evaluation.DetectorScorer(
+        name=f"classifier:{model.family}", score_fn=score, threshold=model.threshold
+    )
+
+
+def _load_classifier_scorer(cfg: RunConfig) -> evaluation.DetectorScorer:
+    model_path = cfg.output_dir / "model.json"
+    emb_path = cfg.output_dir / "embeddings.txt"
+    if not model_path.exists() or not emb_path.exists():
+        raise DataError(f"missing trained model under {cfg.output_dir}; run 'train' first")
+    model = classifiers.load_model(model_path)
+    emb = embeddings.load_vectors(emb_path)
+    if emb.dim != model.dim:
+        raise DataError(
+            f"{model_path}: model dimension {model.dim} != embedding "
+            f"dimension {emb.dim} of {emb_path}"
+        )
+    return _classifier_scorer(model, emb)
+
+
+def _load_lm(cfg: RunConfig) -> zeroshot.NGramLM:
+    lm_path = cfg.output_dir / "lm.json"
+    if not lm_path.exists():
+        raise DataError(
+            f"missing trained language model under {cfg.output_dir}; run 'train' first"
+        )
+    return zeroshot.load_lm(lm_path)
+
+
+def _zeroshot_scorers(cfg: RunConfig, lm: zeroshot.NGramLM,
+                      methods: tuple[str, ...]) -> list[evaluation.DetectorScorer]:
+    """One scorer per method, each cut at the config threshold. All share
+    one base config, and so one substitution sampler."""
+    zs = cfg.zeroshot or ZeroshotConfig.from_dict({})
+    base = zeroshot.PerturbConfig(
+        pool=lm.vocabulary,
+        mask_fraction=zs.mask_fraction,
+        seed=derive_seed(cfg.seed, "zeroshot.perturb"),
+    )
+
+    def scorer(method: str) -> evaluation.DetectorScorer:
+        if method == "detect_gpt":
+            curvature, pcfg = zeroshot.detect_gpt_score, replace(base, k=max(2, zs.k))
+        else:
+            curvature, pcfg = zeroshot.single_revise_score, replace(base, k=1)
+        return evaluation.DetectorScorer(
+            name=method, score_fn=lambda doc: curvature(lm, doc, pcfg).d,
+            threshold=zs.threshold,
+        )
+
+    return [scorer(m) for m in methods]
+
+
 # -- commands --
 
 
@@ -411,15 +472,9 @@ def cmd_train(cfg: RunConfig) -> int:
         data = _dataset_from(splits["train"].documents, emb)
         model = _train_classifier(cfg, data)
         classifiers.save_model(model, cfg.output_dir / "model.json")
-        val = _dataset_from(splits["val"].documents, emb)
-        preds = [classifiers.predict(model, x) for x in val.features]
-        report = evaluation.metrics(
-            evaluation.confusion([p.label for p in preds], val.labels.tolist()),
-            [p.score for p in preds],
-            val.labels.tolist(),
-        )
+        report = _classifier_scorer(model, emb).evaluate(splits["val"].documents)
         print(f"classifier: {model.family}")
-        for name in ("precision", "recall", "f1", "accuracy", "auroc"):
+        for name in evaluation.METRIC_NAMES:
             print(f"validation {name}: {getattr(report, name):.4f}")
         trained_something = True
 
@@ -440,104 +495,39 @@ def cmd_train(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _method_scorers(
-    cfg: RunConfig, methods: list[str], val: Corpus | None = None
-) -> list[tuple[evaluation.DetectorScorer, zeroshot.NGramLM | None]]:
-    """Build the unified scorers for the requested methods, each paired
-    with its language model (None for classifiers) so callers can account
-    for scoring passes. Zeroshot thresholds come from the validation
-    Youden point when *val* is given.
-    """
-    scorers: list[tuple[evaluation.DetectorScorer, zeroshot.NGramLM | None]] = []
-    zs = cfg.zeroshot or ZeroshotConfig.from_dict({})
-    lm: zeroshot.NGramLM | None = None
-    for method in methods:
-        if method == "classifier":
-            model_path = cfg.output_dir / "model.json"
-            emb_path = cfg.output_dir / "embeddings.txt"
-            if not model_path.exists() or not emb_path.exists():
-                raise DataError(
-                    f"missing trained model under {cfg.output_dir}; run 'train' first"
-                )
-            model = classifiers.load_model(model_path)
-            emb = embeddings.load_vectors(emb_path)
-            if emb.dim != model.dim:
-                raise DataError(
-                    f"{model_path}: model dimension {model.dim} != embedding "
-                    f"dimension {emb.dim} of {emb_path}"
-                )
-
-            def clf_score(doc: Document, _m=model, _e=emb) -> float:
-                return classifiers.predict(_m, embeddings.doc_vector(doc.body, _e).values).score
-
-            scorers.append((
-                evaluation.DetectorScorer(
-                    name=f"classifier:{model.family}", score_fn=clf_score,
-                    threshold=model.threshold,
-                ),
-                None,
-            ))
-            continue
-        if lm is None:
-            lm_path = cfg.output_dir / "lm.json"
-            if not lm_path.exists():
-                raise DataError(
-                    f"missing trained language model under {cfg.output_dir}; run 'train' first"
-                )
-            lm = zeroshot.load_lm(lm_path)
-            # One config, and so one substitution sampler, for every method
-            # and document of this command.
-            base = zeroshot.PerturbConfig(
-                pool=lm.vocabulary,
-                mask_fraction=zs.mask_fraction,
-                seed=derive_seed(cfg.seed, "zeroshot.perturb"),
-            )
-        if method == "detect_gpt":
-            score_fn, pcfg = zeroshot.detect_gpt_score, replace(base, k=max(2, zs.k))
-        else:
-            score_fn, pcfg = zeroshot.single_revise_score, replace(base, k=1)
-
-        def zs_score(doc: Document, _f=score_fn, _lm=lm, _c=pcfg) -> float:
-            return _f(_lm, doc, _c).d
-
-        threshold = zs.threshold
-        if val is not None:
-            labels = [1 if d.label == Label.MACHINE else 0 for d in val.documents]
-            scores = [zs_score(d) for d in val.documents]
-            threshold = evaluation.youden_threshold(scores, labels)
-        scorers.append((
-            evaluation.DetectorScorer(name=method, score_fn=zs_score, threshold=threshold),
-            lm,
-        ))
-    return scorers
-
-
 def cmd_detect(cfg: RunConfig, input_path: str, method: str | None,
                debug: bool = False) -> int:
     method = method or cfg.detect_method
     path = Path(input_path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
-    scorer, lm = _method_scorers(cfg, [method])[0]
+    if method == "classifier":
+        lm, scorer = None, _load_classifier_scorer(cfg)
+    else:
+        lm = _load_lm(cfg)
+        [scorer] = _zeroshot_scorers(cfg, lm, (method,))
     passes_before = lm.scoring_passes if lm else 0
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["id", "score", "label", "method"])
     n_docs = 0
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                body = ingest.normalize(text)
-                doc = Document(id=str(lineno), body=body, label=Label.HUMAN)
-                score = scorer.score_fn(doc)
-            except DataError as exc:
-                print(f"skipping line {lineno}: {exc}", file=sys.stderr)
-                continue
-            label = "machine" if score >= scorer.threshold else "human"
-            writer.writerow([lineno, repr(score), label, scorer.name])
-            n_docs += 1
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text:
+                    continue
+                try:
+                    body = ingest.normalize(text)
+                    doc = Document(id=str(lineno), body=body, label=Label.HUMAN)
+                    score = scorer.score_fn(doc)
+                except DataError as exc:
+                    print(f"skipping line {lineno}: {exc}", file=sys.stderr)
+                    continue
+                label = "machine" if scorer.label(score) else "human"
+                writer.writerow([lineno, repr(score), label, scorer.name])
+                n_docs += 1
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
     if debug and n_docs and lm is not None:
         passes = lm.scoring_passes - passes_before
         print(
@@ -555,18 +545,22 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     if test.class_counts[Label.HUMAN] == 0 or test.class_counts[Label.MACHINE] == 0:
         raise DataError("test split must contain both classes")
 
-    methods: list[str] = []
+    scorers: list[evaluation.DetectorScorer] = []
     if cfg.classifier is not None and (cfg.output_dir / "model.json").exists():
-        methods.append("classifier")
-    if cfg.zeroshot is not None and (cfg.output_dir / "lm.json").exists():
-        methods.extend(cfg.zeroshot.methods)
-    if not methods:
+        scorers.append(_load_classifier_scorer(cfg))
+    zs = cfg.zeroshot
+    if zs is not None and zs.methods and (cfg.output_dir / "lm.json").exists():
+        val = splits["val"].documents
+        labels = [1 if d.label == Label.MACHINE else 0 for d in val]
+        for scorer in _zeroshot_scorers(cfg, _load_lm(cfg), zs.methods):
+            threshold = evaluation.youden_threshold([scorer.score_fn(d) for d in val], labels)
+            scorers.append(replace(scorer, threshold=threshold))
+    if not scorers:
         raise DataError("nothing to evaluate; run 'train' first")
 
-    scorers = _method_scorers(cfg, methods, val=splits["val"])
     metrics_payload: dict[str, dict] = {}
     robustness_payload: dict[str, dict] = {}
-    for scorer, _ in scorers:
+    for scorer in scorers:
         report = evaluation.robustness_report(scorer, test, cfg.transforms)
         metrics_payload[scorer.name] = {
             "threshold": scorer.threshold,
@@ -575,7 +569,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         robustness_payload[scorer.name] = report.to_dict()
         _write_robustness_csv(cfg, scorer.name, report, len(scorers) > 1)
         print(f"[{scorer.name}] threshold={scorer.threshold:.4f}")
-        for name in ("precision", "recall", "f1", "accuracy", "auroc"):
+        for name in evaluation.METRIC_NAMES:
             print(f"[{scorer.name}] test {name}: {getattr(report.before, name):.4f}")
     _write_json(cfg.output_dir / "metrics.json", {"methods": metrics_payload})
     _write_json(cfg.output_dir / "robustness.json", {"methods": robustness_payload})
@@ -590,7 +584,7 @@ def _write_robustness_csv(cfg: RunConfig, name: str,
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["transform", "metric", "before", "after", "delta"])
     for key, entry in report.per_transform.items():
-        for metric in ("precision", "recall", "f1", "accuracy", "auroc"):
+        for metric in evaluation.METRIC_NAMES:
             writer.writerow([
                 key, metric,
                 repr(entry["before"][metric]),

@@ -21,10 +21,10 @@ LR_FLOOR_FRACTION = 1e-4  # learning rate decays linearly to lr0 * this
 
 @dataclass(frozen=True)
 class SkipGramConfig:
-    dim: int = 100
+    dim: int = 32
     window: int = 5
     negatives: int = 5
-    epochs: int = 5
+    epochs: int = 3
     learning_rate: float = 0.025
     min_count: int = 2
     subsample: float = 1e-3
@@ -258,7 +258,7 @@ def load_vectors(path: str | Path) -> EmbeddingMatrix:
                 except ValueError as exc:
                     raise DataError(f"{path}: line {row + 2} has a non-numeric value") from exc
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not valid UTF-8: {exc}") from exc
+        raise DataError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
     if len(word_to_id) != count:
         raise DataError(f"{path}: header declares {count} rows, found {len(word_to_id)}")
     matrix = np.array(rows, dtype=float)

@@ -16,6 +16,8 @@ from .ingest import Corpus, Document, Label
 from .text_core import token_spans
 
 TRANSFORM_KINDS = ("special_chars", "whitespace_noise", "case_flip")
+# The scalar metrics of a MetricsReport, in report order.
+METRIC_NAMES = ("precision", "recall", "f1", "accuracy", "auroc")
 
 _SPECIAL_SEQUENCES = ('\\"', "\\'", "/", "\\")
 
@@ -263,6 +265,16 @@ class DetectorScorer:
     score_fn: Callable[[Document], float]
     threshold: float
 
+    def label(self, score: float) -> int:
+        """1 (Machine) iff score >= threshold, so ties go to Machine."""
+        return int(score >= self.threshold)
+
+    def evaluate(self, docs: Sequence[Document]) -> MetricsReport:
+        """Score, label and measure *docs* against their own labels."""
+        labels = [1 if d.label == Label.MACHINE else 0 for d in docs]
+        scores = [self.score_fn(d) for d in docs]
+        return metrics(confusion([self.label(s) for s in scores], labels), scores, labels)
+
 
 @dataclass(frozen=True)
 class RobustnessReport:
@@ -276,16 +288,6 @@ class RobustnessReport:
         }
 
 
-_DELTA_METRICS = ("precision", "recall", "f1", "accuracy", "auroc")
-
-
-def _evaluate(scorer: DetectorScorer, docs: Sequence[Document]) -> MetricsReport:
-    labels = [1 if d.label == Label.MACHINE else 0 for d in docs]
-    scores = [scorer.score_fn(d) for d in docs]
-    preds = [int(s >= scorer.threshold) for s in scores]
-    return metrics(confusion(preds, labels), scores, labels)
-
-
 def robustness_report(
     scorer: DetectorScorer,
     test: Corpus,
@@ -296,13 +298,13 @@ def robustness_report(
     """
     if test.class_counts[Label.HUMAN] == 0 or test.class_counts[Label.MACHINE] == 0:
         raise DataError("robustness evaluation needs both classes")
-    before = _evaluate(scorer, test.documents)
+    before = scorer.evaluate(test.documents)
     per_transform: dict[str, dict] = {}
     for tf in transforms:
         attacked = [adversarial_transform(d, tf) for d in test.documents]
-        after = _evaluate(scorer, attacked)
+        after = scorer.evaluate(attacked)
         deltas = {
-            m: getattr(after, m) - getattr(before, m) for m in _DELTA_METRICS
+            m: getattr(after, m) - getattr(before, m) for m in METRIC_NAMES
         }
         key = f"{tf.kind}@{tf.intensity}"
         per_transform[key] = {

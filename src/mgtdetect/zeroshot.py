@@ -459,11 +459,6 @@ def single_revise_score(lm: NGramLM, doc: Document, cfg: PerturbConfig) -> Curva
     )
 
 
-def classify_curvature(score: CurvatureScore, threshold: float) -> int:
-    """1 (Machine) iff d >= threshold."""
-    return int(score.d >= threshold)
-
-
 def sample_document(lm: NGramLM, seed: int, max_tokens: int = 60,
                     sentences: int = 1) -> str:
     """Draw text from the model itself: ancestral sampling per sentence

@@ -1,15 +1,24 @@
 import contextlib
+import inspect
 import io
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mgtdetect.cli import main
+import mgtdetect
+from mgtdetect import classifiers, embeddings, evaluation, zeroshot
+from mgtdetect.cli import (CLASSIFIER_DEFAULTS, SKIPGRAM_DEFAULTS, ZEROSHOT_DEFAULTS,
+                           derive_seed, main)
+from mgtdetect.ingest import Document, Label
 from mgtdetect.synthetic import write_hc3_file
 
 
@@ -47,6 +56,16 @@ def workspace(tmp_path_factory) -> Path:
 
 def cfg_path(workspace: Path) -> str:
     return str(workspace / "config.json")
+
+
+def split_documents(out: Path, name: str) -> list[Document]:
+    """The documents of one split of an ingested output directory, in
+    manifest order."""
+    by_id = {}
+    for line in (out / "corpus.jsonl").read_text().splitlines():
+        rec = json.loads(line)
+        by_id[rec["id"]] = Document(id=rec["id"], body=rec["body"], label=Label(rec["label"]))
+    return [by_id[i] for i in json.loads((out / "splits.json").read_text())[name]]
 
 
 class TestIngest:
@@ -138,6 +157,22 @@ class TestTrain:
         assert match is not None
         assert float(match.group(1)) >= 0.9
 
+    def test_validation_lines_are_the_classifier_scorer_metrics(self, workspace, capsys):
+        assert main(["train", "--config", cfg_path(workspace)]) == 0
+        printed = re.findall(r"^validation (\w+): (.*)$", capsys.readouterr().out, re.M)
+        out = workspace / "out"
+        model = classifiers.load_model(out / "model.json")
+        emb = embeddings.load_vectors(out / "embeddings.txt")
+        scorer = evaluation.DetectorScorer(
+            name="classifier",
+            score_fn=lambda d: classifiers.predict(
+                model, embeddings.doc_vector(d.body, emb).values).score,
+            threshold=model.threshold,
+        )
+        report = scorer.evaluate(split_documents(out, "val"))
+        assert printed == [(name, f"{getattr(report, name):.4f}")
+                           for name in evaluation.METRIC_NAMES]
+
     def test_unknown_family_exits_2(self, workspace, tmp_path):
         config = base_config()
         config["classifier"]["family"] = "mlp"
@@ -227,6 +262,22 @@ class TestEvaluate:
         expected = {"classifier:logreg", "detect_gpt", "single_revise"}
         assert set(metrics_payload["methods"]) == expected
         assert set(robustness_payload["methods"]) == expected
+
+    def test_zeroshot_thresholds_are_validation_youden_points(self, evaluated):
+        methods = json.loads((evaluated / "metrics.json").read_text())["methods"]
+        config = base_config()
+        lm = zeroshot.load_lm(evaluated / "lm.json")
+        base = zeroshot.PerturbConfig(pool=lm.vocabulary,
+                                      mask_fraction=config["zeroshot"]["mask_fraction"],
+                                      seed=derive_seed(config["seed"], "zeroshot.perturb"))
+        val = split_documents(evaluated, "val")
+        labels = [int(d.label == Label.MACHINE) for d in val]
+        for method, curvature, k in (
+            ("detect_gpt", zeroshot.detect_gpt_score, config["zeroshot"]["k"]),
+            ("single_revise", zeroshot.single_revise_score, 1),
+        ):
+            scores = [curvature(lm, d, replace(base, k=k)).d for d in val]
+            assert methods[method]["threshold"] == evaluation.youden_threshold(scores, labels)
 
     def test_csv_summaries_written(self, evaluated):
         csvs = list(evaluated.glob("robustness_*.csv"))
@@ -399,6 +450,91 @@ class TestMalformedInputs:
                    "--method", "detect_gpt", "--output", str(out)])
         assert rc == 3
         assert "lm.json" in one_error_line(capsys, "data error:")
+
+
+def run_entry_point(*args: str) -> tuple[int, list[str]]:
+    """The CLI entry point in a child process: exit code and stderr lines,
+    where an uncaught exception would show as a traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mgtdetect.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "mgtdetect.cli", *args],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stderr.splitlines()
+
+
+class TestInvalidUtf8:
+    """A 0xff byte in a text input ends in the documented exit code and one
+    error line, never in a traceback."""
+
+    def test_config_exits_2(self, workspace, tmp_path):
+        config = Path(write_config(tmp_path, workspace))
+        config.write_bytes(b'{"note": "\xff", ' + config.read_bytes()[1:])
+        rc, err = run_entry_point("ingest", "--config", str(config))
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+
+    def test_hc3_file_exits_3(self, workspace, tmp_path):
+        data = tmp_path / "data.jsonl"
+        data.write_bytes((workspace / "data.jsonl").read_bytes() + b'{"question": "q\xff", '
+                         b'"human_answers": ["h."], "chatgpt_answers": ["m."]}\n')
+        config = write_config(tmp_path, workspace, dataset__hc3_path=str(data))
+        rc, err = run_entry_point("ingest", "--config", config)
+        assert rc == 3
+        assert len(err) == 1 and err[0].startswith("data error:"), err
+        assert "data.jsonl" in err[0]
+
+    def test_conllu_file_exits_3(self, workspace, fixtures_dir, tmp_path):
+        conllu = tmp_path / "human.conllu"
+        conllu.write_bytes((fixtures_dir / "sample.conllu").read_bytes() + b"# \xff\n")
+        shutil.copytree(workspace / "out", tmp_path / "out")
+        config = write_config(tmp_path, workspace, dataset__conllu={"human": str(conllu)})
+        rc, err = run_entry_point("stats", "--config", config)
+        assert rc == 3
+        assert len(err) == 1 and err[0].startswith("data error:"), err
+        assert "human.conllu" in err[0]
+
+    def test_detect_input_exits_3(self, workspace, tmp_path):
+        inp = tmp_path / "in.txt"
+        inp.write_bytes(b"waa wab wac wad wae.\nwab \xff wac.\n")
+        rc, err = run_entry_point("detect", "--config", cfg_path(workspace), str(inp),
+                                  "--method", "single_revise")
+        assert rc == 3
+        assert len(err) == 1 and err[0].startswith("data error:"), err
+        assert "in.txt" in err[0]
+
+
+class TestDefaults:
+    def test_cli_defaults_are_the_library_defaults(self):
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        feeds = {
+            ("logreg", "l2"): (classifiers.train_logreg, "l2"),
+            ("logreg", "epochs"): (classifiers.train_logreg, "epochs"),
+            ("logreg", "lr"): (classifiers.train_logreg, "lr"),
+            ("gnb", "budget"): (classifiers.tune_gnb, "budget"),
+            ("gnb", "var_smoothing"): (classifiers.train_gnb, "var_smoothing"),
+            ("svm", "lambda"): (classifiers.train_linear_svm, "lam"),
+            ("svm", "epochs"): (classifiers.train_linear_svm, "epochs"),
+            ("random_forest", "n_trees"): (classifiers.train_random_forest, "n_trees"),
+        }
+        assert set(feeds) == {(f, k) for f, keys in CLASSIFIER_DEFAULTS.items() for k in keys}
+        for (family, key), (fn, param) in feeds.items():
+            assert CLASSIFIER_DEFAULTS[family][key] == default(fn, param), (family, key)
+        assert default(classifiers.train_random_forest, "max_depth") == 8
+        perturb = zeroshot.PerturbConfig.__dataclass_fields__
+        assert ZEROSHOT_DEFAULTS == {
+            "order": default(zeroshot.train_kn_lm, "order"),
+            "discount": default(zeroshot.train_kn_lm, "discount"),
+            "k": perturb["k"].default,
+            "mask_fraction": perturb["mask_fraction"].default,
+            # The detect cut-off has no library default: d >= 0 means the
+            # original scores at least as high as its rewrites.
+            "threshold": 0.0,
+        }
+        # The documented skip-gram defaults, now read from SkipGramConfig.
+        assert SKIPGRAM_DEFAULTS == {"dim": 32, "window": 5, "negatives": 5, "epochs": 3,
+                                     "learning_rate": 0.025, "min_count": 2,
+                                     "subsample": 1e-3}
 
 
 class TestOneLoadPerCommand:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from mgtdetect import zeroshot as zs
 from mgtdetect.errors import DataError, ModelFormatError
+from mgtdetect.evaluation import DetectorScorer
 from mgtdetect.text_core import build_vocab, is_word_surface, tokenize
 
 from conftest import make_doc
@@ -463,20 +464,27 @@ class TestDetectors:
 
 
 class TestClassifyCurvature:
+    # detect, evaluate and train label every score through DetectorScorer.
+    @staticmethod
+    def label(score: zs.CurvatureScore, threshold: float) -> int:
+        scorer = DetectorScorer(name="detect_gpt", score_fn=lambda doc: score.d,
+                                threshold=threshold)
+        return scorer.label(scorer.score_fn(make_doc("a b.")))
+
     def test_above_threshold_is_machine(self):
         score = zs.CurvatureScore(d=2.0, logp_original=-1, logp_perturbed_mean=-2,
                                   logp_perturbed_std=0.5, k_used=3)
-        assert zs.classify_curvature(score, threshold=1.0) == 1
+        assert self.label(score, threshold=1.0) == 1
 
     def test_boundary_ties_to_machine(self):
         score = zs.CurvatureScore(d=1.0, logp_original=-1, logp_perturbed_mean=-2,
                                   logp_perturbed_std=0.5, k_used=3)
-        assert zs.classify_curvature(score, threshold=1.0) == 1
+        assert self.label(score, threshold=1.0) == 1
 
     def test_below_threshold_is_human(self):
         score = zs.CurvatureScore(d=0.2, logp_original=-1, logp_perturbed_mean=-2,
                                   logp_perturbed_std=0.5, k_used=3)
-        assert zs.classify_curvature(score, threshold=1.0) == 0
+        assert self.label(score, threshold=1.0) == 0
 
 
 def uncached_sample_document(lm, seed, max_tokens, sentences):
