@@ -17,11 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ModelFormatError
+from .errors import DataError, ModelFormatError, load_json
 
 SCHEMA_VERSION = 1
 
 LOG_2PI = math.log(2.0 * math.pi)
+LOGREG_BATCH_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -201,9 +202,9 @@ def train_logreg(
     epochs: int = 150,
     lr: float = 0.5,
     seed: int = 0,
-    batch_size: int = 32,
 ) -> LogRegModel:
-    """Seeded mini-batch gradient descent on the regularized NLL."""
+    """Seeded mini-batch gradient descent on the regularized NLL, in
+    batches of LOGREG_BATCH_SIZE."""
     data.require_both_classes()
     rng = np.random.default_rng(seed)
     n, d = data.features.shape
@@ -211,8 +212,8 @@ def train_logreg(
     b = 0.0
     for _ in range(epochs):
         order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
+        for start in range(0, n, LOGREG_BATCH_SIZE):
+            idx = order[start : start + LOGREG_BATCH_SIZE]
             _, gw, gb = logreg_loss_and_grad(
                 w, b, data.features[idx], data.labels[idx].astype(float), l2
             )
@@ -247,6 +248,8 @@ def train_gnb(data: Dataset, var_smoothing: float = 1e-9) -> GnbModel:
 
 BO_N_INIT = 5
 BO_CANDIDATES = 512
+BO_LENGTH_SCALE = 2.0  # of the squared-exponential kernel
+BO_NOISE = 1e-6  # added to the kernel diagonal
 _EI_XI = 0.01
 
 
@@ -263,8 +266,6 @@ def bayes_opt_1d(
     bounds: tuple[float, float],
     budget: int,
     seed: int,
-    length_scale: float = 2.0,
-    noise: float = 1e-6,
 ) -> tuple[float, list[tuple[float, float]]]:
     """Maximize a 1-D objective with a GP surrogate (squared-exponential
     kernel) and expected-improvement acquisition over a dense candidate
@@ -287,9 +288,9 @@ def bayes_opt_1d(
         Yn = (Y - y_mean) / scale
 
         def k(a, b):
-            return np.exp(-0.5 * ((a[:, None] - b[None, :]) / length_scale) ** 2)
+            return np.exp(-0.5 * ((a[:, None] - b[None, :]) / BO_LENGTH_SCALE) ** 2)
 
-        K = k(X, X) + noise * np.eye(len(X))
+        K = k(X, X) + BO_NOISE * np.eye(len(X))
         Ks = k(X, candidates)
         alpha = np.linalg.solve(K, Yn)
         mu = Ks.T @ alpha
@@ -548,10 +549,7 @@ def load_model(path: str | Path) -> AnyModel:
     (2,), random-forest features in [0, dim). Any other content raises
     ModelFormatError.
     """
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # incl. JSONDecodeError, UnicodeDecodeError
-        raise ModelFormatError(f"{path}: unreadable model file: {exc}") from exc
+    payload = load_json(path, ModelFormatError)
     if not isinstance(payload, dict):
         raise ModelFormatError(f"{path}: model file must hold a JSON object")
     version = payload.get("schema_version")

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classifiers, corpus_stats, embeddings, evaluation, ingest, zeroshot
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, load_json, parse_json, read_lines
 from .ingest import Corpus, Document, Label
 
 EXIT_OK = 0
@@ -32,14 +32,14 @@ EXIT_IO = 4
 
 ZEROSHOT_METHODS = ("detect_gpt", "single_revise")
 
-# Config keys with their defaults; a value is converted to its default's type.
-# The classifier keys are per family; gnb's "tune" (a JSON boolean) and
-# random_forest's "max_depth" (null or an integer) are checked apart.
+# Config keys with their defaults; a value takes its default's type by the
+# rule of `_as`. The classifier keys are per family; random_forest's
+# "max_depth" may also be null (no depth limit).
 CLASSIFIER_DEFAULTS = {
     "logreg": {"l2": 1e-4, "epochs": 150, "lr": 0.5},
-    "gnb": {"budget": 20, "var_smoothing": 1e-9},
+    "gnb": {"tune": False, "budget": 20, "var_smoothing": 1e-9},
     "svm": {"lambda": 1e-3, "epochs": 50},
-    "random_forest": {"n_trees": 50},
+    "random_forest": {"n_trees": 50, "max_depth": 8},
 }
 CLASSIFIER_FAMILIES = tuple(CLASSIFIER_DEFAULTS)
 SKIPGRAM_DEFAULTS = {f.name: f.default for f in fields(embeddings.SkipGramConfig)
@@ -64,18 +64,28 @@ def _section(raw: dict, name: str, default=None) -> dict | None:
     return value
 
 
-def _typed(section: str, raw: dict, defaults: dict) -> dict:
-    """Each key of *defaults*, read from *raw* and converted to the type
-    of its default."""
+def _as(kind: type, value, name: str):
+    """*value* as a bool, int or float config value. A boolean is never a
+    number, only a boolean is a boolean, and a fraction is never an
+    integer; numeric strings and integral floats convert."""
+    try:
+        if isinstance(value, bool) != (kind is bool):
+            raise TypeError
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}") from None
+
+
+def _typed(section: str, raw: dict, defaults: dict, nullable: tuple[str, ...] = ()) -> dict:
+    """Each key of *defaults*, read from *raw* and typed as its default;
+    a key in *nullable* may also be null."""
     out = {}
     for key, default in defaults.items():
         value = raw.get(key, default)
-        try:
-            out[key] = type(default)(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(
-                f"{section}.{key} must be {type(default).__name__}, got {value!r}"
-            ) from None
+        out[key] = (None if value is None and key in nullable
+                    else _as(type(default), value, f"{section}.{key}"))
     return out
 
 
@@ -87,17 +97,8 @@ def _classifier_section(raw: dict) -> dict:
         raise ConfigError(
             f"unknown classifier family {family!r}; expected one of {CLASSIFIER_FAMILIES}"
         )
-    typed = {"family": family, **_typed("classifier", raw, CLASSIFIER_DEFAULTS[family])}
-    if family == "gnb":
-        # bool("no") is True, so no conversion by the default's type here.
-        typed["tune"] = raw.get("tune", False)
-        if not isinstance(typed["tune"], bool):
-            raise ConfigError(f"classifier.tune must be true or false, got {typed['tune']!r}")
-    if family == "random_forest":
-        typed["max_depth"] = depth = raw.get("max_depth", 8)
-        if depth is not None and (isinstance(depth, bool) or not isinstance(depth, int)):
-            raise ConfigError(f"classifier.max_depth must be null or an integer, got {depth!r}")
-    return typed
+    return {"family": family, **_typed("classifier", raw, CLASSIFIER_DEFAULTS[family],
+                                       nullable=("max_depth",))}
 
 
 @dataclass(frozen=True)
@@ -147,10 +148,7 @@ class RunConfig:
         config_path = Path(config_path)
         if not config_path.exists():
             raise ConfigError(f"config file not found: {config_path}")
-        try:
-            raw = json.loads(config_path.read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"{config_path}: invalid JSON: {exc}") from exc
+        raw = load_json(config_path, ConfigError)
         if not isinstance(raw, dict):
             raise ConfigError(f"{config_path}: config must be a JSON object")
         base = config_path.parent
@@ -159,12 +157,9 @@ class RunConfig:
             path = Path(p)
             return path if path.is_absolute() else base / path
 
-        try:
-            seed = int(seed_override if seed_override is not None else raw["seed"])
-        except KeyError:
-            raise ConfigError("config missing required field 'seed'") from None
-        except (TypeError, ValueError):
-            raise ConfigError("config field 'seed' must be an integer") from None
+        if seed_override is None and "seed" not in raw:
+            raise ConfigError("config missing required field 'seed'")
+        seed = _as(int, raw["seed"] if seed_override is None else seed_override, "seed")
 
         dataset = raw.get("dataset")
         if not isinstance(dataset, dict) or "hc3_path" not in dataset:
@@ -222,7 +217,7 @@ class RunConfig:
             try:
                 tf = evaluation.AdversarialTransform(
                     kind=t["kind"],
-                    intensity=float(t.get("intensity", 0.1)),
+                    intensity=_as(float, t.get("intensity", 0.1), f"transforms.{i}.intensity"),
                     seed=derive_seed(seed, f"transforms.{i}.{t['kind']}"),
                 )
             except (KeyError, TypeError, ValueError, AttributeError, DataError) as exc:
@@ -271,29 +266,32 @@ def _corpus_path(cfg: RunConfig) -> Path:
     return cfg.output_dir / "corpus.jsonl"
 
 
+def _artifact(cfg: RunConfig, name: str, command: str) -> Path:
+    """The file *name* under the output directory, which *command* writes;
+    DataError when it is missing."""
+    path = cfg.output_dir / name
+    if not path.exists():
+        raise DataError(f"missing {path}; run '{command}' first")
+    return path
+
+
 def _load_cached_corpus(cfg: RunConfig) -> tuple[Corpus, dict[str, list[str]]]:
-    corpus_path = _corpus_path(cfg)
-    splits_path = cfg.output_dir / "splits.json"
-    if not corpus_path.exists() or not splits_path.exists():
-        raise DataError(
-            f"no ingested corpus under {cfg.output_dir}; run 'ingest' first"
-        )
+    corpus_path = _artifact(cfg, "corpus.jsonl", "ingest")
+    splits_path = _artifact(cfg, "splits.json", "ingest")
     docs = []
-    lineno = 0
+    for lineno, line in read_lines(corpus_path):
+        rec = parse_json(line, f"{corpus_path}:{lineno}")
+        try:
+            if not (isinstance(rec["id"], str) and isinstance(rec["body"], str)):
+                raise TypeError("id and body must be strings")
+            docs.append(Document(
+                id=rec["id"], body=rec["body"], label=Label(rec["label"]),
+                source_question=rec.get("question"),
+            ))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"{corpus_path}:{lineno}: malformed record: {exc!r}") from exc
+    manifest = load_json(splits_path)
     try:
-        with corpus_path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                rec = json.loads(line)
-                if not (isinstance(rec["id"], str) and isinstance(rec["body"], str)):
-                    raise TypeError("id and body must be strings")
-                docs.append(Document(
-                    id=rec["id"], body=rec["body"], label=Label(rec["label"]),
-                    source_question=rec.get("question"),
-                ))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"{corpus_path}:{lineno}: malformed record: {exc!r}") from exc
-    try:
-        manifest = json.loads(splits_path.read_text(encoding="utf-8"))
         splits = {name: manifest[name] for name in ("train", "val", "test")}
         if not all(isinstance(ids, list) and all(isinstance(i, str) for i in ids)
                    for ids in splits.values()):
@@ -328,10 +326,8 @@ def _classifier_scorer(model: classifiers.AnyModel,
 
 
 def _load_classifier_scorer(cfg: RunConfig) -> evaluation.DetectorScorer:
-    model_path = cfg.output_dir / "model.json"
-    emb_path = cfg.output_dir / "embeddings.txt"
-    if not model_path.exists() or not emb_path.exists():
-        raise DataError(f"missing trained model under {cfg.output_dir}; run 'train' first")
+    model_path = _artifact(cfg, "model.json", "train")
+    emb_path = _artifact(cfg, "embeddings.txt", "train")
     model = classifiers.load_model(model_path)
     emb = embeddings.load_vectors(emb_path)
     if emb.dim != model.dim:
@@ -342,20 +338,11 @@ def _load_classifier_scorer(cfg: RunConfig) -> evaluation.DetectorScorer:
     return _classifier_scorer(model, emb)
 
 
-def _load_lm(cfg: RunConfig) -> zeroshot.NGramLM:
-    lm_path = cfg.output_dir / "lm.json"
-    if not lm_path.exists():
-        raise DataError(
-            f"missing trained language model under {cfg.output_dir}; run 'train' first"
-        )
-    return zeroshot.load_lm(lm_path)
-
-
 def _zeroshot_scorers(cfg: RunConfig, lm: zeroshot.NGramLM,
                       methods: tuple[str, ...]) -> list[evaluation.DetectorScorer]:
     """One scorer per method, each cut at the config threshold. All share
     one base config, and so one substitution sampler."""
-    zs = cfg.zeroshot or ZeroshotConfig.from_dict({})
+    zs = cfg.zeroshot
     base = zeroshot.PerturbConfig(
         pool=lm.vocabulary,
         mask_fraction=zs.mask_fraction,
@@ -498,36 +485,38 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_detect(cfg: RunConfig, input_path: str, method: str | None,
                debug: bool = False) -> int:
     method = method or cfg.detect_method
+    section = "classifier" if method == "classifier" else "zeroshot"
+    if getattr(cfg, section) is None:
+        raise ConfigError(f"detect method {method!r} needs a {section} section")
     path = Path(input_path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
+    # Decoded in full before any output; held, not read again, so that a
+    # pipe works too.
+    lines = list(read_lines(path))
     if method == "classifier":
         lm, scorer = None, _load_classifier_scorer(cfg)
     else:
-        lm = _load_lm(cfg)
+        lm = zeroshot.load_lm(_artifact(cfg, "lm.json", "train"))
         [scorer] = _zeroshot_scorers(cfg, lm, (method,))
     passes_before = lm.scoring_passes if lm else 0
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["id", "score", "label", "method"])
     n_docs = 0
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.strip()
-                if not text:
-                    continue
-                try:
-                    body = ingest.normalize(text)
-                    doc = Document(id=str(lineno), body=body, label=Label.HUMAN)
-                    score = scorer.score_fn(doc)
-                except DataError as exc:
-                    print(f"skipping line {lineno}: {exc}", file=sys.stderr)
-                    continue
-                label = "machine" if scorer.label(score) else "human"
-                writer.writerow([lineno, repr(score), label, scorer.name])
-                n_docs += 1
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+    for lineno, line in lines:
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            body = ingest.normalize(text)
+            doc = Document(id=str(lineno), body=body, label=Label.HUMAN)
+            score = scorer.score_fn(doc)
+        except DataError as exc:
+            print(f"skipping line {lineno}: {exc}", file=sys.stderr)
+            continue
+        label = "machine" if scorer.label(score) else "human"
+        writer.writerow([lineno, repr(score), label, scorer.name])
+        n_docs += 1
     if debug and n_docs and lm is not None:
         passes = lm.scoring_passes - passes_before
         print(
@@ -546,17 +535,17 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         raise DataError("test split must contain both classes")
 
     scorers: list[evaluation.DetectorScorer] = []
-    if cfg.classifier is not None and (cfg.output_dir / "model.json").exists():
+    if cfg.classifier is not None:
         scorers.append(_load_classifier_scorer(cfg))
-    zs = cfg.zeroshot
-    if zs is not None and zs.methods and (cfg.output_dir / "lm.json").exists():
+    if cfg.zeroshot is not None and cfg.zeroshot.methods:
+        lm = zeroshot.load_lm(_artifact(cfg, "lm.json", "train"))
         val = splits["val"].documents
         labels = [1 if d.label == Label.MACHINE else 0 for d in val]
-        for scorer in _zeroshot_scorers(cfg, _load_lm(cfg), zs.methods):
+        for scorer in _zeroshot_scorers(cfg, lm, cfg.zeroshot.methods):
             threshold = evaluation.youden_threshold([scorer.score_fn(d) for d in val], labels)
             scorers.append(replace(scorer, threshold=threshold))
     if not scorers:
-        raise DataError("nothing to evaluate; run 'train' first")
+        raise ConfigError("config names no detector: no classifier, no zeroshot methods")
 
     metrics_payload: dict[str, dict] = {}
     robustness_payload: dict[str, dict] = {}

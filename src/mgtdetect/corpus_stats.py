@@ -26,7 +26,6 @@ DEFAULT_BINS: dict[str, list[float]] = {
 class Histogram:
     bin_edges: tuple[float, ...]
     counts: tuple[int, ...]
-    label: str
     underflow: int = 0
     overflow: int = 0
 
@@ -89,7 +88,7 @@ def mean_dependency_distance(sent: ParsedSentence) -> float:
     return sum(distances) / len(distances)
 
 
-def histogram(values: list[float], bin_edges: list[float], label: str = "") -> Histogram:
+def histogram(values: list[float], bin_edges: list[float]) -> Histogram:
     """Half-open bins [e_i, e_{i+1}) with the last bin closed; values
     outside the range are tallied as underflow/overflow.
     """
@@ -112,7 +111,6 @@ def histogram(values: list[float], bin_edges: list[float], label: str = "") -> H
     return Histogram(
         bin_edges=tuple(bin_edges),
         counts=tuple(counts),
-        label=label,
         underflow=underflow,
         overflow=overflow,
     )
@@ -143,16 +141,14 @@ def _doc_values(corpus: Corpus, label: Label) -> dict[str, list[float]]:
 def corpus_report(
     corpus: Corpus,
     parses: dict[Label, list[ParsedSentence]] | None = None,
-    bins: dict[str, list[float]] | None = None,
 ) -> StatsReport:
-    """Compute all five statistics per class.
+    """Compute all five statistics per class, binned at DEFAULT_BINS.
 
     The dependency-distance section appears only when *parses* supplies
     CoNLL-U sentences for each class.
     """
     if corpus.class_counts[Label.HUMAN] == 0 or corpus.class_counts[Label.MACHINE] == 0:
         raise DataError("corpus report needs documents of both classes")
-    bins = bins or DEFAULT_BINS
     sections: dict[str, dict[str, dict]] = {}
     for label in (Label.HUMAN, Label.MACHINE):
         values = _doc_values(corpus, label)
@@ -165,7 +161,7 @@ def corpus_report(
             ]
         stats: dict[str, dict] = {}
         for stat, vals in values.items():
-            hist = histogram(vals, bins[stat], label=label.value)
+            hist = histogram(vals, DEFAULT_BINS[stat])
             stats[stat] = {
                 "mean": sum(vals) / len(vals) if vals else 0.0,
                 "histogram": hist.to_dict(),

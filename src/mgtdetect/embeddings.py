@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, EmptyEmbedding
+from .errors import DataError, EmptyEmbedding, read_lines
 from .text_core import UNK, Vocabulary, tokenize, vocab_from_counts
 
 LR_FLOOR_FRACTION = 1e-4  # learning rate decays linearly to lr0 * this
@@ -226,39 +226,38 @@ def load_vectors(path: str | Path) -> EmbeddingMatrix:
     repeated words, non-finite values) raises DataError.
     """
     path = Path(path)
+    lines = read_lines(path)
+    _, first = next(lines, (1, ""))
+    header = first.split()
+    if len(header) != 2:
+        raise DataError(f"{path}: header must be 'count dim'")
     try:
-        with path.open("r", encoding="utf-8") as fh:
-            header = fh.readline().split()
-            if len(header) != 2:
-                raise DataError(f"{path}: header must be 'count dim'")
-            try:
-                count, dim = int(header[0]), int(header[1])
-            except ValueError as exc:
-                raise DataError(f"{path}: non-integer header") from exc
-            if count == 0:
-                raise EmptyEmbedding(f"{path}: embedding declares zero vectors")
-            if count < 0 or dim < 1:
-                raise DataError(f"{path}: header count and dim must be positive")
-            rows: list[list[float]] = []
-            word_to_id: dict[str, int] = {}
-            for row, line in enumerate(fh):
-                if row >= count:
-                    raise DataError(f"{path}: more vector lines than header count {count}")
-                parts = line.rstrip("\n").split(" ")
-                if len(parts) != dim + 1:
-                    raise DataError(
-                        f"{path}: line {row + 2} has {len(parts) - 1} values, expected {dim}"
-                    )
-                word = parts[0]
-                if word in word_to_id:
-                    raise DataError(f"{path}: duplicate word {word!r} on line {row + 2}")
-                word_to_id[word] = row
-                try:
-                    rows.append([float(x) for x in parts[1:]])
-                except ValueError as exc:
-                    raise DataError(f"{path}: line {row + 2} has a non-numeric value") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+        count, dim = int(header[0]), int(header[1])
+    except ValueError as exc:
+        raise DataError(f"{path}: non-integer header") from exc
+    if count == 0:
+        raise EmptyEmbedding(f"{path}: embedding declares zero vectors")
+    if count < 0 or dim < 1:
+        raise DataError(f"{path}: header count and dim must be positive")
+    rows: list[list[float]] = []
+    word_to_id: dict[str, int] = {}
+    for lineno, line in lines:
+        row = lineno - 2
+        if row >= count:
+            raise DataError(f"{path}: more vector lines than header count {count}")
+        parts = line.rstrip("\n").split(" ")
+        if len(parts) != dim + 1:
+            raise DataError(
+                f"{path}: line {lineno} has {len(parts) - 1} values, expected {dim}"
+            )
+        word = parts[0]
+        if word in word_to_id:
+            raise DataError(f"{path}: duplicate word {word!r} on line {lineno}")
+        word_to_id[word] = row
+        try:
+            rows.append([float(x) for x in parts[1:]])
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno} has a non-numeric value") from exc
     if len(word_to_id) != count:
         raise DataError(f"{path}: header declares {count} rows, found {len(word_to_id)}")
     matrix = np.array(rows, dtype=float)

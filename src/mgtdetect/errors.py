@@ -1,8 +1,16 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the input boundary.
 
 The CLI maps these onto stable exit codes: ConfigError -> 2,
-DataError (and subclasses) -> 3, OSError -> 4.
+DataError (and subclasses) -> 3, OSError -> 4. Every file the package
+reads is decoded and parsed here, so invalid UTF-8, malformed JSON and
+JSON nested past the recursion limit all end in the caller's error class.
 """
+
+from __future__ import annotations
+
+import json
+from collections.abc import Iterator
+from pathlib import Path
 
 
 class MgtError(Exception):
@@ -35,3 +43,33 @@ class AurocUndefined(DataError):
 
 class ModelFormatError(DataError):
     """Persisted model file is corrupted or has an unsupported schema."""
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Stream (line number, line) pairs of a UTF-8 text file, numbered as
+    ``enumerate(open(path), start=1)`` numbers them; DataError naming the
+    file on invalid UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+
+
+def parse_json(text: str, where: str, error: type[MgtError] = DataError):
+    """The JSON value of *text*; *error* naming *where* when it is malformed
+    or nested past the recursion limit."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # incl. JSONDecodeError
+        raise error(f"{where}: malformed JSON: {exc}") from exc
+
+
+def load_json(path: str | Path, error: type[MgtError] = DataError):
+    """The JSON value of a whole UTF-8 file; *error* naming the file when
+    it is not valid UTF-8 or not valid JSON."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+    return parse_json(text, str(path), error)

@@ -4,7 +4,6 @@ splits, and CoNLL-U dependency annotation loading.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 import unicodedata
@@ -14,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DegenerateSplit, EmptyDocument
+from .errors import DataError, DegenerateSplit, EmptyDocument, parse_json, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -147,43 +146,33 @@ def load_hc3(path: str | Path) -> Corpus:
     """
     path = Path(path)
     docs: list[Document] = []
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        record = parse_json(line, f"{path}: line {lineno}")
+        if not isinstance(record, dict):
+            raise DataError(f"{path}: line {lineno} is not a JSON object")
+        for fname in ("question", "human_answers", "chatgpt_answers"):
+            if fname not in record:
+                raise DataError(f"{path}: line {lineno} missing field {fname!r}")
+        question = str(record["question"])
+        for tag, label, fname in (
+            ("h", Label.HUMAN, "human_answers"),
+            ("m", Label.MACHINE, "chatgpt_answers"),
+        ):
+            answers = record[fname]
+            if not isinstance(answers, list):
+                raise DataError(f"{path}: line {lineno} field {fname!r} is not an array")
+            for k, answer in enumerate(answers, start=1):
+                doc_id = f"{lineno}-{tag}{k}"
                 try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{path}: malformed JSON on line {lineno}: {exc}") from exc
-                if not isinstance(record, dict):
-                    raise DataError(f"{path}: line {lineno} is not a JSON object")
-                for fname in ("question", "human_answers", "chatgpt_answers"):
-                    if fname not in record:
-                        raise DataError(f"{path}: line {lineno} missing field {fname!r}")
-                question = str(record["question"])
-                for tag, label, fname in (
-                    ("h", Label.HUMAN, "human_answers"),
-                    ("m", Label.MACHINE, "chatgpt_answers"),
-                ):
-                    answers = record[fname]
-                    if not isinstance(answers, list):
-                        raise DataError(
-                            f"{path}: line {lineno} field {fname!r} is not an array"
-                        )
-                    for k, answer in enumerate(answers, start=1):
-                        doc_id = f"{lineno}-{tag}{k}"
-                        try:
-                            body = normalize(str(answer))
-                        except EmptyDocument:
-                            log.warning("skipping %s: empty after normalization", doc_id)
-                            continue
-                        docs.append(
-                            Document(id=doc_id, body=body, label=label,
-                                     source_question=question)
-                        )
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+                    body = normalize(str(answer))
+                except EmptyDocument:
+                    log.warning("skipping %s: empty after normalization", doc_id)
+                    continue
+                docs.append(
+                    Document(id=doc_id, body=body, label=label, source_question=question)
+                )
     return Corpus(documents=tuple(docs))
 
 
@@ -237,30 +226,24 @@ def load_conllu(path: str | Path) -> list[ParsedSentence]:
             sentences.append(ParsedSentence(tokens=tuple(tokens), heads=tuple(heads)))
         tokens, heads = [], []
 
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    flush()
-                    continue
-                if line.startswith("#"):
-                    continue
-                cols = line.split("\t")
-                if len(cols) < 7:
-                    raise DataError(f"{path}: line {lineno} has fewer than 7 columns")
-                tok_id = cols[0]
-                if "-" in tok_id or "." in tok_id:
-                    continue
-                try:
-                    head = int(cols[6])
-                except ValueError as exc:
-                    raise DataError(
-                        f"{path}: line {lineno} has non-integer HEAD {cols[6]!r}"
-                    ) from exc
-                tokens.append(cols[1])
-                heads.append(head)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+    for lineno, line in read_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            flush()
+            continue
+        if line.startswith("#"):
+            continue
+        cols = line.split("\t")
+        if len(cols) < 7:
+            raise DataError(f"{path}: line {lineno} has fewer than 7 columns")
+        tok_id = cols[0]
+        if "-" in tok_id or "." in tok_id:
+            continue
+        try:
+            head = int(cols[6])
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno} has non-integer HEAD {cols[6]!r}") from exc
+        tokens.append(cols[1])
+        heads.append(head)
     flush()
     return sentences

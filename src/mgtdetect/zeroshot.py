@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ModelFormatError
+from .errors import DataError, ModelFormatError, load_json
 from .ingest import Document
 from .text_core import (
     UNK,
@@ -513,10 +513,7 @@ def save_lm(lm: NGramLM, path: str | Path) -> None:
 
 
 def load_lm(path: str | Path) -> NGramLM:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ModelFormatError(f"{path}: unreadable LM file: {exc}") from exc
+    payload = load_json(path, ModelFormatError)
     if not isinstance(payload, dict):
         raise ModelFormatError(f"{path}: LM file must hold a JSON object")
     version = payload.get("schema_version")

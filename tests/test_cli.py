@@ -226,6 +226,17 @@ class TestDetect:
         assert first.splitlines()[0] == "id,score,label,method"
         assert len(first.splitlines()) == 3
 
+    def test_reads_a_pipe(self, workspace):
+        """The input is read once: a pipe, which cannot be read twice,
+        gives every row."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "mgtdetect.cli", "detect", "--config", cfg_path(workspace),
+             "/dev/stdin", "--method", "single_revise"],
+            input="waa wab wac wad wae.\nwab wac.\n", capture_output=True, text=True,
+            env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert [row.split(",")[0] for row in proc.stdout.splitlines()] == ["id", "1", "2"]
+
     def test_missing_model_exits_3(self, workspace, tmp_path):
         out = tmp_path / "untrained"
         assert main(["ingest", "--config", cfg_path(workspace),
@@ -316,6 +327,41 @@ def write_config(tmp_path: Path, workspace: Path, **changes) -> str:
     return str(path)
 
 
+class TestConfiguredDetectors:
+    """Each command runs exactly the detectors its config names: a missing
+    artifact is an error, never a detector skipped."""
+
+    @pytest.mark.parametrize("artifact", ["model.json", "lm.json"])
+    def test_evaluate_with_missing_artifact_exits_3(self, workspace, tmp_path, capsys,
+                                                    artifact):
+        out = tmp_path / "out"
+        shutil.copytree(workspace / "out", out)
+        (out / artifact).unlink()
+        capsys.readouterr()
+        rc = main(["evaluate", "--config", cfg_path(workspace), "--output", str(out)])
+        assert rc == 3
+        assert "run 'train' first" in one_error_line(capsys, "data error:")
+
+    def test_evaluate_without_detector_exits_2(self, workspace, tmp_path, capsys):
+        shutil.copytree(workspace / "out", tmp_path / "out")
+        config = write_config(tmp_path, workspace, classifier=None, zeroshot=None)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", config]) == 2
+        one_error_line(capsys, "config error:")
+
+    @pytest.mark.parametrize("method, section", [("detect_gpt", "zeroshot"),
+                                                 ("classifier", "classifier")])
+    def test_detect_method_outside_config_exits_2(self, workspace, tmp_path, capsys,
+                                                  method, section):
+        shutil.copytree(workspace / "out", tmp_path / "out")
+        config = write_config(tmp_path, workspace, **{section: None})
+        inp = tmp_path / "in.txt"
+        inp.write_text("waa wab wac wad wae.\n")
+        capsys.readouterr()
+        assert main(["detect", "--config", config, str(inp), "--method", method]) == 2
+        one_error_line(capsys, "config error:")
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize("command, changes", [
         ("train", {"zeroshot__order": "three"}),
@@ -334,6 +380,13 @@ class TestMalformedInputs:
         ("evaluate", {"transforms": 5}),
         ("ingest", {"dataset__conllu": ["human.conllu"]}),
         ("detect", {"detect": "detect_gpt"}),
+        # No silent coercion: a boolean is never a number and a fraction
+        # is never an integer.
+        ("ingest", {"seed": 7.9}),
+        ("ingest", {"seed": True}),
+        ("ingest", {"zeroshot__mask_fraction": True}),
+        ("ingest", {"transforms": [{"kind": "case_flip", "intensity": True}]}),
+        ("ingest", {"embeddings__epochs": False}),
     ])
     def test_config_value_of_wrong_type_exits_2(self, workspace, tmp_path, capsys,
                                                 command, changes):
@@ -358,6 +411,7 @@ class TestMalformedInputs:
         {"family": "random_forest", "max_depth": True},
         {"epochs": 3},
         "logreg",
+        {"family": "svm", "epochs": 40.7},  # a fraction is never an integer
     ])
     def test_classifier_value_of_wrong_type_exits_2(self, workspace, tmp_path, capsys,
                                                     classifier):
@@ -452,13 +506,16 @@ class TestMalformedInputs:
         assert "lm.json" in one_error_line(capsys, "data error:")
 
 
-def run_entry_point(*args: str) -> tuple[int, list[str]]:
-    """The CLI entry point in a child process: exit code and stderr lines,
-    where an uncaught exception would show as a traceback."""
-    env = dict(os.environ, PYTHONPATH=str(Path(mgtdetect.__file__).parents[1]))
+def child_env() -> dict[str, str]:
+    return dict(os.environ, PYTHONPATH=str(Path(mgtdetect.__file__).parents[1]))
+
+
+def run_entry_point(*args: str) -> tuple[int, list[str], str]:
+    """The CLI entry point in a child process: exit code, stderr lines
+    (where an uncaught exception would show as a traceback) and stdout."""
     proc = subprocess.run([sys.executable, "-m", "mgtdetect.cli", *args],
-                          capture_output=True, text=True, env=env)
-    return proc.returncode, proc.stderr.splitlines()
+                          capture_output=True, text=True, env=child_env())
+    return proc.returncode, proc.stderr.splitlines(), proc.stdout
 
 
 class TestInvalidUtf8:
@@ -468,7 +525,7 @@ class TestInvalidUtf8:
     def test_config_exits_2(self, workspace, tmp_path):
         config = Path(write_config(tmp_path, workspace))
         config.write_bytes(b'{"note": "\xff", ' + config.read_bytes()[1:])
-        rc, err = run_entry_point("ingest", "--config", str(config))
+        rc, err, _ = run_entry_point("ingest", "--config", str(config))
         assert rc == 2
         assert len(err) == 1 and err[0].startswith("config error:"), err
 
@@ -477,7 +534,7 @@ class TestInvalidUtf8:
         data.write_bytes((workspace / "data.jsonl").read_bytes() + b'{"question": "q\xff", '
                          b'"human_answers": ["h."], "chatgpt_answers": ["m."]}\n')
         config = write_config(tmp_path, workspace, dataset__hc3_path=str(data))
-        rc, err = run_entry_point("ingest", "--config", config)
+        rc, err, _ = run_entry_point("ingest", "--config", config)
         assert rc == 3
         assert len(err) == 1 and err[0].startswith("data error:"), err
         assert "data.jsonl" in err[0]
@@ -487,7 +544,7 @@ class TestInvalidUtf8:
         conllu.write_bytes((fixtures_dir / "sample.conllu").read_bytes() + b"# \xff\n")
         shutil.copytree(workspace / "out", tmp_path / "out")
         config = write_config(tmp_path, workspace, dataset__conllu={"human": str(conllu)})
-        rc, err = run_entry_point("stats", "--config", config)
+        rc, err, _ = run_entry_point("stats", "--config", config)
         assert rc == 3
         assert len(err) == 1 and err[0].startswith("data error:"), err
         assert "human.conllu" in err[0]
@@ -495,11 +552,104 @@ class TestInvalidUtf8:
     def test_detect_input_exits_3(self, workspace, tmp_path):
         inp = tmp_path / "in.txt"
         inp.write_bytes(b"waa wab wac wad wae.\nwab \xff wac.\n")
-        rc, err = run_entry_point("detect", "--config", cfg_path(workspace), str(inp),
+        rc, err, _ = run_entry_point("detect", "--config", cfg_path(workspace), str(inp),
                                   "--method", "single_revise")
         assert rc == 3
         assert len(err) == 1 and err[0].startswith("data error:"), err
         assert "in.txt" in err[0]
+
+    def test_detect_prints_nothing_when_a_late_line_is_bad(self, workspace, tmp_path):
+        inp = tmp_path / "in.txt"
+        inp.write_bytes(b"waa wab wac wad wae.\n" * 2000 + b"wab \xff wac.\n")
+        rc, err, out = run_entry_point("detect", "--config", cfg_path(workspace), str(inp),
+                                       "--method", "single_revise")
+        assert rc == 3
+        assert len(err) == 1 and err[0].startswith("data error:"), err
+        assert "in.txt" in err[0]
+        assert out == ""
+
+
+# Nested past the recursion limit: json.loads raises RecursionError.
+NESTED = "[" * 100_000 + "]" * 100_000
+
+
+def _nest_config(tmp_path, workspace) -> tuple[str, ...]:
+    config = Path(write_config(tmp_path, workspace))
+    config.write_text(config.read_text()[:-1] + f', "note": {NESTED}}}')
+    return "ingest", "--config", str(config)
+
+
+def _nest_hc3(tmp_path, workspace) -> tuple[str, ...]:
+    data = tmp_path / "data.jsonl"
+    data.write_text((workspace / "data.jsonl").read_text() + NESTED + "\n")
+    return "ingest", "--config", write_config(tmp_path, workspace,
+                                              dataset__hc3_path=str(data))
+
+
+def _nest_artifact(name: str, command: str):
+    def nest(tmp_path, workspace) -> tuple[str, ...]:
+        out = tmp_path / "out"
+        shutil.copytree(workspace / "out", out)
+        path = out / name
+        path.write_text(path.read_text() + NESTED + "\n" if name.endswith(".jsonl")
+                        else NESTED)
+        args = (command, "--config", cfg_path(workspace), "--output", str(out))
+        if command == "detect":
+            (tmp_path / "in.txt").write_text("waa wab wac wad wae.\n")
+            args += (str(tmp_path / "in.txt"), "--method", "single_revise")
+        return args
+
+    return nest
+
+
+class TestNestedJson:
+    """A JSON value nested past the recursion limit in any JSON input ends
+    in its documented exit code and one error line naming the file."""
+
+    @pytest.mark.parametrize("nest, rc, prefix, name", [
+        (_nest_config, 2, "config error:", "config.json"),
+        (_nest_hc3, 3, "data error:", "data.jsonl: line 41"),
+        (_nest_artifact("corpus.jsonl", "train"), 3, "data error:", "corpus.jsonl:"),
+        (_nest_artifact("splits.json", "train"), 3, "data error:", "splits.json"),
+        (_nest_artifact("lm.json", "detect"), 3, "data error:", "lm.json"),
+    ], ids=["config", "hc3", "corpus", "splits", "lm"])
+    def test_exits_with_one_error_line(self, workspace, tmp_path, nest, rc, prefix, name):
+        code, err, _ = run_entry_point(*nest(tmp_path, workspace))
+        assert code == rc
+        assert len(err) == 1 and err[0].startswith(prefix), err
+        assert name in err[0]
+
+
+class TestNumpyOnlyRuntime:
+    def test_pipeline_imports_only_stdlib_and_numpy(self, workspace, fixtures_dir, tmp_path):
+        """Every module that ingest, stats, train, evaluate and detect import
+        (beyond those the interpreter loaded at start-up) is in the
+        standard library, numpy or the package itself. Modules with no
+        import spec were made in memory, not imported: numpy's Cython
+        extensions register one (`_cython_<version>`) for their shared
+        types."""
+        conllu = str(fixtures_dir / "sample.conllu")
+        config = write_config(tmp_path, workspace,
+                              dataset__conllu={"human": conllu, "machine": conllu})
+        inp = tmp_path / "in.txt"
+        inp.write_text("waa wab wac wad wae.\n")
+        report = tmp_path / "modules.json"
+        script = f"""
+import json, sys
+startup = set(sys.modules)
+from mgtdetect.cli import main
+args = ["--config", {config!r}]
+for command in (["ingest"], ["stats"], ["train"], ["evaluate"], ["detect", {str(inp)!r}]):
+    assert main(command + args) == 0, command
+imported = {{name.partition(".")[0] for name in set(sys.modules) - startup
+            if getattr(sys.modules[name], "__spec__", None) is not None}}
+open({str(report)!r}, "w").write(json.dumps(sorted(imported)))
+"""
+        subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                       env=child_env())
+        imported = set(json.loads(report.read_text()))
+        assert {"mgtdetect", "numpy"} <= imported
+        assert imported - set(sys.stdlib_module_names) == {"mgtdetect", "numpy"}
 
 
 class TestDefaults:
@@ -516,11 +666,15 @@ class TestDefaults:
             ("svm", "lambda"): (classifiers.train_linear_svm, "lam"),
             ("svm", "epochs"): (classifiers.train_linear_svm, "epochs"),
             ("random_forest", "n_trees"): (classifiers.train_random_forest, "n_trees"),
+            ("random_forest", "max_depth"): (classifiers.train_random_forest, "max_depth"),
         }
-        assert set(feeds) == {(f, k) for f, keys in CLASSIFIER_DEFAULTS.items() for k in keys}
+        # gnb's "tune" chooses tune_gnb over the fixed var_smoothing; it
+        # feeds no library parameter.
+        configured = {(f, k) for f, keys in CLASSIFIER_DEFAULTS.items() for k in keys}
+        assert set(feeds) == configured - {("gnb", "tune")}
+        assert CLASSIFIER_DEFAULTS["gnb"]["tune"] is False
         for (family, key), (fn, param) in feeds.items():
             assert CLASSIFIER_DEFAULTS[family][key] == default(fn, param), (family, key)
-        assert default(classifiers.train_random_forest, "max_depth") == 8
         perturb = zeroshot.PerturbConfig.__dataclass_fields__
         assert ZEROSHOT_DEFAULTS == {
             "order": default(zeroshot.train_kn_lm, "order"),
@@ -830,3 +984,128 @@ class TestClassifierArtifactFuzz:
             rc, err = _run_quietly(args)
             assert rc in (0, 3), (args[0], rc, err)
             assert "Traceback" not in err
+
+
+# -- fuzzing the config and the ingested artifacts --
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _typed_fields(family: str) -> list[tuple[tuple, type]]:
+    """(path, type) of every typed config value for one classifier family."""
+    fields = [(("seed",), int), (("transforms", 0, "intensity"), float)]
+    fields += [(("split", k), float) for k in ("train", "val", "test")]
+    for section, defaults in (("embeddings", SKIPGRAM_DEFAULTS),
+                              ("zeroshot", ZEROSHOT_DEFAULTS),
+                              ("classifier", CLASSIFIER_DEFAULTS[family])):
+        fields += [((section, k), type(v)) for k, v in defaults.items()]
+    return fields
+
+
+def other_kind(kind: type, nullable: bool) -> st.SearchStrategy:
+    """A JSON value that the typing rule refuses for a field of *kind*."""
+    kinds = [st.lists(JSON_SCALARS, max_size=3),
+             st.dictionaries(st.text(max_size=3), JSON_SCALARS, max_size=2)]
+    if not nullable:
+        kinds.append(st.none())
+    if kind is bool:
+        kinds += [st.integers(), st.floats(), st.text(max_size=6)]
+    else:
+        kinds += [st.booleans(), st.text(max_size=6).filter(lambda t: not _is_number(t))]
+    if kind is int:
+        kinds.append(st.floats(allow_nan=False, allow_infinity=False)
+                     .filter(lambda x: not x.is_integer()))
+    return st.one_of(kinds)
+
+
+class TestConfigFuzz:
+    """Any typed config value replaced by a value of another JSON kind makes
+    every command exit 2 with one config error line."""
+
+    @settings(deadline=None, max_examples=100,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), family=st.sampled_from(sorted(CLASSIFIER_DEFAULTS)))
+    def test_value_of_another_kind_exits_2(self, workspace, tmp_path, data, family):
+        config = base_config(str(tmp_path / "out"))
+        config["dataset"]["hc3_path"] = str(workspace / "data.jsonl")
+        config["classifier"] = {"family": family}
+        path, kind = data.draw(st.sampled_from(_typed_fields(family)))
+        target = config
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = data.draw(other_kind(kind, nullable=path[-1] == "max_depth"))
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        # An accepted config would exit 3 here: nothing is ingested.
+        rc, err = _run_quietly(["evaluate", "--config", str(tmp_path / "config.json")])
+        assert rc == 2, (path, err)
+        assert len(err.splitlines()) == 1 and err.startswith("config error:"), err
+
+
+@st.composite
+def artifact_edits(draw, blob: bytes, jsonl: bool) -> bytes:
+    """Byte edits, a 0xff byte, a JSON value nested past the recursion
+    limit, or JSON-field edits of the whole file (one line of a JSONL
+    file)."""
+    kind = draw(st.sampled_from(["bytes", "0xff", "nested", "fields"]))
+    if kind == "bytes":
+        return draw(byte_edits(blob))
+    if kind == "0xff":
+        pos = draw(st.integers(0, len(blob)))
+        return blob[:pos] + b"\xff" + blob[pos:]
+    lines = blob.split(b"\n") if jsonl else [blob]
+    row = draw(st.integers(0, len(lines) - 2)) if jsonl else 0
+    lines[row] = NESTED.encode() if kind == "nested" else draw(model_field_edits(lines[row]))
+    return b"\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def zeroshot_fuzz_dir(workspace, tmp_path_factory):
+    """A copy of the trained output, a zero-shot-only config (single_revise,
+    no transforms, so each run is short), a detect input, and the intact
+    bytes of the three artifacts the fuzz edits."""
+    root = tmp_path_factory.mktemp("zsfuzz")
+    out = root / "out"
+    shutil.copytree(workspace / "out", out)
+    config = base_config(str(out))
+    config["dataset"]["hc3_path"] = str(workspace / "data.jsonl")
+    del config["classifier"], config["embeddings"]
+    config["zeroshot"]["methods"] = ["single_revise"]
+    config["transforms"] = []
+    (root / "config.json").write_text(json.dumps(config))
+    inp = root / "in.txt"
+    inp.write_text("waa wab wac wad wae.\nwab wac.\n")
+    intact = {name: (out / name).read_bytes()
+              for name in ("lm.json", "corpus.jsonl", "splits.json")}
+    return root / "config.json", out, inp, intact
+
+
+class TestIngestedArtifactFuzz:
+    """Mutated lm.json, corpus.jsonl and splits.json never crash detect,
+    evaluate or train: every run ends in exit 0, or in exit 3 with one
+    data error line."""
+
+    @settings(deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), target=st.sampled_from(["lm.json", "corpus.jsonl", "splits.json"]))
+    def test_mutated_artifacts_exit_0_or_3(self, zeroshot_fuzz_dir, data, target):
+        config, out, inp, intact = zeroshot_fuzz_dir
+        for name, blob in intact.items():
+            if name == target:
+                blob = data.draw(artifact_edits(blob, jsonl=name.endswith(".jsonl")))
+            (out / name).write_bytes(blob)
+        for args in (["detect", "--config", str(config), str(inp), "--method", "single_revise"],
+                     ["evaluate", "--config", str(config)],
+                     ["train", "--config", str(config)]):
+            rc, err = _run_quietly(args)
+            assert rc in (0, 3), (args[0], rc, err)
+            errors = [line for line in err.splitlines() if not line.startswith("skipping line")]
+            if rc == 3:
+                assert len(errors) == 1 and errors[0].startswith("data error:"), errors
+            else:
+                assert errors == [], errors
