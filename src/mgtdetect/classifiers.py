@@ -365,6 +365,12 @@ def svm_objective(w: np.ndarray, b: float, X: np.ndarray, y_pm: np.ndarray, lam:
     return float(0.5 * lam * np.dot(w, w) + hinge.mean())
 
 
+def check_svm_lambda(lam: float) -> None:
+    """DataError unless train_linear_svm accepts the regularizer *lam*."""
+    if lam <= 0:
+        raise DataError("lambda must be > 0")
+
+
 def train_linear_svm(
     data: Dataset, lam: float = 1e-3, epochs: int = 50, seed: int = 0
 ) -> SvmModel:
@@ -373,8 +379,7 @@ def train_linear_svm(
     shrinkage damps it like every other coordinate.
     """
     data.require_both_classes()
-    if lam <= 0:
-        raise DataError("lambda must be > 0")
+    check_svm_lambda(lam)
     rng = np.random.default_rng(seed)
     n, d = data.features.shape
     y_pm = np.where(data.labels == 1, 1.0, -1.0)

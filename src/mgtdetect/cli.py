@@ -15,6 +15,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -46,6 +47,16 @@ SKIPGRAM_DEFAULTS = {f.name: f.default for f in fields(embeddings.SkipGramConfig
                      if f.name != "seed"}
 ZEROSHOT_DEFAULTS = {"order": 3, "discount": 0.75, "k": 10, "mask_fraction": 0.15,
                      "threshold": 0.0}
+# Range rules the library does not hold, as "section.key": (test, rule),
+# checked when the config is read. Every other range is the library's own
+# check, run on the parsed values (ZeroshotConfig.from_dict,
+# _classifier_section, RunConfig.from_file).
+CONFIG_RANGES = {
+    "zeroshot.k": (lambda v: v >= 2, "at least 2"),
+    "zeroshot.threshold": (math.isfinite, "finite"),
+    "classifier.epochs": (lambda v: v >= 1, "at least 1"),
+    "classifier.l2": (lambda v: v >= 0.0, "non-negative"),
+}
 
 
 def derive_seed(root_seed: int, path: str) -> int:
@@ -79,13 +90,18 @@ def _as(kind: type, value, name: str):
 
 
 def _typed(section: str, raw: dict, defaults: dict, nullable: tuple[str, ...] = ()) -> dict:
-    """Each key of *defaults*, read from *raw* and typed as its default;
-    a key in *nullable* may also be null."""
+    """Each key of *defaults*, read from *raw*, typed as its default and
+    held to its CONFIG_RANGES rule; a key in *nullable* may also be null."""
     out = {}
     for key, default in defaults.items():
-        value = raw.get(key, default)
-        out[key] = (None if value is None and key in nullable
-                    else _as(type(default), value, f"{section}.{key}"))
+        name, value = f"{section}.{key}", raw.get(key, default)
+        if value is None and key in nullable:
+            out[key] = None
+            continue
+        out[key] = _as(type(default), value, name)
+        test, rule = CONFIG_RANGES.get(name, (None, None))
+        if test is not None and not test(out[key]):
+            raise ConfigError(f"{name} must be {rule}, got {value!r}")
     return out
 
 
@@ -97,8 +113,13 @@ def _classifier_section(raw: dict) -> dict:
         raise ConfigError(
             f"unknown classifier family {family!r}; expected one of {CLASSIFIER_FAMILIES}"
         )
-    return {"family": family, **_typed("classifier", raw, CLASSIFIER_DEFAULTS[family],
-                                       nullable=("max_depth",))}
+    typed = _typed("classifier", raw, CLASSIFIER_DEFAULTS[family], nullable=("max_depth",))
+    if family == "svm":
+        try:
+            classifiers.check_svm_lambda(typed["lambda"])
+        except DataError as exc:
+            raise ConfigError(f"invalid classifier section: {exc}") from exc
+    return {"family": family, **typed}
 
 
 @dataclass(frozen=True)
@@ -120,7 +141,13 @@ class ZeroshotConfig:
         for m in methods:
             if m not in ZEROSHOT_METHODS:
                 raise ConfigError(f"unknown zeroshot method {m!r}")
-        return cls(methods=tuple(methods), **_typed("zeroshot", raw, ZEROSHOT_DEFAULTS))
+        typed = _typed("zeroshot", raw, ZEROSHOT_DEFAULTS)
+        try:
+            zeroshot.check_kn_params(typed["order"], typed["discount"])
+            zeroshot.check_perturb_params(typed["mask_fraction"], typed["k"])
+        except DataError as exc:
+            raise ConfigError(f"invalid zeroshot section: {exc}") from exc
+        return cls(methods=tuple(methods), **typed)
 
 
 @dataclass
@@ -131,7 +158,7 @@ class RunConfig:
     split: ingest.SplitSpec
     conllu: dict[Label, Path]
     embedding_source: str  # "train" | "load"
-    embedding_params: dict
+    skipgram: embeddings.SkipGramConfig
     embedding_path: Path | None
     classifier: dict | None
     zeroshot: ZeroshotConfig | None
@@ -200,7 +227,13 @@ class RunConfig:
             embedding_path = resolve(str(emb_raw["path"]))
             if not embedding_path.exists():
                 raise DataError(f"embedding file not found: {embedding_path}")
-        params = _typed("embeddings", emb_raw, SKIPGRAM_DEFAULTS)
+        try:
+            skipgram = embeddings.SkipGramConfig(
+                **_typed("embeddings", emb_raw, SKIPGRAM_DEFAULTS),
+                seed=derive_seed(seed, "embeddings"),
+            )
+        except DataError as exc:
+            raise ConfigError(f"invalid embeddings section: {exc}") from exc
 
         classifier = _section(raw, "classifier")
         if classifier is not None:
@@ -244,7 +277,7 @@ class RunConfig:
             split=split_spec,
             conllu=conllu,
             embedding_source=source,
-            embedding_params=params,
+            skipgram=skipgram,
             embedding_path=embedding_path,
             classifier=classifier,
             zeroshot=zeroshot_cfg,
@@ -351,7 +384,7 @@ def _zeroshot_scorers(cfg: RunConfig, lm: zeroshot.NGramLM,
 
     def scorer(method: str) -> evaluation.DetectorScorer:
         if method == "detect_gpt":
-            curvature, pcfg = zeroshot.detect_gpt_score, replace(base, k=max(2, zs.k))
+            curvature, pcfg = zeroshot.detect_gpt_score, replace(base, k=zs.k)
         else:
             curvature, pcfg = zeroshot.single_revise_score, replace(base, k=1)
         return evaluation.DetectorScorer(
@@ -409,10 +442,7 @@ def cmd_stats(cfg: RunConfig) -> int:
 def _embedding_matrix(cfg: RunConfig, train_texts: list[str]) -> embeddings.EmbeddingMatrix:
     if cfg.embedding_source == "load":
         return embeddings.load_vectors(cfg.embedding_path)
-    config = embeddings.SkipGramConfig(
-        **cfg.embedding_params, seed=derive_seed(cfg.seed, "embeddings")
-    )
-    return embeddings.train_skipgram(train_texts, config)
+    return embeddings.train_skipgram(train_texts, cfg.skipgram)
 
 
 def _dataset_from(corpus_docs, emb) -> classifiers.Dataset:

@@ -142,7 +142,8 @@ def load_hc3(path: str | Path) -> Corpus:
     ``human_answers`` and ``chatgpt_answers`` string arrays.
 
     Each answer becomes one Document (ids ``<line#>-h<k>`` / ``<line#>-m<k>``,
-    1-based). Answers that normalize to nothing are logged and skipped.
+    1-based). Answers that normalize to nothing are logged and skipped; a
+    question or answer that is not a string is a DataError naming its line.
     """
     path = Path(path)
     docs: list[Document] = []
@@ -155,7 +156,9 @@ def load_hc3(path: str | Path) -> Corpus:
         for fname in ("question", "human_answers", "chatgpt_answers"):
             if fname not in record:
                 raise DataError(f"{path}: line {lineno} missing field {fname!r}")
-        question = str(record["question"])
+        question = record["question"]
+        if not isinstance(question, str):
+            raise DataError(f"{path}: line {lineno} field 'question' is not a string")
         for tag, label, fname in (
             ("h", Label.HUMAN, "human_answers"),
             ("m", Label.MACHINE, "chatgpt_answers"),
@@ -165,8 +168,11 @@ def load_hc3(path: str | Path) -> Corpus:
                 raise DataError(f"{path}: line {lineno} field {fname!r} is not an array")
             for k, answer in enumerate(answers, start=1):
                 doc_id = f"{lineno}-{tag}{k}"
+                if not isinstance(answer, str):
+                    raise DataError(f"{path}: line {lineno} field {fname!r} item {k} "
+                                    "is not a string")
                 try:
-                    body = normalize(str(answer))
+                    body = normalize(answer)
                 except EmptyDocument:
                     log.warning("skipping %s: empty after normalization", doc_id)
                     continue

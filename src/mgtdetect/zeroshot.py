@@ -12,6 +12,7 @@ single-revision fast path (2 scoring passes).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from bisect import bisect_left, bisect_right
@@ -58,10 +59,12 @@ class NGramLM:
     on construction, the sorted unique context keys (key // base) with
     their count totals and numbers of distinct continuations.
 
-    ``scoring_passes`` counts per_token_log_prob calls; the detectors' pass
-    budget is asserted against it in tests. ``train_perplexity`` is the
-    perplexity of the training texts, set by train_kn_lm from the windows
-    it counted; None for a loaded model.
+    ``scoring_passes`` counts the texts scored for a statistic: one per
+    per_token_log_prob call, k + 1 per detect_gpt_score call, 2 per
+    single_revise_score call; the detectors' pass budget is asserted
+    against it in tests. ``train_perplexity`` is the perplexity of the
+    training texts, set by train_kn_lm from the windows it counted; None
+    for a loaded model.
     """
 
     order: int
@@ -92,15 +95,27 @@ class NGramLM:
         a word) over the sentences of *texts*, with boundary padding and OOV
         tokens scored as UNK: one tokenization per text, one scoring sweep.
         """
+        sentences, has_word = self._tokenized(texts)
+        [total] = self._sweep([sentences])
+        return total, _symbols(sentences), has_word
+
+    def _tokenized(self, texts: Iterable[str]) -> tuple[list[list[int]], bool]:
+        """The id list of each non-empty sentence of *texts*, and whether
+        any token is a word."""
         sentences = []
         has_word = False
         for tokens in _sentence_tokens(texts):
             has_word = has_word or any(t.is_word for t in tokens)
             sentences.append([self.vocabulary.id_of(t.surface) for t in tokens])
+        return sentences, has_word
+
+    def _sweep(self, groups: list[list[list[int]]]) -> list[float]:
+        """The sum of log P over each group of id sentences, from one
+        _windows + _probs sweep over the rows of every group."""
+        sentences = [ids for group in groups for ids in group]
         if not sentences:
-            return 0.0, 0, has_word
-        windows = _windows(sentences, self.order, self.end_id)
-        return _log_total(self._probs(windows), sentences), len(windows), has_word
+            return [0.0] * len(groups)
+        return _log_totals(self._probs(_windows(sentences, self.order, self.end_id)), groups)
 
     def prob(self, context: tuple[int, ...], target: int) -> float:
         """P(target | context) via the interpolated recursion."""
@@ -178,22 +193,32 @@ def _windows(sentences: list[list[int]], order: int, end_id: int) -> np.ndarray:
     return shifted[targets[:, None] + np.arange(1 - order, 1)]
 
 
-def _log_total(probs: np.ndarray, sentences: list[list[int]]) -> float:
-    """Sum of log *probs*, whose rows are the len(ids) + 1 predicted
-    positions of each sentence in turn: math.log and left-to-right sums per
-    sentence, then over the sentences (np.log or np.sum could differ in the
-    last bit).
+def _symbols(sentences: list[list[int]]) -> int:
+    """The predicted positions of *sentences*: each id and each END."""
+    return sum(len(ids) + 1 for ids in sentences)
+
+
+def _log_totals(probs: np.ndarray, groups: list[list[list[int]]]) -> list[float]:
+    """Per group, the sum of log *probs*, whose rows are the len(ids) + 1
+    predicted positions of each sentence of each group in turn: math.log
+    and left-to-right sums per sentence, then over the group's sentences
+    (np.log or np.sum could differ in the last bit). A group's total does
+    not depend on the groups beside it.
     """
     values = probs.tolist()
-    total, start = 0.0, 0
-    for ids in sentences:
-        stop = start + len(ids) + 1
-        sentence = 0.0
-        for p in values[start:stop]:
-            sentence += math.log(p)
-        total += sentence
-        start = stop
-    return total
+    totals = []
+    start = 0
+    for sentences in groups:
+        total = 0.0
+        for ids in sentences:
+            stop = start + len(ids) + 1
+            sentence = 0.0
+            for p in values[start:stop]:
+                sentence += math.log(p)
+            total += sentence
+            start = stop
+        totals.append(total)
+    return totals
 
 
 def _sentence_tokens(texts: Iterable[str]) -> Iterator[list[Token]]:
@@ -205,6 +230,14 @@ def _sentence_tokens(texts: Iterable[str]) -> Iterator[list[Token]]:
                 yield tokens
 
 
+def check_kn_params(order: int, discount: float) -> None:
+    """DataError unless train_kn_lm accepts *order* and *discount*."""
+    if order < 2:
+        raise DataError("order must be >= 2")
+    if not (0.0 < discount < 1.0):
+        raise DataError("discount must lie in (0, 1)")
+
+
 def train_kn_lm(texts: list[str], order: int = 3, discount: float = 0.75) -> NGramLM:
     """Count n-grams of all orders over start/end padded sentences and
     derive the continuation tables used below the top order; one
@@ -212,10 +245,7 @@ def train_kn_lm(texts: list[str], order: int = 3, discount: float = 0.75) -> NGr
     training perplexity. DataError when (vocabulary size + 2) ** order
     passes 2**63, the packed-key limit.
     """
-    if order < 2:
-        raise DataError("order must be >= 2")
-    if not (0.0 < discount < 1.0):
-        raise DataError("discount must lie in (0, 1)")
+    check_kn_params(order, discount)
     if not texts:
         raise DataError("cannot train a language model on an empty corpus")
     tokenized = list(_sentence_tokens(texts))
@@ -246,7 +276,7 @@ def train_kn_lm(texts: list[str], order: int = 3, discount: float = 0.75) -> NGr
                  end_id=end_id)
     # One sweep over the training windows gives what perplexity(lm, texts)
     # computes, bit for bit, without tokenizing the texts again.
-    total = _log_total(lm._probs(windows), sentences)
+    [total] = _log_totals(lm._probs(windows), [sentences])
     lm.train_perplexity = math.exp(-total / len(windows))
     return lm
 
@@ -269,6 +299,14 @@ def perplexity(lm: NGramLM, texts: list[str]) -> float:
     if symbols == 0:
         raise DataError("no symbols to evaluate")
     return math.exp(-total / symbols)
+
+
+def check_perturb_params(mask_fraction: float, k: int) -> None:
+    """DataError unless PerturbConfig accepts *mask_fraction* and *k*."""
+    if not (0.0 <= mask_fraction <= 1.0):
+        raise DataError("mask_fraction must lie in [0, 1]")
+    if k < 1:
+        raise DataError("k must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -294,10 +332,7 @@ class PerturbConfig:
     )
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.mask_fraction <= 1.0):
-            raise DataError("mask_fraction must lie in [0, 1]")
-        if self.k < 1:
-            raise DataError("k must be >= 1")
+        check_perturb_params(self.mask_fraction, self.k)
 
     def _sampler(self) -> _SubstitutionSampler:
         slot = self._sampler_slot
@@ -380,31 +415,36 @@ def perturb(doc: Document, cfg: PerturbConfig) -> Document:
     seeded sampling without replacement, with pool draws. Punctuation and
     token count are preserved; identical (doc, cfg) gives identical output.
     """
-    spans = token_spans(doc.body)
+    [body] = _perturbed_bodies(doc.body, cfg, [cfg.seed])
+    return doc if body == doc.body else replace(doc, body=body)
+
+
+def _perturbed_bodies(body: str, cfg: PerturbConfig, seeds: Iterable[int]) -> Iterator[str]:
+    """The body perturb() gives under each of *seeds* in turn. The token
+    spans, the word positions and the replacement count are found once;
+    each seed then draws: its positions by rng.choice, then one pool word
+    per chosen position, left to right.
+    """
+    spans = token_spans(body)
     word_positions = [i for i, (_, _, w) in enumerate(spans) if w]
     n_replace = int(math.floor(cfg.mask_fraction * len(word_positions)))
     if n_replace == 0:
-        return doc
-    rng = np.random.default_rng(cfg.seed)
+        for _ in seeds:
+            yield body
+        return
     sampler = cfg._sampler()
-    chosen = rng.choice(len(word_positions), size=n_replace, replace=False)
-    chosen_positions = sorted(word_positions[int(i)] for i in chosen)
-    pieces: list[str] = []
-    prev = 0
-    for pos in chosen_positions:
-        a, b, _ = spans[pos]
-        original = doc.body[a:b].lower()
-        replacement = sampler.draw(rng, original)
-        pieces.append(doc.body[prev:a])
-        pieces.append(replacement)
-        prev = b
-    pieces.append(doc.body[prev:])
-    return Document(
-        id=doc.id,
-        body="".join(pieces),
-        label=doc.label,
-        source_question=doc.source_question,
-    )
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        chosen = rng.choice(len(word_positions), size=n_replace, replace=False)
+        pieces: list[str] = []
+        prev = 0
+        for pos in sorted(word_positions[int(i)] for i in chosen):
+            a, b, _ = spans[pos]
+            pieces.append(body[prev:a])
+            pieces.append(sampler.draw(rng, body[a:b].lower()))
+            prev = b
+        pieces.append(body[prev:])
+        yield "".join(pieces)
 
 
 def curvature_stat(logp_original: float, perturbed: list[float]) -> tuple[float, float, float]:
@@ -426,11 +466,7 @@ def detect_gpt_score(lm: NGramLM, doc: Document, cfg: PerturbConfig) -> Curvatur
     """
     if cfg.k < 2:
         raise DataError("detect_gpt_score needs k >= 2")
-    lp_orig = per_token_log_prob(lm, doc)
-    perturbed = []
-    for i in range(1, cfg.k + 1):
-        variant = perturb(doc, replace(cfg, seed=cfg.seed + i))
-        perturbed.append(per_token_log_prob(lm, variant))
+    lp_orig, perturbed = _rewrite_log_probs(lm, doc, cfg)
     d, mean, std = curvature_stat(lp_orig, perturbed)
     return CurvatureScore(
         d=d,
@@ -447,9 +483,7 @@ def single_revise_score(lm: NGramLM, doc: Document, cfg: PerturbConfig) -> Curva
     """
     if cfg.k != 1:
         raise DataError("single_revise_score needs k = 1")
-    lp_orig = per_token_log_prob(lm, doc)
-    variant = perturb(doc, replace(cfg, seed=cfg.seed + 1))
-    lp_pert = per_token_log_prob(lm, variant)
+    lp_orig, [lp_pert] = _rewrite_log_probs(lm, doc, cfg)
     return CurvatureScore(
         d=lp_orig - lp_pert,
         logp_original=lp_orig,
@@ -457,6 +491,26 @@ def single_revise_score(lm: NGramLM, doc: Document, cfg: PerturbConfig) -> Curva
         logp_perturbed_std=0.0,
         k_used=1,
     )
+
+
+def _rewrite_log_probs(lm: NGramLM, doc: Document,
+                       cfg: PerturbConfig) -> tuple[float, list[float]]:
+    """per_token_log_prob of *doc* and of each of its k rewrites (seeds
+    cfg.seed + 1 ... cfg.seed + k), bit for bit: each text tokenized once,
+    all k + 1 scored in one sweep. Adds k + 1 scoring passes; none when a
+    text has no word token, which raises as per_token_log_prob does.
+    """
+    seeds = range(cfg.seed + 1, cfg.seed + cfg.k + 1)
+    texts = []
+    for body in itertools.chain([doc.body], _perturbed_bodies(doc.body, cfg, seeds)):
+        sentences, has_word = lm._tokenized([body])
+        if not has_word:
+            raise DataError(f"document {doc.id!r} has no word tokens")
+        texts.append(sentences)
+    lp_orig, *perturbed = [total / _symbols(sentences)
+                           for total, sentences in zip(lm._sweep(texts), texts)]
+    lm.scoring_passes += len(texts)
+    return lp_orig, perturbed
 
 
 def sample_document(lm: NGramLM, seed: int, max_tokens: int = 60,

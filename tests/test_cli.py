@@ -15,9 +15,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mgtdetect
-from mgtdetect import classifiers, embeddings, evaluation, zeroshot
+from mgtdetect import classifiers, embeddings, evaluation, ingest, zeroshot
 from mgtdetect.cli import (CLASSIFIER_DEFAULTS, SKIPGRAM_DEFAULTS, ZEROSHOT_DEFAULTS,
                            derive_seed, main)
+from mgtdetect.errors import DataError
 from mgtdetect.ingest import Document, Label
 from mgtdetect.synthetic import write_hc3_file
 
@@ -94,6 +95,17 @@ class TestIngest:
         rc = main(["ingest", "--config", cfg_path(workspace),
                    "--output", str(blocked)])
         assert rc == 4
+
+    @pytest.mark.parametrize("record", [
+        {"question": ["q"], "human_answers": [None, 12], "chatgpt_answers": [{"a": 1}, False]},
+        {"question": "q", "human_answers": ["fine."], "chatgpt_answers": ["fine.", 12]},
+    ], ids=["question", "answer"])
+    def test_non_string_field_exits_3(self, workspace, tmp_path, capsys, record):
+        data = tmp_path / "data.jsonl"
+        data.write_text((workspace / "data.jsonl").read_text() + json.dumps(record) + "\n")
+        config = write_config(tmp_path, workspace, dataset__hc3_path=str(data))
+        assert main(["ingest", "--config", config]) == 3
+        assert "data.jsonl: line 41" in one_error_line(capsys, "data error:")
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["ingest", "--config", str(tmp_path / "absent.json")]) == 2
@@ -236,6 +248,54 @@ class TestDetect:
             env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert [row.split(",")[0] for row in proc.stdout.splitlines()] == ["id", "1", "2"]
+
+    @pytest.mark.parametrize("method", ["detect_gpt", "single_revise"])
+    def test_prints_what_per_text_oracle_scoring_prints(self, workspace, tmp_path, capsys,
+                                                         method):
+        """An input with wordless, blank and invisible lines in the middle
+        gives the rows and skip lines of an oracle that perturbs and scores
+        one text at a time."""
+        from test_zeroshot import oracle_detect_gpt_score, oracle_single_revise_score
+
+        out = workspace / "out"
+        lines = [json.loads(rec)["body"] for rec in (out / "corpus.jsonl").read_text()
+                 .splitlines()][:40]
+        lines[12:12] = ["!!! ?", "", "   ", "\u200b"]
+        lines[30:30] = ["... ,", ""]
+        inp = tmp_path / "in.txt"
+        inp.write_text("\n".join(lines) + "\n")
+
+        config = base_config()
+        k = config["zeroshot"]["k"] if method == "detect_gpt" else 1
+        oracle = oracle_detect_gpt_score if k > 1 else oracle_single_revise_score
+        lm = zeroshot.load_lm(out / "lm.json")
+        pcfg = zeroshot.PerturbConfig(pool=lm.vocabulary,
+                                      mask_fraction=config["zeroshot"]["mask_fraction"],
+                                      seed=derive_seed(config["seed"], "zeroshot.perturb"), k=k)
+        rows, skipped = ["id,score,label,method"], []
+        for lineno, line in enumerate(lines, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                doc = Document(id=str(lineno), body=ingest.normalize(text), label=Label.HUMAN)
+                d = oracle(lm, doc, pcfg).d
+            except DataError as exc:
+                skipped.append(f"skipping line {lineno}: {exc}")
+                continue
+            rows.append(f"{lineno},{d!r},{'machine' if d >= 0.0 else 'human'},{method}")
+        n = len(rows) - 1
+        assert n == 40 and len(skipped) == 3
+
+        capsys.readouterr()
+        assert main(["detect", "--config", cfg_path(workspace), str(inp),
+                     "--method", method, "--debug"]) == 0
+        printed = capsys.readouterr()
+        assert printed.out == "\n".join(rows) + "\n"
+        err = printed.err.splitlines()
+        assert [e for e in err if e.startswith("skipping line")] == skipped
+        assert err[-1] == (f"debug: lm scoring passes = {(k + 1) * n} "
+                           f"({n} docs, {k + 1:.1f} per doc)")
 
     def test_missing_model_exits_3(self, workspace, tmp_path):
         out = tmp_path / "untrained"
@@ -387,6 +447,18 @@ class TestMalformedInputs:
         ("ingest", {"zeroshot__mask_fraction": True}),
         ("ingest", {"transforms": [{"kind": "case_flip", "intensity": True}]}),
         ("ingest", {"embeddings__epochs": False}),
+        # Out of range: refused at parse time, before any command runs.
+        ("ingest", {"zeroshot__k": 0}),
+        ("ingest", {"zeroshot__k": 1}),
+        ("ingest", {"zeroshot__k": -5}),
+        ("ingest", {"zeroshot__threshold": float("nan")}),
+        ("ingest", {"zeroshot__threshold": float("inf")}),
+        ("ingest", {"zeroshot__order": 1}),
+        ("ingest", {"zeroshot__discount": 1.5}),
+        ("ingest", {"zeroshot__discount": 0.0}),
+        ("ingest", {"zeroshot__mask_fraction": 2.0}),
+        ("ingest", {"zeroshot__mask_fraction": -0.1}),
+        ("ingest", {"embeddings__dim": 0}),
     ])
     def test_config_value_of_wrong_type_exits_2(self, workspace, tmp_path, capsys,
                                                 command, changes):
@@ -412,6 +484,13 @@ class TestMalformedInputs:
         {"epochs": 3},
         "logreg",
         {"family": "svm", "epochs": 40.7},  # a fraction is never an integer
+        # Out of range.
+        {"family": "logreg", "epochs": 0},
+        {"family": "logreg", "epochs": -1},
+        {"family": "svm", "epochs": 0},
+        {"family": "logreg", "l2": -1.0},
+        {"family": "svm", "lambda": -1e-3},
+        {"family": "svm", "lambda": 0.0},
     ])
     def test_classifier_value_of_wrong_type_exits_2(self, workspace, tmp_path, capsys,
                                                     classifier):
@@ -818,6 +897,27 @@ class TestCorruptClassifierArtifacts:
         vectors = (workspace / "out" / "embeddings.txt").read_bytes()
         err = self._detect(workspace, tmp_path, capsys, vectors=corrupt(vectors))
         assert "embeddings.txt" in err
+
+    def test_overflowing_feature_vector_skips_its_line(self, workspace, tmp_path, capsys):
+        """Finite vectors whose mean overflows make one document's feature
+        vector infinite: that line is skipped, the others are printed."""
+        out = tmp_path / "out"
+        shutil.copytree(workspace / "out", out)
+        rows = (out / "embeddings.txt").read_text().split("\n")
+        words = [i for i, row in enumerate(rows) if row.split(" ")[0].isalpha()][:4]
+        for i in words[:2]:
+            surface, *values = rows[i].split(" ")
+            rows[i] = " ".join([surface] + ["1e308"] * len(values))
+        (out / "embeddings.txt").write_text("\n".join(rows))
+        a, b, c, d = (rows[i].split(" ")[0] for i in words)
+        inp = tmp_path / "in.txt"
+        inp.write_text(f"{c} {d}.\n{a} {b}.\n{d}.\n")
+        capsys.readouterr()
+        assert main(["detect", "--config", cfg_path(workspace), str(inp),
+                     "--method", "classifier", "--output", str(out)]) == 0
+        printed = capsys.readouterr()
+        assert [row.split(",")[0] for row in printed.out.splitlines()] == ["id", "1", "3"]
+        assert printed.err == "skipping line 2: feature vector must be finite\n"
 
     @pytest.mark.parametrize("family, mutate", [
         ("svm", lambda p: p.__setitem__("weights", [[w] for w in p["weights"]])),

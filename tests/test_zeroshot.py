@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from mgtdetect import zeroshot as zs
 from mgtdetect.errors import DataError, ModelFormatError
 from mgtdetect.evaluation import DetectorScorer
-from mgtdetect.text_core import build_vocab, is_word_surface, tokenize
+from mgtdetect.ingest import Document
+from mgtdetect.text_core import build_vocab, is_word_surface, token_spans, tokenize
 
 from conftest import make_doc
 
@@ -599,6 +600,187 @@ class TestSharedSampler:
             zs.perturb(make_doc("a b c d."), cfg)
         with pytest.raises(DataError):
             zs.perturb(make_doc("a b c d."), cfg)
+
+
+# -- oracles of the one-sweep path ------------------------------------------
+# perturb, per_token_log_prob (with score_texts and the log sum),
+# detect_gpt_score and single_revise_score written the plain way: one
+# perturbation and one scoring pass per text, sharing only the row-wise
+# _windows and _probs with the package. The package's one sweep per
+# document must give their scores bit for bit, and their errors.
+
+
+def oracle_score_texts(lm, texts):
+    sentences = []
+    has_word = False
+    for tokens in zs._sentence_tokens(texts):
+        has_word = has_word or any(t.is_word for t in tokens)
+        sentences.append([lm.vocabulary.id_of(t.surface) for t in tokens])
+    if not sentences:
+        return 0.0, 0, has_word
+    windows = zs._windows(sentences, lm.order, lm.end_id)
+    return oracle_log_total(lm._probs(windows), sentences), len(windows), has_word
+
+
+def oracle_log_total(probs, sentences):
+    values = probs.tolist()
+    total, start = 0.0, 0
+    for ids in sentences:
+        stop = start + len(ids) + 1
+        sentence = 0.0
+        for p in values[start:stop]:
+            sentence += math.log(p)
+        total += sentence
+        start = stop
+    return total
+
+
+def oracle_per_token_log_prob(lm, doc):
+    total, symbols, has_word = oracle_score_texts(lm, [doc.body])
+    if not has_word:
+        raise DataError(f"document {doc.id!r} has no word tokens")
+    lm.scoring_passes += 1
+    return total / symbols
+
+
+def oracle_perturb(doc, cfg):
+    spans = token_spans(doc.body)
+    word_positions = [i for i, (_, _, w) in enumerate(spans) if w]
+    n_replace = int(math.floor(cfg.mask_fraction * len(word_positions)))
+    if n_replace == 0:
+        return doc
+    rng = np.random.default_rng(cfg.seed)
+    sampler = cfg._sampler()
+    chosen = rng.choice(len(word_positions), size=n_replace, replace=False)
+    chosen_positions = sorted(word_positions[int(i)] for i in chosen)
+    pieces = []
+    prev = 0
+    for pos in chosen_positions:
+        a, b, _ = spans[pos]
+        original = doc.body[a:b].lower()
+        replacement = sampler.draw(rng, original)
+        pieces.append(doc.body[prev:a])
+        pieces.append(replacement)
+        prev = b
+    pieces.append(doc.body[prev:])
+    return Document(
+        id=doc.id,
+        body="".join(pieces),
+        label=doc.label,
+        source_question=doc.source_question,
+    )
+
+
+def oracle_detect_gpt_score(lm, doc, cfg):
+    if cfg.k < 2:
+        raise DataError("detect_gpt_score needs k >= 2")
+    lp_orig = oracle_per_token_log_prob(lm, doc)
+    perturbed = []
+    for i in range(1, cfg.k + 1):
+        variant = oracle_perturb(doc, replace(cfg, seed=cfg.seed + i))
+        perturbed.append(oracle_per_token_log_prob(lm, variant))
+    d, mean, std = zs.curvature_stat(lp_orig, perturbed)
+    return zs.CurvatureScore(
+        d=d,
+        logp_original=lp_orig,
+        logp_perturbed_mean=mean,
+        logp_perturbed_std=std,
+        k_used=cfg.k,
+    )
+
+
+def oracle_single_revise_score(lm, doc, cfg):
+    if cfg.k != 1:
+        raise DataError("single_revise_score needs k = 1")
+    lp_orig = oracle_per_token_log_prob(lm, doc)
+    variant = oracle_perturb(doc, replace(cfg, seed=cfg.seed + 1))
+    lp_pert = oracle_per_token_log_prob(lm, variant)
+    return zs.CurvatureScore(
+        d=lp_orig - lp_pert,
+        logp_original=lp_orig,
+        logp_perturbed_mean=lp_pert,
+        logp_perturbed_std=0.0,
+        k_used=1,
+    )
+
+
+def oracle_score(lm, doc, cfg):
+    """The oracle's score of *doc*, or the message of its DataError."""
+    oracle = oracle_detect_gpt_score if cfg.k >= 2 else oracle_single_revise_score
+    try:
+        return oracle(lm, doc, cfg)
+    except DataError as exc:
+        return str(exc)
+
+
+SWEEP_WORDS = ["a", "b", "c", "d", "e", "f", "the", "zz", "qq"]  # zz, qq: out of vocabulary
+SWEEP_LM = zs.train_kn_lm(["a b c d e f.", "the a b the c d!", "f e d c, b a?",
+                           "the the a f e."] * 3, order=3, discount=0.75)
+
+# A document: up to three sentences of up to 20 tokens (long enough that
+# np.sum would add a sentence's terms in another order), or no word at all.
+sweep_bodies = st.one_of(
+    st.lists(st.lists(st.sampled_from(SWEEP_WORDS + [","]), min_size=1, max_size=20)
+             .map(" ".join), min_size=1, max_size=3)
+    .map(lambda sentences: ". ".join(sentences) + "."),
+    st.sampled_from(["!!! ?", "... ,", "?"]),
+)
+
+
+def package_score(lm, doc, cfg):
+    """The package's score of *doc*, or the message of its DataError."""
+    score = zs.detect_gpt_score if cfg.k >= 2 else zs.single_revise_score
+    try:
+        return score(lm, doc, cfg)
+    except DataError as exc:
+        return str(exc)
+
+
+class TestOneSweepScoring:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        bodies=st.lists(sweep_bodies, min_size=1, max_size=6),
+        k=st.sampled_from([1, 2, 5]),
+        mask_fraction=st.sampled_from([0.15, 0.3, 0.6]),
+        seed=st.integers(0, 2**32),
+        band=st.sampled_from([1.0, None]),
+    )
+    def test_scores_equal_per_text_oracle(self, bodies, k, mask_fraction, seed, band):
+        lm = SWEEP_LM
+        cfg = zs.PerturbConfig(pool=lm.vocabulary, mask_fraction=mask_fraction, seed=seed,
+                               k=k, band_octaves=band)
+        docs = [make_doc(b, doc_id=str(i)) for i, b in enumerate(bodies)]
+        expected = [oracle_score(lm, d, cfg) for d in docs]
+        before = lm.scoring_passes
+        results = [package_score(lm, d, cfg) for d in docs]
+        for result, want in zip(results, expected):
+            # A wordless document fails with the oracle's message.
+            assert repr(result) == repr(want)
+        scored = sum(not isinstance(w, str) for w in expected)
+        assert lm.scoring_passes - before == (k + 1) * scored
+
+    @settings(max_examples=60, deadline=None)
+    @given(body=sweep_bodies, k=st.integers(1, 6), seed=st.integers(0, 2**32),
+           mask_fraction=st.floats(0.0, 1.0))
+    def test_variants_equal_per_seed_perturbations(self, body, k, seed, mask_fraction):
+        cfg = zs.PerturbConfig(pool=SWEEP_LM.vocabulary, mask_fraction=mask_fraction,
+                               seed=seed, k=k)
+        doc = make_doc(body)
+        seeds = range(seed + 1, seed + k + 1)
+        assert list(zs._perturbed_bodies(body, cfg, seeds)) == [
+            oracle_perturb(doc, replace(cfg, seed=s)).body for s in seeds]
+        assert zs.perturb(doc, cfg) == oracle_perturb(doc, cfg)
+
+    def test_failed_document_adds_no_pass(self):
+        lm = SWEEP_LM
+        cfg = zs.PerturbConfig(pool=build_vocab([". , ! ?"], min_count=1),
+                               mask_fraction=0.5, seed=1, k=2)
+        before = lm.scoring_passes
+        assert package_score(lm, make_doc("a b c d.", doc_id="1"), cfg) == (
+            "substitution pool contains no words")
+        assert package_score(lm, make_doc("!!! ?", doc_id="2"), cfg) == (
+            "document '2' has no word tokens")
+        assert lm.scoring_passes == before
 
 
 def _corrupt():
