@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
@@ -25,6 +24,7 @@ import numpy as np
 from . import classifiers, corpus_stats, embeddings, evaluation, ingest, zeroshot
 from .errors import ConfigError, DataError, load_json, parse_json, read_lines
 from .ingest import Corpus, Document, Label
+from .synthetic import stable_seed as derive_seed  # SHA-256 over 'root/path'
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,12 +57,6 @@ CONFIG_RANGES = {
     "classifier.epochs": (lambda v: v >= 1, "at least 1"),
     "classifier.l2": (lambda v: v >= 0.0, "non-negative"),
 }
-
-
-def derive_seed(root_seed: int, path: str) -> int:
-    """Stable per-module seed: SHA-256 over 'root/path', first 8 bytes."""
-    digest = hashlib.sha256(f"{root_seed}/{path}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 def _section(raw: dict, name: str, default=None) -> dict | None:
@@ -180,8 +174,11 @@ class RunConfig:
             raise ConfigError(f"{config_path}: config must be a JSON object")
         base = config_path.parent
 
-        def resolve(p: str) -> Path:
-            path = Path(p)
+        def resolve(value, name: str) -> Path:
+            """The path string *value*, relative to the config's directory."""
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a path string, got {value!r}")
+            path = Path(value)
             return path if path.is_absolute() else base / path
 
         if seed_override is None and "seed" not in raw:
@@ -191,7 +188,7 @@ class RunConfig:
         dataset = raw.get("dataset")
         if not isinstance(dataset, dict) or "hc3_path" not in dataset:
             raise ConfigError("config needs dataset.hc3_path")
-        hc3_path = resolve(str(dataset["hc3_path"]))
+        hc3_path = resolve(dataset["hc3_path"], "dataset.hc3_path")
         if not hc3_path.exists():
             raise DataError(f"dataset file not found: {hc3_path}")
 
@@ -199,7 +196,7 @@ class RunConfig:
         for key, label in (("human", Label.HUMAN), ("machine", Label.MACHINE)):
             value = _section(dataset, "conllu", {}).get(key)
             if value is not None:
-                path = resolve(str(value))
+                path = resolve(value, f"dataset.conllu.{key}")
                 if not path.exists():
                     raise DataError(f"CoNLL-U file not found: {path}")
                 conllu[label] = path
@@ -224,7 +221,7 @@ class RunConfig:
         if source == "load":
             if "path" not in emb_raw:
                 raise ConfigError("embeddings.source 'load' needs embeddings.path")
-            embedding_path = resolve(str(emb_raw["path"]))
+            embedding_path = resolve(emb_raw["path"], "embeddings.path")
             if not embedding_path.exists():
                 raise DataError(f"embedding file not found: {embedding_path}")
         try:
@@ -268,7 +265,7 @@ class RunConfig:
             raise ConfigError(f"unknown detect method {detect_method!r}")
 
         output_dir = Path(output_override) if output_override else resolve(
-            str(raw.get("output_dir", "out"))
+            raw.get("output_dir", "out"), "output_dir"
         )
         return cls(
             seed=seed,
@@ -351,7 +348,10 @@ def _split_corpora(corpus: Corpus, manifest: dict[str, list[str]]) -> dict[str, 
 def _classifier_scorer(model: classifiers.AnyModel,
                        emb: embeddings.EmbeddingMatrix) -> evaluation.DetectorScorer:
     def score(doc: Document) -> float:
-        return classifiers.predict(model, embeddings.doc_vector(doc.body, emb).values).score
+        # A mean that overflows is refused as a non-finite feature vector
+        # (the document's DataError), so numpy need not warn of it too.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return classifiers.predict(model, embeddings.doc_vector(doc.body, emb).values).score
 
     return evaluation.DetectorScorer(
         name=f"classifier:{model.family}", score_fn=score, threshold=model.threshold

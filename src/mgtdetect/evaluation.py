@@ -6,16 +6,15 @@ reports. Positive class is Machine throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import AurocUndefined, DataError
 from .ingest import Corpus, Document, Label
-from .text_core import token_spans
+from .text_core import rewrite_units, token_spans
 
-TRANSFORM_KINDS = ("special_chars", "whitespace_noise", "case_flip")
 # The scalar metrics of a MetricsReport, in report order.
 METRIC_NAMES = ("precision", "recall", "f1", "accuracy", "auroc")
 
@@ -72,7 +71,7 @@ class AdversarialTransform:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in TRANSFORM_KINDS:
+        if self.kind not in _ATTACKS:
             raise DataError(f"unknown transform kind {self.kind!r}")
         if not (0.0 <= self.intensity <= 1.0):
             raise DataError("intensity must lie in [0, 1]")
@@ -200,56 +199,37 @@ def youden_threshold(scores: Sequence[float], labels: Sequence[int]) -> float:
 # -- adversarial transforms --
 
 
+# Each attack as (its units in a body, the replacement of one chosen unit).
+_ATTACKS = {
+    # An insertion point after each word: one escaped quote or slash.
+    "special_chars": (
+        lambda body: [(b, b) for _, b, is_word in token_spans(body) if is_word],
+        lambda rng, _: _SPECIAL_SEQUENCES[int(rng.integers(0, len(_SPECIAL_SEQUENCES)))],
+    ),
+    "whitespace_noise": (
+        lambda body: [(i, i + 1) for i, ch in enumerate(body) if ch == " "],
+        lambda rng, space: space * 2,
+    ),
+    # Each letter, case flipped (which may change its length: "ß" -> "SS").
+    "case_flip": (
+        lambda body: [(i, i + 1) for i, ch in enumerate(body) if ch.isalpha()],
+        lambda rng, letter: letter.swapcase(),
+    ),
+}
+
+
 def adversarial_transform(doc: Document, transform: AdversarialTransform) -> Document:
-    """Seeded surface attack preserving the label.
+    """Seeded surface attack preserving the label: rewrite_units over the
+    attack's units at the transform's intensity and seed.
 
     special_chars inserts backslash-escaped quotes and slashes after
     floor(intensity * word_count) words; whitespace_noise doubles that
     fraction of the spaces; case_flip flips that fraction of the letters.
     """
-    rng = np.random.default_rng(transform.seed)
-    body = doc.body
-    if transform.kind == "special_chars":
-        words = [(a, b) for a, b, w in token_spans(body) if w]
-        m = int(math.floor(transform.intensity * len(words)))
-        if m == 0:
-            return doc
-        chosen = sorted(int(i) for i in rng.choice(len(words), size=m, replace=False))
-        pieces = []
-        prev = 0
-        for i in chosen:
-            _, end = words[i]
-            insert = _SPECIAL_SEQUENCES[int(rng.integers(0, len(_SPECIAL_SEQUENCES)))]
-            pieces.append(body[prev:end])
-            pieces.append(insert)
-            prev = end
-        pieces.append(body[prev:])
-        new_body = "".join(pieces)
-    elif transform.kind == "whitespace_noise":
-        spaces = [i for i, ch in enumerate(body) if ch == " "]
-        m = int(math.floor(transform.intensity * len(spaces)))
-        if m == 0:
-            return doc
-        chosen = set(
-            spaces[int(i)] for i in rng.choice(len(spaces), size=m, replace=False)
-        )
-        new_body = "".join(ch + " " if i in chosen else ch for i, ch in enumerate(body))
-    elif transform.kind == "case_flip":
-        letters = [i for i, ch in enumerate(body) if ch.isalpha()]
-        m = int(math.floor(transform.intensity * len(letters)))
-        if m == 0:
-            return doc
-        chosen = set(
-            letters[int(i)] for i in rng.choice(len(letters), size=m, replace=False)
-        )
-        new_body = "".join(
-            ch.swapcase() if i in chosen else ch for i, ch in enumerate(body)
-        )
-    else:  # pragma: no cover - guarded by AdversarialTransform
-        raise DataError(f"unknown transform kind {transform.kind!r}")
-    return Document(
-        id=doc.id, body=new_body, label=doc.label, source_question=doc.source_question
-    )
+    units, replacement = _ATTACKS[transform.kind]
+    body = rewrite_units(doc.body, units(doc.body), transform.intensity, transform.seed,
+                         replacement)
+    return replace(doc, body=body)
 
 
 # -- robustness --

@@ -7,10 +7,13 @@ only in ``Document.body`` so the adversarial transforms can still see it.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import DataError
 
@@ -58,6 +61,31 @@ def tokenize(text: str) -> list[Token]:
 def word_tokens(text: str) -> list[str]:
     """Lowercased word surfaces only, in order."""
     return [t.surface for t in tokenize(text) if t.is_word]
+
+
+def rewrite_units(text: str, units: Sequence[tuple[int, int]], fraction: float,
+                  seed: int, replace: Callable[[np.random.Generator, str], str]) -> str:
+    """*text* with floor(fraction * len(units)) of its units rewritten.
+
+    *units* are disjoint (start, end) spans in text order; an empty span
+    is an insertion point. The units are chosen by one seeded draw without
+    replacement, then each chosen unit, in text order, is spliced with
+    replace(rng, text[start:end]) from the same generator. When no unit is
+    chosen, no generator is built and *text* comes back as it is.
+    """
+    m = math.floor(fraction * len(units))
+    if m == 0:
+        return text
+    rng = np.random.default_rng(seed)
+    pieces: list[str] = []
+    prev = 0
+    for i in sorted(rng.choice(len(units), size=m, replace=False).tolist()):
+        a, b = units[i]
+        pieces.append(text[prev:a])
+        pieces.append(replace(rng, text[a:b]))
+        prev = b
+    pieces.append(text[prev:])
+    return "".join(pieces)
 
 
 def split_sentences(text: str) -> list[str]:

@@ -12,7 +12,6 @@ single-revision fast path (2 scoring passes).
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from bisect import bisect_left, bisect_right
@@ -30,6 +29,7 @@ from .text_core import (
     Token,
     Vocabulary,
     is_word_surface,
+    rewrite_units,
     split_sentences,
     token_spans,
     tokenize,
@@ -419,32 +419,17 @@ def perturb(doc: Document, cfg: PerturbConfig) -> Document:
     return doc if body == doc.body else replace(doc, body=body)
 
 
-def _perturbed_bodies(body: str, cfg: PerturbConfig, seeds: Iterable[int]) -> Iterator[str]:
-    """The body perturb() gives under each of *seeds* in turn. The token
-    spans, the word positions and the replacement count are found once;
-    each seed then draws: its positions by rng.choice, then one pool word
-    per chosen position, left to right.
+def _perturbed_bodies(body: str, cfg: PerturbConfig, seeds: Iterable[int]) -> list[str]:
+    """The body perturb() gives under each of *seeds* in turn: its word
+    spans, found once, rewritten by rewrite_units, each chosen word
+    replaced by a pool draw for its lowercased surface.
     """
-    spans = token_spans(body)
-    word_positions = [i for i, (_, _, w) in enumerate(spans) if w]
-    n_replace = int(math.floor(cfg.mask_fraction * len(word_positions)))
-    if n_replace == 0:
-        for _ in seeds:
-            yield body
-        return
-    sampler = cfg._sampler()
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        chosen = rng.choice(len(word_positions), size=n_replace, replace=False)
-        pieces: list[str] = []
-        prev = 0
-        for pos in sorted(word_positions[int(i)] for i in chosen):
-            a, b, _ = spans[pos]
-            pieces.append(body[prev:a])
-            pieces.append(sampler.draw(rng, body[a:b].lower()))
-            prev = b
-        pieces.append(body[prev:])
-        yield "".join(pieces)
+    words = [(a, b) for a, b, is_word in token_spans(body) if is_word]
+
+    def draw(rng: np.random.Generator, word: str) -> str:
+        return cfg._sampler().draw(rng, word.lower())
+
+    return [rewrite_units(body, words, cfg.mask_fraction, seed, draw) for seed in seeds]
 
 
 def curvature_stat(logp_original: float, perturbed: list[float]) -> tuple[float, float, float]:
@@ -502,7 +487,7 @@ def _rewrite_log_probs(lm: NGramLM, doc: Document,
     """
     seeds = range(cfg.seed + 1, cfg.seed + cfg.k + 1)
     texts = []
-    for body in itertools.chain([doc.body], _perturbed_bodies(doc.body, cfg, seeds)):
+    for body in [doc.body, *_perturbed_bodies(doc.body, cfg, seeds)]:
         sentences, has_word = lm._tokenized([body])
         if not has_word:
             raise DataError(f"document {doc.id!r} has no word tokens")

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mgtdetect
-from mgtdetect import classifiers, embeddings, evaluation, ingest, zeroshot
+from mgtdetect import classifiers, embeddings, evaluation, ingest, synthetic, zeroshot
 from mgtdetect.cli import (CLASSIFIER_DEFAULTS, SKIPGRAM_DEFAULTS, ZEROSHOT_DEFAULTS,
                            derive_seed, main)
 from mgtdetect.errors import DataError
@@ -459,6 +460,15 @@ class TestMalformedInputs:
         ("ingest", {"zeroshot__mask_fraction": 2.0}),
         ("ingest", {"zeroshot__mask_fraction": -0.1}),
         ("ingest", {"embeddings__dim": 0}),
+        # A path is a JSON string, never a value made into one.
+        ("ingest", {"output_dir": None}),
+        ("ingest", {"output_dir": ["a"]}),
+        ("ingest", {"output_dir": 5}),
+        ("ingest", {"dataset__hc3_path": True}),
+        ("ingest", {"dataset__hc3_path": 5}),
+        ("stats", {"dataset__conllu": {"human": True}}),
+        ("stats", {"dataset__conllu": {"machine": ["machine.conllu"]}}),
+        ("train", {"embeddings": {"source": "load", "path": 5}}),
     ])
     def test_config_value_of_wrong_type_exits_2(self, workspace, tmp_path, capsys,
                                                 command, changes):
@@ -898,9 +908,10 @@ class TestCorruptClassifierArtifacts:
         err = self._detect(workspace, tmp_path, capsys, vectors=corrupt(vectors))
         assert "embeddings.txt" in err
 
-    def test_overflowing_feature_vector_skips_its_line(self, workspace, tmp_path, capsys):
-        """Finite vectors whose mean overflows make one document's feature
-        vector infinite: that line is skipped, the others are printed."""
+    @staticmethod
+    def _overflowing_detect_args(workspace, tmp_path) -> list[str]:
+        """detect on three lines, the second of two words whose vectors are
+        all 1e308, so that their mean overflows."""
         out = tmp_path / "out"
         shutil.copytree(workspace / "out", out)
         rows = (out / "embeddings.txt").read_text().split("\n")
@@ -912,12 +923,26 @@ class TestCorruptClassifierArtifacts:
         a, b, c, d = (rows[i].split(" ")[0] for i in words)
         inp = tmp_path / "in.txt"
         inp.write_text(f"{c} {d}.\n{a} {b}.\n{d}.\n")
+        return ["detect", "--config", cfg_path(workspace), str(inp),
+                "--method", "classifier", "--output", str(out)]
+
+    def test_overflowing_feature_vector_skips_its_line(self, workspace, tmp_path, capsys):
+        """Finite vectors whose mean overflows make one document's feature
+        vector infinite: that line is skipped, the others are printed."""
+        args = self._overflowing_detect_args(workspace, tmp_path)
         capsys.readouterr()
-        assert main(["detect", "--config", cfg_path(workspace), str(inp),
-                     "--method", "classifier", "--output", str(out)]) == 0
+        assert main(args) == 0
         printed = capsys.readouterr()
         assert [row.split(",")[0] for row in printed.out.splitlines()] == ["id", "1", "3"]
         assert printed.err == "skipping line 2: feature vector must be finite\n"
+
+    def test_overflow_prints_no_numpy_warning(self, workspace, tmp_path):
+        """In a process of its own, where no test runner catches warnings,
+        the skip line is all that reaches stderr."""
+        rc, err, out = run_entry_point(*self._overflowing_detect_args(workspace, tmp_path))
+        assert rc == 0
+        assert err == ["skipping line 2: feature vector must be finite"]
+        assert [row.split(",")[0] for row in out.splitlines()] == ["id", "1", "3"]
 
     @pytest.mark.parametrize("family, mutate", [
         ("svm", lambda p: p.__setitem__("weights", [[w] for w in p["weights"]])),
@@ -1122,6 +1147,22 @@ def other_kind(kind: type, nullable: bool) -> st.SearchStrategy:
         kinds.append(st.floats(allow_nan=False, allow_infinity=False)
                      .filter(lambda x: not x.is_integer()))
     return st.one_of(kinds)
+
+
+def oracle_derive_seed(root_seed: int, path: str) -> int:
+    """The CLI's former seed derivation, kept as an oracle."""
+    digest = hashlib.sha256(f"{root_seed}/{path}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+class TestDeriveSeed:
+    @settings(max_examples=200)
+    @given(root=st.integers(), path=st.text())
+    def test_equals_former_derivation(self, root, path):
+        assert derive_seed(root, path) == oracle_derive_seed(root, path)
+
+    def test_one_derivation(self):
+        assert derive_seed is synthetic.stable_seed
 
 
 class TestConfigFuzz:

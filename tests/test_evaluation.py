@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +16,8 @@ from mgtdetect.evaluation import (
     robustness_report,
     youden_threshold,
 )
-from mgtdetect.ingest import Label
-from mgtdetect.text_core import tokenize, word_tokens
+from mgtdetect.ingest import Document, Label
+from mgtdetect.text_core import token_spans, tokenize, word_tokens
 
 from conftest import make_corpus, make_doc
 
@@ -213,7 +215,93 @@ def youden_per_threshold(scores, labels):
     return best_t
 
 
+_SPECIAL_SEQUENCES = ('\\"', "\\'", "/", "\\")
+
+
+def oracle_adversarial_transform(doc: Document, transform: AdversarialTransform) -> Document:
+    """The former adversarial_transform, one hand-written loop per kind,
+    kept as an oracle."""
+    rng = np.random.default_rng(transform.seed)
+    body = doc.body
+    if transform.kind == "special_chars":
+        words = [(a, b) for a, b, w in token_spans(body) if w]
+        m = int(math.floor(transform.intensity * len(words)))
+        if m == 0:
+            return doc
+        chosen = sorted(int(i) for i in rng.choice(len(words), size=m, replace=False))
+        pieces = []
+        prev = 0
+        for i in chosen:
+            _, end = words[i]
+            insert = _SPECIAL_SEQUENCES[int(rng.integers(0, len(_SPECIAL_SEQUENCES)))]
+            pieces.append(body[prev:end])
+            pieces.append(insert)
+            prev = end
+        pieces.append(body[prev:])
+        new_body = "".join(pieces)
+    elif transform.kind == "whitespace_noise":
+        spaces = [i for i, ch in enumerate(body) if ch == " "]
+        m = int(math.floor(transform.intensity * len(spaces)))
+        if m == 0:
+            return doc
+        chosen = set(
+            spaces[int(i)] for i in rng.choice(len(spaces), size=m, replace=False)
+        )
+        new_body = "".join(ch + " " if i in chosen else ch for i, ch in enumerate(body))
+    elif transform.kind == "case_flip":
+        letters = [i for i, ch in enumerate(body) if ch.isalpha()]
+        m = int(math.floor(transform.intensity * len(letters)))
+        if m == 0:
+            return doc
+        chosen = set(
+            letters[int(i)] for i in rng.choice(len(letters), size=m, replace=False)
+        )
+        new_body = "".join(
+            ch.swapcase() if i in chosen else ch for i, ch in enumerate(body)
+        )
+    else:  # pragma: no cover - guarded by AdversarialTransform
+        raise DataError(f"unknown transform kind {transform.kind!r}")
+    return Document(
+        id=doc.id, body=new_body, label=doc.label, source_question=doc.source_question
+    )
+
+
+# Any text a Document holds (every character but the controls other than
+# newline), mixed with words, runs of spaces and letters whose swapcase
+# changes length.
+_CONTROLS = "".join(chr(c) for c in [*range(0x0A), *range(0x0B, 0x20), *range(0x7F, 0xA0)])
+attack_bodies = st.lists(
+    st.one_of(
+        st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=_CONTROLS),
+                max_size=8),
+        st.sampled_from(["ß", "ŉ", "ﬁ", "İ", " ", "  ", "   ", "word", "Word.", "\n"]),
+    ),
+    max_size=12,
+).map("".join).filter(bool)
+
+
 class TestAdversarialTransforms:
+    @settings(max_examples=300, deadline=None)
+    @given(body=attack_bodies,
+           kind=st.sampled_from(["special_chars", "whitespace_noise", "case_flip"]),
+           intensity=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**64 - 1))
+    def test_equals_per_kind_oracle(self, body, kind, intensity, seed):
+        doc = make_doc(body, label=Label.MACHINE)
+        tf = AdversarialTransform(kind=kind, intensity=intensity, seed=seed)
+        assert adversarial_transform(doc, tf) == oracle_adversarial_transform(doc, tf)
+
+    @pytest.mark.parametrize("kind", ["special_chars", "whitespace_noise", "case_flip"])
+    def test_no_unit_chosen_builds_no_generator(self, kind, monkeypatch):
+        built = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or real(*a))
+        # Fewer than 1 / 0.3 units of every kind: floor(0.3 * n) = 0.
+        doc = make_doc("Ab c.")
+        tf = AdversarialTransform(kind=kind, intensity=0.3, seed=5)
+        assert adversarial_transform(doc, tf).body == doc.body
+        assert built == []
+
     def test_intensity_zero_identity(self):
         doc = make_doc("Some plain text here.")
         for kind in ("special_chars", "whitespace_noise", "case_flip"):

@@ -1,6 +1,8 @@
+import math
 import re
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,7 @@ from mgtdetect.text_core import (
     UNK,
     build_vocab,
     count_syllables,
+    rewrite_units,
     split_sentences,
     token_spans,
     tokenize,
@@ -234,3 +237,40 @@ class TestBuildVocab:
     def test_id_of_falls_back_to_unk(self):
         vocab = build_vocab(["a a b"], min_count=2)
         assert vocab.id_of("zzz") == vocab.unk_id
+
+
+class TestRewriteUnits:
+    @staticmethod
+    def tagged(rng, unit):
+        """A replacement that shows its unit and the generator's next draw."""
+        return f"<{unit}:{rng.random()!r}>"
+
+    @settings(max_examples=200)
+    @given(n=st.integers(0, 30), fraction=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**64 - 1))
+    def test_draw_contract(self, n, fraction, seed):
+        letters = [chr(97 + i % 26) for i in range(n)]
+        text = "-".join(letters)
+        units = [(2 * i, 2 * i + 1) for i in range(n)]
+        expected = text
+        m = math.floor(fraction * n)
+        if m:
+            rng = np.random.default_rng(seed)
+            chosen = set(rng.choice(n, size=m, replace=False).tolist())
+            expected = "-".join(self.tagged(rng, u) if i in chosen else u
+                                for i, u in enumerate(letters))
+        assert rewrite_units(text, units, fraction, seed, self.tagged) == expected
+
+    def test_splices_length_changing_and_empty_units(self):
+        units = [(0, 0), (1, 2), (3, 3)]
+        assert rewrite_units("abc", units, 1.0, 0, lambda rng, u: f"[{u.upper()}]") == (
+            "[]a[B]c[]")
+
+    def test_no_unit_chosen_builds_no_generator(self, monkeypatch):
+        built, called = [], []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or real(*a))
+        for units, fraction in (([], 1.0), ([(0, 1)] * 3, 0.33), ([(0, 1)], 0.0)):
+            assert rewrite_units("abc", units, fraction, 1,
+                                 lambda rng, u: called.append(u) or u) == "abc"
+        assert built == [] and called == []

@@ -783,6 +783,26 @@ class TestOneSweepScoring:
         assert lm.scoring_passes == before
 
 
+class TestMixedCasePerturbation:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        words=st.lists(st.sampled_from(SWEEP_WORDS + ["The", "A", "F", "ZZ", "tHe"]),
+                       min_size=1, max_size=15),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2**32),
+        mask_fraction=st.floats(0.0, 1.0),
+        band=st.sampled_from([1.0, None]),
+    )
+    def test_capitalized_words_draw_for_their_lowercase(self, words, k, seed, mask_fraction,
+                                                        band):
+        body = " ".join(words) + "."
+        cfg = zs.PerturbConfig(pool=SWEEP_LM.vocabulary, mask_fraction=mask_fraction,
+                               seed=seed, k=k, band_octaves=band)
+        seeds = range(seed + 1, seed + k + 1)
+        assert zs._perturbed_bodies(body, cfg, seeds) == [
+            oracle_perturb(make_doc(body), replace(cfg, seed=s)).body for s in seeds]
+
+
 def _corrupt():
     def level_1_deleted(p):
         del p["counts"]["1"]
