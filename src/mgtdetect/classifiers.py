@@ -23,6 +23,35 @@ SCHEMA_VERSION = 1
 
 LOG_2PI = math.log(2.0 * math.pi)
 LOGREG_BATCH_SIZE = 32
+BO_N_INIT = 5  # seeded points that start a Bayesian optimization run
+
+
+def _finite_positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0
+
+
+# The range of every hyperparameter of the four families, as name: (test,
+# rule); a name shared by two families (epochs) has one rule.
+HYPERPARAMETER_RANGES = {
+    "l2": (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
+    "lr": (_finite_positive, "finite and > 0"),
+    "lambda": (_finite_positive, "finite and > 0"),
+    "var_smoothing": (_finite_positive, "finite and > 0"),
+    "epochs": (lambda v: v >= 1, "at least 1"),
+    "tune": (lambda v: isinstance(v, bool), "a boolean"),
+    "budget": (lambda v: v >= BO_N_INIT, f"at least {BO_N_INIT}"),
+    "n_trees": (lambda v: v >= 1, "at least 1"),
+    "max_depth": (lambda v: v is None or v >= 1, "null or at least 1"),
+}
+
+
+def check_hyperparameters(params: dict) -> None:
+    """DataError unless each value of *params*, keyed by hyperparameter
+    name, lies in that name's HYPERPARAMETER_RANGES range."""
+    for name, value in params.items():
+        test, rule = HYPERPARAMETER_RANGES[name]
+        if not test(value):
+            raise DataError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -205,6 +234,7 @@ def train_logreg(
 ) -> LogRegModel:
     """Seeded mini-batch gradient descent on the regularized NLL, in
     batches of LOGREG_BATCH_SIZE."""
+    check_hyperparameters({"l2": l2, "epochs": epochs, "lr": lr})
     data.require_both_classes()
     rng = np.random.default_rng(seed)
     n, d = data.features.shape
@@ -229,9 +259,8 @@ def train_gnb(data: Dataset, var_smoothing: float = 1e-9) -> GnbModel:
     """Per-class maximum-likelihood means and variances with empirical
     priors; *var_smoothing* is added to every variance at scoring time.
     """
+    check_hyperparameters({"var_smoothing": var_smoothing})
     data.require_both_classes()
-    if var_smoothing <= 0:
-        raise DataError("var_smoothing must be > 0")
     means = np.empty((2, data.dim))
     variances = np.empty((2, data.dim))
     priors = np.empty(2)
@@ -246,7 +275,6 @@ def train_gnb(data: Dataset, var_smoothing: float = 1e-9) -> GnbModel:
 
 # -- 1-D Bayesian optimization --
 
-BO_N_INIT = 5
 BO_CANDIDATES = 512
 BO_LENGTH_SCALE = 2.0  # of the squared-exponential kernel
 BO_NOISE = 1e-6  # added to the kernel diagonal
@@ -272,8 +300,7 @@ def bayes_opt_1d(
     grid. BO_N_INIT seeded points start the run; returns the
     best-observed x and the full evaluation history.
     """
-    if budget < BO_N_INIT:
-        raise DataError(f"budget must be >= {BO_N_INIT}")
+    check_hyperparameters({"budget": budget})
     lo, hi = bounds
     rng = np.random.default_rng(seed)
     xs = list(rng.uniform(lo, hi, size=BO_N_INIT))
@@ -365,12 +392,6 @@ def svm_objective(w: np.ndarray, b: float, X: np.ndarray, y_pm: np.ndarray, lam:
     return float(0.5 * lam * np.dot(w, w) + hinge.mean())
 
 
-def check_svm_lambda(lam: float) -> None:
-    """DataError unless train_linear_svm accepts the regularizer *lam*."""
-    if lam <= 0:
-        raise DataError("lambda must be > 0")
-
-
 def train_linear_svm(
     data: Dataset, lam: float = 1e-3, epochs: int = 50, seed: int = 0
 ) -> SvmModel:
@@ -378,8 +399,8 @@ def train_linear_svm(
     per step. The bias rides along as a constant-1 feature so the 1/t
     shrinkage damps it like every other coordinate.
     """
+    check_hyperparameters({"lambda": lam, "epochs": epochs})
     data.require_both_classes()
-    check_svm_lambda(lam)
     rng = np.random.default_rng(seed)
     n, d = data.features.shape
     y_pm = np.where(data.labels == 1, 1.0, -1.0)
@@ -482,10 +503,7 @@ def train_random_forest(
     node; leaves store the Machine fraction. Tree t uses seed + t, so a
     concurrent build would match the sequential one.
     """
-    if n_trees < 1:
-        raise DataError("n_trees must be >= 1")
-    if max_depth is not None and max_depth < 1:
-        raise DataError("max_depth must be >= 1")
+    check_hyperparameters({"n_trees": n_trees, "max_depth": max_depth})
     n, d = data.features.shape
     n_subset = max(1, int(math.isqrt(d)))
     trees: list[TreeNode] = []

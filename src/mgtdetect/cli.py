@@ -35,7 +35,8 @@ ZEROSHOT_METHODS = ("detect_gpt", "single_revise")
 
 # Config keys with their defaults; a value takes its default's type by the
 # rule of `_as`. The classifier keys are per family; random_forest's
-# "max_depth" may also be null (no depth limit).
+# "max_depth" may also be null (no depth limit). Their ranges are
+# classifiers.HYPERPARAMETER_RANGES.
 CLASSIFIER_DEFAULTS = {
     "logreg": {"l2": 1e-4, "epochs": 150, "lr": 0.5},
     "gnb": {"tune": False, "budget": 20, "var_smoothing": 1e-9},
@@ -47,6 +48,11 @@ SKIPGRAM_DEFAULTS = {f.name: f.default for f in fields(embeddings.SkipGramConfig
                      if f.name != "seed"}
 ZEROSHOT_DEFAULTS = {"order": 3, "discount": 0.75, "k": 10, "mask_fraction": 0.15,
                      "threshold": 0.0}
+SPLIT_DEFAULTS = {"train": 0.8, "val": 0.1, "test": 0.1}
+# The top-level config keys; every other object's keys are named where it
+# is read, and _object refuses any other key.
+TOP_KEYS = ("seed", "output_dir", "dataset", "split", "embeddings", "classifier", "zeroshot",
+            "transforms", "detect")
 # Range rules the library does not hold, as "section.key": (test, rule),
 # checked when the config is read. Every other range is the library's own
 # check, run on the parsed values (ZeroshotConfig.from_dict,
@@ -54,19 +60,26 @@ ZEROSHOT_DEFAULTS = {"order": 3, "discount": 0.75, "k": 10, "mask_fraction": 0.1
 CONFIG_RANGES = {
     "zeroshot.k": (lambda v: v >= 2, "at least 2"),
     "zeroshot.threshold": (math.isfinite, "finite"),
-    "classifier.epochs": (lambda v: v >= 1, "at least 1"),
-    "classifier.l2": (lambda v: v >= 0.0, "non-negative"),
 }
 
 
-def _section(raw: dict, name: str, default=None) -> dict | None:
-    """raw[name], which must be an object; *default* when absent or null."""
-    value = raw.get(name)
-    if value is None:
-        return default
+def _object(value, path: str, keys) -> dict:
+    """*value*, which must be a JSON object holding only *keys*; *path*
+    names it in errors (empty for the whole config)."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{name} section must be an object")
+        raise ConfigError(f"{path or 'config'} must be an object")
+    for key in value:
+        if key not in keys:
+            name = f"{path}.{key}" if path else key
+            raise ConfigError(f"unknown config key {name!r}")
     return value
+
+
+def _section(raw: dict, path: str, keys, default=None) -> dict | None:
+    """The object under the last name of *path* in *raw*, held to *keys* by
+    _object; *default* when absent or null."""
+    value = raw.get(path.rpartition(".")[2])
+    return default if value is None else _object(value, path, keys)
 
 
 def _as(kind: type, value, name: str):
@@ -99,20 +112,23 @@ def _typed(section: str, raw: dict, defaults: dict, nullable: tuple[str, ...] = 
     return out
 
 
-def _classifier_section(raw: dict) -> dict:
+def _classifier_section(value) -> dict:
     """The classifier section, typed: its family plus that family's keys,
-    absent keys taking their defaults."""
-    family = raw.get("family")
+    absent keys taking their defaults, each held to its library range."""
+    if not isinstance(value, dict):
+        raise ConfigError("classifier must be an object")
+    family = value.get("family")
     if family not in CLASSIFIER_FAMILIES:
         raise ConfigError(
             f"unknown classifier family {family!r}; expected one of {CLASSIFIER_FAMILIES}"
         )
-    typed = _typed("classifier", raw, CLASSIFIER_DEFAULTS[family], nullable=("max_depth",))
-    if family == "svm":
-        try:
-            classifiers.check_svm_lambda(typed["lambda"])
-        except DataError as exc:
-            raise ConfigError(f"invalid classifier section: {exc}") from exc
+    defaults = CLASSIFIER_DEFAULTS[family]
+    raw = _object(value, "classifier", ("family", *defaults))
+    typed = _typed("classifier", raw, defaults, nullable=("max_depth",))
+    try:
+        classifiers.check_hyperparameters(typed)
+    except DataError as exc:
+        raise ConfigError(f"invalid classifier section: {exc}") from exc
     return {"family": family, **typed}
 
 
@@ -169,9 +185,7 @@ class RunConfig:
         config_path = Path(config_path)
         if not config_path.exists():
             raise ConfigError(f"config file not found: {config_path}")
-        raw = load_json(config_path, ConfigError)
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{config_path}: config must be a JSON object")
+        raw = _object(load_json(config_path, ConfigError), "", TOP_KEYS)
         base = config_path.parent
 
         def resolve(value, name: str) -> Path:
@@ -185,24 +199,24 @@ class RunConfig:
             raise ConfigError("config missing required field 'seed'")
         seed = _as(int, raw["seed"] if seed_override is None else seed_override, "seed")
 
-        dataset = raw.get("dataset")
-        if not isinstance(dataset, dict) or "hc3_path" not in dataset:
+        dataset = _section(raw, "dataset", ("hc3_path", "conllu"), {})
+        if "hc3_path" not in dataset:
             raise ConfigError("config needs dataset.hc3_path")
         hc3_path = resolve(dataset["hc3_path"], "dataset.hc3_path")
         if not hc3_path.exists():
             raise DataError(f"dataset file not found: {hc3_path}")
 
         conllu: dict[Label, Path] = {}
+        conllu_raw = _section(dataset, "dataset.conllu", ("human", "machine"), {})
         for key, label in (("human", Label.HUMAN), ("machine", Label.MACHINE)):
-            value = _section(dataset, "conllu", {}).get(key)
+            value = conllu_raw.get(key)
             if value is not None:
                 path = resolve(value, f"dataset.conllu.{key}")
                 if not path.exists():
                     raise DataError(f"CoNLL-U file not found: {path}")
                 conllu[label] = path
 
-        fractions = _typed("split", _section(raw, "split", {}),
-                           {"train": 0.8, "val": 0.1, "test": 0.1})
+        fractions = _typed("split", _section(raw, "split", SPLIT_DEFAULTS, {}), SPLIT_DEFAULTS)
         try:
             split_spec = ingest.SplitSpec(
                 train_frac=fractions["train"],
@@ -213,8 +227,8 @@ class RunConfig:
         except DataError as exc:
             raise ConfigError(f"invalid split spec: {exc}") from exc
 
-        emb_raw = _section(raw, "embeddings", {"source": "train"})
-        source = emb_raw.get("source")
+        emb_raw = _section(raw, "embeddings", ("source", "path", *SKIPGRAM_DEFAULTS), {})
+        source = emb_raw.get("source", "train")
         if source not in ("train", "load"):
             raise ConfigError("embeddings.source must be 'train' or 'load'")
         embedding_path: Path | None = None
@@ -232,11 +246,11 @@ class RunConfig:
         except DataError as exc:
             raise ConfigError(f"invalid embeddings section: {exc}") from exc
 
-        classifier = _section(raw, "classifier")
+        classifier = raw.get("classifier")
         if classifier is not None:
             classifier = _classifier_section(classifier)
 
-        zs = _section(raw, "zeroshot")
+        zs = _section(raw, "zeroshot", ("methods", *ZEROSHOT_DEFAULTS))
         zeroshot_cfg = ZeroshotConfig.from_dict(zs) if zs is not None else None
 
         if not isinstance(raw.get("transforms", []), list):
@@ -244,6 +258,7 @@ class RunConfig:
         transforms = []
         seen: set[str] = set()
         for i, t in enumerate(raw.get("transforms", [])):
+            _object(t, f"transforms.{i}", ("kind", "intensity"))
             try:
                 tf = evaluation.AdversarialTransform(
                     kind=t["kind"],
@@ -258,7 +273,7 @@ class RunConfig:
             seen.add(key)
             transforms.append(tf)
 
-        detect_method = _section(raw, "detect", {}).get("method")
+        detect_method = _section(raw, "detect", ("method",), {}).get("method")
         if detect_method is None:
             detect_method = "classifier" if classifier is not None else "detect_gpt"
         if detect_method not in ("classifier",) + ZEROSHOT_METHODS:
@@ -348,10 +363,7 @@ def _split_corpora(corpus: Corpus, manifest: dict[str, list[str]]) -> dict[str, 
 def _classifier_scorer(model: classifiers.AnyModel,
                        emb: embeddings.EmbeddingMatrix) -> evaluation.DetectorScorer:
     def score(doc: Document) -> float:
-        # A mean that overflows is refused as a non-finite feature vector
-        # (the document's DataError), so numpy need not warn of it too.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return classifiers.predict(model, embeddings.doc_vector(doc.body, emb).values).score
+        return classifiers.predict(model, embeddings.doc_vector(doc.body, emb).values).score
 
     return evaluation.DetectorScorer(
         name=f"classifier:{model.family}", score_fn=score, threshold=model.threshold

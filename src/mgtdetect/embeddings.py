@@ -276,7 +276,9 @@ def doc_vector(body: str, emb: EmbeddingMatrix) -> FeatureVector:
     """Mean of the input vectors of in-vocabulary word tokens.
 
     All-OOV or wordless bodies map to the zero vector with oov_fraction 1,
-    so downstream classifiers never crash on noise.
+    so downstream classifiers never crash on noise. A mean that overflows
+    is refused by FeatureVector's finite check, so numpy need not warn of
+    it too.
     """
     words = [t.surface for t in tokenize(body) if t.is_word]
     vecs = []
@@ -289,10 +291,9 @@ def doc_vector(body: str, emb: EmbeddingMatrix) -> FeatureVector:
             vecs.append(v)
     if not vecs:
         return FeatureVector(values=np.zeros(emb.dim), oov_fraction=1.0)
-    return FeatureVector(
-        values=np.mean(vecs, axis=0),
-        oov_fraction=oov / len(words) if words else 1.0,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.mean(vecs, axis=0)
+    return FeatureVector(values=values, oov_fraction=oov / len(words))
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:

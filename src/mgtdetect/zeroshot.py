@@ -59,7 +59,8 @@ class NGramLM:
     on construction, the sorted unique context keys (key // base) with
     their count totals and numbers of distinct continuations.
 
-    ``scoring_passes`` counts the texts scored for a statistic: one per
+    ``scoring_passes`` counts the texts scored for a statistic, one pass
+    per scored text (_per_token_log_probs adds them all): one per
     per_token_log_prob call, k + 1 per detect_gpt_score call, 2 per
     single_revise_score call; the detectors' pass budget is asserted
     against it in tests. ``train_perplexity`` is the perplexity of the
@@ -90,18 +91,9 @@ class NGramLM:
         # All predictable symbols: vocabulary ids (UNK included) plus END.
         return self.vocabulary.size + 1
 
-    def score_texts(self, texts: Iterable[str]) -> tuple[float, int, bool]:
-        """(sum of log P, number of predicted symbols, whether any token is
-        a word) over the sentences of *texts*, with boundary padding and OOV
-        tokens scored as UNK: one tokenization per text, one scoring sweep.
-        """
-        sentences, has_word = self._tokenized(texts)
-        [total] = self._sweep([sentences])
-        return total, _symbols(sentences), has_word
-
     def _tokenized(self, texts: Iterable[str]) -> tuple[list[list[int]], bool]:
-        """The id list of each non-empty sentence of *texts*, and whether
-        any token is a word."""
+        """The id list of each non-empty sentence of *texts* (OOV tokens as
+        UNK), and whether any token is a word."""
         sentences = []
         has_word = False
         for tokens in _sentence_tokens(texts):
@@ -286,19 +278,34 @@ def per_token_log_prob(lm: NGramLM, doc: Document) -> float:
     predicted symbols, so the statistic is comparable across document
     lengths.
     """
-    total, symbols, has_word = lm.score_texts([doc.body])
-    if not has_word:
-        raise DataError(f"document {doc.id!r} has no word tokens")
-    lm.scoring_passes += 1
-    return total / symbols
+    return _per_token_log_probs(lm, doc, [doc.body])[0]
 
 
 def perplexity(lm: NGramLM, texts: list[str]) -> float:
     """exp(mean negative log probability per predicted symbol)."""
-    total, symbols, _ = lm.score_texts(texts)
+    sentences, _ = lm._tokenized(texts)
+    symbols = _symbols(sentences)
     if symbols == 0:
         raise DataError("no symbols to evaluate")
+    [total] = lm._sweep([sentences])
     return math.exp(-total / symbols)
+
+
+def _per_token_log_probs(lm: NGramLM, doc: Document, bodies: list[str]) -> list[float]:
+    """The log probability per predicted symbol of each of *bodies* (doc's
+    body and its rewrites): each body tokenized once, all scored in one
+    sweep, one scoring pass added per body. A body with no word token
+    raises DataError before any pass is added.
+    """
+    texts = []
+    for body in bodies:
+        sentences, has_word = lm._tokenized([body])
+        if not has_word:
+            raise DataError(f"document {doc.id!r} has no word tokens")
+        texts.append(sentences)
+    totals = lm._sweep(texts)
+    lm.scoring_passes += len(texts)
+    return [total / _symbols(sentences) for total, sentences in zip(totals, texts)]
 
 
 def check_perturb_params(mask_fraction: float, k: int) -> None:
@@ -451,7 +458,8 @@ def detect_gpt_score(lm: NGramLM, doc: Document, cfg: PerturbConfig) -> Curvatur
     """
     if cfg.k < 2:
         raise DataError("detect_gpt_score needs k >= 2")
-    lp_orig, perturbed = _rewrite_log_probs(lm, doc, cfg)
+    rewrites = _perturbed_bodies(doc.body, cfg, range(cfg.seed + 1, cfg.seed + cfg.k + 1))
+    lp_orig, *perturbed = _per_token_log_probs(lm, doc, [doc.body, *rewrites])
     d, mean, std = curvature_stat(lp_orig, perturbed)
     return CurvatureScore(
         d=d,
@@ -468,7 +476,8 @@ def single_revise_score(lm: NGramLM, doc: Document, cfg: PerturbConfig) -> Curva
     """
     if cfg.k != 1:
         raise DataError("single_revise_score needs k = 1")
-    lp_orig, [lp_pert] = _rewrite_log_probs(lm, doc, cfg)
+    [rewrite] = _perturbed_bodies(doc.body, cfg, [cfg.seed + 1])
+    lp_orig, lp_pert = _per_token_log_probs(lm, doc, [doc.body, rewrite])
     return CurvatureScore(
         d=lp_orig - lp_pert,
         logp_original=lp_orig,
@@ -476,26 +485,6 @@ def single_revise_score(lm: NGramLM, doc: Document, cfg: PerturbConfig) -> Curva
         logp_perturbed_std=0.0,
         k_used=1,
     )
-
-
-def _rewrite_log_probs(lm: NGramLM, doc: Document,
-                       cfg: PerturbConfig) -> tuple[float, list[float]]:
-    """per_token_log_prob of *doc* and of each of its k rewrites (seeds
-    cfg.seed + 1 ... cfg.seed + k), bit for bit: each text tokenized once,
-    all k + 1 scored in one sweep. Adds k + 1 scoring passes; none when a
-    text has no word token, which raises as per_token_log_prob does.
-    """
-    seeds = range(cfg.seed + 1, cfg.seed + cfg.k + 1)
-    texts = []
-    for body in [doc.body, *_perturbed_bodies(doc.body, cfg, seeds)]:
-        sentences, has_word = lm._tokenized([body])
-        if not has_word:
-            raise DataError(f"document {doc.id!r} has no word tokens")
-        texts.append(sentences)
-    lp_orig, *perturbed = [total / _symbols(sentences)
-                           for total, sentences in zip(lm._sweep(texts), texts)]
-    lm.scoring_passes += len(texts)
-    return lp_orig, perturbed
 
 
 def sample_document(lm: NGramLM, seed: int, max_tokens: int = 60,

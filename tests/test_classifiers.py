@@ -137,6 +137,26 @@ class TestGnb:
             assert ms.score(c * probe) == pytest.approx(m.score(probe), abs=1e-9)
 
 
+class TestHyperparameterRanges:
+    """Every trainer refuses a hyperparameter outside its range by the one
+    rule the config check uses, instead of training on it."""
+
+    @pytest.mark.parametrize("train", [
+        lambda d: train_logreg(d, lr=-1.0),
+        lambda d: train_logreg(d, lr=float("nan")),
+        lambda d: train_logreg(d, l2=float("inf")),
+        lambda d: train_logreg(d, epochs=0),
+        lambda d: train_gnb(d, var_smoothing=float("nan")),
+        lambda d: train_linear_svm(d, lam=float("inf")),
+        lambda d: train_linear_svm(d, epochs=0),
+        lambda d: train_random_forest(d, n_trees=0),
+    ], ids=["logreg_lr_negative", "logreg_lr_nan", "logreg_l2_inf", "logreg_epochs_0",
+            "gnb_smoothing_nan", "svm_lambda_inf", "svm_epochs_0", "rf_no_trees"])
+    def test_out_of_range_value_refused(self, train):
+        with pytest.raises(DataError, match="must be"):
+            train(separable_2d(10))
+
+
 class TestBayesOpt:
     def test_flat_objective_returns_first_evaluated(self):
         best, history = bayes_opt_1d(lambda x: 1.0, (-12.0, 0.0), budget=8, seed=3)

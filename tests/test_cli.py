@@ -501,6 +501,16 @@ class TestMalformedInputs:
         {"family": "logreg", "l2": -1.0},
         {"family": "svm", "lambda": -1e-3},
         {"family": "svm", "lambda": 0.0},
+        {"family": "gnb", "var_smoothing": 0},
+        {"family": "gnb", "tune": True, "budget": 2},
+        {"family": "random_forest", "n_trees": 0},
+        {"family": "random_forest", "max_depth": 0},
+        {"family": "logreg", "lr": -1},
+        # Not finite.
+        {"family": "logreg", "lr": float("nan")},
+        {"family": "logreg", "l2": float("inf")},
+        {"family": "gnb", "var_smoothing": float("nan")},
+        {"family": "svm", "lambda": float("inf")},
     ])
     def test_classifier_value_of_wrong_type_exits_2(self, workspace, tmp_path, capsys,
                                                     classifier):
@@ -525,6 +535,32 @@ class TestMalformedInputs:
         typed = RunConfig.from_file(config).classifier
         assert typed == {"family": section["family"], **expected}
         assert all(type(typed[k]) is type(v) for k, v in expected.items())
+
+    @pytest.mark.parametrize("changes, name", [
+        ({"zeroshott": {"k": 3}}, "zeroshott"),
+        ({"dataset__hc3": "data.jsonl"}, "dataset.hc3"),
+        ({"dataset__conllu": {"humans": "human.conllu"}}, "dataset.conllu.humans"),
+        ({"split__tran": 0.8}, "split.tran"),
+        ({"embeddings__dimension": 8}, "embeddings.dimension"),
+        ({"classifier": {"family": "svm", "lamda": 5.0}}, "classifier.lamda"),
+        ({"classifier": {"family": "svm", "n_trees": 5}}, "classifier.n_trees"),
+        ({"zeroshot__mask_fracton": 0.9}, "zeroshot.mask_fracton"),
+        ({"transforms": [{"kind": "case_flip", "intensty": 0.9}]}, "transforms.0.intensty"),
+        ({"detect": {"methods": "detect_gpt"}}, "detect.methods"),
+    ])
+    def test_unknown_config_key_exits_2(self, workspace, tmp_path, capsys, changes, name):
+        """A key no config object reads is refused, never run at a
+        default; a key of another classifier family is unknown too."""
+        config = write_config(tmp_path, workspace, **changes)
+        assert main(["ingest", "--config", config]) == 2
+        assert f"'{name}'" in one_error_line(capsys, "config error:")
+
+    def test_embeddings_source_defaults_to_train(self, workspace, tmp_path):
+        from mgtdetect.cli import RunConfig
+
+        config = write_config(tmp_path, workspace, embeddings={"dim": 8})
+        parsed = RunConfig.from_file(config)
+        assert (parsed.embedding_source, parsed.skipgram.dim) == ("train", 8)
 
     def test_model_dimension_mismatch_exits_3(self, workspace, tmp_path, capsys):
         out = tmp_path / "out"
@@ -943,6 +979,22 @@ class TestCorruptClassifierArtifacts:
         assert rc == 0
         assert err == ["skipping line 2: feature vector must be finite"]
         assert [row.split(",")[0] for row in out.splitlines()] == ["id", "1", "3"]
+
+    def test_train_overflow_prints_only_its_error(self, workspace, tmp_path):
+        """train on loaded vectors whose mean overflows: in a process of its
+        own, the data error is all that reaches stderr."""
+        out = tmp_path / "out"
+        shutil.copytree(workspace / "out", out)
+        header, *rows = (out / "embeddings.txt").read_text().splitlines()
+        dim = int(header.split(" ")[1])
+        lines = [header] + [" ".join([row.split(" ")[0]] + ["1e308"] * dim) for row in rows]
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("\n".join(lines) + "\n")
+        config = write_config(tmp_path, workspace, zeroshot=None,
+                              embeddings={"source": "load", "path": str(vectors)})
+        rc, err, _ = run_entry_point("train", "--config", config)
+        assert rc == 3
+        assert err == ["data error: feature vector must be finite"]
 
     @pytest.mark.parametrize("family, mutate", [
         ("svm", lambda p: p.__setitem__("weights", [[w] for w in p["weights"]])),

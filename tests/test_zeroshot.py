@@ -231,13 +231,17 @@ class TestPackedModel:
             assert lm.prob(ctx, target) == reference(ctx, target)
             dense = lm.distribution(ctx)
             assert np.array_equal(dense, [lm.prob(ctx, t) for t in range(lm.event_size)])
-        # A scoring pass sums the same probabilities, log by log.
+        # A scoring pass sums the same probabilities, log by log, over
+        # each token and END.
         words = data.draw(st.lists(st.sampled_from(WORDS + ["zz"]), min_size=1, max_size=9))
         ids_of = [lm.vocabulary.id_of(w) for w in words + ["."]]
         expected = 0.0
         for i, target in enumerate(ids_of + [lm.end_id]):
             expected += math.log(reference(ids_of[:i], target))
-        assert lm.score_texts([" ".join(words) + "."]) == (expected, len(ids_of) + 1, True)
+        body, symbols = " ".join(words) + ".", len(ids_of) + 1
+        assert oracle_score_texts(lm, [body]) == (expected, symbols, True)
+        assert log_prob(lm, body) == expected
+        assert zs.per_token_log_prob(lm, make_doc(body)) == expected / symbols
 
     def test_ids_outside_the_event_space_rejected(self):
         lm = zs.train_kn_lm(["a b c."] * 3, order=3)
@@ -281,7 +285,11 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def log_prob(lm, body):
-    return lm.score_texts([body])[0]
+    """The sum of log P over *body*'s sentences from the package's
+    tokenization and sweep, as perplexity reads it."""
+    sentences, _ = lm._tokenized([body])
+    [total] = lm._sweep([sentences])
+    return total
 
 
 class TestLogProb:
@@ -307,8 +315,9 @@ class TestLogProb:
         assert both == lp1 + lp2
         # Each sentence predicts its 4 tokens plus END, and scoring several
         # texts at once gives the same sums.
-        assert lm.score_texts(["a b c. b c a."])[1] == 10
-        assert lm.score_texts(["a b c.", "b c a."])[:2] == (both, 10)
+        assert zs.per_token_log_prob(lm, make_doc("a b c. b c a.")) == both / 10
+        assert zs.perplexity(lm, ["a b c.", "b c a."]) == math.exp(-both / 10)
+        assert oracle_score_texts(lm, ["a b c.", "b c a."]) == (both, 10, True)
 
     def test_all_oov_finite_via_unk(self):
         lm = zs.train_kn_lm(["a b c."] * 5, order=2, discount=0.75)
@@ -322,15 +331,18 @@ class TestLogProb:
         with pytest.raises(DataError):
             zs.per_token_log_prob(lm, make_doc("..."))
         assert lm.scoring_passes == 0
-        assert lm.score_texts(["..."])[2] is False
-        assert lm.score_texts(["... a"])[2] is True
+        assert lm._tokenized(["..."])[1] is False
+        assert lm._tokenized(["... a"])[1] is True
+        zs.per_token_log_prob(lm, make_doc("... a"))
+        assert lm.scoring_passes == 1
 
     @settings(max_examples=60, deadline=None)
     @given(st.text(min_size=1, max_size=40))
     def test_word_flag_matches_word_surface_check(self, text):
         lm = zs.train_kn_lm(["a b c."] * 5, order=2, discount=0.75)
         expected = any(is_word_surface(t.surface) for t in tokenize(text))
-        assert lm.score_texts([text])[2] == expected
+        assert lm._tokenized([text])[1] == expected
+        assert oracle_score_texts(lm, [text])[2] == expected
 
 
 def word_pool(texts):
@@ -532,7 +544,8 @@ class TestSamplingAndPersistence:
         loaded = zs.load_lm(path)
         for body in ("a b c d.", "zz c a.", "d d d."):
             doc = make_doc(body)
-            assert loaded.score_texts([body]) == lm.score_texts([body])
+            assert loaded._tokenized([body]) == lm._tokenized([body])
+            assert log_prob(loaded, body) == log_prob(lm, body)
             assert zs.per_token_log_prob(loaded, doc) == zs.per_token_log_prob(lm, doc)
         for k in range(1, lm.order + 1):
             for loaded_array, array in zip(loaded.grams[k] + loaded.contexts[k],
@@ -603,7 +616,7 @@ class TestSharedSampler:
 
 
 # -- oracles of the one-sweep path ------------------------------------------
-# perturb, per_token_log_prob (with score_texts and the log sum),
+# perturb, per_token_log_prob (with its tokenization and log sum),
 # detect_gpt_score and single_revise_score written the plain way: one
 # perturbation and one scoring pass per text, sharing only the row-wise
 # _windows and _probs with the package. The package's one sweep per
@@ -781,6 +794,37 @@ class TestOneSweepScoring:
         assert package_score(lm, make_doc("!!! ?", doc_id="2"), cfg) == (
             "document '2' has no word tokens")
         assert lm.scoring_passes == before
+
+
+class TestOneScoringRoute:
+    @settings(max_examples=80, deadline=None)
+    @given(bodies=st.lists(sweep_bodies, min_size=1, max_size=4))
+    def test_per_token_log_probs_equal_per_text_oracle(self, bodies):
+        """per_token_log_prob, and the many-body routine behind it, give the
+        oracle's per-text values bit for bit, its error message, and one
+        pass per body; a wordless body fails the call before any pass."""
+        lm = SWEEP_LM
+
+        def outcome(score, *args):
+            before = lm.scoring_passes
+            try:
+                result = score(lm, *args)
+            except DataError as exc:
+                result = str(exc)
+            return repr(result), lm.scoring_passes - before
+
+        docs = [make_doc(b, doc_id=str(i)) for i, b in enumerate(bodies)]
+        for doc in docs:
+            assert outcome(zs.per_token_log_prob, doc) == outcome(oracle_per_token_log_prob, doc)
+        # All bodies as one document's texts: each body's value, or the
+        # first wordless body's error.
+        doc = docs[0]
+        try:
+            expected = (repr([oracle_per_token_log_prob(lm, replace(doc, body=b))
+                              for b in bodies]), len(bodies))
+        except DataError as exc:
+            expected = repr(str(exc)), 0
+        assert outcome(zs._per_token_log_probs, doc, bodies) == expected
 
 
 class TestMixedCasePerturbation:
