@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,6 +43,18 @@ HYPERPARAMETER_RANGES = {
     "budget": (lambda v: v >= BO_N_INIT, f"at least {BO_N_INIT}"),
     "n_trees": (lambda v: v >= 1, "at least 1"),
     "max_depth": (lambda v: v is None or v >= 1, "null or at least 1"),
+}
+
+
+# Each family's config keys with their defaults, which are its trainers'
+# defaults; gnb's "tune" chooses tune_gnb over the fixed var_smoothing. A
+# config value takes its default's type, and random_forest's "max_depth" may
+# also be null (no depth limit). Each key's range is HYPERPARAMETER_RANGES.
+HYPERPARAMETER_DEFAULTS = {
+    "logreg": {"l2": 1e-4, "epochs": 150, "lr": 0.5},
+    "gnb": {"tune": False, "budget": 20, "var_smoothing": 1e-9},
+    "svm": {"lambda": 1e-3, "epochs": 50},
+    "random_forest": {"n_trees": 50, "max_depth": 8},
 }
 
 
@@ -84,18 +97,14 @@ class LogRegModel:
     weights: np.ndarray
     bias: float
     l2: float
-    family: str = "logreg"
+    family: ClassVar[str] = "logreg"
+    threshold: ClassVar[float] = 0.5
 
     @property
     def dim(self) -> int:
         return len(self.weights)
 
-    @property
-    def threshold(self) -> float:
-        return 0.5
-
     def score(self, x: np.ndarray) -> float:
-        _check_dim(self, x)
         return float(_sigmoid(self.weights @ x + self.bias))
 
 
@@ -105,18 +114,14 @@ class GnbModel:
     variances: np.ndarray  # (2, d), maximum-likelihood variances
     priors: np.ndarray  # (2,)
     var_smoothing: float
-    family: str = "gnb"
+    family: ClassVar[str] = "gnb"
+    threshold: ClassVar[float] = 0.5
 
     @property
     def dim(self) -> int:
         return self.means.shape[1]
 
-    @property
-    def threshold(self) -> float:
-        return 0.5
-
     def score(self, x: np.ndarray) -> float:
-        _check_dim(self, x)
         var = self.variances + self.var_smoothing
         log_post = np.log(self.priors) - 0.5 * np.sum(
             LOG_2PI + np.log(var) + (x[None, :] - self.means) ** 2 / var, axis=1
@@ -132,18 +137,14 @@ class SvmModel:
     weights: np.ndarray
     bias: float
     lam: float
-    family: str = "svm"
+    family: ClassVar[str] = "svm"
+    threshold: ClassVar[float] = 0.0
 
     @property
     def dim(self) -> int:
         return len(self.weights)
 
-    @property
-    def threshold(self) -> float:
-        return 0.0
-
     def score(self, x: np.ndarray) -> float:
-        _check_dim(self, x)
         return float(self.weights @ x + self.bias)
 
 
@@ -171,14 +172,10 @@ class RfModel:
     max_depth: int | None
     seed: int
     dim: int
-    family: str = "random_forest"
-
-    @property
-    def threshold(self) -> float:
-        return 0.5
+    family: ClassVar[str] = "random_forest"
+    threshold: ClassVar[float] = 0.5
 
     def score(self, x: np.ndarray) -> float:
-        _check_dim(self, x)
         return float(np.mean([t.predict(x) for t in self.trees]))
 
 
@@ -197,11 +194,6 @@ class Prediction:
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-
-
-def _check_dim(model, x: np.ndarray) -> None:
-    if len(x) != model.dim:
-        raise DataError(f"feature dimension {len(x)} != model dimension {model.dim}")
 
 
 # -- logistic regression --
@@ -530,40 +522,87 @@ def train_random_forest(
 
 
 def predict(model: AnyModel, x: np.ndarray) -> Prediction:
-    """Family score with the family's threshold rule; ties go to Machine."""
+    """Family score with the family's threshold rule; ties go to Machine.
+    DataError when *x* is not of the model's dimension or the score is not
+    finite: Prediction refuses an overflow, so numpy need not warn of it."""
     x = np.asarray(x, dtype=float)
-    score = model.score(x)
+    if len(x) != model.dim:
+        raise DataError(f"feature dimension {len(x)} != model dimension {model.dim}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        score = model.score(x)
     return Prediction(score=score, label=int(score >= model.threshold))
 
 
 # -- persistence --
 
 
+def _finite_array(ndim: int):
+    """The parser of a finite numeric array of *ndim* dimensions."""
+
+    def parse(values, _parsed) -> np.ndarray:
+        arr = np.array(values, dtype=float)
+        if arr.ndim != ndim:
+            raise ValueError(f"expected a {ndim}-D numeric array, got {arr.ndim}-D")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("non-finite numeric field")
+        return arr
+
+    return parse
+
+
+def _finite_float(value, _parsed=None) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError("non-finite numeric field")
+    return x
+
+
+def _dim(value, _parsed) -> int:
+    dim = int(value)
+    if dim < 1:
+        raise ValueError("random_forest dim must be >= 1")
+    return dim
+
+
+def _forest(value, parsed) -> list[TreeNode]:
+    trees = [_tree_from_dict(t, parsed["dim"]) for t in value]
+    if not trees:
+        raise ValueError("random_forest needs at least one tree")
+    return trees
+
+
+# Each family's model class and its model.json fields beyond schema_version,
+# family and dim, as (JSON key, attribute, parser). save_model writes each
+# attribute under its key; load_model parses the keys in this order, each
+# parser given the JSON value and the attributes parsed before it.
+_MODEL_FIELDS = {
+    "logreg": (LogRegModel, (("weights", "weights", _finite_array(1)),
+                             ("bias", "bias", _finite_float), ("l2", "l2", _finite_float))),
+    "gnb": (GnbModel, (("means", "means", _finite_array(2)),
+                       ("variances", "variances", _finite_array(2)),
+                       ("priors", "priors", _finite_array(1)),
+                       ("var_smoothing", "var_smoothing", _finite_float))),
+    "svm": (SvmModel, (("weights", "weights", _finite_array(1)),
+                       ("bias", "bias", _finite_float), ("lambda", "lam", _finite_float))),
+    "random_forest": (RfModel, (("dim", "dim", _dim), ("trees", "trees", _forest),
+                                ("n_trees", "n_trees", lambda v, _: int(v)),
+                                ("max_depth", "max_depth", lambda v, _: v),
+                                ("seed", "seed", lambda v, _: int(v)))),
+}
+
+
+def _to_json(value):
+    """The JSON form of a model attribute that json cannot write itself."""
+    return value.tolist() if isinstance(value, np.ndarray) else _tree_to_dict(value)
+
+
 def save_model(model: AnyModel, path: str | Path) -> None:
     """Versioned JSON with full-precision (shortest round-trip) numbers."""
-    payload: dict = {"schema_version": SCHEMA_VERSION, "family": model.family,
-                     "dim": model.dim}
-    if isinstance(model, LogRegModel):
-        payload["weights"] = model.weights.tolist()
-        payload["bias"] = model.bias
-        payload["l2"] = model.l2
-    elif isinstance(model, GnbModel):
-        payload["means"] = model.means.tolist()
-        payload["variances"] = model.variances.tolist()
-        payload["priors"] = model.priors.tolist()
-        payload["var_smoothing"] = model.var_smoothing
-    elif isinstance(model, SvmModel):
-        payload["weights"] = model.weights.tolist()
-        payload["bias"] = model.bias
-        payload["lambda"] = model.lam
-    elif isinstance(model, RfModel):
-        payload["n_trees"] = model.n_trees
-        payload["max_depth"] = model.max_depth
-        payload["seed"] = model.seed
-        payload["trees"] = [_tree_to_dict(t) for t in model.trees]
-    else:
-        raise DataError(f"unknown model family {type(model).__name__}")
-    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+    _, fields = _MODEL_FIELDS[model.family]
+    payload = {"schema_version": SCHEMA_VERSION, "family": model.family, "dim": model.dim}
+    payload.update((key, getattr(model, attr)) for key, attr, _ in fields)
+    Path(path).write_text(json.dumps(payload, sort_keys=True, default=_to_json),
+                          encoding="utf-8")
 
 
 def load_model(path: str | Path) -> AnyModel:
@@ -581,68 +620,24 @@ def load_model(path: str | Path) -> AnyModel:
             f"{path}: unsupported schema_version {version!r}, expected {SCHEMA_VERSION}"
         )
     family = payload.get("family")
+    if not isinstance(family, str) or family not in _MODEL_FIELDS:
+        raise ModelFormatError(f"{path}: unknown model family {family!r}")
+    cls, fields = _MODEL_FIELDS[family]
+    parsed: dict = {}
     try:
-        model: AnyModel | None = None
-        if family == "logreg":
-            model = LogRegModel(
-                weights=_finite_array(payload["weights"], ndim=1),
-                bias=_finite_float(payload["bias"]),
-                l2=_finite_float(payload["l2"]),
-            )
-        elif family == "gnb":
-            model = GnbModel(
-                means=_finite_array(payload["means"], ndim=2),
-                variances=_finite_array(payload["variances"], ndim=2),
-                priors=_finite_array(payload["priors"], ndim=1),
-                var_smoothing=_finite_float(payload["var_smoothing"]),
-            )
+        for key, attr, parse in fields:
+            parsed[attr] = parse(payload[key], parsed)
+        model = cls(**parsed)
+        if isinstance(model, GnbModel):
             if len(model.means) != 2 or model.variances.shape != model.means.shape:
                 raise ValueError("gnb means and variances must have shape (2, d)")
             if model.priors.shape != (2,) or np.any(model.priors <= 0):
                 raise ValueError("gnb priors must be 2 positive numbers")
             if np.any(model.variances < 0) or model.var_smoothing <= 0:
                 raise ValueError("gnb variances must be >= 0 and var_smoothing > 0")
-        elif family == "svm":
-            model = SvmModel(
-                weights=_finite_array(payload["weights"], ndim=1),
-                bias=_finite_float(payload["bias"]),
-                lam=_finite_float(payload["lambda"]),
-            )
-        elif family == "random_forest":
-            dim = int(payload["dim"])
-            if dim < 1:
-                raise ValueError("random_forest dim must be >= 1")
-            trees = [_tree_from_dict(t, dim) for t in payload["trees"]]
-            if not trees:
-                raise ValueError("random_forest needs at least one tree")
-            model = RfModel(
-                trees=trees,
-                n_trees=int(payload["n_trees"]),
-                max_depth=payload["max_depth"],
-                seed=int(payload["seed"]),
-                dim=dim,
-            )
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: corrupted model field: {exc}") from exc
-    if model is None:
-        raise ModelFormatError(f"{path}: unknown model family {family!r}")
     return model
-
-
-def _finite_array(values, ndim: int) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if arr.ndim != ndim:
-        raise ValueError(f"expected a {ndim}-D numeric array, got {arr.ndim}-D")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("non-finite numeric field")
-    return arr
-
-
-def _finite_float(value) -> float:
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError("non-finite numeric field")
-    return x
 
 
 def _tree_to_dict(node: TreeNode) -> dict:

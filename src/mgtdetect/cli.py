@@ -34,16 +34,7 @@ EXIT_IO = 4
 ZEROSHOT_METHODS = ("detect_gpt", "single_revise")
 
 # Config keys with their defaults; a value takes its default's type by the
-# rule of `_as`. The classifier keys are per family; random_forest's
-# "max_depth" may also be null (no depth limit). Their ranges are
-# classifiers.HYPERPARAMETER_RANGES.
-CLASSIFIER_DEFAULTS = {
-    "logreg": {"l2": 1e-4, "epochs": 150, "lr": 0.5},
-    "gnb": {"tune": False, "budget": 20, "var_smoothing": 1e-9},
-    "svm": {"lambda": 1e-3, "epochs": 50},
-    "random_forest": {"n_trees": 50, "max_depth": 8},
-}
-CLASSIFIER_FAMILIES = tuple(CLASSIFIER_DEFAULTS)
+# rule of `_as`. The classifier keys are classifiers.HYPERPARAMETER_DEFAULTS.
 SKIPGRAM_DEFAULTS = {f.name: f.default for f in fields(embeddings.SkipGramConfig)
                      if f.name != "seed"}
 ZEROSHOT_DEFAULTS = {"order": 3, "discount": 0.75, "k": 10, "mask_fraction": 0.15,
@@ -117,12 +108,10 @@ def _classifier_section(value) -> dict:
     absent keys taking their defaults, each held to its library range."""
     if not isinstance(value, dict):
         raise ConfigError("classifier must be an object")
-    family = value.get("family")
-    if family not in CLASSIFIER_FAMILIES:
-        raise ConfigError(
-            f"unknown classifier family {family!r}; expected one of {CLASSIFIER_FAMILIES}"
-        )
-    defaults = CLASSIFIER_DEFAULTS[family]
+    family, families = value.get("family"), tuple(classifiers.HYPERPARAMETER_DEFAULTS)
+    if family not in families:
+        raise ConfigError(f"unknown classifier family {family!r}; expected one of {families}")
+    defaults = classifiers.HYPERPARAMETER_DEFAULTS[family]
     raw = _object(value, "classifier", ("family", *defaults))
     typed = _typed("classifier", raw, defaults, nullable=("max_depth",))
     try:
@@ -491,22 +480,18 @@ def _train_classifier(cfg: RunConfig, data: classifiers.Dataset):
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    """Train every configured model, then write the artifacts: a model that
+    fails to train leaves embeddings.txt, model.json and lm.json as they
+    were, never a new file beside an old one."""
     corpus, manifest = _load_cached_corpus(cfg)
     splits = _split_corpora(corpus, manifest)
-    trained_something = False
+    if cfg.classifier is None and cfg.zeroshot is None:
+        raise ConfigError("config has neither a classifier nor a zeroshot section")
 
     if cfg.classifier is not None:
         emb = _embedding_matrix(cfg, splits["train"].bodies())
-        embeddings.export_vectors(emb, cfg.output_dir / "embeddings.txt")
-        data = _dataset_from(splits["train"].documents, emb)
-        model = _train_classifier(cfg, data)
-        classifiers.save_model(model, cfg.output_dir / "model.json")
+        model = _train_classifier(cfg, _dataset_from(splits["train"].documents, emb))
         report = _classifier_scorer(model, emb).evaluate(splits["val"].documents)
-        print(f"classifier: {model.family}")
-        for name in evaluation.METRIC_NAMES:
-            print(f"validation {name}: {getattr(report, name):.4f}")
-        trained_something = True
-
     if cfg.zeroshot is not None:
         machine_texts = [d.body for d in splits["train"].by_label(Label.MACHINE)]
         if not machine_texts:
@@ -514,13 +499,17 @@ def cmd_train(cfg: RunConfig) -> int:
         lm = zeroshot.train_kn_lm(
             machine_texts, order=cfg.zeroshot.order, discount=cfg.zeroshot.discount
         )
+
+    if cfg.classifier is not None:
+        embeddings.export_vectors(emb, cfg.output_dir / "embeddings.txt")
+        classifiers.save_model(model, cfg.output_dir / "model.json")
+        print(f"classifier: {model.family}")
+        for name in evaluation.METRIC_NAMES:
+            print(f"validation {name}: {getattr(report, name):.4f}")
+    if cfg.zeroshot is not None:
         zeroshot.save_lm(lm, cfg.output_dir / "lm.json")
         print(f"lm: order={lm.order} vocab={lm.vocabulary.size} "
               f"train_perplexity={lm.train_perplexity:.3f}")
-        trained_something = True
-
-    if not trained_something:
-        raise ConfigError("config has neither a classifier nor a zeroshot section")
     return EXIT_OK
 
 

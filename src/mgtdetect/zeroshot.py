@@ -557,8 +557,7 @@ def load_lm(path: str | Path) -> NGramLM:
         order = int(payload["order"])
         discount = float(payload["discount"])
         end_id = int(payload["end_id"])
-        if order < 2 or not (0.0 < discount < 1.0):
-            raise ValueError(f"order {order} or discount {discount} out of range")
+        check_kn_params(order, discount)
         if end_id != vocab.size:
             raise ValueError(f"end_id {end_id} differs from the vocabulary size {vocab.size}")
         tables = payload["counts"]

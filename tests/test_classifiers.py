@@ -282,9 +282,11 @@ class TestPersistence:
 
     def test_round_trip_predictions_identical(self, tmp_path, probe):
         for model in self._models():
-            path = tmp_path / f"{model.family}.json"
+            path, again = tmp_path / f"{model.family}.json", tmp_path / "again.json"
             save_model(model, path)
             loaded = load_model(path)
+            save_model(loaded, again)
+            assert again.read_bytes() == path.read_bytes()
             for x in probe:
                 assert predict(loaded, x).score == predict(model, x).score
 
@@ -316,6 +318,7 @@ class TestPersistence:
 
     def test_unknown_family_errors(self, tmp_path):
         path = tmp_path / "m.json"
-        path.write_text(json.dumps({"schema_version": 1, "family": "mlp", "dim": 2}))
-        with pytest.raises(ModelFormatError):
-            load_model(path)
+        for family in ("mlp", ["svm"], {"a": 1}, None, 3):
+            path.write_text(json.dumps({"schema_version": 1, "family": family, "dim": 2}))
+            with pytest.raises(ModelFormatError, match="unknown model family"):
+                load_model(path)

@@ -17,8 +17,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mgtdetect
 from mgtdetect import classifiers, embeddings, evaluation, ingest, synthetic, zeroshot
-from mgtdetect.cli import (CLASSIFIER_DEFAULTS, SKIPGRAM_DEFAULTS, ZEROSHOT_DEFAULTS,
-                           derive_seed, main)
+from mgtdetect.classifiers import HYPERPARAMETER_DEFAULTS
+from mgtdetect.cli import SKIPGRAM_DEFAULTS, ZEROSHOT_DEFAULTS, derive_seed, main
 from mgtdetect.errors import DataError
 from mgtdetect.ingest import Document, Label
 from mgtdetect.synthetic import write_hc3_file
@@ -372,6 +372,10 @@ def one_error_line(capsys, prefix: str) -> str:
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(prefix), err
     return err[0]
+
+
+def file_bytes(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
 def write_config(tmp_path: Path, workspace: Path, **changes) -> str:
@@ -795,11 +799,11 @@ class TestDefaults:
         }
         # gnb's "tune" chooses tune_gnb over the fixed var_smoothing; it
         # feeds no library parameter.
-        configured = {(f, k) for f, keys in CLASSIFIER_DEFAULTS.items() for k in keys}
+        configured = {(f, k) for f, keys in HYPERPARAMETER_DEFAULTS.items() for k in keys}
         assert set(feeds) == configured - {("gnb", "tune")}
-        assert CLASSIFIER_DEFAULTS["gnb"]["tune"] is False
+        assert HYPERPARAMETER_DEFAULTS["gnb"]["tune"] is False
         for (family, key), (fn, param) in feeds.items():
-            assert CLASSIFIER_DEFAULTS[family][key] == default(fn, param), (family, key)
+            assert HYPERPARAMETER_DEFAULTS[family][key] == default(fn, param), (family, key)
         perturb = zeroshot.PerturbConfig.__dataclass_fields__
         assert ZEROSHOT_DEFAULTS == {
             "order": default(zeroshot.train_kn_lm, "order"),
@@ -980,11 +984,32 @@ class TestCorruptClassifierArtifacts:
         assert err == ["skipping line 2: feature vector must be finite"]
         assert [row.split(",")[0] for row in out.splitlines()] == ["id", "1", "3"]
 
-    def test_train_overflow_prints_only_its_error(self, workspace, tmp_path):
-        """train on loaded vectors whose mean overflows: in a process of its
-        own, the data error is all that reaches stderr."""
+    def test_overflowing_score_prints_only_its_skip_line(self, workspace, tmp_path):
+        """One word whose finite vector alternates 1e308 and -1e308: the
+        model's score overflows, and in a process of its own the skip line
+        is all that reaches stderr."""
         out = tmp_path / "out"
         shutil.copytree(workspace / "out", out)
+        rows = (out / "embeddings.txt").read_text().split("\n")
+        i = next(i for i, row in enumerate(rows) if row.split(" ")[0].isalpha())
+        word, *values = rows[i].split(" ")
+        rows[i] = " ".join([word] + [("1e308", "-1e308")[j % 2] for j in range(len(values))])
+        (out / "embeddings.txt").write_text("\n".join(rows))
+        inp = tmp_path / "in.txt"
+        inp.write_text(f"{word}.\n")
+        rc, err, printed = run_entry_point("detect", "--config", cfg_path(workspace), str(inp),
+                                           "--method", "classifier", "--output", str(out))
+        assert rc == 0
+        assert err == ["skipping line 1: prediction score must be finite"]
+        assert printed.splitlines() == ["id,score,label,method"]
+
+    def test_train_overflow_prints_only_its_error(self, workspace, tmp_path):
+        """train on loaded vectors whose mean overflows: in a process of its
+        own, the data error is all that reaches stderr, and no file of the
+        output directory has changed."""
+        out = tmp_path / "out"
+        shutil.copytree(workspace / "out", out)
+        before = file_bytes(out)
         header, *rows = (out / "embeddings.txt").read_text().splitlines()
         dim = int(header.split(" ")[1])
         lines = [header] + [" ".join([row.split(" ")[0]] + ["1e308"] * dim) for row in rows]
@@ -995,6 +1020,19 @@ class TestCorruptClassifierArtifacts:
         rc, err, _ = run_entry_point("train", "--config", config)
         assert rc == 3
         assert err == ["data error: feature vector must be finite"]
+        assert file_bytes(out) == before
+
+    def test_failed_lm_training_writes_no_file(self, workspace, tmp_path, capsys):
+        """The classifier trains, then the LM's order is refused: train
+        exits 3 before it writes any of its artifacts."""
+        out = tmp_path / "out"
+        shutil.copytree(workspace / "out", out)
+        before = file_bytes(out)
+        config = write_config(tmp_path, workspace, classifier__epochs=7, zeroshot__order=60)
+        capsys.readouterr()
+        assert main(["train", "--config", config]) == 3
+        one_error_line(capsys, "data error:")
+        assert file_bytes(out) == before
 
     @pytest.mark.parametrize("family, mutate", [
         ("svm", lambda p: p.__setitem__("weights", [[w] for w in p["weights"]])),
@@ -1180,7 +1218,7 @@ def _typed_fields(family: str) -> list[tuple[tuple, type]]:
     fields += [(("split", k), float) for k in ("train", "val", "test")]
     for section, defaults in (("embeddings", SKIPGRAM_DEFAULTS),
                               ("zeroshot", ZEROSHOT_DEFAULTS),
-                              ("classifier", CLASSIFIER_DEFAULTS[family])):
+                              ("classifier", HYPERPARAMETER_DEFAULTS[family])):
         fields += [((section, k), type(v)) for k, v in defaults.items()]
     return fields
 
@@ -1223,7 +1261,7 @@ class TestConfigFuzz:
 
     @settings(deadline=None, max_examples=100,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data(), family=st.sampled_from(sorted(CLASSIFIER_DEFAULTS)))
+    @given(data=st.data(), family=st.sampled_from(sorted(HYPERPARAMETER_DEFAULTS)))
     def test_value_of_another_kind_exits_2(self, workspace, tmp_path, data, family):
         config = base_config(str(tmp_path / "out"))
         config["dataset"]["hc3_path"] = str(workspace / "data.jsonl")

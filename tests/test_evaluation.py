@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mgtdetect import classifiers, embeddings, zeroshot
 from mgtdetect.errors import AurocUndefined, DataError
 from mgtdetect.evaluation import (
     AdversarialTransform,
@@ -399,3 +400,102 @@ class TestRobustnessReport:
         corpus = make_corpus(["only human."], [])
         with pytest.raises(DataError):
             robustness_report(scorer, corpus, [])
+
+
+# One detector of each family the attacks meet: an LM for detect_gpt and
+# single_revise, and an svm over mean-pooled vectors of the LM's tokens, so
+# that "/" and "\\", which special_chars inserts, have vectors too.
+INVARIANCE_LM = zeroshot.train_kn_lm(
+    ["The cat sat on the mat, e.g. a red mat.", "Dr. Smith's dog / cat \\ didn't sit!",
+     "A dog and a cat? Yes, the cat.", "The end of the mat etc. is red."] * 2,
+    order=3, discount=0.75)
+INVARIANCE_EMB = embeddings.EmbeddingMatrix(
+    vocabulary=INVARIANCE_LM.vocabulary, dim=4,
+    input_vectors=np.random.default_rng(4).normal(size=(INVARIANCE_LM.vocabulary.size, 4)))
+INVARIANCE_SVM = classifiers.SvmModel(weights=np.array([0.7, -1.3, 0.2, 2.1]), bias=0.1,
+                                      lam=1e-3)
+INVARIANCE_WORDS = ["the", "The", "cat", "MAT", "dog", "didn't", "Smith's", "e.g.", "Dr.",
+                    "etc.", "i.e.", "red", "zz", ",", "!", "?", ".", " ", "\n"]
+
+
+def curvature(body: str, k: int, seed: int) -> float:
+    cfg = zeroshot.PerturbConfig(pool=INVARIANCE_LM.vocabulary, mask_fraction=0.3, seed=seed,
+                                 k=k)
+    score = zeroshot.detect_gpt_score if k > 1 else zeroshot.single_revise_score
+    return score(INVARIANCE_LM, make_doc(body), cfg).d
+
+
+def svm_score(body: str) -> float:
+    return classifiers.predict(INVARIANCE_SVM,
+                               embeddings.doc_vector(body, INVARIANCE_EMB).values).score
+
+
+def outcome(score, body: str) -> str:
+    """repr of *score*(body), or the DataError it raises."""
+    try:
+        return repr(score(body))
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+def invariance_bodies(pieces: st.SearchStrategy) -> st.SearchStrategy:
+    return st.lists(st.one_of(st.sampled_from(INVARIANCE_WORDS), pieces), max_size=14).map(
+        " ".join).filter(bool)
+
+
+_ASCII = "".join(chr(c) for c in range(0x20, 0x7F)) + "\n"
+
+
+class TestInvariantAttacks:
+    """Every detector reads text through the lowercasing, whitespace-blind
+    tokenizer, and the classifier reads word tokens only: so whitespace_noise
+    and case_flip on ASCII text leave every score as it was, and
+    special_chars leaves the classifier's. These attacks measure tokenizer
+    invariance, not robustness."""
+
+    def _scores(self, body: str, seed: int) -> list[str]:
+        return [outcome(lambda b: curvature(b, 4, seed), body),
+                outcome(lambda b: curvature(b, 1, seed), body), outcome(svm_score, body)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(body=invariance_bodies(attack_bodies), intensity=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32))
+    def test_whitespace_noise_moves_no_score(self, body, intensity, seed):
+        attacked = adversarial_transform(make_doc(body), AdversarialTransform(
+            kind="whitespace_noise", intensity=intensity, seed=seed)).body
+        assert self._scores(attacked, seed) == self._scores(body, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(body=invariance_bodies(st.text(_ASCII, max_size=8)), intensity=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32))
+    def test_case_flip_on_ascii_moves_no_score(self, body, intensity, seed):
+        attacked = adversarial_transform(make_doc(body), AdversarialTransform(
+            kind="case_flip", intensity=intensity, seed=seed)).body
+        assert self._scores(attacked, seed) == self._scores(body, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(body=invariance_bodies(attack_bodies), intensity=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32))
+    def test_special_chars_moves_no_classifier_score(self, body, intensity, seed):
+        attacked = adversarial_transform(make_doc(body), AdversarialTransform(
+            kind="special_chars", intensity=intensity, seed=seed)).body
+        assert outcome(svm_score, attacked) == outcome(svm_score, body)
+
+    @pytest.mark.parametrize("word, before, after", [
+        ("İstanbul", ["i̇stanbul"], ["i", "stanbul"]),
+        ("ΟΔΟσ", ["οδοσ"], ["οδος"]),
+        ("straße", ["straße"], ["strasse"]),
+    ])
+    def test_case_flip_retokenizes_outside_ascii(self, word, before, after):
+        """swapcase can change what the tokenizer reads: İ becomes i plus a
+        combining dot, a final Σ lowercases to ς, and ß becomes SS."""
+        flip = AdversarialTransform(kind="case_flip", intensity=1.0, seed=0)
+        assert word_tokens(word) == before
+        assert word_tokens(adversarial_transform(make_doc(word), flip).body) == after
+
+    def test_case_flip_moves_a_curvature_score(self):
+        body = "The cat sat on İstanbul."
+        flip = AdversarialTransform(kind="case_flip", intensity=1.0, seed=0)
+        attacked = adversarial_transform(make_doc(body), flip).body
+        assert attacked == "tHE CAT SAT ON i̇STANBUL."
+        assert curvature(attacked, 1, 3) != curvature(body, 1, 3)

@@ -893,10 +893,16 @@ def _corrupt():
     def order_too_small(p):
         p["order"] = 1
 
+    def discount_too_large(p):
+        p["discount"] = 1.5
+
+    def discount_zero(p):
+        p["discount"] = 0
+
     return [level_1_deleted, extra_level, no_counts, empty_level, short_row,
             negative_count, zero_count, target_out_of_range, target_is_start,
             context_out_of_range, fractional_id, end_id_mismatch, repeated_ngram,
-            non_numeric_count, order_too_small]
+            non_numeric_count, order_too_small, discount_too_large, discount_zero]
 
 
 class TestLoadLmValidation:
