@@ -557,8 +557,16 @@ def _finite_float(value, _parsed=None) -> float:
     return x
 
 
+def _json_int(value) -> int:
+    """*value* when it is a JSON integer; ValueError otherwise (a float or
+    a boolean included), so that no field is silently truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _dim(value, _parsed) -> int:
-    dim = int(value)
+    dim = _json_int(value)
     if dim < 1:
         raise ValueError("random_forest dim must be >= 1")
     return dim
@@ -569,6 +577,26 @@ def _forest(value, parsed) -> list[TreeNode]:
     if not trees:
         raise ValueError("random_forest needs at least one tree")
     return trees
+
+
+def _n_trees(value, parsed) -> int:
+    n_trees = _json_int(value)
+    if n_trees != len(parsed["trees"]):
+        raise ValueError(f"n_trees {n_trees} differs from the {len(parsed['trees'])} trees")
+    return n_trees
+
+
+def _max_depth(value, _parsed) -> int | None:
+    max_depth = None if value is None else _json_int(value)
+    check_hyperparameters({"max_depth": max_depth})
+    return max_depth
+
+
+def _seed(value, _parsed) -> int:
+    seed = _json_int(value)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 # Each family's model class and its model.json fields beyond schema_version,
@@ -585,9 +613,9 @@ _MODEL_FIELDS = {
     "svm": (SvmModel, (("weights", "weights", _finite_array(1)),
                        ("bias", "bias", _finite_float), ("lambda", "lam", _finite_float))),
     "random_forest": (RfModel, (("dim", "dim", _dim), ("trees", "trees", _forest),
-                                ("n_trees", "n_trees", lambda v, _: int(v)),
-                                ("max_depth", "max_depth", lambda v, _: v),
-                                ("seed", "seed", lambda v, _: int(v)))),
+                                ("n_trees", "n_trees", _n_trees),
+                                ("max_depth", "max_depth", _max_depth),
+                                ("seed", "seed", _seed))),
 }
 
 
@@ -608,8 +636,11 @@ def save_model(model: AnyModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> AnyModel:
     """Read a save_model file, checking every field each family's score
     reads: numbers finite, weights 1-D, gnb arrays of shape (2, d) and
-    (2,), random-forest features in [0, dim). Any other content raises
-    ModelFormatError.
+    (2,), random-forest dim and split features integers, the features in
+    [0, dim), and the forest's metadata as train_random_forest writes it:
+    n_trees an integer equal to the number of trees (so at least 1),
+    max_depth null or an integer in its HYPERPARAMETER_RANGES range, and
+    seed an integer >= 0. Any other content raises ModelFormatError.
     """
     payload = load_json(path, ModelFormatError)
     if not isinstance(payload, dict):
@@ -635,7 +666,8 @@ def load_model(path: str | Path) -> AnyModel:
                 raise ValueError("gnb priors must be 2 positive numbers")
             if np.any(model.variances < 0) or model.var_smoothing <= 0:
                 raise ValueError("gnb variances must be >= 0 and var_smoothing > 0")
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError,
+            DataError) as exc:
         raise ModelFormatError(f"{path}: corrupted model field: {exc}") from exc
     return model
 
@@ -656,7 +688,7 @@ def _tree_from_dict(d: dict, dim: int) -> TreeNode:
         raise TypeError("tree node must be a JSON object")
     if "leaf" in d:
         return TreeNode(leaf_fraction=_finite_float(d["leaf"]))
-    feature = int(d["feature"])
+    feature = _json_int(d["feature"])
     if not 0 <= feature < dim:
         raise ValueError(f"tree feature {feature} outside [0, {dim})")
     return TreeNode(

@@ -52,10 +52,35 @@ def token_spans(text: str) -> list[tuple[int, int, bool]]:
     return [(*m.span(), m.lastindex == 1) for m in _TOKEN_RE.finditer(text)]
 
 
+# Token's own __new__ is a Python function; building the tuple directly
+# makes the same Token at about half the cost per token.
+_new_token = tuple.__new__
+
+
 def tokenize(text: str) -> list[Token]:
     """Segment *text* into lowercased word tokens and punctuation tokens."""
-    return [Token(word.lower(), True) if word else Token(mark.lower(), False)
+    return [_new_token(Token, (word.lower(), True)) if word
+            else _new_token(Token, (mark.lower(), False))
             for word, mark in _TOKEN_RE.findall(text)]
+
+
+# The word surfaces of _ABBREVIATIONS. split_sentences reads only the
+# whitespace chunks that end in "."; one whose lowercase is an abbreviation
+# holds no other word. So replacing a word token by one word token cannot
+# move a sentence end unless the word's chunk ends in "." and the old or
+# the new lowercase is in this set.
+ABBREVIATION_WORDS = frozenset(
+    t.surface for a in _ABBREVIATIONS for t in tokenize(a) if t.is_word
+)
+
+_CHUNK_REST_RE = re.compile(r"\S*")
+
+
+def period_chunk_words(text: str) -> list[bool]:
+    """For each word token of *text*, in order, whether the whitespace
+    chunk holding it ends in a period."""
+    return [text[_CHUNK_REST_RE.match(text, b).end() - 1] == "."
+            for _, b, is_word in token_spans(text) if is_word]
 
 
 def word_tokens(text: str) -> list[str]:
@@ -63,26 +88,40 @@ def word_tokens(text: str) -> list[str]:
     return [t.surface for t in tokenize(text) if t.is_word]
 
 
+def seeded_rewrites(n: int, fraction: float, seed: int,
+                    replace: Callable[[np.random.Generator, int], str]) -> list[tuple[int, str]]:
+    """The seeded draw contract of rewrite_units: (index, replacement) for
+    floor(fraction * n) of n units, chosen by one seeded draw without
+    replacement, each in increasing index order paired with replace(rng,
+    index) from the same generator. When no unit is chosen, no generator
+    is built.
+    """
+    m = math.floor(fraction * n)
+    if m == 0:
+        return []
+    rng = np.random.default_rng(seed)
+    return [(i, replace(rng, i)) for i in sorted(rng.choice(n, size=m, replace=False).tolist())]
+
+
 def rewrite_units(text: str, units: Sequence[tuple[int, int]], fraction: float,
                   seed: int, replace: Callable[[np.random.Generator, str], str]) -> str:
     """*text* with floor(fraction * len(units)) of its units rewritten.
 
     *units* are disjoint (start, end) spans in text order; an empty span
-    is an insertion point. The units are chosen by one seeded draw without
-    replacement, then each chosen unit, in text order, is spliced with
-    replace(rng, text[start:end]) from the same generator. When no unit is
-    chosen, no generator is built and *text* comes back as it is.
+    is an insertion point. seeded_rewrites chooses the units and, in text
+    order, splices each with replace(rng, text[start:end]). When no unit
+    is chosen, *text* comes back as it is.
     """
-    m = math.floor(fraction * len(units))
-    if m == 0:
+    rewrites = seeded_rewrites(len(units), fraction, seed,
+                               lambda rng, i: replace(rng, text[units[i][0]:units[i][1]]))
+    if not rewrites:
         return text
-    rng = np.random.default_rng(seed)
     pieces: list[str] = []
     prev = 0
-    for i in sorted(rng.choice(len(units), size=m, replace=False).tolist()):
+    for i, new in rewrites:
         a, b = units[i]
         pieces.append(text[prev:a])
-        pieces.append(replace(rng, text[a:b]))
+        pieces.append(new)
         prev = b
     pieces.append(text[prev:])
     return "".join(pieces)

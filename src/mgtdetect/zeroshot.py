@@ -25,11 +25,14 @@ import numpy as np
 from .errors import DataError, ModelFormatError, load_json
 from .ingest import Document
 from .text_core import (
+    ABBREVIATION_WORDS,
     UNK,
     Token,
     Vocabulary,
     is_word_surface,
+    period_chunk_words,
     rewrite_units,
+    seeded_rewrites,
     split_sentences,
     token_spans,
     tokenize,
@@ -57,15 +60,18 @@ class NGramLM:
     significant, so key order is the order of the id lists. ``grams[k]``
     holds level k's sorted keys and their counts; ``contexts[k]``, derived
     on construction, the sorted unique context keys (key // base) with
-    their count totals and numbers of distinct continuations.
+    their count totals and back-off weights (discount times the number of
+    distinct continuations, over the total); ``unigram_probs``, level 1's
+    probability of every shifted id.
 
     ``scoring_passes`` counts the texts scored for a statistic, one pass
-    per scored text (_per_token_log_probs adds them all): one per
-    per_token_log_prob call, k + 1 per detect_gpt_score call, 2 per
-    single_revise_score call; the detectors' pass budget is asserted
-    against it in tests. ``train_perplexity`` is the perplexity of the
-    training texts, set by train_kn_lm from the windows it counted; None
-    for a loaded model.
+    per scored text (_log_probs_per_symbol adds them all, whether a
+    text's ids came from tokenizing a string or from patching a
+    tokenized original): one per per_token_log_prob call, k + 1 per
+    detect_gpt_score call, 2 per single_revise_score call; the detectors'
+    pass budget is asserted against it in tests. ``train_perplexity`` is
+    the perplexity of the training texts, set by train_kn_lm from the
+    windows it counted; None for a loaded model.
     """
 
     order: int
@@ -77,6 +83,7 @@ class NGramLM:
     train_perplexity: float | None = None
     base: int = field(init=False, repr=False)
     contexts: dict[int, tuple[np.ndarray, ...]] = field(init=False, repr=False)
+    unigram_probs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.base = self.end_id + 2
@@ -84,7 +91,22 @@ class NGramLM:
         for k, (keys, counts) in self.grams.items():
             context_keys, starts, distinct = np.unique(keys // self.base, return_index=True,
                                                        return_counts=True)
-            self.contexts[k] = (context_keys, np.add.reduceat(counts, starts), distinct)
+            totals = np.add.reduceat(counts, starts)
+            # Divided in place, so that no third array of this size is live
+            # at the peak memory of train and detect.
+            backoff = self.discount * distinct
+            backoff /= totals
+            self.contexts[k] = (context_keys, totals, backoff)
+        # Level 1 has the one context 0, as every unigram key is below base,
+        # and backs off to the uniform distribution. Its P(target) for every
+        # shifted id, by the operations _probs's higher levels use: the
+        # first step of each _probs walk is then one lookup.
+        keys, counts = self.grams[1]
+        [total], [backoff] = self.contexts[1][1:]
+        self.unigram_probs = np.zeros(self.base)
+        self.unigram_probs[keys] = np.maximum(counts - self.discount, 0.0)
+        self.unigram_probs /= total
+        self.unigram_probs += backoff * (1.0 / self.event_size)
 
     @property
     def event_size(self) -> int:
@@ -135,23 +157,25 @@ class NGramLM:
         a level that has not seen the context passes the lower value through.
         """
         target = windows[:, -1]
-        probs = np.full(len(windows), 1.0 / self.event_size)
+        probs = self.unigram_probs[target]
         context = np.zeros(len(windows), dtype=np.int64)
-        for k in range(1, self.order + 1):
-            if k > 1:
-                context += windows[:, -k] * self.base ** (k - 2)
-            keys, counts = self.grams[k]
-            context_keys, totals, distinct = self.contexts[k]
+        for k in range(2, self.order + 1):
+            context += windows[:, -k] * self.base ** (k - 2)
+            context_keys, totals, backoff = self.contexts[k]
             # Every total is positive, so an unseen context's stand-in row
             # computes a finite value that the last step drops.
             i = np.minimum(context_keys.searchsorted(context), len(context_keys) - 1)
-            gram = context * self.base + target
-            j = np.minimum(keys.searchsorted(gram), len(keys) - 1)
-            count = np.where(keys[j] == gram, counts[j], 0.0)
-            mixed = (np.maximum(count - self.discount, 0.0) / totals[i]
-                     + (self.discount * distinct[i] / totals[i]) * probs)
+            mixed = (self._discounted_counts(k, context * self.base + target) / totals[i]
+                     + backoff[i] * probs)
             probs = np.where(context_keys[i] == context, mixed, probs)
         return probs
+
+    def _discounted_counts(self, k: int, grams: np.ndarray) -> np.ndarray:
+        """The count of each of level k's packed *grams* (0 for an n-gram
+        the level has not seen) less the discount, floored at 0."""
+        keys, counts = self.grams[k]
+        j = np.minimum(keys.searchsorted(grams), len(keys) - 1)
+        return np.maximum(np.where(keys[j] == grams, counts[j], 0.0) - self.discount, 0.0)
 
 
 def _pack_powers(level: int, base: int) -> np.ndarray:
@@ -292,20 +316,29 @@ def perplexity(lm: NGramLM, texts: list[str]) -> float:
 
 
 def _per_token_log_probs(lm: NGramLM, doc: Document, bodies: list[str]) -> list[float]:
-    """The log probability per predicted symbol of each of *bodies* (doc's
-    body and its rewrites): each body tokenized once, all scored in one
-    sweep, one scoring pass added per body. A body with no word token
-    raises DataError before any pass is added.
+    """The log probability per predicted symbol of each of *bodies*: each
+    body tokenized once, then all scored by _log_probs_per_symbol. A body
+    with no word token raises DataError before any pass is added.
     """
-    texts = []
-    for body in bodies:
-        sentences, has_word = lm._tokenized([body])
-        if not has_word:
-            raise DataError(f"document {doc.id!r} has no word tokens")
-        texts.append(sentences)
-    totals = lm._sweep(texts)
-    lm.scoring_passes += len(texts)
-    return [total / _symbols(sentences) for total, sentences in zip(totals, texts)]
+    return _log_probs_per_symbol(lm, [_body_ids(lm, doc, body) for body in bodies])
+
+
+def _body_ids(lm: NGramLM, doc: Document, body: str) -> list[list[int]]:
+    """The id sentences of *body*; DataError when it has no word token."""
+    sentences, has_word = lm._tokenized([body])
+    if not has_word:
+        raise DataError(f"document {doc.id!r} has no word tokens")
+    return sentences
+
+
+def _log_probs_per_symbol(lm: NGramLM, groups: list[list[list[int]]]) -> list[float]:
+    """The log probability per predicted symbol of each group of id
+    sentences, all scored in one sweep, one scoring pass added per group.
+    The only code that adds to lm.scoring_passes.
+    """
+    totals = lm._sweep(groups)
+    lm.scoring_passes += len(groups)
+    return [total / _symbols(sentences) for total, sentences in zip(totals, groups)]
 
 
 def check_perturb_params(mask_fraction: float, k: int) -> None:
@@ -384,7 +417,8 @@ class _SubstitutionSampler:
         self.words = [w for w, _ in items]
         self.freqs = [c for _, c in items]
         self.freq_of = dict(items)
-        self._cdf_cache: dict[tuple[int, int], np.ndarray] = {}
+        self._cdf_cache: dict[tuple[int, int], memoryview] = {}
+        self._patch_surfaces: dict[str, str | None] = {}
 
     def _slice_for(self, original: str) -> tuple[int, int]:
         f = self.freq_of.get(original)
@@ -396,12 +430,15 @@ class _SubstitutionSampler:
             return 0, len(self.words)
         return lo, hi
 
-    def _cdf(self, lo: int, hi: int) -> np.ndarray:
+    def _cdf(self, lo: int, hi: int) -> memoryview:
+        # A memoryview of the float64 cumsum, so that bisect_right finds the
+        # index np.searchsorted(side="right") would, at a fraction of a
+        # scalar call's cost and with no copy of the slice.
         key = (lo, hi)
         cdf = self._cdf_cache.get(key)
         if cdf is None:
             weights = np.array(self.freqs[lo:hi], dtype=float)
-            cdf = np.cumsum(weights / weights.sum())
+            cdf = memoryview(np.cumsum(weights / weights.sum()))
             self._cdf_cache[key] = cdf
         return cdf
 
@@ -410,17 +447,31 @@ class _SubstitutionSampler:
         cdf = self._cdf(lo, hi)
         pick = original
         for _ in range(11):
-            u = rng.random()
-            pick = self.words[lo + int(np.searchsorted(cdf, u, side="right"))]
+            pick = self.words[lo + bisect_right(cdf, rng.random())]
             if pick != original:
                 return pick
         return pick
 
+    def patch_surface(self, pick: str) -> str | None:
+        """The token surface of *pick* when, spliced in place of a word,
+        it is one word token whatever surrounds it; None otherwise.
+        Memoized per drawn word.
+        """
+        if pick not in self._patch_surfaces:
+            one_word = token_spans(pick) == [(0, len(pick), True)]
+            self._patch_surfaces[pick] = pick.lower() if one_word else None
+        return self._patch_surfaces[pick]
+
 
 def perturb(doc: Document, cfg: PerturbConfig) -> Document:
     """Replace floor(mask_fraction * word_count) word tokens, chosen by
-    seeded sampling without replacement, with pool draws. Punctuation and
-    token count are preserved; identical (doc, cfg) gives identical output.
+    seeded sampling without replacement, with pool draws spliced in as
+    they are; every other character of the body is kept. A draw that
+    tokenizes as one word keeps the token count; a pool surface that does
+    not ("x y", or "i̇stanbul", whose combining dot is a punctuation
+    token) adds tokens, and a draw beside a period can make or unmake an
+    abbreviation and so move a sentence end. Identical (doc, cfg) gives
+    identical output.
     """
     [body] = _perturbed_bodies(doc.body, cfg, [cfg.seed])
     return doc if body == doc.body else replace(doc, body=body)
@@ -451,6 +502,57 @@ def curvature_stat(logp_original: float, perturbed: list[float]) -> tuple[float,
     return (logp_original - mean) / std, mean, std
 
 
+def _rewrite_groups(lm: NGramLM, doc: Document, cfg: PerturbConfig,
+                    seeds: Iterable[int]) -> list[list[list[int]]]:
+    """The id sentences of doc's body, then of its rewrite under each of
+    *seeds*: what tokenizing [doc.body, *_perturbed_bodies(doc.body, cfg,
+    seeds)] gives, computed in id space. The body is tokenized once; each
+    rewrite makes rewrite_units' draws through seeded_rewrites and patches
+    each pick's id into a copy of the body's ids. A rewrite whose draws
+    could re-segment the text is spliced and tokenized as a string
+    instead: one with a pick that patch_surface refuses, or with a word
+    in a chunk ending in "." whose original or pick is in
+    ABBREVIATION_WORDS. DataError when the body has no word token.
+    """
+    sentences: list[list[int]] = []
+    words: list[tuple[int, int, str]] = []  # (sentence, position, surface) per word token
+    for tokens in _sentence_tokens([doc.body]):
+        words += [(len(sentences), p, t.surface) for p, t in enumerate(tokens) if t.is_word]
+        sentences.append([lm.vocabulary.id_of(t.surface) for t in tokens])
+    if not words:
+        raise DataError(f"document {doc.id!r} has no word tokens")
+    sampler = cfg._sampler()
+    period_chunks: list[bool] = []  # period_chunk_words(doc.body), built on first need
+
+    def draw(rng: np.random.Generator, i: int) -> str:
+        return sampler.draw(rng, words[i][2])
+
+    def resegments(i: int, surface: str | None) -> bool:
+        if surface is None:
+            return True
+        if words[i][2] not in ABBREVIATION_WORDS and surface not in ABBREVIATION_WORDS:
+            return False
+        if not period_chunks:
+            period_chunks[:] = period_chunk_words(doc.body)
+        return period_chunks[i]
+
+    groups = [sentences]
+    for seed in seeds:
+        patched = sentences.copy()
+        for i, pick in seeded_rewrites(len(words), cfg.mask_fraction, seed, draw):
+            surface = sampler.patch_surface(pick)
+            if resegments(i, surface):
+                [rewrite] = _perturbed_bodies(doc.body, cfg, [seed])
+                patched = _body_ids(lm, doc, rewrite)
+                break
+            s, p, _ = words[i]
+            if patched[s] is sentences[s]:
+                patched[s] = sentences[s].copy()
+            patched[s][p] = lm.vocabulary.id_of(surface)
+        groups.append(patched)
+    return groups
+
+
 def detect_gpt_score(lm: NGramLM, doc: Document, cfg: PerturbConfig) -> CurvatureScore:
     """k-perturbation discrepancy with per-token normalized log-probs.
 
@@ -458,8 +560,8 @@ def detect_gpt_score(lm: NGramLM, doc: Document, cfg: PerturbConfig) -> Curvatur
     """
     if cfg.k < 2:
         raise DataError("detect_gpt_score needs k >= 2")
-    rewrites = _perturbed_bodies(doc.body, cfg, range(cfg.seed + 1, cfg.seed + cfg.k + 1))
-    lp_orig, *perturbed = _per_token_log_probs(lm, doc, [doc.body, *rewrites])
+    seeds = range(cfg.seed + 1, cfg.seed + cfg.k + 1)
+    lp_orig, *perturbed = _log_probs_per_symbol(lm, _rewrite_groups(lm, doc, cfg, seeds))
     d, mean, std = curvature_stat(lp_orig, perturbed)
     return CurvatureScore(
         d=d,
@@ -476,8 +578,7 @@ def single_revise_score(lm: NGramLM, doc: Document, cfg: PerturbConfig) -> Curva
     """
     if cfg.k != 1:
         raise DataError("single_revise_score needs k = 1")
-    [rewrite] = _perturbed_bodies(doc.body, cfg, [cfg.seed + 1])
-    lp_orig, lp_pert = _per_token_log_probs(lm, doc, [doc.body, rewrite])
+    lp_orig, lp_pert = _log_probs_per_symbol(lm, _rewrite_groups(lm, doc, cfg, [cfg.seed + 1]))
     return CurvatureScore(
         d=lp_orig - lp_pert,
         logp_original=lp_orig,

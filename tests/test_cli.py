@@ -1048,10 +1048,20 @@ class TestCorruptClassifierArtifacts:
         ("random_forest", lambda p: p["trees"][0].__setitem__("feature", -1)),
         ("random_forest", lambda p: p.__setitem__("trees", [])),
         ("random_forest", lambda p: p.__setitem__("dim", 1e400)),
+        ("random_forest", lambda p: p.__setitem__("max_depth", {"deep": [1]})),
+        ("random_forest", lambda p: p.__setitem__("max_depth", 0)),
+        ("random_forest", lambda p: p.__setitem__("n_trees", 999)),
+        ("random_forest", lambda p: p.__setitem__("n_trees", 2.7)),
+        ("random_forest", lambda p: p.__setitem__("seed", -5)),
+        ("random_forest", lambda p: p.__setitem__("dim", p["dim"] + 0.5)),
+        ("random_forest", lambda p: p["trees"][0].__setitem__("feature", 0.5)),
     ], ids=["svm_weights_2d", "logreg_weights_2d", "logreg_weights_scalar",
             "logreg_bias_infinite", "gnb_means_1d", "gnb_three_classes",
             "gnb_variance_width", "gnb_three_priors", "gnb_negative_prior",
-            "rf_feature_999", "rf_feature_negative", "rf_no_trees", "rf_dim_overflow"])
+            "rf_feature_999", "rf_feature_negative", "rf_no_trees", "rf_dim_overflow",
+            "rf_max_depth_object", "rf_max_depth_zero", "rf_n_trees_999",
+            "rf_n_trees_fractional", "rf_seed_negative", "rf_dim_fractional",
+            "rf_feature_fractional"])
     def test_corrupt_model_exit_3(self, workspace, family_models, tmp_path, capsys,
                                   family, mutate):
         payload = json.loads(family_models[family])

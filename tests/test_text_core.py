@@ -11,6 +11,7 @@ from mgtdetect.text_core import (
     UNK,
     build_vocab,
     count_syllables,
+    period_chunk_words,
     rewrite_units,
     split_sentences,
     token_spans,
@@ -237,6 +238,24 @@ class TestBuildVocab:
     def test_id_of_falls_back_to_unk(self):
         vocab = build_vocab(["a a b"], min_count=2)
         assert vocab.id_of("zzz") == vocab.unk_id
+
+
+class TestPeriodChunkWords:
+    def test_example(self):
+        # Dr | Lee's | e g | x y | z
+        assert period_chunk_words("Dr. Lee's e.g. x.y z") == [
+            True, False, True, True, False, False, False]
+
+    @settings(max_examples=300)
+    @given(text=MIXED_TEXT)
+    def test_matches_a_scan_to_the_next_space(self, text):
+        expected = []
+        for _, end, is_word in token_spans(text):
+            if is_word:
+                while end < len(text) and not text[end].isspace():
+                    end += 1
+                expected.append(text[end - 1] == ".")
+        assert period_chunk_words(text) == expected
 
 
 class TestRewriteUnits:

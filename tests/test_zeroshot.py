@@ -12,7 +12,14 @@ from mgtdetect import zeroshot as zs
 from mgtdetect.errors import DataError, ModelFormatError
 from mgtdetect.evaluation import DetectorScorer
 from mgtdetect.ingest import Document
-from mgtdetect.text_core import build_vocab, is_word_surface, token_spans, tokenize
+from mgtdetect.text_core import (
+    UNK,
+    Vocabulary,
+    build_vocab,
+    is_word_surface,
+    token_spans,
+    tokenize,
+)
 
 from conftest import make_doc
 
@@ -729,11 +736,32 @@ def oracle_score(lm, doc, cfg):
 SWEEP_WORDS = ["a", "b", "c", "d", "e", "f", "the", "zz", "qq"]  # zz, qq: out of vocabulary
 SWEEP_LM = zs.train_kn_lm(["a b c d e f.", "the a b the c d!", "f e d c, b a?",
                            "the the a f e."] * 3, order=3, discount=0.75)
+# Chunks that a rewrite can re-segment: abbreviations, whose words
+# replaced can end a sentence; apostrophes, inside a word and alone; and a
+# capital whose lowercase is two code points.
+ODD_CHUNKS = ["Dr.", "e.g.", "No.", "etc.", "don't", "’", "İstanbul"]
+
+def pool_of(frequencies):
+    """A substitution pool holding exactly *frequencies*' surfaces."""
+    surfaces = list(frequencies) + [UNK]
+    return Vocabulary(word_to_id={w: i for i, w in enumerate(surfaces)},
+                      frequencies={**frequencies, UNK: 0})
+
+
+# Pool surfaces that re-segment once spliced in ("i̇stanbul" is a word, its
+# combining dot, a word; "x y" two words; "a.b" two words around a
+# period), collide with a lowercase surface ("Dog") or are abbreviation
+# words ("dr", "e"), beside plain words. The abbreviation words are rare,
+# so that most rewrites of a document patch ids around the others.
+ODD_POOL = pool_of({"i̇stanbul": 3, "x y": 2, "a.b": 2, "Dog": 4, "dr": 1, "e": 1,
+                    "a": 12, "the": 16})
+
 
 # A document: up to three sentences of up to 20 tokens (long enough that
 # np.sum would add a sentence's terms in another order), or no word at all.
 sweep_bodies = st.one_of(
-    st.lists(st.lists(st.sampled_from(SWEEP_WORDS + [","]), min_size=1, max_size=20)
+    st.lists(st.lists(st.sampled_from(SWEEP_WORDS + ODD_CHUNKS + [","]), min_size=1,
+                      max_size=20)
              .map(" ".join), min_size=1, max_size=3)
     .map(lambda sentences: ". ".join(sentences) + "."),
     st.sampled_from(["!!! ?", "... ,", "?"]),
@@ -757,10 +785,11 @@ class TestOneSweepScoring:
         mask_fraction=st.sampled_from([0.15, 0.3, 0.6]),
         seed=st.integers(0, 2**32),
         band=st.sampled_from([1.0, None]),
+        pool=st.sampled_from([SWEEP_LM.vocabulary, ODD_POOL]),
     )
-    def test_scores_equal_per_text_oracle(self, bodies, k, mask_fraction, seed, band):
+    def test_scores_equal_per_text_oracle(self, bodies, k, mask_fraction, seed, band, pool):
         lm = SWEEP_LM
-        cfg = zs.PerturbConfig(pool=lm.vocabulary, mask_fraction=mask_fraction, seed=seed,
+        cfg = zs.PerturbConfig(pool=pool, mask_fraction=mask_fraction, seed=seed,
                                k=k, band_octaves=band)
         docs = [make_doc(b, doc_id=str(i)) for i, b in enumerate(bodies)]
         expected = [oracle_score(lm, d, cfg) for d in docs]
@@ -830,7 +859,8 @@ class TestOneScoringRoute:
 class TestMixedCasePerturbation:
     @settings(max_examples=60, deadline=None)
     @given(
-        words=st.lists(st.sampled_from(SWEEP_WORDS + ["The", "A", "F", "ZZ", "tHe"]),
+        words=st.lists(st.sampled_from(SWEEP_WORDS + ODD_CHUNKS
+                                       + ["The", "A", "F", "ZZ", "tHe"]),
                        min_size=1, max_size=15),
         k=st.integers(1, 4),
         seed=st.integers(0, 2**32),
@@ -845,6 +875,76 @@ class TestMixedCasePerturbation:
         seeds = range(seed + 1, seed + k + 1)
         assert zs._perturbed_bodies(body, cfg, seeds) == [
             oracle_perturb(make_doc(body), replace(cfg, seed=s)).body for s in seeds]
+
+
+def tokenized_rewrites(lm, body, cfg, seeds):
+    """The id sentences of *body* and of each of its string rewrites."""
+    return [lm._tokenized([b])[0] for b in [body, *zs._perturbed_bodies(body, cfg, seeds)]]
+
+
+class TestIdSpaceRewrites:
+    """The curvature scorers patch word ids into the tokenized original;
+    their ids must equal those of the tokenized string rewrites (their
+    scores are pinned by TestOneSweepScoring, ODD_POOL included)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(body=sweep_bodies, pool=st.sampled_from([SWEEP_LM.vocabulary, ODD_POOL]),
+           k=st.integers(1, 6), seed=st.integers(0, 2**32),
+           mask_fraction=st.floats(0.0, 1.0))
+    def test_groups_equal_tokenized_rewrites(self, body, pool, k, seed, mask_fraction):
+        cfg = zs.PerturbConfig(pool=pool, mask_fraction=mask_fraction, seed=seed, k=k)
+        seeds = range(seed + 1, seed + k + 1)
+        doc = make_doc(body)
+        try:
+            groups = zs._rewrite_groups(SWEEP_LM, doc, cfg, seeds)
+        except DataError as exc:
+            assert str(exc) == "document 'd1' has no word tokens"
+            assert not SWEEP_LM._tokenized([body])[1]
+            return
+        assert groups == tokenized_rewrites(SWEEP_LM, body, cfg, seeds)
+
+    def test_resegmenting_draw_falls_back(self):
+        # Every draw re-segments: the rewrites gain tokens, so no patch of
+        # the original's ids could give them.
+        pool = pool_of({"i̇stanbul": 2, "x y": 1, "a.b": 3})
+        body = "the cat sat on a mat today."
+        cfg = zs.PerturbConfig(pool=pool, mask_fraction=0.5, seed=0, k=1)
+        assert all(cfg._sampler().patch_surface(w) is None for w in pool.frequencies
+                   if w != UNK)
+        seeds = range(1, 21)
+        expected = tokenized_rewrites(SWEEP_LM, body, cfg, seeds)
+        assert all(len(ids) > 8 for [ids] in expected[1:])
+        assert zs._rewrite_groups(SWEEP_LM, make_doc(body), cfg, seeds) == expected
+
+    def test_abbreviation_word_off_a_period_is_patched(self, monkeypatch):
+        # "i", "no" and "e" are abbreviation words, but no chunk here ends
+        # in a period, so every rewrite is a patch.
+        body = "I said no to e and i, today! No one came?"
+        cfg = zs.PerturbConfig(pool=pool_of({"no": 2, "i": 2, "e": 1, "cat": 1}),
+                               mask_fraction=0.5, seed=0, k=1, band_octaves=None)
+        seeds = range(1, 21)
+        expected = tokenized_rewrites(SWEEP_LM, body, cfg, seeds)
+
+        def no_fallback(*args):
+            raise AssertionError("string rewrite made")
+
+        monkeypatch.setattr(zs, "_perturbed_bodies", no_fallback)
+        assert zs._rewrite_groups(SWEEP_LM, make_doc(body), cfg, seeds) == expected
+
+    @pytest.mark.parametrize("body, pool", [
+        # An abbreviation's word replaced: "cat. Lee" ends a sentence.
+        ("Ask Dr. Lee about No. 5 today. It ends.", {"cat": 3, "dog": 2, "sun": 1}),
+        # A word before a period replaced by one: "Dr." or "no." does not.
+        ("The cat. Sat on a mat. Then done.", {"Dr": 1, "no": 1}),
+    ], ids=["original", "drawn"])
+    def test_abbreviation_word_falls_back(self, body, pool):
+        cfg = zs.PerturbConfig(pool=pool_of(pool), mask_fraction=1.0, seed=0, k=1,
+                               band_octaves=None)
+        seeds = range(1, 21)
+        expected = tokenized_rewrites(SWEEP_LM, body, cfg, seeds)
+        # Every rewrite has another number of sentences than the original.
+        assert all(len(sentences) != len(expected[0]) for sentences in expected[1:])
+        assert zs._rewrite_groups(SWEEP_LM, make_doc(body), cfg, seeds) == expected
 
 
 def _corrupt():
