@@ -18,7 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DataError, ModelFormatError, load_json
+from .errors import DataError, ModelFormatError, json_array, json_float, json_int, load_json
 
 SCHEMA_VERSION = 1
 
@@ -537,36 +537,16 @@ def predict(model: AnyModel, x: np.ndarray) -> Prediction:
 
 
 def _finite_array(ndim: int):
-    """The parser of a finite numeric array of *ndim* dimensions."""
-
-    def parse(values, _parsed) -> np.ndarray:
-        arr = np.array(values, dtype=float)
-        if arr.ndim != ndim:
-            raise ValueError(f"expected a {ndim}-D numeric array, got {arr.ndim}-D")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite numeric field")
-        return arr
-
-    return parse
+    """The field parser of a finite numeric array of *ndim* dimensions."""
+    return lambda values, _parsed: json_array(values, ndim)
 
 
-def _finite_float(value, _parsed=None) -> float:
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError("non-finite numeric field")
-    return x
-
-
-def _json_int(value) -> int:
-    """*value* when it is a JSON integer; ValueError otherwise (a float or
-    a boolean included), so that no field is silently truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
+def _finite_float(value, _parsed) -> float:
+    return json_float(value)
 
 
 def _dim(value, _parsed) -> int:
-    dim = _json_int(value)
+    dim = json_int(value)
     if dim < 1:
         raise ValueError("random_forest dim must be >= 1")
     return dim
@@ -580,20 +560,20 @@ def _forest(value, parsed) -> list[TreeNode]:
 
 
 def _n_trees(value, parsed) -> int:
-    n_trees = _json_int(value)
+    n_trees = json_int(value)
     if n_trees != len(parsed["trees"]):
         raise ValueError(f"n_trees {n_trees} differs from the {len(parsed['trees'])} trees")
     return n_trees
 
 
 def _max_depth(value, _parsed) -> int | None:
-    max_depth = None if value is None else _json_int(value)
+    max_depth = None if value is None else json_int(value)
     check_hyperparameters({"max_depth": max_depth})
     return max_depth
 
 
 def _seed(value, _parsed) -> int:
-    seed = _json_int(value)
+    seed = json_int(value)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return seed
@@ -687,13 +667,13 @@ def _tree_from_dict(d: dict, dim: int) -> TreeNode:
     if not isinstance(d, dict):
         raise TypeError("tree node must be a JSON object")
     if "leaf" in d:
-        return TreeNode(leaf_fraction=_finite_float(d["leaf"]))
-    feature = _json_int(d["feature"])
+        return TreeNode(leaf_fraction=json_float(d["leaf"]))
+    feature = json_int(d["feature"])
     if not 0 <= feature < dim:
         raise ValueError(f"tree feature {feature} outside [0, {dim})")
     return TreeNode(
         feature=feature,
-        threshold=_finite_float(d["threshold"]),
+        threshold=json_float(d["threshold"]),
         left=_tree_from_dict(d["left"], dim),
         right=_tree_from_dict(d["right"], dim),
     )

@@ -16,6 +16,8 @@ import io
 import json
 import math
 import sys
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -290,14 +292,35 @@ class RunConfig:
 # -- artifact IO under the output directory --
 
 
+@contextmanager
+def _staged(output_dir: Path) -> Iterator[Callable[[str], Path]]:
+    """Write a command's files all or none: stage(name) is the temporary
+    path in *output_dir* to write the file *name* to. Once the block ends
+    without an error every staged file is renamed to its name; on any error
+    the staged files are removed, so every file in *output_dir* is as it
+    was before the command.
+    """
+    output_dir.mkdir(parents=True, exist_ok=True)
+    staged: dict[Path, Path] = {}
+
+    def stage(name: str) -> Path:
+        path = output_dir / f".{name}.tmp"
+        staged[path] = output_dir / name
+        return path
+
+    try:
+        yield stage
+    except BaseException:
+        for path in staged:
+            path.unlink(missing_ok=True)
+        raise
+    for path, final in staged.items():
+        path.replace(final)
+
+
 def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
                     encoding="utf-8")
-
-
-def _corpus_path(cfg: RunConfig) -> Path:
-    return cfg.output_dir / "corpus.jsonl"
 
 
 def _artifact(cfg: RunConfig, name: str, command: str) -> Path:
@@ -404,22 +427,22 @@ def cmd_ingest(cfg: RunConfig) -> int:
     if not corpus.documents:
         raise DataError(f"{cfg.hc3_path}: no documents survived ingestion")
     train, val, test = ingest.split(corpus, cfg.split)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    with _corpus_path(cfg).open("w", encoding="utf-8") as fh:
-        for d in corpus.documents:
-            fh.write(json.dumps(
-                {"id": d.id, "label": d.label.value, "body": d.body,
-                 "question": d.source_question},
-                sort_keys=True,
-            ) + "\n")
-    _write_json(cfg.output_dir / "splits.json", {
-        "seed": cfg.split.seed,
-        "fractions": {"train": cfg.split.train_frac, "val": cfg.split.val_frac,
-                      "test": cfg.split.test_frac},
-        "train": [d.id for d in train.documents],
-        "val": [d.id for d in val.documents],
-        "test": [d.id for d in test.documents],
-    })
+    with _staged(cfg.output_dir) as stage:
+        with stage("corpus.jsonl").open("w", encoding="utf-8") as fh:
+            for d in corpus.documents:
+                fh.write(json.dumps(
+                    {"id": d.id, "label": d.label.value, "body": d.body,
+                     "question": d.source_question},
+                    sort_keys=True,
+                ) + "\n")
+        _write_json(stage("splits.json"), {
+            "seed": cfg.split.seed,
+            "fractions": {"train": cfg.split.train_frac, "val": cfg.split.val_frac,
+                          "test": cfg.split.test_frac},
+            "train": [d.id for d in train.documents],
+            "val": [d.id for d in val.documents],
+            "test": [d.id for d in test.documents],
+        })
     print(f"documents: {len(corpus)}")
     print(f"class_counts: human={corpus.class_counts[Label.HUMAN]} "
           f"machine={corpus.class_counts[Label.MACHINE]}")
@@ -435,7 +458,8 @@ def cmd_stats(cfg: RunConfig) -> int:
             label: ingest.load_conllu(path) for label, path in cfg.conllu.items()
         }
     report = corpus_stats.corpus_report(corpus, parses=parses)
-    _write_json(cfg.output_dir / "stats.json", report.to_dict())
+    with _staged(cfg.output_dir) as stage:
+        _write_json(stage("stats.json"), report.to_dict())
     print(f"stats written to {cfg.output_dir / 'stats.json'}")
     return EXIT_OK
 
@@ -481,8 +505,9 @@ def _train_classifier(cfg: RunConfig, data: classifiers.Dataset):
 
 def cmd_train(cfg: RunConfig) -> int:
     """Train every configured model, then write the artifacts: a model that
-    fails to train leaves embeddings.txt, model.json and lm.json as they
-    were, never a new file beside an old one."""
+    fails to train, or a file that fails to write, leaves embeddings.txt,
+    model.json and lm.json as they were, never a new file beside an old
+    one."""
     corpus, manifest = _load_cached_corpus(cfg)
     splits = _split_corpora(corpus, manifest)
     if cfg.classifier is None and cfg.zeroshot is None:
@@ -500,14 +525,17 @@ def cmd_train(cfg: RunConfig) -> int:
             machine_texts, order=cfg.zeroshot.order, discount=cfg.zeroshot.discount
         )
 
+    with _staged(cfg.output_dir) as stage:
+        if cfg.classifier is not None:
+            embeddings.export_vectors(emb, stage("embeddings.txt"))
+            classifiers.save_model(model, stage("model.json"))
+        if cfg.zeroshot is not None:
+            zeroshot.save_lm(lm, stage("lm.json"))
     if cfg.classifier is not None:
-        embeddings.export_vectors(emb, cfg.output_dir / "embeddings.txt")
-        classifiers.save_model(model, cfg.output_dir / "model.json")
         print(f"classifier: {model.family}")
         for name in evaluation.METRIC_NAMES:
             print(f"validation {name}: {getattr(report, name):.4f}")
     if cfg.zeroshot is not None:
-        zeroshot.save_lm(lm, cfg.output_dir / "lm.json")
         print(f"lm: order={lm.order} vocab={lm.vocabulary.size} "
               f"train_perplexity={lm.train_perplexity:.3f}")
     return EXIT_OK
@@ -580,26 +608,26 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
     metrics_payload: dict[str, dict] = {}
     robustness_payload: dict[str, dict] = {}
-    for scorer in scorers:
-        report = evaluation.robustness_report(scorer, test, cfg.transforms)
-        metrics_payload[scorer.name] = {
-            "threshold": scorer.threshold,
-            **report.before.to_dict(),
-        }
-        robustness_payload[scorer.name] = report.to_dict()
-        _write_robustness_csv(cfg, scorer.name, report, len(scorers) > 1)
-        print(f"[{scorer.name}] threshold={scorer.threshold:.4f}")
-        for name in evaluation.METRIC_NAMES:
-            print(f"[{scorer.name}] test {name}: {getattr(report.before, name):.4f}")
-    _write_json(cfg.output_dir / "metrics.json", {"methods": metrics_payload})
-    _write_json(cfg.output_dir / "robustness.json", {"methods": robustness_payload})
+    with _staged(cfg.output_dir) as stage:
+        for scorer in scorers:
+            report = evaluation.robustness_report(scorer, test, cfg.transforms)
+            metrics_payload[scorer.name] = {
+                "threshold": scorer.threshold,
+                **report.before.to_dict(),
+            }
+            robustness_payload[scorer.name] = report.to_dict()
+            safe = scorer.name.replace(":", "_")
+            fname = f"robustness_{safe}.csv" if len(scorers) > 1 else "robustness.csv"
+            _write_robustness_csv(stage(fname), report)
+            print(f"[{scorer.name}] threshold={scorer.threshold:.4f}")
+            for name in evaluation.METRIC_NAMES:
+                print(f"[{scorer.name}] test {name}: {getattr(report.before, name):.4f}")
+        _write_json(stage("metrics.json"), {"methods": metrics_payload})
+        _write_json(stage("robustness.json"), {"methods": robustness_payload})
     return EXIT_OK
 
 
-def _write_robustness_csv(cfg: RunConfig, name: str,
-                          report: evaluation.RobustnessReport, multi: bool) -> None:
-    safe = name.replace(":", "_")
-    fname = f"robustness_{safe}.csv" if multi else "robustness.csv"
+def _write_robustness_csv(path: Path, report: evaluation.RobustnessReport) -> None:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["transform", "metric", "before", "after", "delta"])
@@ -611,7 +639,7 @@ def _write_robustness_csv(cfg: RunConfig, name: str,
                 repr(entry["after"][metric]),
                 repr(entry["delta"][metric]),
             ])
-    (cfg.output_dir / fname).write_text(out.getvalue(), encoding="utf-8")
+    path.write_text(out.getvalue(), encoding="utf-8")
 
 
 # -- entry point --

@@ -4,13 +4,19 @@ The CLI maps these onto stable exit codes: ConfigError -> 2,
 DataError (and subclasses) -> 3, OSError -> 4. Every file the package
 reads is decoded and parsed here, so invalid UTF-8, malformed JSON and
 JSON nested past the recursion limit all end in the caller's error class.
+The artifact loaders read their numeric fields through json_int,
+json_float and json_array, which take a JSON number as it is and refuse
+anything else (a numeric string or a boolean included).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterator
 from pathlib import Path
+
+import numpy as np
 
 
 class MgtError(Exception):
@@ -73,3 +79,36 @@ def load_json(path: str | Path, error: type[MgtError] = DataError):
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not valid UTF-8 ({exc.reason})") from exc
     return parse_json(text, str(path), error)
+
+
+def json_int(value) -> int:
+    """*value* when it is a JSON integer; ValueError otherwise (a float, a
+    string or a boolean included), so that no field is silently truncated."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def json_float(value) -> float:
+    """*value* as a float when it is a finite JSON number; ValueError
+    otherwise (a string or a boolean included)."""
+    if type(value) is not float and type(value) is not int:
+        raise ValueError(f"expected a number, got {value!r}")
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError("non-finite numeric field")
+    return x
+
+
+def json_array(values, ndim: int) -> np.ndarray:
+    """*values* as a float array when it nests *ndim* levels of lists
+    around finite JSON numbers; ValueError otherwise (a string or a boolean
+    element included)."""
+    arr = np.array(values, dtype=float)
+    if arr.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-D numeric array, got {arr.ndim}-D")
+    for _ in range(ndim - 1):
+        values = [x for row in values for x in row]
+    for x in values:
+        json_float(x)
+    return arr

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ModelFormatError, load_json
+from .errors import DataError, ModelFormatError, json_float, json_int, load_json
 from .ingest import Document
 from .text_core import (
     ABBREVIATION_WORDS,
@@ -44,6 +44,7 @@ STD_GUARD = 1e-9
 
 END = "</s>"  # predictable end-of-sentence symbol
 START_ID = -1  # context-only padding id, never predicted
+WordToken = tuple[int, int, str]  # a word token's sentence, position and surface
 
 
 @dataclass(eq=False)
@@ -113,15 +114,15 @@ class NGramLM:
         # All predictable symbols: vocabulary ids (UNK included) plus END.
         return self.vocabulary.size + 1
 
-    def _tokenized(self, texts: Iterable[str]) -> tuple[list[list[int]], bool]:
+    def _tokenized(self, texts: Iterable[str]) -> tuple[list[list[int]], list[WordToken]]:
         """The id list of each non-empty sentence of *texts* (OOV tokens as
-        UNK), and whether any token is a word."""
-        sentences = []
-        has_word = False
+        UNK), and each word token's (sentence, position, surface)."""
+        sentences: list[list[int]] = []
+        words: list[WordToken] = []
         for tokens in _sentence_tokens(texts):
-            has_word = has_word or any(t.is_word for t in tokens)
+            words += [(len(sentences), p, t.surface) for p, t in enumerate(tokens) if t.is_word]
             sentences.append([self.vocabulary.id_of(t.surface) for t in tokens])
-        return sentences, has_word
+        return sentences, words
 
     def _sweep(self, groups: list[list[list[int]]]) -> list[float]:
         """The sum of log P over each group of id sentences, from one
@@ -302,7 +303,7 @@ def per_token_log_prob(lm: NGramLM, doc: Document) -> float:
     predicted symbols, so the statistic is comparable across document
     lengths.
     """
-    return _per_token_log_probs(lm, doc, [doc.body])[0]
+    return _log_probs_per_symbol(lm, [_body_ids(lm, doc, doc.body)[0]])[0]
 
 
 def perplexity(lm: NGramLM, texts: list[str]) -> float:
@@ -315,20 +316,12 @@ def perplexity(lm: NGramLM, texts: list[str]) -> float:
     return math.exp(-total / symbols)
 
 
-def _per_token_log_probs(lm: NGramLM, doc: Document, bodies: list[str]) -> list[float]:
-    """The log probability per predicted symbol of each of *bodies*: each
-    body tokenized once, then all scored by _log_probs_per_symbol. A body
-    with no word token raises DataError before any pass is added.
-    """
-    return _log_probs_per_symbol(lm, [_body_ids(lm, doc, body) for body in bodies])
-
-
-def _body_ids(lm: NGramLM, doc: Document, body: str) -> list[list[int]]:
-    """The id sentences of *body*; DataError when it has no word token."""
-    sentences, has_word = lm._tokenized([body])
-    if not has_word:
+def _body_ids(lm: NGramLM, doc: Document, body: str) -> tuple[list[list[int]], list[WordToken]]:
+    """lm._tokenized([body]); DataError when *body* has no word token."""
+    sentences, words = lm._tokenized([body])
+    if not words:
         raise DataError(f"document {doc.id!r} has no word tokens")
-    return sentences
+    return sentences, words
 
 
 def _log_probs_per_symbol(lm: NGramLM, groups: list[list[list[int]]]) -> list[float]:
@@ -417,34 +410,36 @@ class _SubstitutionSampler:
         self.words = [w for w, _ in items]
         self.freqs = [c for _, c in items]
         self.freq_of = dict(items)
-        self._cdf_cache: dict[tuple[int, int], memoryview] = {}
+        self._bands: dict[str, tuple[int, memoryview]] = {}
+        self._freq_bands: dict[int | None, tuple[int, memoryview]] = {}
         self._patch_surfaces: dict[str, str | None] = {}
 
-    def _slice_for(self, original: str) -> tuple[int, int]:
-        f = self.freq_of.get(original)
-        if self.band is None or f is None:
-            return 0, len(self.words)
-        lo = bisect_left(self.freqs, f / (2.0**self.band))
-        hi = bisect_right(self.freqs, f * (2.0**self.band))
-        if hi - lo < 2:  # nothing besides (possibly) the original
-            return 0, len(self.words)
-        return lo, hi
-
-    def _cdf(self, lo: int, hi: int) -> memoryview:
-        # A memoryview of the float64 cumsum, so that bisect_right finds the
-        # index np.searchsorted(side="right") would, at a fraction of a
-        # scalar call's cost and with no copy of the slice.
-        key = (lo, hi)
-        cdf = self._cdf_cache.get(key)
-        if cdf is None:
-            weights = np.array(self.freqs[lo:hi], dtype=float)
-            cdf = memoryview(np.cumsum(weights / weights.sum()))
-            self._cdf_cache[key] = cdf
-        return cdf
+    def _band(self, original: str) -> tuple[int, memoryview]:
+        """The first pool index and the CDF of the words drawn for
+        *original*: those within band octaves of its frequency, else (no
+        band, *original* not in the pool, or no other word in its band) the
+        whole pool. Built once per frequency (None: the whole pool) and
+        memoized per original, so that a draw makes one dict lookup."""
+        band = self._bands.get(original)
+        if band is None:
+            f = None if self.band is None else self.freq_of.get(original)
+            if f not in self._freq_bands:
+                lo, hi = 0, len(self.words)
+                if f is not None:
+                    a = bisect_left(self.freqs, f / (2.0**self.band))
+                    b = bisect_right(self.freqs, f * (2.0**self.band))
+                    if b - a >= 2:
+                        lo, hi = a, b
+                # A memoryview of the float64 cumsum, so that bisect_right
+                # finds the index np.searchsorted(side="right") would, at a
+                # fraction of a scalar call's cost and with no copy.
+                weights = np.array(self.freqs[lo:hi], dtype=float)
+                self._freq_bands[f] = lo, memoryview(np.cumsum(weights / weights.sum()))
+            band = self._bands[original] = self._freq_bands[f]
+        return band
 
     def draw(self, rng: np.random.Generator, original: str) -> str:
-        lo, hi = self._slice_for(original)
-        cdf = self._cdf(lo, hi)
+        lo, cdf = self._band(original)
         pick = original
         for _ in range(11):
             pick = self.words[lo + bisect_right(cdf, rng.random())]
@@ -514,13 +509,7 @@ def _rewrite_groups(lm: NGramLM, doc: Document, cfg: PerturbConfig,
     in a chunk ending in "." whose original or pick is in
     ABBREVIATION_WORDS. DataError when the body has no word token.
     """
-    sentences: list[list[int]] = []
-    words: list[tuple[int, int, str]] = []  # (sentence, position, surface) per word token
-    for tokens in _sentence_tokens([doc.body]):
-        words += [(len(sentences), p, t.surface) for p, t in enumerate(tokens) if t.is_word]
-        sentences.append([lm.vocabulary.id_of(t.surface) for t in tokens])
-    if not words:
-        raise DataError(f"document {doc.id!r} has no word tokens")
+    sentences, words = _body_ids(lm, doc, doc.body)
     sampler = cfg._sampler()
     period_chunks: list[bool] = []  # period_chunk_words(doc.body), built on first need
 
@@ -543,7 +532,7 @@ def _rewrite_groups(lm: NGramLM, doc: Document, cfg: PerturbConfig,
             surface = sampler.patch_surface(pick)
             if resegments(i, surface):
                 [rewrite] = _perturbed_bodies(doc.body, cfg, [seed])
-                patched = _body_ids(lm, doc, rewrite)
+                patched, _ = _body_ids(lm, doc, rewrite)
                 break
             s, p, _ = words[i]
             if patched[s] is sentences[s]:
@@ -560,16 +549,7 @@ def detect_gpt_score(lm: NGramLM, doc: Document, cfg: PerturbConfig) -> Curvatur
     """
     if cfg.k < 2:
         raise DataError("detect_gpt_score needs k >= 2")
-    seeds = range(cfg.seed + 1, cfg.seed + cfg.k + 1)
-    lp_orig, *perturbed = _log_probs_per_symbol(lm, _rewrite_groups(lm, doc, cfg, seeds))
-    d, mean, std = curvature_stat(lp_orig, perturbed)
-    return CurvatureScore(
-        d=d,
-        logp_original=lp_orig,
-        logp_perturbed_mean=mean,
-        logp_perturbed_std=std,
-        k_used=cfg.k,
-    )
+    return _curvature_score(lm, doc, cfg)
 
 
 def single_revise_score(lm: NGramLM, doc: Document, cfg: PerturbConfig) -> CurvatureScore:
@@ -578,14 +558,24 @@ def single_revise_score(lm: NGramLM, doc: Document, cfg: PerturbConfig) -> Curva
     """
     if cfg.k != 1:
         raise DataError("single_revise_score needs k = 1")
-    lp_orig, lp_pert = _log_probs_per_symbol(lm, _rewrite_groups(lm, doc, cfg, [cfg.seed + 1]))
-    return CurvatureScore(
-        d=lp_orig - lp_pert,
-        logp_original=lp_orig,
-        logp_perturbed_mean=lp_pert,
-        logp_perturbed_std=0.0,
-        k_used=1,
-    )
+    return _curvature_score(lm, doc, cfg)
+
+
+def _curvature_score(lm: NGramLM, doc: Document, cfg: PerturbConfig) -> CurvatureScore:
+    """The original and its k rewrites, seeds cfg.seed + 1 .. cfg.seed + k,
+    scored in one _log_probs_per_symbol call: k + 1 passes. d is
+    curvature_stat's for k >= 2, and for k = 1 the plain drop from the
+    original to the rewrite, with std 0.
+    """
+    seeds = range(cfg.seed + 1, cfg.seed + cfg.k + 1)
+    lp_orig, *perturbed = _log_probs_per_symbol(lm, _rewrite_groups(lm, doc, cfg, seeds))
+    if cfg.k == 1:
+        [mean], std = perturbed, 0.0
+        d = lp_orig - mean
+    else:
+        d, mean, std = curvature_stat(lp_orig, perturbed)
+    return CurvatureScore(d=d, logp_original=lp_orig, logp_perturbed_mean=mean,
+                          logp_perturbed_std=std, k_used=cfg.k)
 
 
 def sample_document(lm: NGramLM, seed: int, max_tokens: int = 60,
@@ -651,13 +641,15 @@ def load_lm(path: str | Path) -> NGramLM:
             f"{path}: unsupported schema_version {version!r}, expected {LM_SCHEMA_VERSION}"
         )
     try:
-        vocab = Vocabulary(
-            word_to_id={str(w): int(i) for w, i in payload["vocabulary"]["word_to_id"].items()},
-            frequencies={str(w): int(c) for w, c in payload["vocabulary"]["frequencies"].items()},
-        )
-        order = int(payload["order"])
-        discount = float(payload["discount"])
-        end_id = int(payload["end_id"])
+        vocabulary = payload["vocabulary"]
+        word_to_id = {w: json_int(i) for w, i in vocabulary["word_to_id"].items()}
+        frequencies = {w: json_int(c) for w, c in vocabulary["frequencies"].items()}
+        if frequencies.keys() != word_to_id.keys() or min(frequencies.values()) < 0:
+            raise ValueError("vocabulary frequencies must be integers >= 0 for word_to_id's words")
+        vocab = Vocabulary(word_to_id=word_to_id, frequencies=frequencies)
+        order = json_int(payload["order"])
+        discount = json_float(payload["discount"])
+        end_id = json_int(payload["end_id"])
         check_kn_params(order, discount)
         if end_id != vocab.size:
             raise ValueError(f"end_id {end_id} differs from the vocabulary size {vocab.size}")

@@ -148,15 +148,25 @@ def curvature_bench(human_fixture_texts):
     return lm, docs, labels
 
 
+def timed_runs(lm, docs, score, cfg, runs: int = 3):
+    """The d of each of *docs* and the scoring passes of the first run, and
+    the least wall time of *runs* runs over the same documents and seeds:
+    the best of several runs is what the machine's load disturbs least."""
+    results = []
+    for _ in range(runs):
+        lm.scoring_passes = 0
+        start = time.monotonic()
+        scores = [score(lm, d, cfg).d for d in docs]
+        results.append((time.monotonic() - start, scores, lm.scoring_passes))
+    _, scores, passes = results[0]
+    return scores, passes, min(elapsed for elapsed, _, _ in results)
+
+
 @pytest.fixture(scope="module")
 def detect_gpt_run(curvature_bench):
     lm, docs, labels = curvature_bench
     cfg = zs.PerturbConfig(pool=lm.vocabulary, mask_fraction=0.15, seed=777, k=20)
-    lm.scoring_passes = 0
-    start = time.monotonic()
-    scores = [zs.detect_gpt_score(lm, d, cfg).d for d in docs]
-    elapsed = time.monotonic() - start
-    passes = lm.scoring_passes
+    scores, passes, elapsed = timed_runs(lm, docs, zs.detect_gpt_score, cfg)
     return scores, labels, passes, elapsed
 
 
@@ -180,11 +190,8 @@ def test_05_single_revise_efficiency(curvature_bench, detect_gpt_run):
         lm, docs, labels = curvature_bench
         _, _, dg_passes, dg_elapsed = detect_gpt_run
         cfg = zs.PerturbConfig(pool=lm.vocabulary, mask_fraction=0.15, seed=777, k=1)
-        lm.scoring_passes = 0
-        start = time.monotonic()
-        scores = [zs.single_revise_score(lm, d, cfg).d for d in docs]
-        sr_elapsed = time.monotonic() - start
-        assert lm.scoring_passes == 2 * len(docs)  # exactly 2 passes per doc
+        scores, sr_passes, sr_elapsed = timed_runs(lm, docs, zs.single_revise_score, cfg)
+        assert sr_passes == 2 * len(docs)  # exactly 2 passes per doc
         assert dg_passes == 21 * len(docs)
         assert dg_elapsed / sr_elapsed >= 5.0
         assert auroc(scores, labels) >= 0.70

@@ -619,8 +619,10 @@ class TestMalformedInputs:
         lambda p: p["counts"]["2"][0].__setitem__(-2, 999999),
         lambda p: p.__setitem__("counts", {}),
         lambda p: p.__setitem__("end_id", p["end_id"] - 1),
+        lambda p: p.__setitem__("order", "3"),
+        lambda p: p["vocabulary"]["frequencies"].__setitem__("waa", 2.7),
     ], ids=["level_1_deleted", "negative_count", "id_out_of_range", "no_counts",
-            "end_id_mismatch"])
+            "end_id_mismatch", "order_string", "frequency_fractional"])
     def test_corrupt_lm_exits_3(self, workspace, tmp_path, capsys, mutate):
         out = tmp_path / "out"
         shutil.copytree(workspace / "out", out)
@@ -1034,6 +1036,35 @@ class TestCorruptClassifierArtifacts:
         one_error_line(capsys, "data error:")
         assert file_bytes(out) == before
 
+    @pytest.mark.parametrize("module, name", [(classifiers, "save_model"),
+                                              (zeroshot, "save_lm")])
+    def test_failed_write_changes_no_file(self, workspace, tmp_path, capsys, monkeypatch,
+                                          module, name):
+        """A save that fails after it has written its file: train, under
+        another seed, exits 4, every file of the output directory keeps its
+        bytes, and no temporary file is left beside them."""
+        out = tmp_path / "out"
+        shutil.copytree(workspace / "out", out)
+        before = file_bytes(out)
+        save = getattr(module, name)
+
+        def failing(artifact, path):
+            save(artifact, path)
+            raise OSError(f"cannot write {path}")
+
+        monkeypatch.setattr(module, name, failing)
+        config = write_config(tmp_path, workspace, seed=8)
+        capsys.readouterr()
+        assert main(["train", "--config", config]) == 4
+        one_error_line(capsys, "io error:")
+        assert file_bytes(out) == before
+        # Unpatched, the same run changes the artifacts: the check above
+        # could fail.
+        monkeypatch.setattr(module, name, save)
+        assert main(["train", "--config", config]) == 0
+        after = file_bytes(out)
+        assert sorted(after) == sorted(before) and after != before
+
     @pytest.mark.parametrize("family, mutate", [
         ("svm", lambda p: p.__setitem__("weights", [[w] for w in p["weights"]])),
         ("logreg", lambda p: p.__setitem__("weights", [[w] for w in p["weights"]])),
@@ -1055,13 +1086,21 @@ class TestCorruptClassifierArtifacts:
         ("random_forest", lambda p: p.__setitem__("seed", -5)),
         ("random_forest", lambda p: p.__setitem__("dim", p["dim"] + 0.5)),
         ("random_forest", lambda p: p["trees"][0].__setitem__("feature", 0.5)),
+        ("logreg", lambda p: p.__setitem__("bias", "0.5")),
+        ("logreg", lambda p: p.__setitem__("bias", True)),
+        ("logreg", lambda p: p.__setitem__("l2", "1e-4")),
+        ("logreg", lambda p: p.__setitem__("weights", [str(w) for w in p["weights"]])),
+        ("gnb", lambda p: p["means"][0].__setitem__(0, False)),
+        ("random_forest", lambda p: p["trees"][0].__setitem__("threshold", "0.5")),
     ], ids=["svm_weights_2d", "logreg_weights_2d", "logreg_weights_scalar",
             "logreg_bias_infinite", "gnb_means_1d", "gnb_three_classes",
             "gnb_variance_width", "gnb_three_priors", "gnb_negative_prior",
             "rf_feature_999", "rf_feature_negative", "rf_no_trees", "rf_dim_overflow",
             "rf_max_depth_object", "rf_max_depth_zero", "rf_n_trees_999",
             "rf_n_trees_fractional", "rf_seed_negative", "rf_dim_fractional",
-            "rf_feature_fractional"])
+            "rf_feature_fractional", "logreg_bias_string", "logreg_bias_boolean",
+            "logreg_l2_string", "logreg_weights_strings", "gnb_mean_boolean",
+            "rf_threshold_string"])
     def test_corrupt_model_exit_3(self, workspace, family_models, tmp_path, capsys,
                                   family, mutate):
         payload = json.loads(family_models[family])

@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from mgtdetect.text_core import (
     Vocabulary,
     build_vocab,
     is_word_surface,
+    split_sentences,
     token_spans,
     tokenize,
 )
@@ -338,8 +340,8 @@ class TestLogProb:
         with pytest.raises(DataError):
             zs.per_token_log_prob(lm, make_doc("..."))
         assert lm.scoring_passes == 0
-        assert lm._tokenized(["..."])[1] is False
-        assert lm._tokenized(["... a"])[1] is True
+        assert lm._tokenized(["..."])[1] == []
+        assert lm._tokenized(["... a"])[1] == [(1, 0, "a")]
         zs.per_token_log_prob(lm, make_doc("... a"))
         assert lm.scoring_passes == 1
 
@@ -348,8 +350,15 @@ class TestLogProb:
     def test_word_flag_matches_word_surface_check(self, text):
         lm = zs.train_kn_lm(["a b c."] * 5, order=2, discount=0.75)
         expected = any(is_word_surface(t.surface) for t in tokenize(text))
-        assert lm._tokenized([text])[1] == expected
+        sentences, words = lm._tokenized([text])
+        assert bool(words) == expected
         assert oracle_score_texts(lm, [text])[2] == expected
+        # Each entry names a word token by its sentence and position.
+        tokens = [tokenize(sent) for sent in split_sentences(text)]
+        tokens = [t for t in tokens if t]
+        assert words == [(s, p, t.surface) for s, sent in enumerate(tokens)
+                         for p, t in enumerate(sent) if t.is_word]
+        assert all(sentences[s][p] == lm.vocabulary.id_of(w) for s, p, w in words)
 
 
 def word_pool(texts):
@@ -829,9 +838,9 @@ class TestOneScoringRoute:
     @settings(max_examples=80, deadline=None)
     @given(bodies=st.lists(sweep_bodies, min_size=1, max_size=4))
     def test_per_token_log_probs_equal_per_text_oracle(self, bodies):
-        """per_token_log_prob, and the many-body routine behind it, give the
-        oracle's per-text values bit for bit, its error message, and one
-        pass per body; a wordless body fails the call before any pass."""
+        """per_token_log_prob gives the oracle's per-text values bit for
+        bit, its error message, and one pass per body; a wordless body fails
+        the call before any pass."""
         lm = SWEEP_LM
 
         def outcome(score, *args):
@@ -845,15 +854,6 @@ class TestOneScoringRoute:
         docs = [make_doc(b, doc_id=str(i)) for i, b in enumerate(bodies)]
         for doc in docs:
             assert outcome(zs.per_token_log_prob, doc) == outcome(oracle_per_token_log_prob, doc)
-        # All bodies as one document's texts: each body's value, or the
-        # first wordless body's error.
-        doc = docs[0]
-        try:
-            expected = (repr([oracle_per_token_log_prob(lm, replace(doc, body=b))
-                              for b in bodies]), len(bodies))
-        except DataError as exc:
-            expected = repr(str(exc)), 0
-        assert outcome(zs._per_token_log_probs, doc, bodies) == expected
 
 
 class TestMixedCasePerturbation:
@@ -899,7 +899,7 @@ class TestIdSpaceRewrites:
             groups = zs._rewrite_groups(SWEEP_LM, doc, cfg, seeds)
         except DataError as exc:
             assert str(exc) == "document 'd1' has no word tokens"
-            assert not SWEEP_LM._tokenized([body])[1]
+            assert SWEEP_LM._tokenized([body])[1] == []
             return
         assert groups == tokenized_rewrites(SWEEP_LM, body, cfg, seeds)
 
@@ -945,6 +945,72 @@ class TestIdSpaceRewrites:
         # Every rewrite has another number of sentences than the original.
         assert all(len(sentences) != len(expected[0]) for sentences in expected[1:])
         assert zs._rewrite_groups(SWEEP_LM, make_doc(body), cfg, seeds) == expected
+
+
+def oracle_slice_for(sampler, original):
+    """The pool slice a draw for *original* picks from, found by two
+    bisects on every call: the reference for _SubstitutionSampler._band."""
+    f = sampler.freq_of.get(original)
+    if sampler.band is None or f is None:
+        return 0, len(sampler.words)
+    lo = bisect_left(sampler.freqs, f / (2.0**sampler.band))
+    hi = bisect_right(sampler.freqs, f * (2.0**sampler.band))
+    if hi - lo < 2:
+        return 0, len(sampler.words)
+    return lo, hi
+
+
+def oracle_cdf(sampler, lo, hi):
+    weights = np.array(sampler.freqs[lo:hi], dtype=float)
+    return memoryview(np.cumsum(weights / weights.sum()))
+
+
+def oracle_draw(sampler, rng, original):
+    lo, hi = oracle_slice_for(sampler, original)
+    cdf = oracle_cdf(sampler, lo, hi)
+    pick = original
+    for _ in range(11):
+        pick = sampler.words[lo + bisect_right(cdf, rng.random())]
+        if pick != original:
+            return pick
+    return pick
+
+
+BAND_WORDS = [f"w{i}" for i in range(12)]
+
+
+class TestBandLookup:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        frequencies=st.dictionaries(st.sampled_from(BAND_WORDS), st.integers(0, 40),
+                                    min_size=1).filter(lambda f: any(f.values())),
+        band=st.sampled_from([None, 0.5, 1.0, 2.0]),
+        originals=st.lists(st.sampled_from(BAND_WORDS + ["out", "w"]), min_size=1,
+                           max_size=30),
+        seed=st.integers(0, 2**32),
+    )
+    def test_draw_equals_per_draw_bisect_oracle(self, frequencies, band, originals, seed):
+        """One cached band per frequency draws what a slice bisected for
+        every draw does: the same picks from the same generator, for pool
+        words, words of frequency 0 and words outside the pool, whatever
+        the band width."""
+        sampler = zs._SubstitutionSampler(pool_of(frequencies), band)
+        oracle = zs._SubstitutionSampler(pool_of(frequencies), band)
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for original in originals:
+            assert sampler.draw(rng, original) == oracle_draw(oracle, oracle_rng, original)
+        for original in originals:
+            lo, cdf = sampler._band(original)
+            want_lo, hi = oracle_slice_for(oracle, original)
+            assert (lo, cdf.tolist()) == (want_lo, oracle_cdf(oracle, want_lo, hi).tolist())
+
+    def test_one_band_per_frequency(self):
+        sampler = zs._SubstitutionSampler(pool_of({"a": 4, "b": 4, "c": 8, "d": 1}), 1.0)
+        assert sampler._band("a") is sampler._band("b")
+        # Outside the pool, and a band of the original alone: the whole pool.
+        assert sampler._band("out") is sampler._band("other")
+        assert [(lo, len(cdf)) for lo, cdf in map(sampler._band, ["out", "d"])] == [(0, 4)] * 2
+        assert sampler._band("a") is not sampler._band("out")
 
 
 def _corrupt():
@@ -999,10 +1065,44 @@ def _corrupt():
     def discount_zero(p):
         p["discount"] = 0
 
+    # Numbers of another JSON type are refused, never converted.
+    def order_fractional(p):
+        p["order"] = 3.9
+
+    def order_string(p):
+        p["order"] = "3"
+
+    def discount_string(p):
+        p["discount"] = "0.75"
+
+    def end_id_fractional(p):
+        p["end_id"] += 0.5
+
+    def word_id_fractional(p):
+        p["vocabulary"]["word_to_id"]["a"] += 0.5
+
+    def frequency_fractional(p):
+        p["vocabulary"]["frequencies"]["a"] = 2.7
+
+    def frequency_boolean(p):
+        p["vocabulary"]["frequencies"]["a"] = True
+
+    def frequency_negative(p):
+        p["vocabulary"]["frequencies"]["a"] = -5
+
+    def frequency_missing(p):
+        del p["vocabulary"]["frequencies"]["a"]
+
+    def frequency_of_unknown_word(p):
+        p["vocabulary"]["frequencies"]["zz"] = 1
+
     return [level_1_deleted, extra_level, no_counts, empty_level, short_row,
             negative_count, zero_count, target_out_of_range, target_is_start,
             context_out_of_range, fractional_id, end_id_mismatch, repeated_ngram,
-            non_numeric_count, order_too_small, discount_too_large, discount_zero]
+            non_numeric_count, order_too_small, discount_too_large, discount_zero,
+            order_fractional, order_string, discount_string, end_id_fractional,
+            word_id_fractional, frequency_fractional, frequency_boolean, frequency_negative,
+            frequency_missing, frequency_of_unknown_word]
 
 
 class TestLoadLmValidation:
