@@ -71,14 +71,18 @@ def parse_json(text: str, where: str, error: type[MgtError] = DataError):
         raise error(f"{where}: malformed JSON: {exc}") from exc
 
 
+def read_text(path: str | Path, error: type[MgtError] = DataError) -> str:
+    """A whole UTF-8 file; *error* naming the file when it is not valid UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+
+
 def load_json(path: str | Path, error: type[MgtError] = DataError):
     """The JSON value of a whole UTF-8 file; *error* naming the file when
     it is not valid UTF-8 or not valid JSON."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not valid UTF-8 ({exc.reason})") from exc
-    return parse_json(text, str(path), error)
+    return parse_json(read_text(path, error), str(path), error)
 
 
 def json_int(value) -> int:

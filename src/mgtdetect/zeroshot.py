@@ -22,7 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ModelFormatError, json_float, json_int, load_json
+from .errors import (
+    DataError,
+    ModelFormatError,
+    json_float,
+    json_int,
+    parse_json,
+    read_text,
+)
 from .ingest import Document
 from .text_core import (
     ABBREVIATION_WORDS,
@@ -400,16 +407,15 @@ class _SubstitutionSampler:
     def __init__(self, pool: Vocabulary, band_octaves: float | None):
         self.pool = pool
         self.band = band_octaves
-        items = sorted(
-            ((w, c) for w, c in pool.frequencies.items()
-             if w != UNK and is_word_surface(w) and c > 0),
-            key=lambda wc: (wc[1], wc[0]),
-        )
-        if not items:
+        freq = pool.frequencies
+        # Sorted by word, then stably by frequency: the (frequency, word) order.
+        self.words = sorted(w for w, c in freq.items()
+                            if c > 0 and w != UNK and is_word_surface(w))
+        if not self.words:
             raise DataError("substitution pool contains no words")
-        self.words = [w for w, _ in items]
-        self.freqs = [c for _, c in items]
-        self.freq_of = dict(items)
+        self.words.sort(key=freq.__getitem__)
+        self.freqs = [freq[w] for w in self.words]
+        self.freq_of = dict(zip(self.words, self.freqs))
         self._bands: dict[str, tuple[int, memoryview]] = {}
         self._freq_bands: dict[int | None, tuple[int, memoryview]] = {}
         self._patch_surfaces: dict[str, str | None] = {}
@@ -611,13 +617,33 @@ def sample_document(lm: NGramLM, seed: int, max_tokens: int = 60,
 
 
 def save_lm(lm: NGramLM, path: str | Path) -> None:
-    """Binary-free JSON: count tables as [ngram ids..., count] rows."""
-    rows = {}
-    for k, (keys, counts) in lm.grams.items():
-        # Sorted keys give the rows in the sorted() order of the id lists.
-        ids = keys[:, None] // _pack_powers(k, lm.base) % lm.base - 1
-        rows[str(k)] = [gram + [c] for gram, c in zip(ids.tolist(), counts.tolist())]
-    payload = {
+    """Binary-free JSON: count tables as [ngram ids..., count] rows.
+
+    The bytes are those of json.dumps(payload, sort_keys=True), with each
+    level's rows formatted straight from the packed arrays: one string per
+    id and one per distinct count (as json.dumps formats it), gathered by
+    column into one cell per value and joined once with ", ". The cells
+    of the first column open a row with "[" and those of the count column
+    close it with "]", so that rows are joined by "], [". "counts" sorts
+    before every other key, so it opens the object json.dumps writes for
+    the rest of the payload.
+    """
+    ids = [str(i) for i in range(START_ID, lm.end_id + 1)]  # indexed by shifted id
+    opening = np.array(["[" + s for s in ids], dtype=object)
+    inner = np.array(ids, dtype=object)
+    levels = []
+    for name in sorted(map(str, lm.grams)):  # json's key order: "10" before "2"
+        k = int(name)
+        keys, counts = lm.grams[k]
+        digits = keys[:, None] // _pack_powers(k, lm.base) % lm.base
+        distinct, which = np.unique(counts, return_inverse=True)
+        closing = [s + "]" for s in json.dumps(distinct.tolist())[1:-1].split(", ")]
+        cells = np.empty((len(keys), k + 1), dtype=object)
+        cells[:, 0] = opening[digits[:, 0]]
+        cells[:, 1:k] = inner[digits[:, 1:]]
+        cells[:, k] = np.array(closing, dtype=object)[which]
+        levels.append(f'"{name}": [{", ".join(cells.ravel().tolist())}]')
+    rest = json.dumps({
         "schema_version": LM_SCHEMA_VERSION,
         "order": lm.order,
         "discount": lm.discount,
@@ -626,13 +652,29 @@ def save_lm(lm: NGramLM, path: str | Path) -> None:
             "word_to_id": lm.vocabulary.word_to_id,
             "frequencies": lm.vocabulary.frequencies,
         },
-        "counts": rows,
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+    }, sort_keys=True)
+    text = '{"counts": {' + ", ".join(levels) + "}, " + rest[1:]
+    Path(path).write_text(text, encoding="utf-8")
+
+
+ROW_BREAK = "], ["  # between two rows of a level, as save_lm writes them
 
 
 def load_lm(path: str | Path) -> NGramLM:
-    payload = load_json(path, ModelFormatError)
+    """The model save_lm wrote to *path*; ModelFormatError when the file
+    is not such a model.
+
+    Before the one json.loads, every ROW_BREAK becomes ", null, ", so that
+    a level decodes as flat lists of numbers with a null between rows, not
+    as a list per row (_check_count_rows cuts them). The nulls found in the
+    count tables must equal the replacements made, so a ROW_BREAK anywhere
+    else (inside a string, say) refuses the file, and so does a literal
+    null in a table, unless as many of each make the counts agree.
+    """
+    text = read_text(path, ModelFormatError)
+    breaks = text.count(ROW_BREAK)
+    payload = parse_json(text.replace(ROW_BREAK, ", null, "), str(path), ModelFormatError)
+    del text  # freed before the tables are built
     if not isinstance(payload, dict):
         raise ModelFormatError(f"{path}: LM file must hold a JSON object")
     version = payload.get("schema_version")
@@ -658,34 +700,57 @@ def load_lm(path: str | Path) -> NGramLM:
             raise ValueError(f"count levels {sorted(tables)} are not 1..{order}")
         base = _pack_base(order, end_id)
         grams: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        found = 0
         for k in range(1, order + 1):
-            table = _check_count_rows(k, tables[str(k)], end_id)
+            table, level_breaks = _check_count_rows(k, tables[str(k)], end_id)
+            found += level_breaks
             keys, first = np.unique(_pack(table[:, :-1].astype(np.int64) + 1, base),
                                     return_index=True)
             if len(keys) != len(table):
                 raise ValueError(f"level {k} repeats an n-gram")
             grams[k] = (keys, table[first, -1])
+        if found != breaks:
+            raise ValueError(f"the count tables hold {found} row breaks, the file "
+                             f"{breaks} {ROW_BREAK!r}")
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError, DataError) as exc:
         raise ModelFormatError(f"{path}: corrupted LM field: {exc}") from exc
     return NGramLM(order=order, discount=discount, vocabulary=vocab, grams=grams,
                    end_id=end_id)
 
 
-def _check_count_rows(level: int, rows: list, end_id: int) -> np.ndarray:
-    """*rows* as a float table; ValueError unless it is a non-empty table of
-    [context ids..., target id, count] rows: context ids in [START_ID,
-    end_id), the target in [0, end_id], integral ids, and a positive,
-    finite count.
+def _check_count_rows(level: int, segments: list, end_id: int) -> tuple[np.ndarray, int]:
+    """Level *level*'s rows as a float table, and the row breaks (nulls)
+    found between them. *segments* is the level as load_lm decodes it:
+    lists of row values with a null between rows, one list for the layout
+    save_lm writes and one per row for a layout with no ROW_BREAK (compact
+    or indented JSON). ValueError unless the rows are a non-empty table of
+    [context ids..., target id, count] rows: JSON integer ids, context ids
+    in [START_ID, end_id), the target in [0, end_id], and a positive,
+    finite JSON number as count.
     """
-    table = np.asarray(rows, dtype=float)
-    if table.ndim != 2 or table.shape[0] == 0 or table.shape[1] != level + 1:
-        raise ValueError(f"level {level} must be a non-empty list of {level + 1}-item rows")
+    width = level + 1
+    flat: list = []  # each row's values, then a null
+    for values in segments:
+        if type(values) is not list:
+            raise ValueError(f"level {level} must be a list of rows")
+        flat += values
+        flat.append(None)
+    rows, ragged = divmod(len(flat), width + 1)
+    # The rows' columns, and the nulls that end them.
+    *columns, nulls = (flat[j::width + 1] for j in range(width + 1))
+    kinds = [set(map(type, column)) for column in columns]
+    if (rows == 0 or ragged or nulls.count(None) != rows
+            or any(type(None) in kind for kind in kinds)):
+        raise ValueError(f"level {level} must be a non-empty list of {width}-item rows")
+    if any(kind != {int} for kind in kinds[:-1]):
+        raise ValueError(f"level {level} holds an id that is not a JSON integer")
+    if not kinds[-1] <= {int, float}:
+        raise ValueError(f"level {level} holds a count that is not a JSON number")
+    table = np.array(columns, dtype=float).T
     context, target, count = table[:, :-2], table[:, -2], table[:, -1]
-    ids = table[:, :-1]
-    if not (np.all(ids == np.floor(ids))
-            and np.all((context >= START_ID) & (context < end_id))
+    if not (np.all((context >= START_ID) & (context < end_id))
             and np.all((target >= 0) & (target <= end_id))):
         raise ValueError(f"level {level} holds an id outside the vocabulary")
     if not np.all(np.isfinite(count) & (count > 0)):
         raise ValueError(f"level {level} holds a count that is not positive and finite")
-    return table
+    return table, rows - len(segments)

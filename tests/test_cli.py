@@ -621,8 +621,9 @@ class TestMalformedInputs:
         lambda p: p.__setitem__("end_id", p["end_id"] - 1),
         lambda p: p.__setitem__("order", "3"),
         lambda p: p["vocabulary"]["frequencies"].__setitem__("waa", 2.7),
+        lambda p: p["counts"]["1"][0].__setitem__(-1, "2.0"),
     ], ids=["level_1_deleted", "negative_count", "id_out_of_range", "no_counts",
-            "end_id_mismatch", "order_string", "frequency_fractional"])
+            "end_id_mismatch", "order_string", "frequency_fractional", "count_string"])
     def test_corrupt_lm_exits_3(self, workspace, tmp_path, capsys, mutate):
         out = tmp_path / "out"
         shutil.copytree(workspace / "out", out)

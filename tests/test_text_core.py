@@ -11,6 +11,7 @@ from mgtdetect.text_core import (
     UNK,
     build_vocab,
     count_syllables,
+    is_word_surface,
     period_chunk_words,
     rewrite_units,
     split_sentences,
@@ -36,6 +37,10 @@ _ORACLE_ABBREVIATIONS = {
     "mr.", "mrs.", "ms.", "dr.", "prof.", "sr.", "jr.", "st.",
     "e.g.", "i.e.", "etc.", "vs.", "cf.", "fig.", "al.", "no.",
 }
+
+
+def oracle_is_word_surface(surface):
+    return any(ch.isalnum() for ch in surface)
 
 
 def oracle_token_spans(text):
@@ -107,6 +112,15 @@ class TestOracles:
         space = re.compile(r"\s")
         assert all(bool(space.match(chr(c))) == chr(c).isspace()
                    for c in range(sys.maxunicode + 1))
+
+    def test_word_surface_is_the_alnum_test_on_every_code_point(self):
+        assert all(is_word_surface(chr(c)) == oracle_is_word_surface(chr(c))
+                   for c in range(sys.maxunicode + 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), MIXED_TEXT))
+    def test_word_surface_matches_oracle(self, text):
+        assert is_word_surface(text) == oracle_is_word_surface(text)
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.text(), MIXED_TEXT))

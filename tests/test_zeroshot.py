@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mgtdetect import zeroshot as zs
-from mgtdetect.errors import DataError, ModelFormatError
+from mgtdetect.errors import DataError, ModelFormatError, json_float, json_int, load_json
 from mgtdetect.evaluation import DetectorScorer
 from mgtdetect.ingest import Document
 from mgtdetect.text_core import (
@@ -1013,6 +1013,38 @@ class TestBandLookup:
         assert sampler._band("a") is not sampler._band("out")
 
 
+def oracle_pool_order(pool):
+    """The pool's words and frequencies as _SubstitutionSampler sorted
+    them by a (frequency, word) key: the reference for its two-sort build."""
+    items = sorted(((w, c) for w, c in pool.frequencies.items()
+                    if w != UNK and any(ch.isalnum() for ch in w) and c > 0),
+                   key=lambda wc: (wc[1], wc[0]))
+    return [w for w, _ in items], [c for _, c in items]
+
+
+POOL_SURFACES = st.one_of(st.text(max_size=3),
+                          st.sampled_from(["a", "b", "ab", "B", "-", ",", "_", "x_", "İ", "ß"]))
+
+
+class TestSamplerPool:
+    @settings(max_examples=200, deadline=None)
+    @given(frequencies=st.dictionaries(POOL_SURFACES.filter(lambda w: w != UNK),
+                                       st.integers(0, 4)),
+           unk_count=st.integers(0, 4))
+    def test_pool_order_equals_frequency_word_sort(self, frequencies, unk_count):
+        surfaces = list(frequencies) + [UNK]
+        pool = Vocabulary(word_to_id={w: i for i, w in enumerate(surfaces)},
+                          frequencies={**frequencies, UNK: unk_count})
+        words, freqs = oracle_pool_order(pool)
+        if not words:
+            with pytest.raises(DataError):
+                zs._SubstitutionSampler(pool, 1.0)
+            return
+        sampler = zs._SubstitutionSampler(pool, 1.0)
+        assert (sampler.words, sampler.freqs) == (words, freqs)
+        assert sampler.freq_of == dict(zip(words, freqs))
+
+
 def _corrupt():
     def level_1_deleted(p):
         del p["counts"]["1"]
@@ -1096,7 +1128,7 @@ def _corrupt():
     def frequency_of_unknown_word(p):
         p["vocabulary"]["frequencies"]["zz"] = 1
 
-    return [level_1_deleted, extra_level, no_counts, empty_level, short_row,
+    return [*_strict_rows(), level_1_deleted, extra_level, no_counts, empty_level, short_row,
             negative_count, zero_count, target_out_of_range, target_is_start,
             context_out_of_range, fractional_id, end_id_mismatch, repeated_ngram,
             non_numeric_count, order_too_small, discount_too_large, discount_zero,
@@ -1105,10 +1137,37 @@ def _corrupt():
             frequency_missing, frequency_of_unknown_word]
 
 
+def _strict_rows():
+    """Count rows whose ids are not JSON integers or whose count is not a
+    JSON number. Each but id_null keeps the row's value (the rows of
+    CORRUPT_TEXTS' model), so the list-per-row route, which converted the
+    rows with np.asarray, loaded them."""
+
+    def count_string(p):
+        p["counts"]["1"][0][-1] = "2.0"  # [0, 2.0]
+
+    def count_boolean(p):
+        p["counts"]["1"][2][-1] = True  # [2, 1.0]
+
+    def id_boolean(p):
+        p["counts"]["1"][1][0] = True  # [1, 2.0]
+
+    def id_float(p):
+        p["counts"]["1"][1][0] = 1.0
+
+    def id_null(p):
+        p["counts"]["2"][0][0] = None
+
+    return [count_string, count_boolean, id_boolean, id_float, id_null]
+
+
+CORRUPT_TEXTS = ["a b c d.", "d a b c."] * 3
+
+
 class TestLoadLmValidation:
     @pytest.mark.parametrize("mutate", _corrupt(), ids=lambda f: f.__name__)
     def test_corrupt_count_tables_rejected(self, tmp_path, mutate):
-        lm = zs.train_kn_lm(["a b c d.", "d a b c."] * 3, order=3, discount=0.75)
+        lm = zs.train_kn_lm(CORRUPT_TEXTS, order=3, discount=0.75)
         path = tmp_path / "lm.json"
         zs.save_lm(lm, path)
         payload = json.loads(path.read_text())
@@ -1121,4 +1180,256 @@ class TestLoadLmValidation:
         path = tmp_path / "lm.json"
         path.write_text("[1, 2]")
         with pytest.raises(ModelFormatError):
+            zs.load_lm(path)
+
+
+# -- lm.json IO oracles --------------------------------------------------------
+# save_lm and load_lm as they were before the rows were formatted from the
+# packed arrays and read as flat lists: a Python list per row, json over the
+# rows, and np.asarray over them on load. They pin the bytes save_lm writes
+# and the files load_lm accepts.
+
+
+def oracle_save_lm(lm, path):
+    rows = {}
+    for k, (keys, counts) in lm.grams.items():
+        ids = keys[:, None] // zs._pack_powers(k, lm.base) % lm.base - 1
+        rows[str(k)] = [gram + [c] for gram, c in zip(ids.tolist(), counts.tolist())]
+    payload = {
+        "schema_version": zs.LM_SCHEMA_VERSION,
+        "order": lm.order,
+        "discount": lm.discount,
+        "end_id": lm.end_id,
+        "vocabulary": {
+            "word_to_id": lm.vocabulary.word_to_id,
+            "frequencies": lm.vocabulary.frequencies,
+        },
+        "counts": rows,
+    }
+    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+
+
+def oracle_load_lm(path):
+    payload = load_json(path, ModelFormatError)
+    if not isinstance(payload, dict):
+        raise ModelFormatError(f"{path}: LM file must hold a JSON object")
+    version = payload.get("schema_version")
+    if version != zs.LM_SCHEMA_VERSION:
+        raise ModelFormatError(f"{path}: unsupported schema_version {version!r}")
+    try:
+        vocabulary = payload["vocabulary"]
+        word_to_id = {w: json_int(i) for w, i in vocabulary["word_to_id"].items()}
+        frequencies = {w: json_int(c) for w, c in vocabulary["frequencies"].items()}
+        if frequencies.keys() != word_to_id.keys() or min(frequencies.values()) < 0:
+            raise ValueError("vocabulary frequencies must be integers >= 0 for word_to_id's words")
+        vocab = Vocabulary(word_to_id=word_to_id, frequencies=frequencies)
+        order = json_int(payload["order"])
+        discount = json_float(payload["discount"])
+        end_id = json_int(payload["end_id"])
+        zs.check_kn_params(order, discount)
+        if end_id != vocab.size:
+            raise ValueError(f"end_id {end_id} differs from the vocabulary size {vocab.size}")
+        tables = payload["counts"]
+        if sorted(tables) != sorted(str(k) for k in range(1, order + 1)):
+            raise ValueError(f"count levels {sorted(tables)} are not 1..{order}")
+        base = zs._pack_base(order, end_id)
+        grams = {}
+        for k in range(1, order + 1):
+            table = oracle_check_count_rows(k, tables[str(k)], end_id)
+            keys, first = np.unique(zs._pack(table[:, :-1].astype(np.int64) + 1, base),
+                                    return_index=True)
+            if len(keys) != len(table):
+                raise ValueError(f"level {k} repeats an n-gram")
+            grams[k] = (keys, table[first, -1])
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, DataError) as exc:
+        raise ModelFormatError(f"{path}: corrupted LM field: {exc}") from exc
+    return zs.NGramLM(order=order, discount=discount, vocabulary=vocab, grams=grams,
+                      end_id=end_id)
+
+
+def oracle_check_count_rows(level, rows, end_id):
+    table = np.asarray(rows, dtype=float)
+    if table.ndim != 2 or table.shape[0] == 0 or table.shape[1] != level + 1:
+        raise ValueError(f"level {level} must be a non-empty list of {level + 1}-item rows")
+    context, target, count = table[:, :-2], table[:, -2], table[:, -1]
+    ids = table[:, :-1]
+    if not (np.all(ids == np.floor(ids))
+            and np.all((context >= zs.START_ID) & (context < end_id))
+            and np.all((target >= 0) & (target <= end_id))):
+        raise ValueError(f"level {level} holds an id outside the vocabulary")
+    if not np.all(np.isfinite(count) & (count > 0)):
+        raise ValueError(f"level {level} holds a count that is not positive and finite")
+    return table
+
+
+def saved_bytes(save, lm):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lm.json"
+        save(lm, path)
+        return path.read_bytes()
+
+
+def loaded_or_refused(load, path):
+    """*load*(path), or the ModelFormatError it raised."""
+    try:
+        return load(path)
+    except ModelFormatError as exc:
+        return exc
+
+
+def assert_same_model(lm, other):
+    assert (lm.order, lm.discount, lm.end_id) == (other.order, other.discount, other.end_id)
+    assert lm.vocabulary == other.vocabulary
+    for k in range(1, lm.order + 1):
+        for array, other_array in zip(lm.grams[k] + lm.contexts[k],
+                                      other.grams[k] + other.contexts[k]):
+            assert array.dtype == other_array.dtype
+            assert np.array_equal(array, other_array)
+
+
+def strict_rows_violation(payload):
+    """True when a count row of *payload* holds an id that is not a JSON
+    integer or a count that is not a JSON number."""
+    return any(any(type(i) is not int for i in row[:-1]) or type(row[-1]) not in (int, float)
+               for rows in payload["counts"].values() for row in rows)
+
+
+LM_WORDS = st.sampled_from(["a", "b", "c", "the", "x1", "don't", "İstanbul", "é", ",", "!",
+                            "?", ";"])
+LM_CORPORA = st.lists(st.lists(LM_WORDS, min_size=1, max_size=10), min_size=1, max_size=8)
+# One sentence of 11 symbols lets every order up to 11 train; order 11
+# writes a level "10", which json's key order puts before "2".
+LONG_SENTENCE = "a b c a b c a b c a."
+LAYOUTS = {"default": {}, "compact": {"separators": (",", ":")}, "indent": {"indent": 1}}
+ROW_VALUES = st.one_of(
+    st.integers(-3, 12), st.sampled_from([0.5, 1.0, 2.5, -1.0, 1e308, float("inf"), float("nan")]),
+    st.sampled_from(["1", "2.0", "many", "", True, False, None, [], [1], {}, {"a": 1}]),
+)
+EDITS = st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 99), st.integers(0, 99), st.integers(0, 9),
+              ROW_VALUES),
+    st.tuples(st.sampled_from(["drop_row", "repeat_row", "pop"]), st.integers(0, 99),
+              st.integers(0, 99)),
+    st.tuples(st.just("append"), st.integers(0, 99), st.integers(0, 99), ROW_VALUES),
+)
+IO_LM = zs.train_kn_lm(["the cat sat on the mat.", "a dog, a cat!", "the end?", LONG_SENTENCE],
+                       order=3, discount=0.75)
+
+
+def edited_payload(edits):
+    """IO_LM's saved payload with *edits* made to its count rows."""
+    payload = json.loads(saved_bytes(zs.save_lm, IO_LM))
+    for op, level, row, *args in edits:
+        rows = payload["counts"][str(1 + level % IO_LM.order)]
+        if not rows:
+            continue
+        i = row % len(rows)
+        if not rows[i] and op in ("set", "pop"):
+            continue
+        if op == "set":
+            position, value = args
+            rows[i][position % len(rows[i])] = value
+        elif op == "drop_row":
+            del rows[i]
+        elif op == "repeat_row":
+            rows.insert(i, list(rows[i]))
+        elif op == "pop":
+            rows[i].pop()
+        else:
+            rows[i].append(args[0])
+    return payload
+
+
+class TestLmJsonOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(corpus=LM_CORPORA, order=st.sampled_from([2, 3, 4, 11]),
+           discount=st.floats(min_value=0.01, max_value=0.99))
+    def test_save_bytes_equal_oracle_for_trained_models(self, corpus, order, discount):
+        lm = zs.train_kn_lm([" ".join(s) + "." for s in corpus] + [LONG_SENTENCE],
+                            order=order, discount=discount)
+        assert saved_bytes(zs.save_lm, lm) == saved_bytes(oracle_save_lm, lm)
+
+    @settings(max_examples=60, deadline=None)
+    @given(corpus=LM_CORPORA, order=st.sampled_from([2, 3, 11]),
+           edits=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from([2.5, 1e16, 1e-5])),
+                          min_size=1, max_size=6))
+    def test_save_bytes_equal_oracle_for_loaded_models_with_edited_counts(
+            self, corpus, order, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "lm.json"
+            zs.save_lm(zs.train_kn_lm([" ".join(s) + "." for s in corpus] + [LONG_SENTENCE],
+                                      order=order), path)
+            lm = zs.load_lm(path)
+            for i, value in edits:
+                counts = lm.grams[1 + i % order][1]
+                counts[i % len(counts)] = value
+            written = saved_bytes(zs.save_lm, lm)
+            assert written == saved_bytes(oracle_save_lm, lm)
+            path.write_bytes(written)
+            assert_same_model(zs.load_lm(path), oracle_load_lm(path))
+
+    @settings(max_examples=150, deadline=None)
+    @given(edits=st.lists(EDITS, max_size=3), layout=st.sampled_from(sorted(LAYOUTS)))
+    def test_load_accepts_and_refuses_as_oracle(self, edits, layout):
+        """Whatever the layout, load_lm accepts the files the list-per-row
+        route accepted, with equal tables, save those whose rows hold a
+        value that is not a JSON number of the right kind (a string, a
+        boolean, an integral float as id), and refuses every other file."""
+        payload = edited_payload(edits)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "lm.json"
+            path.write_text(json.dumps(payload, **LAYOUTS[layout]))
+            lm, oracle = loaded_or_refused(zs.load_lm, path), loaded_or_refused(oracle_load_lm, path)
+        if isinstance(lm, zs.NGramLM):
+            assert isinstance(oracle, zs.NGramLM), oracle
+            assert_same_model(lm, oracle)
+        elif isinstance(oracle, zs.NGramLM):
+            assert strict_rows_violation(payload)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("mutate", _corrupt(), ids=lambda f: f.__name__)
+    def test_corrupt_files_refused_in_every_layout(self, tmp_path, layout, mutate):
+        payload = json.loads(saved_bytes(zs.save_lm, zs.train_kn_lm(CORRUPT_TEXTS, order=3)))
+        mutate(payload)
+        path = tmp_path / "lm.json"
+        path.write_text(json.dumps(payload, **LAYOUTS[layout]))
+        with pytest.raises(ModelFormatError):
+            zs.load_lm(path)
+        if mutate.__name__ in {f.__name__ for f in _strict_rows()} - {"id_null"}:
+            assert isinstance(oracle_load_lm(path), zs.NGramLM)
+        else:
+            with pytest.raises(ModelFormatError):
+                oracle_load_lm(path)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_layouts_load_alike(self, tmp_path, layout):
+        path = tmp_path / "lm.json"
+        path.write_text(json.dumps(json.loads(saved_bytes(zs.save_lm, IO_LM)),
+                                   **LAYOUTS[layout]))
+        assert_same_model(zs.load_lm(path), IO_LM)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_row_break_outside_the_tables_refused(self, tmp_path, layout):
+        """The one file the list-per-row route loaded and load_lm refuses
+        for a reason other than a row's value: one with "], [" outside the
+        count tables, here in a vocabulary word."""
+        payload = json.loads(saved_bytes(zs.save_lm, IO_LM))
+        for table in payload["vocabulary"].values():
+            table["x], [y"] = table.pop("cat")
+        path = tmp_path / "lm.json"
+        path.write_text(json.dumps(payload, **LAYOUTS[layout]))
+        assert oracle_load_lm(path).vocabulary.word_to_id["x], [y"] >= 0
+        with pytest.raises(ModelFormatError):
+            zs.load_lm(path)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_literal_null_is_no_row_break(self, tmp_path, layout):
+        # Level 1 as one list of values with a null between rows: what
+        # load_lm decodes from a level it wrote, but written by hand.
+        payload = json.loads(saved_bytes(zs.save_lm, IO_LM))
+        rows = payload["counts"]["1"]
+        payload["counts"]["1"] = [[x for row in rows for x in (*row, None)][:-1]]
+        path = tmp_path / "lm.json"
+        path.write_text(json.dumps(payload, **LAYOUTS[layout]))
+        with pytest.raises(ModelFormatError, match="row breaks"):
             zs.load_lm(path)
