@@ -18,7 +18,15 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DataError, ModelFormatError, json_array, json_float, json_int, load_json
+from .errors import (
+    DataError,
+    ModelFormatError,
+    json_array,
+    json_float,
+    json_int,
+    json_keys,
+    load_json,
+)
 
 SCHEMA_VERSION = 1
 
@@ -620,7 +628,8 @@ def load_model(path: str | Path) -> AnyModel:
     [0, dim), and the forest's metadata as train_random_forest writes it:
     n_trees an integer equal to the number of trees (so at least 1),
     max_depth null or an integer in its HYPERPARAMETER_RANGES range, and
-    seed an integer >= 0. Any other content raises ModelFormatError.
+    seed an integer >= 0. Any other content, a key save_model does not
+    write included, raises ModelFormatError.
     """
     payload = load_json(path, ModelFormatError)
     if not isinstance(payload, dict):
@@ -636,6 +645,7 @@ def load_model(path: str | Path) -> AnyModel:
     cls, fields = _MODEL_FIELDS[family]
     parsed: dict = {}
     try:
+        json_keys(payload, ("schema_version", "family", "dim", *(key for key, _, _ in fields)))
         for key, attr, parse in fields:
             parsed[attr] = parse(payload[key], parsed)
         model = cls(**parsed)

@@ -20,13 +20,20 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import classifiers, corpus_stats, embeddings, evaluation, ingest, zeroshot
+# classifiers, corpus_stats and evaluation are imported where they are
+# used, so that a process pays only for the families its command runs: a
+# zero-shot detect never imports the classifier or statistics code.
+from . import embeddings, ingest, zeroshot
 from .errors import ConfigError, DataError, load_json, parse_json, read_lines
 from .ingest import Corpus, Document, Label
 from .synthetic import stable_seed as derive_seed  # SHA-256 over 'root/path'
+
+if TYPE_CHECKING:
+    from . import classifiers, evaluation
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -108,6 +115,8 @@ def _typed(section: str, raw: dict, defaults: dict, nullable: tuple[str, ...] = 
 def _classifier_section(value) -> dict:
     """The classifier section, typed: its family plus that family's keys,
     absent keys taking their defaults, each held to its library range."""
+    from . import classifiers
+
     if not isinstance(value, dict):
         raise ConfigError("classifier must be an object")
     family, families = value.get("family"), tuple(classifiers.HYPERPARAMETER_DEFAULTS)
@@ -249,6 +258,8 @@ class RunConfig:
         transforms = []
         seen: set[str] = set()
         for i, t in enumerate(raw.get("transforms", [])):
+            from . import evaluation
+
             _object(t, f"transforms.{i}", ("kind", "intensity"))
             try:
                 tf = evaluation.AdversarialTransform(
@@ -374,6 +385,8 @@ def _split_corpora(corpus: Corpus, manifest: dict[str, list[str]]) -> dict[str, 
 
 def _classifier_scorer(model: classifiers.AnyModel,
                        emb: embeddings.EmbeddingMatrix) -> evaluation.DetectorScorer:
+    from . import classifiers, evaluation
+
     def score(doc: Document) -> float:
         return classifiers.predict(model, embeddings.doc_vector(doc.body, emb).values).score
 
@@ -383,6 +396,8 @@ def _classifier_scorer(model: classifiers.AnyModel,
 
 
 def _load_classifier_scorer(cfg: RunConfig) -> evaluation.DetectorScorer:
+    from . import classifiers
+
     model_path = _artifact(cfg, "model.json", "train")
     emb_path = _artifact(cfg, "embeddings.txt", "train")
     model = classifiers.load_model(model_path)
@@ -399,6 +414,8 @@ def _zeroshot_scorers(cfg: RunConfig, lm: zeroshot.NGramLM,
                       methods: tuple[str, ...]) -> list[evaluation.DetectorScorer]:
     """One scorer per method, each cut at the config threshold. All share
     one base config, and so one substitution sampler."""
+    from . import evaluation
+
     zs = cfg.zeroshot
     base = zeroshot.PerturbConfig(
         pool=lm.vocabulary,
@@ -451,6 +468,8 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 
 def cmd_stats(cfg: RunConfig) -> int:
+    from . import corpus_stats
+
     corpus, _ = _load_cached_corpus(cfg)
     parses = None
     if cfg.conllu:
@@ -471,6 +490,8 @@ def _embedding_matrix(cfg: RunConfig, train_texts: list[str]) -> embeddings.Embe
 
 
 def _dataset_from(corpus_docs, emb) -> classifiers.Dataset:
+    from . import classifiers
+
     feats = np.stack([
         embeddings.doc_vector(d.body, emb).values for d in corpus_docs
     ])
@@ -481,6 +502,8 @@ def _dataset_from(corpus_docs, emb) -> classifiers.Dataset:
 
 
 def _train_classifier(cfg: RunConfig, data: classifiers.Dataset):
+    from . import classifiers
+
     section = cfg.classifier
     family = section["family"]
     seed = derive_seed(cfg.seed, "classifier")
@@ -514,6 +537,8 @@ def cmd_train(cfg: RunConfig) -> int:
         raise ConfigError("config has neither a classifier nor a zeroshot section")
 
     if cfg.classifier is not None:
+        from . import classifiers, evaluation
+
         emb = _embedding_matrix(cfg, splits["train"].bodies())
         model = _train_classifier(cfg, _dataset_from(splits["train"].documents, emb))
         report = _classifier_scorer(model, emb).evaluate(splits["val"].documents)
@@ -587,6 +612,8 @@ def cmd_detect(cfg: RunConfig, input_path: str, method: str | None,
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
+    from . import evaluation
+
     corpus, manifest = _load_cached_corpus(cfg)
     splits = _split_corpora(corpus, manifest)
     test = splits["test"]
@@ -628,6 +655,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 
 def _write_robustness_csv(path: Path, report: evaluation.RobustnessReport) -> None:
+    from . import evaluation
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["transform", "metric", "before", "after", "delta"])

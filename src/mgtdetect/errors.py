@@ -6,7 +6,8 @@ reads is decoded and parsed here, so invalid UTF-8, malformed JSON and
 JSON nested past the recursion limit all end in the caller's error class.
 The artifact loaders read their numeric fields through json_int,
 json_float and json_array, which take a JSON number as it is and refuse
-anything else (a numeric string or a boolean included).
+anything else (a numeric string or a boolean included), and hold their
+objects to the keys they write through json_keys.
 """
 
 from __future__ import annotations
@@ -90,6 +91,18 @@ def json_int(value) -> int:
     string or a boolean included), so that no field is silently truncated."""
     if type(value) is not int:
         raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def json_keys(value: dict, keys, where: str = "") -> dict:
+    """*value* when it is an object holding only *keys*; ValueError naming
+    the first other key (under *where*) otherwise."""
+    if type(value) is not dict:
+        raise ValueError(f"{where or 'file'} must be a JSON object")
+    unknown = sorted(value.keys() - set(keys))
+    if unknown:
+        key = f"{where}.{unknown[0]}" if where else unknown[0]
+        raise ValueError(f"unknown key {key!r}")
     return value
 
 

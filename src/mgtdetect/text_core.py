@@ -27,7 +27,7 @@ _TOKEN_RE = re.compile(r"([^\W_]+(?:['’][^\W_]+)*)|(\S)")
 
 # One letter or digit: ``[^\W_]`` matches exactly the code points for
 # which str.isalnum is true.
-_WORD_CHAR_RE = re.compile(r"[^\W_]")
+WORD_CHAR_RE = re.compile(r"[^\W_]")
 
 # A sentence terminator followed by whitespace or the end of the text.
 _SENTENCE_END_RE = re.compile(r"[.!?](?!\S)")
@@ -217,7 +217,7 @@ class Vocabulary:
 
 def is_word_surface(surface: str) -> bool:
     """True when the surface came from a word token (has an alnum char)."""
-    return _WORD_CHAR_RE.search(surface) is not None
+    return WORD_CHAR_RE.search(surface) is not None
 
 
 def build_vocab(texts: list[str], min_count: int = 1) -> Vocabulary:

@@ -27,6 +27,7 @@ from .errors import (
     ModelFormatError,
     json_float,
     json_int,
+    json_keys,
     parse_json,
     read_text,
 )
@@ -34,9 +35,9 @@ from .ingest import Document
 from .text_core import (
     ABBREVIATION_WORDS,
     UNK,
+    WORD_CHAR_RE,
     Token,
     Vocabulary,
-    is_word_surface,
     period_chunk_words,
     rewrite_units,
     seeded_rewrites,
@@ -47,6 +48,10 @@ from .text_core import (
 )
 
 LM_SCHEMA_VERSION = 1
+# The keys save_lm writes, at the top level and under "vocabulary"; load_lm
+# refuses any other.
+LM_KEYS = ("counts", "discount", "end_id", "order", "schema_version", "vocabulary")
+VOCABULARY_KEYS = ("frequencies", "word_to_id")
 STD_GUARD = 1e-9
 
 END = "</s>"  # predictable end-of-sentence symbol
@@ -408,13 +413,16 @@ class _SubstitutionSampler:
         self.pool = pool
         self.band = band_octaves
         freq = pool.frequencies
-        # Sorted by word, then stably by frequency: the (frequency, word) order.
-        self.words = sorted(w for w, c in freq.items()
-                            if c > 0 and w != UNK and is_word_surface(w))
+        # The word surfaces but UNK, filtered at C speed, sorted by word,
+        # then stably by frequency: the (frequency, word) order. Those of
+        # frequency 0 lead and are cut.
+        words = sorted(filter(WORD_CHAR_RE.search, filter(UNK.__ne__, freq)))
+        words.sort(key=freq.__getitem__)
+        freqs = list(map(freq.__getitem__, words))
+        start = bisect_right(freqs, 0)
+        self.words, self.freqs = words[start:], freqs[start:]
         if not self.words:
             raise DataError("substitution pool contains no words")
-        self.words.sort(key=freq.__getitem__)
-        self.freqs = [freq[w] for w in self.words]
         self.freq_of = dict(zip(self.words, self.freqs))
         self._bands: dict[str, tuple[int, memoryview]] = {}
         self._freq_bands: dict[int | None, tuple[int, memoryview]] = {}
@@ -666,10 +674,11 @@ def load_lm(path: str | Path) -> NGramLM:
 
     Before the one json.loads, every ROW_BREAK becomes ", null, ", so that
     a level decodes as flat lists of numbers with a null between rows, not
-    as a list per row (_check_count_rows cuts them). The nulls found in the
-    count tables must equal the replacements made, so a ROW_BREAK anywhere
-    else (inside a string, say) refuses the file, and so does a literal
-    null in a table, unless as many of each make the counts agree.
+    as a list per row (_check_count_rows cuts them). The file may hold no
+    key save_lm does not write (LM_KEYS, VOCABULARY_KEYS) and no vocabulary
+    word holding ", null, ", so every ROW_BREAK left sits in a count table:
+    the nulls found there must equal the replacements made, and a literal
+    null in a table refuses the file.
     """
     text = read_text(path, ModelFormatError)
     breaks = text.count(ROW_BREAK)
@@ -683,11 +692,17 @@ def load_lm(path: str | Path) -> NGramLM:
             f"{path}: unsupported schema_version {version!r}, expected {LM_SCHEMA_VERSION}"
         )
     try:
-        vocabulary = payload["vocabulary"]
-        word_to_id = {w: json_int(i) for w, i in vocabulary["word_to_id"].items()}
-        frequencies = {w: json_int(c) for w, c in vocabulary["frequencies"].items()}
+        json_keys(payload, LM_KEYS)
+        vocabulary = json_keys(payload["vocabulary"], VOCABULARY_KEYS, "vocabulary")
+        word_to_id, frequencies = vocabulary["word_to_id"], vocabulary["frequencies"]
+        for name, table in vocabulary.items():
+            # One type scan per table: every value a JSON integer.
+            if not set(map(type, table.values())) <= {int}:
+                raise ValueError(f"vocabulary {name} holds a value that is not a JSON integer")
         if frequencies.keys() != word_to_id.keys() or min(frequencies.values()) < 0:
             raise ValueError("vocabulary frequencies must be integers >= 0 for word_to_id's words")
+        if ", null, " in "\n".join(word_to_id):  # no match spans two words
+            raise ValueError(f"a vocabulary word holds {ROW_BREAK!r} or ', null, '")
         vocab = Vocabulary(word_to_id=word_to_id, frequencies=frequencies)
         order = json_int(payload["order"])
         discount = json_float(payload["discount"])
@@ -753,4 +768,8 @@ def _check_count_rows(level: int, segments: list, end_id: int) -> tuple[np.ndarr
         raise ValueError(f"level {level} holds an id outside the vocabulary")
     if not np.all(np.isfinite(count) & (count > 0)):
         raise ValueError(f"level {level} holds a count that is not positive and finite")
+    with np.errstate(over="ignore"):
+        total = count.sum()
+    if not np.isfinite(total):  # a context's total would overflow in NGramLM
+        raise ValueError(f"level {level} counts sum past the float range")
     return table, rows - len(segments)

@@ -622,8 +622,14 @@ class TestMalformedInputs:
         lambda p: p.__setitem__("order", "3"),
         lambda p: p["vocabulary"]["frequencies"].__setitem__("waa", 2.7),
         lambda p: p["counts"]["1"][0].__setitem__(-1, "2.0"),
+        lambda p: [row.__setitem__(-1, 1e308) for row in p["counts"]["3"]],
+        lambda p: p.__setitem__("note", "hello"),
+        lambda p: p["vocabulary"].__setitem__("note", {}),
     ], ids=["level_1_deleted", "negative_count", "id_out_of_range", "no_counts",
-            "end_id_mismatch", "order_string", "frequency_fractional", "count_string"])
+            "end_id_mismatch", "order_string", "frequency_fractional", "count_string",
+            "count_sum_overflow", "unknown_key", "unknown_vocabulary_key"])
+    # A numpy warning fails the test, as it would print beside the error.
+    @pytest.mark.filterwarnings("error")
     def test_corrupt_lm_exits_3(self, workspace, tmp_path, capsys, mutate):
         out = tmp_path / "out"
         shutil.copytree(workspace / "out", out)
@@ -636,6 +642,29 @@ class TestMalformedInputs:
                    "--method", "detect_gpt", "--output", str(out)])
         assert rc == 3
         assert "lm.json" in one_error_line(capsys, "data error:")
+
+    @pytest.mark.parametrize("artifact, method, mutate", [
+        ("lm.json", "detect_gpt", lambda p: [row.__setitem__(-1, 1e308)
+                                             for row in p["counts"]["3"]]),
+        ("lm.json", "single_revise", lambda p: p.__setitem__("note", "hello")),
+        ("model.json", "classifier", lambda p: p.__setitem__("note", "hello")),
+    ], ids=["lm_count_sum_overflow", "lm_unknown_key", "model_unknown_key"])
+    def test_refused_artifact_prints_one_line(self, workspace, tmp_path, artifact, method,
+                                              mutate):
+        """In a process of its own, where no test runner catches warnings,
+        a refused artifact prints its one error line and nothing else."""
+        out = tmp_path / "out"
+        shutil.copytree(workspace / "out", out)
+        payload = json.loads((out / artifact).read_text())
+        mutate(payload)
+        (out / artifact).write_text(json.dumps(payload))
+        inp = tmp_path / "in.txt"
+        inp.write_text("waa wab wac wad wae.\n")
+        rc, err, printed = run_entry_point("detect", "--config", cfg_path(workspace), str(inp),
+                                           "--method", method, "--output", str(out))
+        assert rc == 3
+        assert len(err) == 1 and err[0].startswith("data error:") and artifact in err[0], err
+        assert printed == ""
 
 
 def child_env() -> dict[str, str]:
@@ -782,6 +811,50 @@ open({str(report)!r}, "w").write(json.dumps(sorted(imported)))
         imported = set(json.loads(report.read_text()))
         assert {"mgtdetect", "numpy"} <= imported
         assert imported - set(sys.stdlib_module_names) == {"mgtdetect", "numpy"}
+
+    def test_zero_shot_commands_import_no_classifier_or_stats_code(self, workspace, tmp_path):
+        """ingest, train and detect on a config with no classifier section
+        leave classifiers and corpus_stats unimported in a fresh process."""
+        config = base_config(str(tmp_path / "out"))
+        config["dataset"]["hc3_path"] = str(workspace / "data.jsonl")
+        del config["classifier"], config["embeddings"]
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        inp = tmp_path / "in.txt"
+        inp.write_text("waa wab wac wad wae.\n")
+        script = f"""
+import sys
+from mgtdetect.cli import main
+args = ["--config", {str(tmp_path / "config.json")!r}]
+for command in (["ingest"], ["train"], ["detect", {str(inp)!r}, "--method", "detect_gpt"]):
+    assert main(command + args) == 0, command
+print(" ".join(sorted(name for name in sys.modules if name.startswith("mgtdetect."))))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                              text=True, env=child_env())
+        imported = set(proc.stdout.splitlines()[-1].split())
+        assert {"mgtdetect.cli", "mgtdetect.zeroshot", "mgtdetect.evaluation"} <= imported
+        assert not imported & {"mgtdetect.classifiers", "mgtdetect.corpus_stats"}
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize("command", ["ingest", "detect"])
+    @pytest.mark.parametrize("change", [
+        {"classifier": {"family": "logreg", "l2": -1.0}},
+        {"classifier": {"family": "mlp"}},
+        {"transforms": [{"kind": "no_such_attack"}]},
+        {"transforms": [{"kind": "case_flip", "intensity": 2.0}]},
+    ], ids=["classifier_range", "classifier_family", "transform_kind", "transform_range"])
+    def test_bad_section_still_exits_2(self, workspace, tmp_path, capsys, command, change):
+        """A section whose library module a command does not otherwise
+        import is still checked by that module."""
+        config = write_config(tmp_path, workspace, **change)
+        args = [command, "--config", config]
+        if command == "detect":
+            inp = tmp_path / "in.txt"
+            inp.write_text("waa wab wac wad wae.\n")
+            args += [str(inp), "--method", "detect_gpt"]
+        capsys.readouterr()
+        assert main(args) == 2
+        one_error_line(capsys, "config error:")
 
 
 class TestDefaults:
@@ -1093,6 +1166,9 @@ class TestCorruptClassifierArtifacts:
         ("logreg", lambda p: p.__setitem__("weights", [str(w) for w in p["weights"]])),
         ("gnb", lambda p: p["means"][0].__setitem__(0, False)),
         ("random_forest", lambda p: p["trees"][0].__setitem__("threshold", "0.5")),
+        ("logreg", lambda p: p.__setitem__("note", "hello")),
+        ("gnb", lambda p: p.__setitem__("weights", p["means"][0])),
+        ("random_forest", lambda p: p.__setitem__("lambda", 1e-3)),
     ], ids=["svm_weights_2d", "logreg_weights_2d", "logreg_weights_scalar",
             "logreg_bias_infinite", "gnb_means_1d", "gnb_three_classes",
             "gnb_variance_width", "gnb_three_priors", "gnb_negative_prior",
@@ -1101,7 +1177,7 @@ class TestCorruptClassifierArtifacts:
             "rf_n_trees_fractional", "rf_seed_negative", "rf_dim_fractional",
             "rf_feature_fractional", "logreg_bias_string", "logreg_bias_boolean",
             "logreg_l2_string", "logreg_weights_strings", "gnb_mean_boolean",
-            "rf_threshold_string"])
+            "rf_threshold_string", "logreg_unknown_key", "gnb_logreg_key", "rf_svm_key"])
     def test_corrupt_model_exit_3(self, workspace, family_models, tmp_path, capsys,
                                   family, mutate):
         payload = json.loads(family_models[family])

@@ -1022,8 +1022,19 @@ def oracle_pool_order(pool):
     return [w for w, _ in items], [c for _, c in items]
 
 
+def oracle_pool_generator(pool):
+    """The pool's words and frequencies as _SubstitutionSampler built them
+    with a generator testing each word in Python: the reference for its
+    C-level filters."""
+    freq = pool.frequencies
+    words = sorted(w for w, c in freq.items() if c > 0 and w != UNK and is_word_surface(w))
+    words.sort(key=freq.__getitem__)
+    return words, [freq[w] for w in words]
+
+
 POOL_SURFACES = st.one_of(st.text(max_size=3),
-                          st.sampled_from(["a", "b", "ab", "B", "-", ",", "_", "x_", "İ", "ß"]))
+                          st.sampled_from(["a", "b", "ab", "B", "-", ",", "_", "x_", "İ", "ß",
+                                           "é", "日本", "x1", "<unk>x", UNK.upper()]))
 
 
 class TestSamplerPool:
@@ -1036,6 +1047,7 @@ class TestSamplerPool:
         pool = Vocabulary(word_to_id={w: i for i, w in enumerate(surfaces)},
                           frequencies={**frequencies, UNK: unk_count})
         words, freqs = oracle_pool_order(pool)
+        assert oracle_pool_generator(pool) == (words, freqs)
         if not words:
             with pytest.raises(DataError):
                 zs._SubstitutionSampler(pool, 1.0)
@@ -1119,6 +1131,19 @@ def _corrupt():
     def frequency_boolean(p):
         p["vocabulary"]["frequencies"]["a"] = True
 
+    # Equal to an integer, but not a JSON integer.
+    def word_id_boolean(p):
+        p["vocabulary"]["word_to_id"]["a"] = bool(p["vocabulary"]["word_to_id"]["a"])
+
+    def word_id_integral_float(p):
+        p["vocabulary"]["word_to_id"]["a"] = float(p["vocabulary"]["word_to_id"]["a"])
+
+    def frequency_string(p):
+        p["vocabulary"]["frequencies"]["a"] = str(p["vocabulary"]["frequencies"]["a"])
+
+    def frequency_null(p):
+        p["vocabulary"]["frequencies"]["a"] = None
+
     def frequency_negative(p):
         p["vocabulary"]["frequencies"]["a"] = -5
 
@@ -1128,12 +1153,32 @@ def _corrupt():
     def frequency_of_unknown_word(p):
         p["vocabulary"]["frequencies"]["zz"] = 1
 
-    return [*_strict_rows(), level_1_deleted, extra_level, no_counts, empty_level, short_row,
-            negative_count, zero_count, target_out_of_range, target_is_start,
-            context_out_of_range, fractional_id, end_id_mismatch, repeated_ngram,
+    def literal_nulls_balanced_by_a_note(p):
+        # Level 1 as one list with a null between rows, and one "], ["
+        # per null in strings under an unknown key, so that the row breaks
+        # counted in the file equal the nulls found in the tables.
+        rows = p["counts"]["1"]
+        p["counts"]["1"] = [[x for row in rows for x in (*row, None)][:-1]]
+        p["note"] = ["], ["] * (len(rows) - 1)
+
+    def literal_nulls_balanced_by_a_word(p):
+        # The same with the "], [" in a vocabulary word, which both tables
+        # hold: an even number of literal nulls, after a first row kept.
+        rows = p["counts"]["1"]
+        assert len(rows) % 2 == 0
+        p["counts"]["1"] = [rows[0], [x for row in rows[1:] for x in (*row, None)][:-1]]
+        word = "x" + "], [" * ((len(rows) - 2) // 2)
+        for table in p["vocabulary"].values():
+            table[word] = table.pop("a")
+
+    return [*_strict_rows(), *_strict_fields(), literal_nulls_balanced_by_a_note,
+            literal_nulls_balanced_by_a_word, level_1_deleted, extra_level, no_counts,
+            empty_level, short_row, negative_count, zero_count, target_out_of_range,
+            target_is_start, context_out_of_range, fractional_id, end_id_mismatch, repeated_ngram,
             non_numeric_count, order_too_small, discount_too_large, discount_zero,
             order_fractional, order_string, discount_string, end_id_fractional,
-            word_id_fractional, frequency_fractional, frequency_boolean, frequency_negative,
+            word_id_fractional, frequency_fractional, frequency_boolean, word_id_boolean,
+            word_id_integral_float, frequency_string, frequency_null, frequency_negative,
             frequency_missing, frequency_of_unknown_word]
 
 
@@ -1159,6 +1204,25 @@ def _strict_rows():
         p["counts"]["2"][0][0] = None
 
     return [count_string, count_boolean, id_boolean, id_float, id_null]
+
+
+def _strict_fields():
+    """Files whose rows all hold JSON numbers of the right kind but which
+    load_lm refuses and the list-per-row route loaded: a key save_lm does
+    not write, and a level whose counts, each positive and finite, sum past
+    the float range (NGramLM's context totals would be inf)."""
+
+    def unknown_key(p):
+        p["note"] = "hello"
+
+    def unknown_vocabulary_key(p):
+        p["vocabulary"]["note"] = {}
+
+    def count_sum_overflow(p):
+        for row in p["counts"]["3"]:
+            row[-1] = 1e308
+
+    return [unknown_key, unknown_vocabulary_key, count_sum_overflow]
 
 
 CORRUPT_TEXTS = ["a b c d.", "d a b c."] * 3
@@ -1289,9 +1353,13 @@ def assert_same_model(lm, other):
 
 def strict_rows_violation(payload):
     """True when a count row of *payload* holds an id that is not a JSON
-    integer or a count that is not a JSON number."""
-    return any(any(type(i) is not int for i in row[:-1]) or type(row[-1]) not in (int, float)
-               for rows in payload["counts"].values() for row in rows)
+    integer or a count that is not a JSON number, or when a level's counts
+    sum past the float range."""
+    levels = payload["counts"].values()
+    if any(any(type(i) is not int for i in row[:-1]) or type(row[-1]) not in (int, float)
+           for rows in levels for row in rows):
+        return True
+    return any(math.isinf(sum(float(row[-1]) for row in rows)) for rows in levels)
 
 
 LM_WORDS = st.sampled_from(["a", "b", "c", "the", "x1", "don't", "İstanbul", "é", ",", "!",
@@ -1312,6 +1380,8 @@ EDITS = st.one_of(
               st.integers(0, 99)),
     st.tuples(st.just("append"), st.integers(0, 99), st.integers(0, 99), ROW_VALUES),
 )
+VOCABULARY_VALUES = st.one_of(st.integers(-2, 30),
+                              st.sampled_from([True, False, 1.0, 2.5, "3", None, [], {}]))
 IO_LM = zs.train_kn_lm(["the cat sat on the mat.", "a dog, a cat!", "the end?", LONG_SENTENCE],
                        order=3, discount=0.75)
 
@@ -1374,12 +1444,15 @@ class TestLmJsonOracles:
         """Whatever the layout, load_lm accepts the files the list-per-row
         route accepted, with equal tables, save those whose rows hold a
         value that is not a JSON number of the right kind (a string, a
-        boolean, an integral float as id), and refuses every other file."""
+        boolean, an integral float as id) or whose level counts sum past
+        the float range, and refuses every other file."""
         payload = edited_payload(edits)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "lm.json"
             path.write_text(json.dumps(payload, **LAYOUTS[layout]))
-            lm, oracle = loaded_or_refused(zs.load_lm, path), loaded_or_refused(oracle_load_lm, path)
+            lm = loaded_or_refused(zs.load_lm, path)
+            with np.errstate(over="ignore"):
+                oracle = loaded_or_refused(oracle_load_lm, path)
         if isinstance(lm, zs.NGramLM):
             assert isinstance(oracle, zs.NGramLM), oracle
             assert_same_model(lm, oracle)
@@ -1395,11 +1468,34 @@ class TestLmJsonOracles:
         path.write_text(json.dumps(payload, **LAYOUTS[layout]))
         with pytest.raises(ModelFormatError):
             zs.load_lm(path)
-        if mutate.__name__ in {f.__name__ for f in _strict_rows()} - {"id_null"}:
-            assert isinstance(oracle_load_lm(path), zs.NGramLM)
+        oracle_loads = {f.__name__ for f in (*_strict_rows(), *_strict_fields())} - {"id_null"}
+        if mutate.__name__ in oracle_loads:
+            with np.errstate(over="ignore"):
+                assert isinstance(oracle_load_lm(path), zs.NGramLM)
         else:
             with pytest.raises(ModelFormatError):
                 oracle_load_lm(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(edits=st.lists(st.tuples(st.sampled_from(["word_to_id", "frequencies"]),
+                                     st.integers(0, 99), VOCABULARY_VALUES), max_size=3))
+    def test_vocabulary_accepted_and_refused_as_oracle(self, edits):
+        """One type scan per vocabulary table accepts and refuses what a
+        json_int call per value did, and keeps the same dicts."""
+        payload = json.loads(saved_bytes(zs.save_lm, IO_LM))
+        for name, i, value in edits:
+            table = payload["vocabulary"][name]
+            table[sorted(table)[i % len(table)]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "lm.json"
+            path.write_text(json.dumps(payload))
+            lm = loaded_or_refused(zs.load_lm, path)
+            oracle = loaded_or_refused(oracle_load_lm, path)
+        assert type(lm) is type(oracle)
+        if isinstance(lm, zs.NGramLM):
+            assert_same_model(lm, oracle)
+            tables = (lm.vocabulary.word_to_id, lm.vocabulary.frequencies)
+            assert all(type(v) is int for table in tables for v in table.values())
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_layouts_load_alike(self, tmp_path, layout):
