@@ -423,14 +423,6 @@ def train_linear_svm(
 # -- random forest --
 
 
-def gini(labels: np.ndarray) -> float:
-    """1 - sum p_c^2 over the two classes."""
-    if len(labels) == 0:
-        return 0.0
-    p = np.mean(labels)
-    return float(1.0 - p * p - (1.0 - p) * (1.0 - p))
-
-
 def _best_split(
     X: np.ndarray, y: np.ndarray, features: np.ndarray
 ) -> tuple[int, float, float] | None:
@@ -497,7 +489,6 @@ def train_random_forest(
     n_trees: int = 50,
     max_depth: int | None = 8,
     seed: int = 0,
-    bootstrap: bool = True,
 ) -> RfModel:
     """Bootstrap-aggregated CART trees over sqrt(d) feature subsets per
     node; leaves store the Machine fraction. Tree t uses seed + t, so a
@@ -509,10 +500,7 @@ def train_random_forest(
     trees: list[TreeNode] = []
     for t in range(n_trees):
         rng = np.random.default_rng(seed + t)
-        if bootstrap:
-            idx = rng.integers(0, n, size=n)
-        else:
-            idx = np.arange(n)
+        idx = rng.integers(0, n, size=n)
         trees.append(
             _grow_tree(
                 data.features[idx],

@@ -7,6 +7,7 @@ The training loop is deliberately single-threaded and seeded: identical
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,8 +36,8 @@ class SkipGramConfig:
             raise DataError("dim, window, negatives, min_count must be >= 1")
         if self.epochs < 0:
             raise DataError("epochs must be >= 0")
-        if self.learning_rate <= 0 or self.subsample <= 0:
-            raise DataError("learning rate and subsample threshold must be > 0")
+        if not (0 < self.learning_rate < math.inf and 0 < self.subsample < math.inf):
+            raise DataError("learning rate and subsample threshold must be finite and > 0")
 
 
 @dataclass

@@ -96,29 +96,19 @@ def two_source_corpus(
     return human, machine
 
 
-def write_hc3_file(
-    path: str | Path, n_lines: int, seed: int, answers_per_side: int = 1,
-    words: list[str] | None = None,
-) -> None:
-    """Synthetic HC3-style JSONL: one question per line with trigram
-    human/machine answers.
+def write_hc3_file(path: str | Path, n_lines: int, seed: int) -> None:
+    """Synthetic HC3-style JSONL: one question per line with one trigram
+    human and one machine answer over DEFAULT_WORDS.
     """
-    words = words or DEFAULT_WORDS
-    human_src = TrigramSource(words, seed=stable_seed(seed, "human"))
-    machine_src = TrigramSource(words, seed=stable_seed(seed, "machine"))
+    human_src = TrigramSource(DEFAULT_WORDS, seed=stable_seed(seed, "human"))
+    machine_src = TrigramSource(DEFAULT_WORDS, seed=stable_seed(seed, "machine"))
     rng = np.random.default_rng(stable_seed(seed, "hc3"))
     with Path(path).open("w", encoding="utf-8") as fh:
         for i in range(n_lines):
             record = {
                 "question": f"question {i}",
-                "human_answers": [
-                    human_src.document(rng, sentences=2)
-                    for _ in range(answers_per_side)
-                ],
-                "chatgpt_answers": [
-                    machine_src.document(rng, sentences=2)
-                    for _ in range(answers_per_side)
-                ],
+                "human_answers": [human_src.document(rng, sentences=2)],
+                "chatgpt_answers": [machine_src.document(rng, sentences=2)],
             }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 

@@ -204,20 +204,12 @@ class Vocabulary:
         """Id of *surface*, or the UNK id when out of vocabulary."""
         return self.word_to_id.get(surface, self.unk_id)
 
-    def __contains__(self, surface: str) -> bool:
-        return surface in self.word_to_id and surface != UNK
-
     def surfaces(self) -> list[str]:
         """All surfaces ordered by id."""
         out = [""] * self.size
         for w, i in self.word_to_id.items():
             out[i] = w
         return out
-
-
-def is_word_surface(surface: str) -> bool:
-    """True when the surface came from a word token (has an alnum char)."""
-    return WORD_CHAR_RE.search(surface) is not None
 
 
 def build_vocab(texts: list[str], min_count: int = 1) -> Vocabulary:

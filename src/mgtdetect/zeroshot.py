@@ -17,7 +17,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +53,7 @@ LM_SCHEMA_VERSION = 1
 LM_KEYS = ("counts", "discount", "end_id", "order", "schema_version", "vocabulary")
 VOCABULARY_KEYS = ("frequencies", "word_to_id")
 STD_GUARD = 1e-9
+BAND_OCTAVES = 1.0  # substitutes lie within this many octaves of the original's frequency
 
 END = "</s>"  # predictable end-of-sentence symbol
 START_ID = -1  # context-only padding id, never predicted
@@ -83,8 +84,9 @@ class NGramLM:
     tokenized original): one per per_token_log_prob call, k + 1 per
     detect_gpt_score call, 2 per single_revise_score call; the detectors'
     pass budget is asserted against it in tests. ``train_perplexity`` is
-    the perplexity of the training texts, set by train_kn_lm from the
-    windows it counted; None for a loaded model.
+    the perplexity of the training texts, exp(mean negative log P per
+    predicted symbol), set by train_kn_lm from the windows it counted;
+    None for a loaded model.
     """
 
     order: int
@@ -136,33 +138,18 @@ class NGramLM:
             sentences.append([self.vocabulary.id_of(t.surface) for t in tokens])
         return sentences, words
 
-    def _sweep(self, groups: list[list[list[int]]]) -> list[float]:
-        """The sum of log P over each group of id sentences, from one
-        _windows + _probs sweep over the rows of every group."""
-        sentences = [ids for group in groups for ids in group]
-        if not sentences:
-            return [0.0] * len(groups)
-        return _log_totals(self._probs(_windows(sentences, self.order, self.end_id)), groups)
-
-    def prob(self, context: tuple[int, ...], target: int) -> float:
-        """P(target | context) via the interpolated recursion."""
-        return float(self._probs(self._rows(context, [target]))[0])
-
     def distribution(self, context: tuple[int, ...]) -> np.ndarray:
-        """Dense conditional distribution over the event space; the
-        vectorized counterpart of prob().
-        """
-        return self._probs(self._rows(context, np.arange(self.event_size)))
-
-    def _rows(self, context: tuple[int, ...], targets) -> np.ndarray:
+        """Dense conditional distribution P(target | context) over the
+        event space, via the interpolated recursion."""
         # The trailing order - 1 context ids, left-padded with the start
         # symbol, then each target; all shifted by one.
         ctx = list(context)[-(self.order - 1):]
         ids = [START_ID] * (self.order - 1 - len(ctx)) + ctx
+        targets = np.arange(self.event_size)
         rows = np.column_stack([np.tile(ids, (len(targets), 1)), targets]).astype(np.int64) + 1
         if rows.min() < 0 or rows.max() > self.end_id + 1:
             raise DataError(f"ids must lie in [{START_ID}, {self.end_id}]")
-        return rows
+        return self._probs(rows)
 
     def _probs(self, windows: np.ndarray) -> np.ndarray:
         """P(target | context) for each row of *windows* (order - 1 shifted
@@ -232,21 +219,25 @@ def _log_totals(probs: np.ndarray, groups: list[list[list[int]]]) -> list[float]
     predicted positions of each sentence of each group in turn: math.log
     and left-to-right sums per sentence, then over the group's sentences
     (np.log or np.sum could differ in the last bit). A group's total does
-    not depend on the groups beside it.
+    not depend on the groups beside it. DataError when a probability is 0,
+    as back-off products over a loaded model's counts can underflow to.
     """
     values = probs.tolist()
     totals = []
     start = 0
-    for sentences in groups:
-        total = 0.0
-        for ids in sentences:
-            stop = start + len(ids) + 1
-            sentence = 0.0
-            for p in values[start:stop]:
-                sentence += math.log(p)
-            total += sentence
-            start = stop
-        totals.append(total)
+    try:
+        for sentences in groups:
+            total = 0.0
+            for ids in sentences:
+                stop = start + len(ids) + 1
+                sentence = 0.0
+                for p in values[start:stop]:
+                    sentence += math.log(p)
+                total += sentence
+                start = stop
+            totals.append(total)
+    except ValueError:  # math.log(0.0)
+        raise DataError("a predicted symbol has probability 0 under the language model") from None
     return totals
 
 
@@ -303,8 +294,8 @@ def train_kn_lm(texts: list[str], order: int = 3, discount: float = 0.75) -> NGr
     grams[order] = (keys, raw.astype(float))
     lm = NGramLM(order=order, discount=discount, vocabulary=vocab, grams=grams,
                  end_id=end_id)
-    # One sweep over the training windows gives what perplexity(lm, texts)
-    # computes, bit for bit, without tokenizing the texts again.
+    # The training perplexity from one sweep over the windows counted
+    # above, with no second tokenization of the texts.
     [total] = _log_totals(lm._probs(windows), [sentences])
     lm.train_perplexity = math.exp(-total / len(windows))
     return lm
@@ -318,16 +309,6 @@ def per_token_log_prob(lm: NGramLM, doc: Document) -> float:
     return _log_probs_per_symbol(lm, [_body_ids(lm, doc, doc.body)[0]])[0]
 
 
-def perplexity(lm: NGramLM, texts: list[str]) -> float:
-    """exp(mean negative log probability per predicted symbol)."""
-    sentences, _ = lm._tokenized(texts)
-    symbols = _symbols(sentences)
-    if symbols == 0:
-        raise DataError("no symbols to evaluate")
-    [total] = lm._sweep([sentences])
-    return math.exp(-total / symbols)
-
-
 def _body_ids(lm: NGramLM, doc: Document, body: str) -> tuple[list[list[int]], list[WordToken]]:
     """lm._tokenized([body]); DataError when *body* has no word token."""
     sentences, words = lm._tokenized([body])
@@ -338,10 +319,12 @@ def _body_ids(lm: NGramLM, doc: Document, body: str) -> tuple[list[list[int]], l
 
 def _log_probs_per_symbol(lm: NGramLM, groups: list[list[list[int]]]) -> list[float]:
     """The log probability per predicted symbol of each group of id
-    sentences, all scored in one sweep, one scoring pass added per group.
-    The only code that adds to lm.scoring_passes.
+    sentences, all scored in one _windows + _probs sweep over the rows of
+    every group, one scoring pass added per group. The only code that adds
+    to lm.scoring_passes.
     """
-    totals = lm._sweep(groups)
+    sentences = [ids for group in groups for ids in group]
+    totals = _log_totals(lm._probs(_windows(sentences, lm.order, lm.end_id)), groups)
     lm.scoring_passes += len(groups)
     return [total / _symbols(sentences) for total, sentences in zip(totals, groups)]
 
@@ -359,8 +342,8 @@ class PerturbConfig:
     """Controls the vocabulary-substitution rewriter.
 
     k >= 2 drives the multi-perturbation estimator; k = 1 the single
-    revision. When band_octaves is set, substitutes are drawn from words
-    within that many frequency octaves of the original.
+    revision. Substitutes are drawn from the pool words within
+    BAND_OCTAVES frequency octaves of the original.
 
     The substitution sampler is built on first use and shared with every
     copy made by dataclasses.replace, so all perturbations drawn through
@@ -371,7 +354,6 @@ class PerturbConfig:
     mask_fraction: float = 0.15
     seed: int = 0
     k: int = 10
-    band_octaves: float | None = 1.0
     _sampler_slot: list[_SubstitutionSampler] = field(
         default_factory=list, compare=False, repr=False
     )
@@ -381,9 +363,9 @@ class PerturbConfig:
 
     def _sampler(self) -> _SubstitutionSampler:
         slot = self._sampler_slot
-        # A copy with another pool or band needs a sampler of its own.
-        if not slot or slot[0].pool is not self.pool or slot[0].band != self.band_octaves:
-            slot[:] = [_SubstitutionSampler(self.pool, self.band_octaves)]
+        # A copy with another pool needs a sampler of its own.
+        if not slot or slot[0].pool is not self.pool:
+            slot[:] = [_SubstitutionSampler(self.pool)]
         return slot[0]
 
 
@@ -403,15 +385,15 @@ class CurvatureScore:
 
 
 class _SubstitutionSampler:
-    """Frequency-weighted word sampler with an optional octave band.
+    """Frequency-weighted word sampler over an octave band.
 
-    Candidate words live in a frequency-sorted list, so a band of +/- b
-    octaves around the original's frequency is one contiguous slice.
+    Candidate words live in a frequency-sorted list, so the band of
+    +/- BAND_OCTAVES around the original's frequency is one contiguous
+    slice.
     """
 
-    def __init__(self, pool: Vocabulary, band_octaves: float | None):
+    def __init__(self, pool: Vocabulary):
         self.pool = pool
-        self.band = band_octaves
         freq = pool.frequencies
         # The word surfaces but UNK, filtered at C speed, sorted by word,
         # then stably by frequency: the (frequency, word) order. Those of
@@ -430,18 +412,18 @@ class _SubstitutionSampler:
 
     def _band(self, original: str) -> tuple[int, memoryview]:
         """The first pool index and the CDF of the words drawn for
-        *original*: those within band octaves of its frequency, else (no
-        band, *original* not in the pool, or no other word in its band) the
+        *original*: those within BAND_OCTAVES of its frequency, else
+        (*original* not in the pool, or no other word in its band) the
         whole pool. Built once per frequency (None: the whole pool) and
         memoized per original, so that a draw makes one dict lookup."""
         band = self._bands.get(original)
         if band is None:
-            f = None if self.band is None else self.freq_of.get(original)
+            f = self.freq_of.get(original)
             if f not in self._freq_bands:
                 lo, hi = 0, len(self.words)
                 if f is not None:
-                    a = bisect_left(self.freqs, f / (2.0**self.band))
-                    b = bisect_right(self.freqs, f * (2.0**self.band))
+                    a = bisect_left(self.freqs, f / (2.0**BAND_OCTAVES))
+                    b = bisect_right(self.freqs, f * (2.0**BAND_OCTAVES))
                     if b - a >= 2:
                         lo, hi = a, b
                 # A memoryview of the float64 cumsum, so that bisect_right
@@ -472,31 +454,23 @@ class _SubstitutionSampler:
         return self._patch_surfaces[pick]
 
 
-def perturb(doc: Document, cfg: PerturbConfig) -> Document:
-    """Replace floor(mask_fraction * word_count) word tokens, chosen by
-    seeded sampling without replacement, with pool draws spliced in as
-    they are; every other character of the body is kept. A draw that
-    tokenizes as one word keeps the token count; a pool surface that does
-    not ("x y", or "i̇stanbul", whose combining dot is a punctuation
-    token) adds tokens, and a draw beside a period can make or unmake an
-    abbreviation and so move a sentence end. Identical (doc, cfg) gives
-    identical output.
-    """
-    [body] = _perturbed_bodies(doc.body, cfg, [cfg.seed])
-    return doc if body == doc.body else replace(doc, body=body)
-
-
-def _perturbed_bodies(body: str, cfg: PerturbConfig, seeds: Iterable[int]) -> list[str]:
-    """The body perturb() gives under each of *seeds* in turn: its word
-    spans, found once, rewritten by rewrite_units, each chosen word
-    replaced by a pool draw for its lowercased surface.
+def _perturbed_body(body: str, cfg: PerturbConfig, seed: int) -> str:
+    """*body* with floor(mask_fraction * word_count) word tokens, chosen by
+    rewrite_units' seeded sampling without replacement, replaced by pool
+    draws for their lowercased surfaces, spliced in as they are; every
+    other character of the body is kept. A draw that tokenizes as one
+    word keeps the token count; a pool surface that does not ("x y", or
+    "i̇stanbul", whose combining dot is a punctuation token) adds tokens,
+    and a draw beside a period can make or unmake an abbreviation and so
+    move a sentence end. Identical (body, cfg, seed) gives identical
+    output.
     """
     words = [(a, b) for a, b, is_word in token_spans(body) if is_word]
 
     def draw(rng: np.random.Generator, word: str) -> str:
         return cfg._sampler().draw(rng, word.lower())
 
-    return [rewrite_units(body, words, cfg.mask_fraction, seed, draw) for seed in seeds]
+    return rewrite_units(body, words, cfg.mask_fraction, seed, draw)
 
 
 def curvature_stat(logp_original: float, perturbed: list[float]) -> tuple[float, float, float]:
@@ -514,10 +488,10 @@ def curvature_stat(logp_original: float, perturbed: list[float]) -> tuple[float,
 def _rewrite_groups(lm: NGramLM, doc: Document, cfg: PerturbConfig,
                     seeds: Iterable[int]) -> list[list[list[int]]]:
     """The id sentences of doc's body, then of its rewrite under each of
-    *seeds*: what tokenizing [doc.body, *_perturbed_bodies(doc.body, cfg,
-    seeds)] gives, computed in id space. The body is tokenized once; each
-    rewrite makes rewrite_units' draws through seeded_rewrites and patches
-    each pick's id into a copy of the body's ids. A rewrite whose draws
+    *seeds*: what tokenizing doc.body and each _perturbed_body(doc.body,
+    cfg, seed) gives, computed in id space. The body is tokenized once;
+    each rewrite makes rewrite_units' draws through seeded_rewrites and
+    patches each pick's id into a copy of the body's ids. A rewrite whose draws
     could re-segment the text is spliced and tokenized as a string
     instead: one with a pick that patch_surface refuses, or with a word
     in a chunk ending in "." whose original or pick is in
@@ -545,8 +519,7 @@ def _rewrite_groups(lm: NGramLM, doc: Document, cfg: PerturbConfig,
         for i, pick in seeded_rewrites(len(words), cfg.mask_fraction, seed, draw):
             surface = sampler.patch_surface(pick)
             if resegments(i, surface):
-                [rewrite] = _perturbed_bodies(doc.body, cfg, [seed])
-                patched, _ = _body_ids(lm, doc, rewrite)
+                patched, _ = _body_ids(lm, doc, _perturbed_body(doc.body, cfg, seed))
                 break
             s, p, _ = words[i]
             if patched[s] is sentences[s]:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from mgtdetect.classifiers import (
     RfModel,
     SvmModel,
     TreeNode,
+    _grow_tree,
     bayes_opt_1d,
-    gini,
     load_model,
     logreg_loss_and_grad,
     predict,
@@ -207,10 +208,18 @@ class TestSvm:
         assert np.mean(finals) < initial
 
 
-class TestRandomForest:
-    def test_gini_of_even_split(self):
-        assert gini(np.array([0, 0, 1, 1])) == pytest.approx(0.5)
+def unbootstrapped_forest(data: Dataset, n_trees: int, max_depth: int | None,
+                          seed: int) -> RfModel:
+    """train_random_forest with every tree grown on all the rows, in order."""
+    d = data.features.shape[1]
+    trees = [_grow_tree(data.features, data.labels.astype(float),
+                        np.random.default_rng(seed + t), depth=0, max_depth=max_depth,
+                        n_subset=max(1, math.isqrt(d)))
+             for t in range(n_trees)]
+    return RfModel(trees=trees, n_trees=n_trees, max_depth=max_depth, seed=seed, dim=d)
 
+
+class TestRandomForest:
     def test_pure_node_becomes_leaf(self):
         X = np.array([[0.0], [1.0], [2.0]])
         y = np.array([1, 1, 1])
@@ -223,8 +232,7 @@ class TestRandomForest:
         X = np.array([[0.1], [0.2], [0.3], [0.7], [0.8], [0.9]])
         y = np.array([0, 0, 0, 1, 1, 1])
         data = Dataset(features=X, labels=y, ids=tuple(map(str, range(6))))
-        model = train_random_forest(data, n_trees=1, max_depth=1, seed=0,
-                                    bootstrap=False)
+        model = unbootstrapped_forest(data, n_trees=1, max_depth=1, seed=0)
         assert train_accuracy(model, data) == 1.0
 
     def test_memorizes_consistent_data_without_bootstrap(self):
@@ -232,8 +240,7 @@ class TestRandomForest:
         X = rng.normal(size=(40, 3))
         y = rng.integers(0, 2, size=40)
         data = Dataset(features=X, labels=y, ids=tuple(map(str, range(40))))
-        model = train_random_forest(data, n_trees=3, max_depth=None, seed=1,
-                                    bootstrap=False)
+        model = unbootstrapped_forest(data, n_trees=3, max_depth=None, seed=1)
         assert train_accuracy(model, data) == 1.0
 
     def test_depth_must_be_positive(self):

@@ -473,6 +473,11 @@ class TestMalformedInputs:
         ("stats", {"dataset__conllu": {"human": True}}),
         ("stats", {"dataset__conllu": {"machine": ["machine.conllu"]}}),
         ("train", {"embeddings": {"source": "load", "path": 5}}),
+        # Not finite: NaN would train with no update, inf overflow.
+        ("ingest", {"embeddings__subsample": float("nan")}),
+        ("ingest", {"embeddings__subsample": float("inf")}),
+        ("ingest", {"embeddings__learning_rate": float("nan")}),
+        ("ingest", {"embeddings__learning_rate": float("inf")}),
     ])
     def test_config_value_of_wrong_type_exits_2(self, workspace, tmp_path, capsys,
                                                 command, changes):
@@ -665,6 +670,30 @@ class TestMalformedInputs:
         assert rc == 3
         assert len(err) == 1 and err[0].startswith("data error:") and artifact in err[0], err
         assert printed == ""
+
+    def test_underflowing_lm_skips_in_detect_and_exits_3_in_evaluate(self, workspace,
+                                                                     tmp_path):
+        """Every count finite and positive and every level's sum finite, but
+        counts of 1e300 beside counts of 1 drive a back-off product to 0.0:
+        detect skips the line, evaluate stops with one error line."""
+        out = tmp_path / "out"
+        shutil.copytree(workspace / "out", out)
+        payload = json.loads((out / "lm.json").read_text())
+        for rows in payload["counts"].values():
+            for row in rows:
+                row[-1] = 1e300 if row[-2] % 2 else 1.0
+        (out / "lm.json").write_text(json.dumps(payload))
+        inp = tmp_path / "in.txt"
+        inp.write_text("waa wab wac wad wae.\n")
+        config = write_config(tmp_path, workspace)
+        rc, err, printed = run_entry_point("detect", "--config", config, str(inp),
+                                           "--method", "detect_gpt")
+        assert rc == 0
+        assert len(err) == 1 and err[0].startswith("skipping line 1:"), err
+        assert printed == "id,score,label,method\n"
+        rc, err, printed = run_entry_point("evaluate", "--config", config)
+        assert rc == 3
+        assert len(err) == 1 and err[0].startswith("data error:"), err
 
 
 def child_env() -> dict[str, str]:
@@ -919,7 +948,7 @@ class TestOneLoadPerCommand:
 
     def test_train_tokenizes_each_machine_text_once(self, tmp_path, monkeypatch, capsys):
         from mgtdetect import text_core, zeroshot
-        from test_zeroshot import FIXTURES, GOLDEN_TEXTS
+        from test_zeroshot import FIXTURES, GOLDEN_TEXTS, oracle_perplexity
 
         config = base_config()
         config["split"] = {"train": 0.6, "val": 0.2, "test": 0.2}
@@ -948,9 +977,9 @@ class TestOneLoadPerCommand:
             for name, fn in (("split_sentences", split_sentences), ("tokenize", tokenize)):
                 monkeypatch.setattr(module, name,
                                     lambda t, fn=fn, name=name: calls[name].append(t) or fn(t))
-        perplexity, train_kn_lm = zeroshot.perplexity, zeroshot.train_kn_lm
+        train_kn_lm = zeroshot.train_kn_lm
         trained = []
-        monkeypatch.setattr(zeroshot, "perplexity",
+        monkeypatch.setattr(zeroshot, "_log_probs_per_symbol",
                             lambda *a: pytest.fail("train scored its texts again"))
         monkeypatch.setattr(zeroshot, "train_kn_lm",
                             lambda *a, **k: trained.append(train_kn_lm(*a, **k)) or trained[0])
@@ -960,7 +989,7 @@ class TestOneLoadPerCommand:
         machine_texts = calls["split_sentences"]
         assert sorted(machine_texts) == sorted(GOLDEN_TEXTS)
         assert calls["tokenize"] == [s for t in machine_texts for s in split_sentences(t)]
-        ppl = perplexity(trained[0], machine_texts)
+        ppl = oracle_perplexity(trained[0], machine_texts)
         assert trained[0].train_perplexity == ppl  # bit for bit
         assert f"train_perplexity={ppl:.3f}\n" in capsys.readouterr().out
         assert (tmp_path / "out" / "lm.json").read_bytes() == \

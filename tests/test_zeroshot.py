@@ -15,9 +15,9 @@ from mgtdetect.evaluation import DetectorScorer
 from mgtdetect.ingest import Document
 from mgtdetect.text_core import (
     UNK,
+    WORD_CHAR_RE,
     Vocabulary,
     build_vocab,
-    is_word_surface,
     split_sentences,
     token_spans,
     tokenize,
@@ -85,9 +85,9 @@ class TestTrainKnLm:
         i, j = np.searchsorted(keys, [ab, ba])
         assert (keys[i], counts[i]) == (ab, 2)
         assert (keys[j], counts[j]) == (ba, 1)
-        assert lm.prob((va,), vb) == pytest.approx(0.8046875, abs=1e-9)
-        assert lm.prob((vb,), va) == pytest.approx(0.484375, abs=1e-9)
-        assert lm.prob((vb,), lm.end_id) == pytest.approx(0.359375, abs=1e-9)
+        assert lm.distribution((va,))[vb] == pytest.approx(0.8046875, abs=1e-9)
+        assert lm.distribution((vb,))[va] == pytest.approx(0.484375, abs=1e-9)
+        assert lm.distribution((vb,))[lm.end_id] == pytest.approx(0.359375, abs=1e-9)
 
     def test_matches_oracle_on_random_corpus(self):
         rng = np.random.default_rng(17)
@@ -104,7 +104,7 @@ class TestTrainKnLm:
         def impl_prob(ctx_words, target_word):
             ctx = tuple(lm.vocabulary.id_of(w) for w in ctx_words)
             tgt = lm.end_id if target_word == "</s>" else lm.vocabulary.id_of(target_word)
-            return lm.prob(ctx, tgt)
+            return lm.distribution(ctx)[tgt]
 
         for _ in range(60):
             ctx = tuple(syms[i] for i in rng.integers(0, 4, size=2))
@@ -119,8 +119,6 @@ class TestTrainKnLm:
         lm = zs.train_kn_lm(texts, order=3, discount=0.75)
         for _ in range(100):
             ctx = tuple(int(x) for x in rng.integers(-1, lm.event_size, size=2))
-            total = sum(lm.prob(ctx, t) for t in range(lm.event_size))
-            assert total == pytest.approx(1.0, abs=1e-6)
             dense = lm.distribution(ctx)
             assert dense.sum() == pytest.approx(1.0, abs=1e-6)
 
@@ -132,7 +130,7 @@ class TestTrainKnLm:
             for _ in range(200)
         ]
         lm = zs.train_kn_lm(texts, order=3, discount=0.75)
-        ppl = zs.perplexity(lm, texts)
+        ppl = lm.train_perplexity
         assert 1.0 < ppl < 5.0
         assert ppl < lm.event_size  # uniform-model perplexity
 
@@ -147,11 +145,11 @@ class TestTrainKnLm:
         vocab = build_vocab(texts, min_count=1)
         assert lm.vocabulary.word_to_id == vocab.word_to_id
         assert lm.vocabulary.frequencies == vocab.frequencies
-        assert lm.train_perplexity == zs.perplexity(lm, texts)  # bit for bit
+        assert lm.train_perplexity == oracle_perplexity(lm, texts)  # bit for bit
 
     def test_loaded_model_has_no_training_perplexity(self, tmp_path):
         lm = zs.train_kn_lm(GOLDEN_TEXTS, order=3, discount=0.75)
-        assert lm.train_perplexity == zs.perplexity(lm, GOLDEN_TEXTS)
+        assert lm.train_perplexity == oracle_perplexity(lm, GOLDEN_TEXTS)
         zs.save_lm(lm, tmp_path / "lm.json")
         assert zs.load_lm(tmp_path / "lm.json").train_perplexity is None
 
@@ -237,9 +235,7 @@ class TestPackedModel:
             ctx = tuple(data.draw(st.lists(ids, max_size=order + 1)))
             target = data.draw(st.sampled_from(
                 [lm.end_id, lm.vocabulary.unk_id, data.draw(st.integers(0, lm.end_id))]))
-            assert lm.prob(ctx, target) == reference(ctx, target)
-            dense = lm.distribution(ctx)
-            assert np.array_equal(dense, [lm.prob(ctx, t) for t in range(lm.event_size)])
+            assert lm.distribution(ctx)[target] == reference(ctx, target)
         # A scoring pass sums the same probabilities, log by log, over
         # each token and END.
         words = data.draw(st.lists(st.sampled_from(WORDS + ["zz"]), min_size=1, max_size=9))
@@ -254,9 +250,9 @@ class TestPackedModel:
 
     def test_ids_outside_the_event_space_rejected(self):
         lm = zs.train_kn_lm(["a b c."] * 3, order=3)
-        for ctx, target in [((0,), lm.end_id + 1), ((zs.START_ID - 1,), 0), ((0,), -2)]:
+        for ctx in [(zs.START_ID - 1,), (0, lm.end_id + 1)]:
             with pytest.raises(DataError):
-                lm.prob(ctx, target)
+                lm.distribution(ctx)
 
     def test_save_matches_golden_bytes(self, tmp_path):
         # tests/fixtures/lm_golden.json was written by the dict-table model
@@ -295,9 +291,10 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def log_prob(lm, body):
     """The sum of log P over *body*'s sentences from the package's
-    tokenization and sweep, as perplexity reads it."""
+    tokenization and sweep, as _log_probs_per_symbol reads it."""
     sentences, _ = lm._tokenized([body])
-    [total] = lm._sweep([sentences])
+    [total] = zs._log_totals(lm._probs(zs._windows(sentences, lm.order, lm.end_id)),
+                             [sentences])
     return total
 
 
@@ -325,7 +322,6 @@ class TestLogProb:
         # Each sentence predicts its 4 tokens plus END, and scoring several
         # texts at once gives the same sums.
         assert zs.per_token_log_prob(lm, make_doc("a b c. b c a.")) == both / 10
-        assert zs.perplexity(lm, ["a b c.", "b c a."]) == math.exp(-both / 10)
         assert oracle_score_texts(lm, ["a b c.", "b c a."]) == (both, 10, True)
 
     def test_all_oov_finite_via_unk(self):
@@ -349,7 +345,7 @@ class TestLogProb:
     @given(st.text(min_size=1, max_size=40))
     def test_word_flag_matches_word_surface_check(self, text):
         lm = zs.train_kn_lm(["a b c."] * 5, order=2, discount=0.75)
-        expected = any(is_word_surface(t.surface) for t in tokenize(text))
+        expected = any(ch.isalnum() for t in tokenize(text) for ch in t.surface)
         sentences, words = lm._tokenized([text])
         assert bool(words) == expected
         assert oracle_score_texts(lm, [text])[2] == expected
@@ -371,24 +367,21 @@ class TestPerturb:
     def test_mask_zero_is_identity(self):
         doc = make_doc("one two three.")
         cfg = zs.PerturbConfig(pool=word_pool(self.POOL_TEXTS), mask_fraction=0.0, seed=1, k=1)
-        assert zs.perturb(doc, cfg).body == doc.body
+        assert zs._perturbed_body(doc.body, cfg, cfg.seed) == doc.body
 
     def test_floor_rule_replaces_exact_count(self):
         doc = make_doc("apple banana cherry date elder fig grape melon peach plum")
-        cfg = zs.PerturbConfig(
-            pool=word_pool(self.POOL_TEXTS), mask_fraction=0.3, seed=5, k=1,
-            band_octaves=None,
-        )
-        out = zs.perturb(doc, cfg)
+        cfg = zs.PerturbConfig(pool=word_pool(self.POOL_TEXTS), mask_fraction=0.3, seed=5, k=1)
         orig = doc.body.split()
-        new = out.body.split()
+        new = zs._perturbed_body(doc.body, cfg, cfg.seed).split()
         assert len(new) == len(orig)
         assert sum(a != b for a, b in zip(orig, new)) == 3
 
     def test_deterministic(self):
         doc = make_doc("apple banana cherry date elder fig grape melon.")
         cfg = zs.PerturbConfig(pool=word_pool(self.POOL_TEXTS), mask_fraction=0.5, seed=9, k=1)
-        assert zs.perturb(doc, cfg).body == zs.perturb(doc, cfg).body
+        assert (zs._perturbed_body(doc.body, cfg, cfg.seed)
+                == zs._perturbed_body(doc.body, cfg, cfg.seed))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -401,9 +394,8 @@ class TestPerturb:
         doc = make_doc(body)
         cfg = zs.PerturbConfig(pool=word_pool(self.POOL_TEXTS),
                                mask_fraction=frac, seed=seed, k=1)
-        out = zs.perturb(doc, cfg)
         orig_tokens = tokenize(doc.body)
-        new_tokens = tokenize(out.body)
+        new_tokens = tokenize(zs._perturbed_body(doc.body, cfg, seed))
         assert len(new_tokens) == len(orig_tokens)
         assert [t.surface for t in new_tokens if not t.is_word] == [
             t.surface for t in orig_tokens if not t.is_word
@@ -464,14 +456,10 @@ class TestDetectors:
         lm = zs.train_kn_lm(["a b c d e f g h.", "c d a b f e h g."] * 6,
                             order=2, discount=0.75)
         doc = make_doc("a b c d e f g h.")
-        cfg = zs.PerturbConfig(pool=lm.vocabulary, mask_fraction=0.25, seed=4, k=1,
-                               band_octaves=None)
+        cfg = zs.PerturbConfig(pool=lm.vocabulary, mask_fraction=0.25, seed=4, k=1)
         score = zs.single_revise_score(lm, doc, cfg)
         lp_orig = zs.per_token_log_prob(lm, doc)
-        variant = zs.perturb(doc, zs.PerturbConfig(
-            pool=lm.vocabulary, mask_fraction=0.25, seed=cfg.seed + 1, k=1,
-            band_octaves=None,
-        ))
+        variant = replace(doc, body=zs._perturbed_body(doc.body, cfg, cfg.seed + 1))
         lp_pert = zs.per_token_log_prob(lm, variant)
         assert score.d == pytest.approx(lp_orig - lp_pert, abs=1e-12)
         assert score.logp_perturbed_std == 0.0
@@ -616,23 +604,19 @@ class TestSharedSampler:
         for body in self.BODIES:
             zs.single_revise_score(lm, make_doc(body), single)
         assert len(built) == 1
-        # A copy with another band needs, and gets, its own sampler.
-        zs.perturb(make_doc(self.BODIES[0]), replace(cfg, band_octaves=None))
-        assert len(built) == 2
-        assert built[1][1] is None
 
     def test_wordless_pool_raises_only_when_a_word_is_replaced(self):
         pool = build_vocab([". , ! ?"], min_count=1)
         cfg = zs.PerturbConfig(pool=pool, mask_fraction=0.5, seed=1, k=1)
-        assert zs.perturb(make_doc("a."), cfg).body == "a."  # floor(0.5) = 0
+        assert zs._perturbed_body("a.", cfg, 1) == "a."  # floor(0.5) = 0
         with pytest.raises(DataError):
-            zs.perturb(make_doc("a b c d."), cfg)
+            zs._perturbed_body("a b c d.", cfg, 1)
         with pytest.raises(DataError):
-            zs.perturb(make_doc("a b c d."), cfg)
+            zs._perturbed_body("a b c d.", cfg, 1)
 
 
 # -- oracles of the one-sweep path ------------------------------------------
-# perturb, per_token_log_prob (with its tokenization and log sum),
+# _perturbed_body, per_token_log_prob (with its tokenization and log sum),
 # detect_gpt_score and single_revise_score written the plain way: one
 # perturbation and one scoring pass per text, sharing only the row-wise
 # _windows and _probs with the package. The package's one sweep per
@@ -662,6 +646,11 @@ def oracle_log_total(probs, sentences):
         total += sentence
         start = stop
     return total
+
+
+def oracle_perplexity(lm, texts):
+    total, symbols, _ = oracle_score_texts(lm, texts)
+    return math.exp(-total / symbols)
 
 
 def oracle_per_token_log_prob(lm, doc):
@@ -793,13 +782,11 @@ class TestOneSweepScoring:
         k=st.sampled_from([1, 2, 5]),
         mask_fraction=st.sampled_from([0.15, 0.3, 0.6]),
         seed=st.integers(0, 2**32),
-        band=st.sampled_from([1.0, None]),
         pool=st.sampled_from([SWEEP_LM.vocabulary, ODD_POOL]),
     )
-    def test_scores_equal_per_text_oracle(self, bodies, k, mask_fraction, seed, band, pool):
+    def test_scores_equal_per_text_oracle(self, bodies, k, mask_fraction, seed, pool):
         lm = SWEEP_LM
-        cfg = zs.PerturbConfig(pool=pool, mask_fraction=mask_fraction, seed=seed,
-                               k=k, band_octaves=band)
+        cfg = zs.PerturbConfig(pool=pool, mask_fraction=mask_fraction, seed=seed, k=k)
         docs = [make_doc(b, doc_id=str(i)) for i, b in enumerate(bodies)]
         expected = [oracle_score(lm, d, cfg) for d in docs]
         before = lm.scoring_passes
@@ -818,9 +805,9 @@ class TestOneSweepScoring:
                                seed=seed, k=k)
         doc = make_doc(body)
         seeds = range(seed + 1, seed + k + 1)
-        assert list(zs._perturbed_bodies(body, cfg, seeds)) == [
+        assert [zs._perturbed_body(body, cfg, s) for s in seeds] == [
             oracle_perturb(doc, replace(cfg, seed=s)).body for s in seeds]
-        assert zs.perturb(doc, cfg) == oracle_perturb(doc, cfg)
+        assert zs._perturbed_body(body, cfg, seed) == oracle_perturb(doc, cfg).body
 
     def test_failed_document_adds_no_pass(self):
         lm = SWEEP_LM
@@ -865,21 +852,20 @@ class TestMixedCasePerturbation:
         k=st.integers(1, 4),
         seed=st.integers(0, 2**32),
         mask_fraction=st.floats(0.0, 1.0),
-        band=st.sampled_from([1.0, None]),
     )
-    def test_capitalized_words_draw_for_their_lowercase(self, words, k, seed, mask_fraction,
-                                                        band):
+    def test_capitalized_words_draw_for_their_lowercase(self, words, k, seed, mask_fraction):
         body = " ".join(words) + "."
         cfg = zs.PerturbConfig(pool=SWEEP_LM.vocabulary, mask_fraction=mask_fraction,
-                               seed=seed, k=k, band_octaves=band)
+                               seed=seed, k=k)
         seeds = range(seed + 1, seed + k + 1)
-        assert zs._perturbed_bodies(body, cfg, seeds) == [
+        assert [zs._perturbed_body(body, cfg, s) for s in seeds] == [
             oracle_perturb(make_doc(body), replace(cfg, seed=s)).body for s in seeds]
 
 
 def tokenized_rewrites(lm, body, cfg, seeds):
     """The id sentences of *body* and of each of its string rewrites."""
-    return [lm._tokenized([b])[0] for b in [body, *zs._perturbed_bodies(body, cfg, seeds)]]
+    return [lm._tokenized([b])[0]
+            for b in [body, *(zs._perturbed_body(body, cfg, s) for s in seeds)]]
 
 
 class TestIdSpaceRewrites:
@@ -921,14 +907,14 @@ class TestIdSpaceRewrites:
         # in a period, so every rewrite is a patch.
         body = "I said no to e and i, today! No one came?"
         cfg = zs.PerturbConfig(pool=pool_of({"no": 2, "i": 2, "e": 1, "cat": 1}),
-                               mask_fraction=0.5, seed=0, k=1, band_octaves=None)
+                               mask_fraction=0.5, seed=0, k=1)
         seeds = range(1, 21)
         expected = tokenized_rewrites(SWEEP_LM, body, cfg, seeds)
 
         def no_fallback(*args):
             raise AssertionError("string rewrite made")
 
-        monkeypatch.setattr(zs, "_perturbed_bodies", no_fallback)
+        monkeypatch.setattr(zs, "_perturbed_body", no_fallback)
         assert zs._rewrite_groups(SWEEP_LM, make_doc(body), cfg, seeds) == expected
 
     @pytest.mark.parametrize("body, pool", [
@@ -938,8 +924,7 @@ class TestIdSpaceRewrites:
         ("The cat. Sat on a mat. Then done.", {"Dr": 1, "no": 1}),
     ], ids=["original", "drawn"])
     def test_abbreviation_word_falls_back(self, body, pool):
-        cfg = zs.PerturbConfig(pool=pool_of(pool), mask_fraction=1.0, seed=0, k=1,
-                               band_octaves=None)
+        cfg = zs.PerturbConfig(pool=pool_of(pool), mask_fraction=1.0, seed=0, k=1)
         seeds = range(1, 21)
         expected = tokenized_rewrites(SWEEP_LM, body, cfg, seeds)
         # Every rewrite has another number of sentences than the original.
@@ -951,10 +936,10 @@ def oracle_slice_for(sampler, original):
     """The pool slice a draw for *original* picks from, found by two
     bisects on every call: the reference for _SubstitutionSampler._band."""
     f = sampler.freq_of.get(original)
-    if sampler.band is None or f is None:
+    if f is None:
         return 0, len(sampler.words)
-    lo = bisect_left(sampler.freqs, f / (2.0**sampler.band))
-    hi = bisect_right(sampler.freqs, f * (2.0**sampler.band))
+    lo = bisect_left(sampler.freqs, f / (2.0**zs.BAND_OCTAVES))
+    hi = bisect_right(sampler.freqs, f * (2.0**zs.BAND_OCTAVES))
     if hi - lo < 2:
         return 0, len(sampler.words)
     return lo, hi
@@ -984,18 +969,16 @@ class TestBandLookup:
     @given(
         frequencies=st.dictionaries(st.sampled_from(BAND_WORDS), st.integers(0, 40),
                                     min_size=1).filter(lambda f: any(f.values())),
-        band=st.sampled_from([None, 0.5, 1.0, 2.0]),
         originals=st.lists(st.sampled_from(BAND_WORDS + ["out", "w"]), min_size=1,
                            max_size=30),
         seed=st.integers(0, 2**32),
     )
-    def test_draw_equals_per_draw_bisect_oracle(self, frequencies, band, originals, seed):
+    def test_draw_equals_per_draw_bisect_oracle(self, frequencies, originals, seed):
         """One cached band per frequency draws what a slice bisected for
         every draw does: the same picks from the same generator, for pool
-        words, words of frequency 0 and words outside the pool, whatever
-        the band width."""
-        sampler = zs._SubstitutionSampler(pool_of(frequencies), band)
-        oracle = zs._SubstitutionSampler(pool_of(frequencies), band)
+        words, words of frequency 0 and words outside the pool."""
+        sampler = zs._SubstitutionSampler(pool_of(frequencies))
+        oracle = zs._SubstitutionSampler(pool_of(frequencies))
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for original in originals:
             assert sampler.draw(rng, original) == oracle_draw(oracle, oracle_rng, original)
@@ -1005,7 +988,7 @@ class TestBandLookup:
             assert (lo, cdf.tolist()) == (want_lo, oracle_cdf(oracle, want_lo, hi).tolist())
 
     def test_one_band_per_frequency(self):
-        sampler = zs._SubstitutionSampler(pool_of({"a": 4, "b": 4, "c": 8, "d": 1}), 1.0)
+        sampler = zs._SubstitutionSampler(pool_of({"a": 4, "b": 4, "c": 8, "d": 1}))
         assert sampler._band("a") is sampler._band("b")
         # Outside the pool, and a band of the original alone: the whole pool.
         assert sampler._band("out") is sampler._band("other")
@@ -1027,7 +1010,8 @@ def oracle_pool_generator(pool):
     with a generator testing each word in Python: the reference for its
     C-level filters."""
     freq = pool.frequencies
-    words = sorted(w for w, c in freq.items() if c > 0 and w != UNK and is_word_surface(w))
+    words = sorted(w for w, c in freq.items()
+                   if c > 0 and w != UNK and WORD_CHAR_RE.search(w) is not None)
     words.sort(key=freq.__getitem__)
     return words, [freq[w] for w in words]
 
@@ -1050,9 +1034,9 @@ class TestSamplerPool:
         assert oracle_pool_generator(pool) == (words, freqs)
         if not words:
             with pytest.raises(DataError):
-                zs._SubstitutionSampler(pool, 1.0)
+                zs._SubstitutionSampler(pool)
             return
-        sampler = zs._SubstitutionSampler(pool, 1.0)
+        sampler = zs._SubstitutionSampler(pool)
         assert (sampler.words, sampler.freqs) == (words, freqs)
         assert sampler.freq_of == dict(zip(words, freqs))
 
