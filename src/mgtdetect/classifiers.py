@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import ClassVar
 
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import (
     DataError,
     ModelFormatError,
+    check_ranges,
     json_array,
     json_float,
     json_int,
@@ -64,15 +66,33 @@ HYPERPARAMETER_DEFAULTS = {
     "svm": {"lambda": 1e-3, "epochs": 50},
     "random_forest": {"n_trees": 50, "max_depth": 8},
 }
+# Each family's trainer on (data, typed config section, seed), mapping the
+# section's keys onto the trainer's arguments: "lambda" is the svm's lam,
+# and gnb's "tune" runs tune_gnb with its budget in place of the fixed
+# var_smoothing. Each calls its trainer by its module name, so that a
+# wrapper set on that name sees the call.
+TRAINERS = {
+    "logreg": lambda data, p, seed: train_logreg(data, p["l2"], p["epochs"], p["lr"], seed),
+    "gnb": lambda data, p, seed: train_gnb(
+        data, tune_gnb(data, p["budget"], seed) if p["tune"] else p["var_smoothing"]),
+    "svm": lambda data, p, seed: train_linear_svm(data, p["lambda"], p["epochs"], seed),
+    "random_forest": lambda data, p, seed: train_random_forest(
+        data, p["n_trees"], p["max_depth"], seed),
+}
+# DataError unless each value of a dict keyed by hyperparameter name lies
+# in that name's HYPERPARAMETER_RANGES range.
+check_hyperparameters = partial(check_ranges, ranges=HYPERPARAMETER_RANGES)
 
 
-def check_hyperparameters(params: dict) -> None:
-    """DataError unless each value of *params*, keyed by hyperparameter
-    name, lies in that name's HYPERPARAMETER_RANGES range."""
-    for name, value in params.items():
-        test, rule = HYPERPARAMETER_RANGES[name]
-        if not test(value):
-            raise DataError(f"{name} must be {rule}, got {value!r}")
+def section_keys(section: dict) -> tuple[dict, dict, tuple[str, ...]]:
+    """For a classifier config section: the family it names, as {"family":
+    name}, that family's keys with their defaults, and the keys that may
+    be null. DataError for an unknown family."""
+    family = section.get("family")
+    if not isinstance(family, str) or family not in HYPERPARAMETER_DEFAULTS:
+        raise DataError(f"unknown classifier family {family!r}; "
+                        f"expected one of {tuple(HYPERPARAMETER_DEFAULTS)}")
+    return {"family": family}, HYPERPARAMETER_DEFAULTS[family], ("max_depth",)
 
 
 @dataclass(frozen=True)

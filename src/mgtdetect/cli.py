@@ -14,53 +14,39 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-# classifiers, corpus_stats and evaluation are imported where they are
-# used, so that a process pays only for the families its command runs: a
-# zero-shot detect never imports the classifier or statistics code.
-from . import embeddings, ingest, zeroshot
+# classifiers, corpus_stats, embeddings and evaluation are imported where
+# they are used, so that a process pays only for the families its command
+# runs: a zero-shot detect never imports the classifier, skip-gram or
+# statistics code.
+from . import ingest, zeroshot
 from .errors import ConfigError, DataError, load_json, parse_json, read_lines
 from .ingest import Corpus, Document, Label
 from .synthetic import stable_seed as derive_seed  # SHA-256 over 'root/path'
 
 if TYPE_CHECKING:
-    from . import classifiers, evaluation
+    from . import classifiers, embeddings, evaluation
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_IO = 4
 
-ZEROSHOT_METHODS = ("detect_gpt", "single_revise")
-
-# Config keys with their defaults; a value takes its default's type by the
-# rule of `_as`. The classifier keys are classifiers.HYPERPARAMETER_DEFAULTS.
-SKIPGRAM_DEFAULTS = {f.name: f.default for f in fields(embeddings.SkipGramConfig)
-                     if f.name != "seed"}
-ZEROSHOT_DEFAULTS = {"order": 3, "discount": 0.75, "k": 10, "mask_fraction": 0.15,
-                     "threshold": 0.0}
+# The split keys with their defaults, typed by the rule of `_as`. The keys
+# and defaults of every other section are its module's.
 SPLIT_DEFAULTS = {"train": 0.8, "val": 0.1, "test": 0.1}
 # The top-level config keys; every other object's keys are named where it
 # is read, and _object refuses any other key.
 TOP_KEYS = ("seed", "output_dir", "dataset", "split", "embeddings", "classifier", "zeroshot",
             "transforms", "detect")
-# Range rules the library does not hold, as "section.key": (test, rule),
-# checked when the config is read. Every other range is the library's own
-# check, run on the parsed values (ZeroshotConfig.from_dict,
-# _classifier_section, RunConfig.from_file).
-CONFIG_RANGES = {
-    "zeroshot.k": (lambda v: v >= 2, "at least 2"),
-    "zeroshot.threshold": (math.isfinite, "finite"),
-}
 
 
 def _object(value, path: str, keys) -> dict:
@@ -97,67 +83,31 @@ def _as(kind: type, value, name: str):
 
 
 def _typed(section: str, raw: dict, defaults: dict, nullable: tuple[str, ...] = ()) -> dict:
-    """Each key of *defaults*, read from *raw*, typed as its default and
-    held to its CONFIG_RANGES rule; a key in *nullable* may also be null."""
+    """Each key of *defaults*, read from *raw* and typed as its default; a
+    key in *nullable* may also be null."""
     out = {}
     for key, default in defaults.items():
-        name, value = f"{section}.{key}", raw.get(key, default)
-        if value is None and key in nullable:
-            out[key] = None
-            continue
-        out[key] = _as(type(default), value, name)
-        test, rule = CONFIG_RANGES.get(name, (None, None))
-        if test is not None and not test(out[key]):
-            raise ConfigError(f"{name} must be {rule}, got {value!r}")
+        value = raw.get(key, default)
+        nulled = value is None and key in nullable
+        out[key] = None if nulled else _as(type(default), value, f"{section}.{key}")
     return out
 
 
-def _classifier_section(value) -> dict:
-    """The classifier section, typed: its family plus that family's keys,
-    absent keys taking their defaults, each held to its library range."""
-    from . import classifiers
-
+def _detector(section: str, value, keys: Callable, check: Callable) -> dict:
+    """The detector section *value*, typed as its module declares it: its
+    choice, the keys it reads and those that may be null by keys(value),
+    absent keys at their defaults, and their ranges by check. The
+    module's DataError is a ConfigError."""
     if not isinstance(value, dict):
-        raise ConfigError("classifier must be an object")
-    family, families = value.get("family"), tuple(classifiers.HYPERPARAMETER_DEFAULTS)
-    if family not in families:
-        raise ConfigError(f"unknown classifier family {family!r}; expected one of {families}")
-    defaults = classifiers.HYPERPARAMETER_DEFAULTS[family]
-    raw = _object(value, "classifier", ("family", *defaults))
-    typed = _typed("classifier", raw, defaults, nullable=("max_depth",))
+        raise ConfigError(f"{section} must be an object")
     try:
-        classifiers.check_hyperparameters(typed)
+        choice, defaults, nullable = keys(value)
+        typed = _typed(section, _object(value, section, (*choice, *defaults)), defaults,
+                       nullable)
+        check(typed)
     except DataError as exc:
-        raise ConfigError(f"invalid classifier section: {exc}") from exc
-    return {"family": family, **typed}
-
-
-@dataclass(frozen=True)
-class ZeroshotConfig:
-    """The zeroshot config section, typed; absent keys take their defaults."""
-
-    order: int
-    discount: float
-    k: int
-    mask_fraction: float
-    threshold: float
-    methods: tuple[str, ...]
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ZeroshotConfig":
-        methods = raw.get("methods", ["detect_gpt"])
-        if not isinstance(methods, list):
-            raise ConfigError("zeroshot.methods must be a list of method names")
-        for m in methods:
-            if m not in ZEROSHOT_METHODS:
-                raise ConfigError(f"unknown zeroshot method {m!r}")
-        typed = _typed("zeroshot", raw, ZEROSHOT_DEFAULTS)
-        try:
-            zeroshot.check_kn_params(typed["order"], typed["discount"])
-            zeroshot.check_perturb_params(typed["mask_fraction"], typed["k"])
-        except DataError as exc:
-            raise ConfigError(f"invalid zeroshot section: {exc}") from exc
-        return cls(methods=tuple(methods), **typed)
+        raise ConfigError(f"invalid {section} section: {exc}") from exc
+    return {**choice, **typed}
 
 
 @dataclass
@@ -167,11 +117,12 @@ class RunConfig:
     hc3_path: Path
     split: ingest.SplitSpec
     conllu: dict[Label, Path]
-    embedding_source: str  # "train" | "load"
-    skipgram: embeddings.SkipGramConfig
+    # Skip-gram training, or with embeddings.source "load" the vectors'
+    # path; both None with no embeddings and no classifier section.
+    skipgram: embeddings.SkipGramConfig | None
     embedding_path: Path | None
-    classifier: dict | None
-    zeroshot: ZeroshotConfig | None
+    classifier: dict | None  # _detector's typed sections
+    zeroshot: dict | None
     transforms: list[evaluation.AdversarialTransform]
     detect_method: str
 
@@ -227,31 +178,39 @@ class RunConfig:
         except DataError as exc:
             raise ConfigError(f"invalid split spec: {exc}") from exc
 
-        emb_raw = _section(raw, "embeddings", ("source", "path", *SKIPGRAM_DEFAULTS), {})
-        source = emb_raw.get("source", "train")
-        if source not in ("train", "load"):
-            raise ConfigError("embeddings.source must be 'train' or 'load'")
-        embedding_path: Path | None = None
-        if source == "load":
-            if "path" not in emb_raw:
-                raise ConfigError("embeddings.source 'load' needs embeddings.path")
-            embedding_path = resolve(emb_raw["path"], "embeddings.path")
-            if not embedding_path.exists():
-                raise DataError(f"embedding file not found: {embedding_path}")
-        try:
-            skipgram = embeddings.SkipGramConfig(
-                **_typed("embeddings", emb_raw, SKIPGRAM_DEFAULTS),
-                seed=derive_seed(seed, "embeddings"),
-            )
-        except DataError as exc:
-            raise ConfigError(f"invalid embeddings section: {exc}") from exc
+        skipgram, embedding_path = None, None
+        if raw.get("embeddings") is not None or raw.get("classifier") is not None:
+            from . import embeddings
+
+            defaults = embeddings.SKIPGRAM_DEFAULTS
+            emb_raw = _section(raw, "embeddings", ("source", "path", *defaults), {})
+            source = emb_raw.get("source", "train")
+            if source not in ("train", "load"):
+                raise ConfigError("embeddings.source must be 'train' or 'load'")
+            if source == "load":
+                if "path" not in emb_raw:
+                    raise ConfigError("embeddings.source 'load' needs embeddings.path")
+                embedding_path = resolve(emb_raw["path"], "embeddings.path")
+                if not embedding_path.exists():
+                    raise DataError(f"embedding file not found: {embedding_path}")
+            try:
+                skipgram = embeddings.SkipGramConfig(
+                    **_typed("embeddings", emb_raw, defaults),
+                    seed=derive_seed(seed, "embeddings"),
+                )
+            except DataError as exc:
+                raise ConfigError(f"invalid embeddings section: {exc}") from exc
 
         classifier = raw.get("classifier")
         if classifier is not None:
-            classifier = _classifier_section(classifier)
+            from . import classifiers
 
-        zs = _section(raw, "zeroshot", ("methods", *ZEROSHOT_DEFAULTS))
-        zeroshot_cfg = ZeroshotConfig.from_dict(zs) if zs is not None else None
+            classifier = _detector("classifier", classifier, classifiers.section_keys,
+                                   classifiers.check_hyperparameters)
+        zeroshot_cfg = raw.get("zeroshot")
+        if zeroshot_cfg is not None:
+            zeroshot_cfg = _detector("zeroshot", zeroshot_cfg, zeroshot.section_keys,
+                                     zeroshot.check_parameters)
 
         if not isinstance(raw.get("transforms", []), list):
             raise ConfigError("transforms must be a list")
@@ -277,8 +236,8 @@ class RunConfig:
 
         detect_method = _section(raw, "detect", ("method",), {}).get("method")
         if detect_method is None:
-            detect_method = "classifier" if classifier is not None else "detect_gpt"
-        if detect_method not in ("classifier",) + ZEROSHOT_METHODS:
+            detect_method = "classifier" if classifier is not None else zeroshot.DEFAULT_METHOD
+        if detect_method not in ("classifier", *zeroshot.METHODS):
             raise ConfigError(f"unknown detect method {detect_method!r}")
 
         output_dir = Path(output_override) if output_override else resolve(
@@ -290,7 +249,6 @@ class RunConfig:
             hc3_path=hc3_path,
             split=split_spec,
             conllu=conllu,
-            embedding_source=source,
             skipgram=skipgram,
             embedding_path=embedding_path,
             classifier=classifier,
@@ -370,9 +328,17 @@ def _load_cached_corpus(cfg: RunConfig) -> tuple[Corpus, dict[str, list[str]]]:
 
 
 def _split_corpora(corpus: Corpus, manifest: dict[str, list[str]]) -> dict[str, Corpus]:
+    """Each split of *manifest* as a corpus; DataError for an id the corpus
+    lacks or one the manifest lists twice, in two splits or in one."""
     by_id = {d.id: d for d in corpus.documents}
+    split_of: dict[str, str] = {}
     out = {}
     for name, ids in manifest.items():
+        for i in ids:
+            if i in split_of:
+                raise DataError(f"split manifest lists document {i!r} in {split_of[i]} "
+                                f"and again in {name}")
+            split_of[i] = name
         try:
             out[name] = Corpus(tuple(by_id[i] for i in ids))
         except KeyError as exc:
@@ -385,7 +351,7 @@ def _split_corpora(corpus: Corpus, manifest: dict[str, list[str]]) -> dict[str, 
 
 def _classifier_scorer(model: classifiers.AnyModel,
                        emb: embeddings.EmbeddingMatrix) -> evaluation.DetectorScorer:
-    from . import classifiers, evaluation
+    from . import classifiers, embeddings, evaluation
 
     def score(doc: Document) -> float:
         return classifiers.predict(model, embeddings.doc_vector(doc.body, emb).values).score
@@ -396,7 +362,7 @@ def _classifier_scorer(model: classifiers.AnyModel,
 
 
 def _load_classifier_scorer(cfg: RunConfig) -> evaluation.DetectorScorer:
-    from . import classifiers
+    from . import classifiers, embeddings
 
     model_path = _artifact(cfg, "model.json", "train")
     emb_path = _artifact(cfg, "embeddings.txt", "train")
@@ -412,28 +378,12 @@ def _load_classifier_scorer(cfg: RunConfig) -> evaluation.DetectorScorer:
 
 def _zeroshot_scorers(cfg: RunConfig, lm: zeroshot.NGramLM,
                       methods: tuple[str, ...]) -> list[evaluation.DetectorScorer]:
-    """One scorer per method, each cut at the config threshold. All share
-    one base config, and so one substitution sampler."""
+    """One scorer per method, each cut at the config threshold."""
     from . import evaluation
 
-    zs = cfg.zeroshot
-    base = zeroshot.PerturbConfig(
-        pool=lm.vocabulary,
-        mask_fraction=zs.mask_fraction,
-        seed=derive_seed(cfg.seed, "zeroshot.perturb"),
-    )
-
-    def scorer(method: str) -> evaluation.DetectorScorer:
-        if method == "detect_gpt":
-            curvature, pcfg = zeroshot.detect_gpt_score, replace(base, k=zs.k)
-        else:
-            curvature, pcfg = zeroshot.single_revise_score, replace(base, k=1)
-        return evaluation.DetectorScorer(
-            name=method, score_fn=lambda doc: curvature(lm, doc, pcfg).d,
-            threshold=zs.threshold,
-        )
-
-    return [scorer(m) for m in methods]
+    seed = derive_seed(cfg.seed, "zeroshot.perturb")
+    return [evaluation.DetectorScorer(*scorer)
+            for scorer in zeroshot.scorers(lm, methods, cfg.zeroshot, seed)]
 
 
 # -- commands --
@@ -471,26 +421,16 @@ def cmd_stats(cfg: RunConfig) -> int:
     from . import corpus_stats
 
     corpus, _ = _load_cached_corpus(cfg)
-    parses = None
-    if cfg.conllu:
-        parses = {
-            label: ingest.load_conllu(path) for label, path in cfg.conllu.items()
-        }
-    report = corpus_stats.corpus_report(corpus, parses=parses)
+    parses = {label: ingest.load_conllu(path) for label, path in cfg.conllu.items()}
+    report = corpus_stats.corpus_report(corpus, parses=parses or None)
     with _staged(cfg.output_dir) as stage:
         _write_json(stage("stats.json"), report.to_dict())
     print(f"stats written to {cfg.output_dir / 'stats.json'}")
     return EXIT_OK
 
 
-def _embedding_matrix(cfg: RunConfig, train_texts: list[str]) -> embeddings.EmbeddingMatrix:
-    if cfg.embedding_source == "load":
-        return embeddings.load_vectors(cfg.embedding_path)
-    return embeddings.train_skipgram(train_texts, cfg.skipgram)
-
-
 def _dataset_from(corpus_docs, emb) -> classifiers.Dataset:
-    from . import classifiers
+    from . import classifiers, embeddings
 
     feats = np.stack([
         embeddings.doc_vector(d.body, emb).values for d in corpus_docs
@@ -498,31 +438,6 @@ def _dataset_from(corpus_docs, emb) -> classifiers.Dataset:
     labels = np.array([1 if d.label == Label.MACHINE else 0 for d in corpus_docs])
     return classifiers.Dataset(
         features=feats, labels=labels, ids=tuple(d.id for d in corpus_docs)
-    )
-
-
-def _train_classifier(cfg: RunConfig, data: classifiers.Dataset):
-    from . import classifiers
-
-    section = cfg.classifier
-    family = section["family"]
-    seed = derive_seed(cfg.seed, "classifier")
-    if family == "logreg":
-        return classifiers.train_logreg(
-            data, l2=section["l2"], epochs=section["epochs"], lr=section["lr"], seed=seed
-        )
-    if family == "gnb":
-        if section["tune"]:
-            smoothing = classifiers.tune_gnb(data, budget=section["budget"], seed=seed)
-        else:
-            smoothing = section["var_smoothing"]
-        return classifiers.train_gnb(data, var_smoothing=smoothing)
-    if family == "svm":
-        return classifiers.train_linear_svm(
-            data, lam=section["lambda"], epochs=section["epochs"], seed=seed
-        )
-    return classifiers.train_random_forest(
-        data, n_trees=section["n_trees"], max_depth=section["max_depth"], seed=seed
     )
 
 
@@ -537,18 +452,19 @@ def cmd_train(cfg: RunConfig) -> int:
         raise ConfigError("config has neither a classifier nor a zeroshot section")
 
     if cfg.classifier is not None:
-        from . import classifiers, evaluation
+        from . import classifiers, embeddings, evaluation
 
-        emb = _embedding_matrix(cfg, splits["train"].bodies())
-        model = _train_classifier(cfg, _dataset_from(splits["train"].documents, emb))
+        emb = (embeddings.load_vectors(cfg.embedding_path) if cfg.embedding_path
+               else embeddings.train_skipgram(splits["train"].bodies(), cfg.skipgram))
+        train = classifiers.TRAINERS[cfg.classifier["family"]]
+        model = train(_dataset_from(splits["train"].documents, emb), cfg.classifier,
+                      derive_seed(cfg.seed, "classifier"))
         report = _classifier_scorer(model, emb).evaluate(splits["val"].documents)
     if cfg.zeroshot is not None:
         machine_texts = [d.body for d in splits["train"].by_label(Label.MACHINE)]
         if not machine_texts:
             raise DataError("zeroshot training needs Machine documents in train split")
-        lm = zeroshot.train_kn_lm(
-            machine_texts, order=cfg.zeroshot.order, discount=cfg.zeroshot.discount
-        )
+        lm = zeroshot.train(machine_texts, cfg.zeroshot)
 
     with _staged(cfg.output_dir) as stage:
         if cfg.classifier is not None:
@@ -623,11 +539,11 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     scorers: list[evaluation.DetectorScorer] = []
     if cfg.classifier is not None:
         scorers.append(_load_classifier_scorer(cfg))
-    if cfg.zeroshot is not None and cfg.zeroshot.methods:
+    if cfg.zeroshot is not None and cfg.zeroshot["methods"]:
         lm = zeroshot.load_lm(_artifact(cfg, "lm.json", "train"))
         val = splits["val"].documents
         labels = [1 if d.label == Label.MACHINE else 0 for d in val]
-        for scorer in _zeroshot_scorers(cfg, lm, cfg.zeroshot.methods):
+        for scorer in _zeroshot_scorers(cfg, lm, cfg.zeroshot["methods"]):
             threshold = evaluation.youden_threshold([scorer.score_fn(d) for d in val], labels)
             scorers.append(replace(scorer, threshold=threshold))
     if not scorers:
@@ -659,15 +575,11 @@ def _write_robustness_csv(path: Path, report: evaluation.RobustnessReport) -> No
 
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["transform", "metric", "before", "after", "delta"])
+    columns = ("before", "after", "delta")
+    writer.writerow(["transform", "metric", *columns])
     for key, entry in report.per_transform.items():
         for metric in evaluation.METRIC_NAMES:
-            writer.writerow([
-                key, metric,
-                repr(entry["before"][metric]),
-                repr(entry["after"][metric]),
-                repr(entry["delta"][metric]),
-            ])
+            writer.writerow([key, metric, *(repr(entry[c][metric]) for c in columns)])
     path.write_text(out.getvalue(), encoding="utf-8")
 
 
@@ -688,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "detect":
             p.add_argument("input", help="plain-text file, one document per line")
             p.add_argument("--method", default=None,
-                           choices=("classifier",) + ZEROSHOT_METHODS)
+                           choices=("classifier", *zeroshot.METHODS))
             p.add_argument("--debug", action="store_true",
                            help="print scoring-pass accounting to stderr")
     return parser

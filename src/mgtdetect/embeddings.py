@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,11 @@ class SkipGramConfig:
             raise DataError("epochs must be >= 0")
         if not (0 < self.learning_rate < math.inf and 0 < self.subsample < math.inf):
             raise DataError("learning rate and subsample threshold must be finite and > 0")
+
+
+# The embeddings config keys with their defaults, which are SkipGramConfig's;
+# the seed is derived from the config's, never set.
+SKIPGRAM_DEFAULTS = {f.name: f.default for f in fields(SkipGramConfig) if f.name != "seed"}
 
 
 @dataclass

@@ -106,6 +106,15 @@ def json_keys(value: dict, keys, where: str = "") -> dict:
     return value
 
 
+def check_ranges(params: dict, ranges: dict) -> None:
+    """DataError unless each value of *params*, keyed by name, passes that
+    name's test in *ranges*, which maps a name to (test, rule)."""
+    for name, value in params.items():
+        test, rule = ranges[name]
+        if not test(value):
+            raise DataError(f"{name} must be {rule}, got {value!r}")
+
+
 def json_float(value) -> float:
     """*value* as a float when it is a finite JSON number; ValueError
     otherwise (a string or a boolean included)."""

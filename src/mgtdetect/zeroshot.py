@@ -6,8 +6,8 @@ score lower under p than the original, while rewrites of human text move
 either way; the normalized gap between the original log probability and
 the mean over rewrites is the detection statistic d.
 
-Two modes: the k-perturbation estimator (k+1 scoring passes) and the
-single-revision fast path (2 scoring passes).
+Two methods, one row each of METHODS: the k-perturbation estimator
+(k+1 scoring passes) and the single-revision fast path (2 scoring passes).
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ import numpy as np
 from .errors import (
     DataError,
     ModelFormatError,
+    check_ranges,
     json_float,
     json_int,
     json_keys,
@@ -58,6 +60,48 @@ BAND_OCTAVES = 1.0  # substitutes lie within this many octaves of the original's
 END = "</s>"  # predictable end-of-sentence symbol
 START_ID = -1  # context-only padding id, never predicted
 WordToken = tuple[int, int, str]  # a word token's sentence, position and surface
+
+# The zeroshot config keys with their defaults: train_kn_lm's and
+# PerturbConfig's, and the detect threshold on d (d >= 0: the original
+# scores at least as high as its rewrites). A config value takes its
+# default's type; each key's range is PARAMETER_RANGES.
+PARAMETER_DEFAULTS = {"order": 3, "discount": 0.75, "k": 10, "mask_fraction": 0.15,
+                      "threshold": 0.0}
+# The range of every zero-shot parameter, as name: (test, rule). k is the
+# number of rewrites detect_gpt averages; single_revise always takes one.
+PARAMETER_RANGES = {
+    "order": (lambda v: v >= 2, "at least 2"),
+    "discount": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "k": (lambda v: v >= 2, "at least 2"),
+    "mask_fraction": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "threshold": (math.isfinite, "finite"),
+}
+# DataError unless each value of a dict keyed by parameter name lies in
+# that name's PARAMETER_RANGES range.
+check_parameters = partial(check_ranges, ranges=PARAMETER_RANGES)
+# Each zero-shot method: the number of rewrites it scores (None for the
+# config's k) and its curvature score, called by its module name so that a
+# wrapper set on that name sees the call. The first is the default method.
+METHODS = {
+    "detect_gpt": (None, lambda lm, doc, cfg: detect_gpt_score(lm, doc, cfg)),
+    "single_revise": (1, lambda lm, doc, cfg: single_revise_score(lm, doc, cfg)),
+}
+DEFAULT_METHOD = next(iter(METHODS))
+
+
+def section_keys(section: dict) -> tuple[dict, dict, tuple[str, ...]]:
+    """For a zeroshot config section: the METHODS it names, as {"methods":
+    tuple}, its keys with their defaults, and the keys that may be null
+    (none). DataError for an unknown or repeated method."""
+    methods = section.get("methods", [DEFAULT_METHOD])
+    if not isinstance(methods, list):
+        raise DataError("methods must be a list of method names")
+    for i, method in enumerate(methods):
+        if not isinstance(method, str) or method not in METHODS:
+            raise DataError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
+        if method in methods[:i]:
+            raise DataError(f"method #{i} repeats {method!r}")
+    return {"methods": tuple(methods)}, PARAMETER_DEFAULTS, ()
 
 
 @dataclass(eq=False)
@@ -250,14 +294,6 @@ def _sentence_tokens(texts: Iterable[str]) -> Iterator[list[Token]]:
                 yield tokens
 
 
-def check_kn_params(order: int, discount: float) -> None:
-    """DataError unless train_kn_lm accepts *order* and *discount*."""
-    if order < 2:
-        raise DataError("order must be >= 2")
-    if not (0.0 < discount < 1.0):
-        raise DataError("discount must lie in (0, 1)")
-
-
 def train_kn_lm(texts: list[str], order: int = 3, discount: float = 0.75) -> NGramLM:
     """Count n-grams of all orders over start/end padded sentences and
     derive the continuation tables used below the top order; one
@@ -265,7 +301,7 @@ def train_kn_lm(texts: list[str], order: int = 3, discount: float = 0.75) -> NGr
     training perplexity. DataError when (vocabulary size + 2) ** order
     passes 2**63, the packed-key limit.
     """
-    check_kn_params(order, discount)
+    check_parameters({"order": order, "discount": discount})
     if not texts:
         raise DataError("cannot train a language model on an empty corpus")
     tokenized = list(_sentence_tokens(texts))
@@ -329,21 +365,13 @@ def _log_probs_per_symbol(lm: NGramLM, groups: list[list[list[int]]]) -> list[fl
     return [total / _symbols(sentences) for total, sentences in zip(totals, groups)]
 
 
-def check_perturb_params(mask_fraction: float, k: int) -> None:
-    """DataError unless PerturbConfig accepts *mask_fraction* and *k*."""
-    if not (0.0 <= mask_fraction <= 1.0):
-        raise DataError("mask_fraction must lie in [0, 1]")
-    if k < 1:
-        raise DataError("k must be >= 1")
-
-
 @dataclass(frozen=True)
 class PerturbConfig:
     """Controls the vocabulary-substitution rewriter.
 
-    k >= 2 drives the multi-perturbation estimator; k = 1 the single
-    revision. Substitutes are drawn from the pool words within
-    BAND_OCTAVES frequency octaves of the original.
+    k is the number of rewrites, held to each method's rule by its score.
+    Substitutes are drawn from the pool words within BAND_OCTAVES
+    frequency octaves of the original.
 
     The substitution sampler is built on first use and shared with every
     copy made by dataclasses.replace, so all perturbations drawn through
@@ -359,7 +387,7 @@ class PerturbConfig:
     )
 
     def __post_init__(self) -> None:
-        check_perturb_params(self.mask_fraction, self.k)
+        check_parameters({"mask_fraction": self.mask_fraction})
 
     def _sampler(self) -> _SubstitutionSampler:
         slot = self._sampler_slot
@@ -534,8 +562,7 @@ def detect_gpt_score(lm: NGramLM, doc: Document, cfg: PerturbConfig) -> Curvatur
 
     Perturbation i uses seed cfg.seed + i; exactly k + 1 scoring passes.
     """
-    if cfg.k < 2:
-        raise DataError("detect_gpt_score needs k >= 2")
+    check_parameters({"k": cfg.k})
     return _curvature_score(lm, doc, cfg)
 
 
@@ -546,6 +573,28 @@ def single_revise_score(lm: NGramLM, doc: Document, cfg: PerturbConfig) -> Curva
     if cfg.k != 1:
         raise DataError("single_revise_score needs k = 1")
     return _curvature_score(lm, doc, cfg)
+
+
+def train(texts: list[str], section: dict) -> NGramLM:
+    """train_kn_lm on *texts* with a zeroshot config section's order and
+    discount."""
+    return train_kn_lm(texts, order=section["order"], discount=section["discount"])
+
+
+def scorers(lm: NGramLM, methods: Iterable[str], section: dict,
+            seed: int) -> list[tuple[str, Callable[[Document], float], float]]:
+    """(name, score function, threshold) of each of *methods*: its METHODS
+    curvature d under *lm* with its number of rewrites, the section's
+    mask_fraction and *seed*, cut at the section's threshold. All share
+    one base config, and so one substitution sampler."""
+    base = PerturbConfig(pool=lm.vocabulary, mask_fraction=section["mask_fraction"], seed=seed)
+
+    def scorer(method: str) -> tuple[str, Callable[[Document], float], float]:
+        k, curvature = METHODS[method]
+        cfg = replace(base, k=section["k"] if k is None else k)
+        return method, lambda doc: curvature(lm, doc, cfg).d, section["threshold"]
+
+    return [scorer(m) for m in methods]
 
 
 def _curvature_score(lm: NGramLM, doc: Document, cfg: PerturbConfig) -> CurvatureScore:
@@ -680,7 +729,7 @@ def load_lm(path: str | Path) -> NGramLM:
         order = json_int(payload["order"])
         discount = json_float(payload["discount"])
         end_id = json_int(payload["end_id"])
-        check_kn_params(order, discount)
+        check_parameters({"order": order, "discount": discount})
         if end_id != vocab.size:
             raise ValueError(f"end_id {end_id} differs from the vocabulary size {vocab.size}")
         tables = payload["counts"]

@@ -148,32 +148,41 @@ def curvature_bench(human_fixture_texts):
     return lm, docs, labels
 
 
-def timed_runs(lm, docs, score, cfg, runs: int = 3):
-    """The d of each of *docs* and the scoring passes of the first run, and
-    the least wall time of *runs* runs over the same documents and seeds:
-    the best of several runs is what the machine's load disturbs least."""
-    results = []
-    for _ in range(runs):
-        lm.scoring_passes = 0
-        start = time.monotonic()
-        scores = [score(lm, d, cfg).d for d in docs]
-        results.append((time.monotonic() - start, scores, lm.scoring_passes))
-    _, scores, passes = results[0]
-    return scores, passes, min(elapsed for elapsed, _, _ in results)
+def timed_runs(lm, docs, methods, rounds: int = 3):
+    """For each (score, cfg) of *methods*: the d of each of *docs* and the
+    scoring passes of the first round, and the least CPU time of *rounds*
+    rounds over the same documents and seeds. The methods take turns in
+    each round, so that a slow spell of the machine falls on each of them,
+    and time.process_time counts only this process's time, not the time
+    other processes hold the CPU."""
+    results = [[] for _ in methods]
+    for _ in range(rounds):
+        for (score, cfg), runs in zip(methods, results):
+            lm.scoring_passes = 0
+            start = time.process_time()
+            scores = [score(lm, d, cfg).d for d in docs]
+            runs.append((time.process_time() - start, scores, lm.scoring_passes))
+    return [(runs[0][1], runs[0][2], min(elapsed for elapsed, _, _ in runs))
+            for runs in results]
 
 
 @pytest.fixture(scope="module")
-def detect_gpt_run(curvature_bench):
-    lm, docs, labels = curvature_bench
-    cfg = zs.PerturbConfig(pool=lm.vocabulary, mask_fraction=0.15, seed=777, k=20)
-    scores, passes, elapsed = timed_runs(lm, docs, zs.detect_gpt_score, cfg)
-    return scores, labels, passes, elapsed
+def curvature_runs(curvature_bench):
+    """(scores, passes, CPU time) of detect_gpt (k = 20) and of
+    single_revise on the curvature bench."""
+    lm, docs, _ = curvature_bench
+    return timed_runs(lm, docs, [
+        (zs.detect_gpt_score,
+         zs.PerturbConfig(pool=lm.vocabulary, mask_fraction=0.15, seed=777, k=20)),
+        (zs.single_revise_score,
+         zs.PerturbConfig(pool=lm.vocabulary, mask_fraction=0.15, seed=777, k=1)),
+    ])
 
 
-def test_04_curvature_detection_at_desk_scale(curvature_bench, detect_gpt_run):
+def test_04_curvature_detection_at_desk_scale(curvature_bench, curvature_runs):
     with criterion(4, "curvature detection AUROC >= 0.80"):
         _, docs, labels = curvature_bench
-        scores, labels, passes, _ = detect_gpt_run
+        [(scores, passes, _), _] = curvature_runs
         assert passes == len(docs) * 21  # k + 1 scoring passes per document
         assert auroc(scores, labels) >= 0.80
         # Monotonic-hypothesis rank test: sampled docs score higher than
@@ -185,12 +194,10 @@ def test_04_curvature_detection_at_desk_scale(curvature_bench, detect_gpt_run):
         assert result.pvalue < 0.01
 
 
-def test_05_single_revise_efficiency(curvature_bench, detect_gpt_run):
+def test_05_single_revise_efficiency(curvature_bench, curvature_runs):
     with criterion(5, "single-revision efficiency and AUROC >= 0.70"):
-        lm, docs, labels = curvature_bench
-        _, _, dg_passes, dg_elapsed = detect_gpt_run
-        cfg = zs.PerturbConfig(pool=lm.vocabulary, mask_fraction=0.15, seed=777, k=1)
-        scores, sr_passes, sr_elapsed = timed_runs(lm, docs, zs.single_revise_score, cfg)
+        _, docs, labels = curvature_bench
+        [(_, dg_passes, dg_elapsed), (scores, sr_passes, sr_elapsed)] = curvature_runs
         assert sr_passes == 2 * len(docs)  # exactly 2 passes per doc
         assert dg_passes == 21 * len(docs)
         assert dg_elapsed / sr_elapsed >= 5.0

@@ -18,10 +18,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import mgtdetect
 from mgtdetect import classifiers, embeddings, evaluation, ingest, synthetic, zeroshot
 from mgtdetect.classifiers import HYPERPARAMETER_DEFAULTS
-from mgtdetect.cli import SKIPGRAM_DEFAULTS, ZEROSHOT_DEFAULTS, derive_seed, main
+from mgtdetect.cli import derive_seed, main
+from mgtdetect.embeddings import SKIPGRAM_DEFAULTS
 from mgtdetect.errors import DataError
 from mgtdetect.ingest import Document, Label
 from mgtdetect.synthetic import write_hc3_file
+from mgtdetect.zeroshot import PARAMETER_DEFAULTS as ZEROSHOT_DEFAULTS
 
 
 def base_config(output_dir: str = "out") -> dict:
@@ -378,6 +380,16 @@ def file_bytes(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
+def list_train_ids_again(out: Path, split: str, n: int) -> str:
+    """Append the first *n* train ids of the manifest in *out* to *split*
+    as well; the first of them."""
+    manifest = json.loads((out / "splits.json").read_text())
+    ids = manifest["train"][:n]
+    manifest[split] += ids
+    (out / "splits.json").write_text(json.dumps(manifest))
+    return ids[0]
+
+
 def write_config(tmp_path: Path, workspace: Path, **changes) -> str:
     config = base_config(str(tmp_path / "out"))
     config["dataset"]["hc3_path"] = str(workspace / "data.jsonl")
@@ -434,6 +446,9 @@ class TestMalformedInputs:
         ("train", {"embeddings__dim": "abc"}),
         ("train", {"embeddings": 5}),
         ("train", {"zeroshot__methods": "detect_gpt"}),
+        ("ingest", {"zeroshot__methods": ["table_row"]}),
+        ("evaluate", {"zeroshot__methods": ["detect_gpt", "detect_gpt"]}),
+        ("train", {"zeroshot__methods": ["single_revise", "detect_gpt", "single_revise"]}),
         ("train", {"zeroshot__threshold": None}),
         ("train", {"zeroshot__k": 1e400}),
         ("ingest", {"split__train": "most"}),
@@ -569,7 +584,7 @@ class TestMalformedInputs:
 
         config = write_config(tmp_path, workspace, embeddings={"dim": 8})
         parsed = RunConfig.from_file(config)
-        assert (parsed.embedding_source, parsed.skipgram.dim) == ("train", 8)
+        assert (parsed.embedding_path, parsed.skipgram.dim) == (None, 8)
 
     def test_model_dimension_mismatch_exits_3(self, workspace, tmp_path, capsys):
         out = tmp_path / "out"
@@ -589,8 +604,8 @@ class TestMalformedInputs:
 
         config = write_config(tmp_path, workspace, zeroshot={})
         zs = RunConfig.from_file(config).zeroshot
-        assert (zs.order, zs.discount, zs.k, zs.mask_fraction, zs.threshold, zs.methods) == (
-            3, 0.75, 10, 0.15, 0.0, ("detect_gpt",))
+        assert zs == {"order": 3, "discount": 0.75, "k": 10, "mask_fraction": 0.15,
+                      "threshold": 0.0, "methods": ("detect_gpt",)}
 
     @pytest.mark.parametrize("corrupt", [
         lambda out: (out / "corpus.jsonl").write_bytes(
@@ -606,9 +621,10 @@ class TestMalformedInputs:
         lambda out: (out / "splits.json").write_text('{"train": '),
         lambda out: (out / "splits.json").write_text(
             '{"train": [["x"]], "val": [], "test": []}'),
+        lambda out: list_train_ids_again(out, "test", 20),
     ], ids=["truncated", "not_json", "missing_label", "not_object", "unknown_label",
             "body_not_string", "manifest_missing_test", "manifest_truncated",
-            "manifest_ids_not_strings"])
+            "manifest_ids_not_strings", "manifest_overlap"])
     def test_malformed_corpus_or_manifest_exits_3(self, workspace, tmp_path, capsys,
                                                   corrupt):
         out = tmp_path / "out"
@@ -617,6 +633,20 @@ class TestMalformedInputs:
         corrupt(out)
         assert main(["train", "--config", cfg_path(workspace), "--output", str(out)]) == 3
         one_error_line(capsys, "data error:")
+
+    @pytest.mark.parametrize("split, command", [("test", "evaluate"), ("val", "train"),
+                                                ("train", "train")])
+    def test_manifest_listing_a_document_twice_names_it(self, workspace, tmp_path, capsys,
+                                                        split, command):
+        """An id in two splits, or twice in one, is refused before any
+        detector runs: test metrics are never computed on training
+        documents."""
+        out = tmp_path / "out"
+        shutil.copytree(workspace / "out", out)
+        first = list_train_ids_again(out, split, 5)
+        capsys.readouterr()
+        assert main([command, "--config", cfg_path(workspace), "--output", str(out)]) == 3
+        assert repr(first) in one_error_line(capsys, "data error:")
 
     @pytest.mark.parametrize("mutate", [
         lambda p: p["counts"].pop("1"),
@@ -842,8 +872,9 @@ open({str(report)!r}, "w").write(json.dumps(sorted(imported)))
         assert imported - set(sys.stdlib_module_names) == {"mgtdetect", "numpy"}
 
     def test_zero_shot_commands_import_no_classifier_or_stats_code(self, workspace, tmp_path):
-        """ingest, train and detect on a config with no classifier section
-        leave classifiers and corpus_stats unimported in a fresh process."""
+        """ingest, train and detect on a config with no classifier and no
+        embeddings section leave classifiers, corpus_stats and embeddings
+        unimported in a fresh process."""
         config = base_config(str(tmp_path / "out"))
         config["dataset"]["hc3_path"] = str(workspace / "data.jsonl")
         del config["classifier"], config["embeddings"]
@@ -862,7 +893,8 @@ print(" ".join(sorted(name for name in sys.modules if name.startswith("mgtdetect
                               text=True, env=child_env())
         imported = set(proc.stdout.splitlines()[-1].split())
         assert {"mgtdetect.cli", "mgtdetect.zeroshot", "mgtdetect.evaluation"} <= imported
-        assert not imported & {"mgtdetect.classifiers", "mgtdetect.corpus_stats"}
+        assert not imported & {"mgtdetect.classifiers", "mgtdetect.corpus_stats",
+                               "mgtdetect.embeddings"}
         assert proc.stderr == ""
 
     @pytest.mark.parametrize("command", ["ingest", "detect"])
@@ -871,7 +903,9 @@ print(" ".join(sorted(name for name in sys.modules if name.startswith("mgtdetect
         {"classifier": {"family": "mlp"}},
         {"transforms": [{"kind": "no_such_attack"}]},
         {"transforms": [{"kind": "case_flip", "intensity": 2.0}]},
-    ], ids=["classifier_range", "classifier_family", "transform_kind", "transform_range"])
+        {"classifier": None, "embeddings": {"dim": 0}},
+    ], ids=["classifier_range", "classifier_family", "transform_kind", "transform_range",
+            "embeddings_range"])
     def test_bad_section_still_exits_2(self, workspace, tmp_path, capsys, command, change):
         """A section whose library module a command does not otherwise
         import is still checked by that module."""
@@ -884,6 +918,37 @@ print(" ".join(sorted(name for name in sys.modules if name.startswith("mgtdetect
         capsys.readouterr()
         assert main(args) == 2
         one_error_line(capsys, "config error:")
+
+
+class TestMethodTable:
+    def test_cli_takes_method_names_from_the_zeroshot_table(self, workspace, tmp_path,
+                                                            monkeypatch, capsys):
+        """A row added to zeroshot.METHODS is a --method choice, passes the
+        config's method check and is scored by the scorer builder, with no
+        other change."""
+        from mgtdetect.cli import RunConfig, build_parser
+
+        rewrites = []
+
+        def score(lm, doc, cfg):
+            rewrites.append(cfg.k)
+            return zeroshot.single_revise_score(lm, doc, cfg)
+
+        monkeypatch.setitem(zeroshot.METHODS, "table_row", (1, score))
+        args = ["detect", "--config", "config.json", "in.txt", "--method", "table_row"]
+        assert build_parser().parse_args(args).method == "table_row"
+        shutil.copytree(workspace / "out", tmp_path / "out")
+        config = write_config(tmp_path, workspace, zeroshot__methods=["table_row"],
+                              detect={"method": "table_row"})
+        parsed = RunConfig.from_file(config)
+        assert (parsed.zeroshot["methods"], parsed.detect_method) == (("table_row",),
+                                                                     "table_row")
+        inp = tmp_path / "in.txt"
+        inp.write_text("waa wab wac wad wae.\n")
+        capsys.readouterr()
+        assert main(["detect", "--config", config, str(inp)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith(",table_row")
+        assert rewrites == [1]
 
 
 class TestDefaults:

@@ -1274,7 +1274,7 @@ def oracle_load_lm(path):
         order = json_int(payload["order"])
         discount = json_float(payload["discount"])
         end_id = json_int(payload["end_id"])
-        zs.check_kn_params(order, discount)
+        zs.check_parameters({"order": order, "discount": discount})
         if end_id != vocab.size:
             raise ValueError(f"end_id {end_id} differs from the vocabulary size {vocab.size}")
         tables = payload["counts"]
