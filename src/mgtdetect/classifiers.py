@@ -5,7 +5,8 @@ random forest. Every trainer is seed-deterministic.
 
 Scores follow one convention: higher means more likely Machine. Labels
 threshold at 0.5 for probability scores and at 0 for the SVM margin, with
-ties going to Machine.
+ties going to Machine. Each family's config keys, defaults and ranges are
+declared in `sections`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import ClassVar
 
@@ -22,50 +22,19 @@ import numpy as np
 from .errors import (
     DataError,
     ModelFormatError,
-    check_ranges,
     json_array,
     json_float,
     json_int,
     json_keys,
     load_json,
 )
+from .sections import BO_N_INIT, check_hyperparameters
 
 SCHEMA_VERSION = 1
 
 LOG_2PI = math.log(2.0 * math.pi)
 LOGREG_BATCH_SIZE = 32
-BO_N_INIT = 5  # seeded points that start a Bayesian optimization run
 
-
-def _finite_positive(value: float) -> bool:
-    return math.isfinite(value) and value > 0
-
-
-# The range of every hyperparameter of the four families, as name: (test,
-# rule); a name shared by two families (epochs) has one rule.
-HYPERPARAMETER_RANGES = {
-    "l2": (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
-    "lr": (_finite_positive, "finite and > 0"),
-    "lambda": (_finite_positive, "finite and > 0"),
-    "var_smoothing": (_finite_positive, "finite and > 0"),
-    "epochs": (lambda v: v >= 1, "at least 1"),
-    "tune": (lambda v: isinstance(v, bool), "a boolean"),
-    "budget": (lambda v: v >= BO_N_INIT, f"at least {BO_N_INIT}"),
-    "n_trees": (lambda v: v >= 1, "at least 1"),
-    "max_depth": (lambda v: v is None or v >= 1, "null or at least 1"),
-}
-
-
-# Each family's config keys with their defaults, which are its trainers'
-# defaults; gnb's "tune" chooses tune_gnb over the fixed var_smoothing. A
-# config value takes its default's type, and random_forest's "max_depth" may
-# also be null (no depth limit). Each key's range is HYPERPARAMETER_RANGES.
-HYPERPARAMETER_DEFAULTS = {
-    "logreg": {"l2": 1e-4, "epochs": 150, "lr": 0.5},
-    "gnb": {"tune": False, "budget": 20, "var_smoothing": 1e-9},
-    "svm": {"lambda": 1e-3, "epochs": 50},
-    "random_forest": {"n_trees": 50, "max_depth": 8},
-}
 # Each family's trainer on (data, typed config section, seed), mapping the
 # section's keys onto the trainer's arguments: "lambda" is the svm's lam,
 # and gnb's "tune" runs tune_gnb with its budget in place of the fixed
@@ -79,20 +48,6 @@ TRAINERS = {
     "random_forest": lambda data, p, seed: train_random_forest(
         data, p["n_trees"], p["max_depth"], seed),
 }
-# DataError unless each value of a dict keyed by hyperparameter name lies
-# in that name's HYPERPARAMETER_RANGES range.
-check_hyperparameters = partial(check_ranges, ranges=HYPERPARAMETER_RANGES)
-
-
-def section_keys(section: dict) -> tuple[dict, dict, tuple[str, ...]]:
-    """For a classifier config section: the family it names, as {"family":
-    name}, that family's keys with their defaults, and the keys that may
-    be null. DataError for an unknown family."""
-    family = section.get("family")
-    if not isinstance(family, str) or family not in HYPERPARAMETER_DEFAULTS:
-        raise DataError(f"unknown classifier family {family!r}; "
-                        f"expected one of {tuple(HYPERPARAMETER_DEFAULTS)}")
-    return {"family": family}, HYPERPARAMETER_DEFAULTS[family], ("max_depth",)
 
 
 @dataclass(frozen=True)
@@ -635,8 +590,8 @@ def load_model(path: str | Path) -> AnyModel:
     (2,), random-forest dim and split features integers, the features in
     [0, dim), and the forest's metadata as train_random_forest writes it:
     n_trees an integer equal to the number of trees (so at least 1),
-    max_depth null or an integer in its HYPERPARAMETER_RANGES range, and
-    seed an integer >= 0. Any other content, a key save_model does not
+    max_depth null or an integer in its sections.HYPERPARAMETER_RANGES
+    range, and seed an integer >= 0. Any other content, a key save_model does not
     write included, raises ModelFormatError.
     """
     payload = load_json(path, ModelFormatError)

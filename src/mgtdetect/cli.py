@@ -23,17 +23,18 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-# classifiers, corpus_stats, embeddings and evaluation are imported where
-# they are used, so that a process pays only for the families its command
-# runs: a zero-shot detect never imports the classifier, skip-gram or
-# statistics code.
+# classifiers, corpus_stats, embeddings, evaluation and sections are
+# imported where they are used, so that a process pays only for the families
+# its command runs: a config's classifier and embeddings sections are read
+# through sections alone, and only train, evaluate and a classifier detect
+# import the classifier and skip-gram code.
 from . import ingest, zeroshot
 from .errors import ConfigError, DataError, load_json, parse_json, read_lines
 from .ingest import Corpus, Document, Label
 from .synthetic import stable_seed as derive_seed  # SHA-256 over 'root/path'
 
 if TYPE_CHECKING:
-    from . import classifiers, embeddings, evaluation
+    from . import classifiers, embeddings, evaluation, sections
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -119,7 +120,7 @@ class RunConfig:
     conllu: dict[Label, Path]
     # Skip-gram training, or with embeddings.source "load" the vectors'
     # path; both None with no embeddings and no classifier section.
-    skipgram: embeddings.SkipGramConfig | None
+    skipgram: sections.SkipGramConfig | None
     embedding_path: Path | None
     classifier: dict | None  # _detector's typed sections
     zeroshot: dict | None
@@ -180,9 +181,9 @@ class RunConfig:
 
         skipgram, embedding_path = None, None
         if raw.get("embeddings") is not None or raw.get("classifier") is not None:
-            from . import embeddings
+            from . import sections
 
-            defaults = embeddings.SKIPGRAM_DEFAULTS
+            defaults = sections.SKIPGRAM_DEFAULTS
             emb_raw = _section(raw, "embeddings", ("source", "path", *defaults), {})
             source = emb_raw.get("source", "train")
             if source not in ("train", "load"):
@@ -194,7 +195,7 @@ class RunConfig:
                 if not embedding_path.exists():
                     raise DataError(f"embedding file not found: {embedding_path}")
             try:
-                skipgram = embeddings.SkipGramConfig(
+                skipgram = sections.SkipGramConfig(
                     **_typed("embeddings", emb_raw, defaults),
                     seed=derive_seed(seed, "embeddings"),
                 )
@@ -203,10 +204,10 @@ class RunConfig:
 
         classifier = raw.get("classifier")
         if classifier is not None:
-            from . import classifiers
+            from . import sections
 
-            classifier = _detector("classifier", classifier, classifiers.section_keys,
-                                   classifiers.check_hyperparameters)
+            classifier = _detector("classifier", classifier, sections.section_keys,
+                                   sections.check_hyperparameters)
         zeroshot_cfg = raw.get("zeroshot")
         if zeroshot_cfg is not None:
             zeroshot_cfg = _detector("zeroshot", zeroshot_cfg, zeroshot.section_keys,

@@ -7,42 +7,17 @@ The training loop is deliberately single-threaded and seeded: identical
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, EmptyEmbedding, read_lines
+from .sections import SkipGramConfig
 from .text_core import UNK, Vocabulary, tokenize, vocab_from_counts
 
 LR_FLOOR_FRACTION = 1e-4  # learning rate decays linearly to lr0 * this
-
-
-@dataclass(frozen=True)
-class SkipGramConfig:
-    dim: int = 32
-    window: int = 5
-    negatives: int = 5
-    epochs: int = 3
-    learning_rate: float = 0.025
-    min_count: int = 2
-    subsample: float = 1e-3
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if min(self.dim, self.window, self.negatives, self.min_count) < 1:
-            raise DataError("dim, window, negatives, min_count must be >= 1")
-        if self.epochs < 0:
-            raise DataError("epochs must be >= 0")
-        if not (0 < self.learning_rate < math.inf and 0 < self.subsample < math.inf):
-            raise DataError("learning rate and subsample threshold must be finite and > 0")
-
-
-# The embeddings config keys with their defaults, which are SkipGramConfig's;
-# the seed is derived from the config's, never set.
-SKIPGRAM_DEFAULTS = {f.name: f.default for f in fields(SkipGramConfig) if f.name != "seed"}
 
 
 @dataclass

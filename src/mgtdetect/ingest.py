@@ -4,8 +4,8 @@ splits, and CoNLL-U dependency annotation loading.
 
 from __future__ import annotations
 
-import logging
 import re
+import sys
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
@@ -14,8 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, DegenerateSplit, EmptyDocument, parse_json, read_lines
-
-log = logging.getLogger(__name__)
 
 _ZERO_WIDTH = {"​", "‌", "‍", "﻿", "⁠"}
 
@@ -142,8 +140,9 @@ def load_hc3(path: str | Path) -> Corpus:
     ``human_answers`` and ``chatgpt_answers`` string arrays.
 
     Each answer becomes one Document (ids ``<line#>-h<k>`` / ``<line#>-m<k>``,
-    1-based). Answers that normalize to nothing are logged and skipped; a
-    question or answer that is not a string is a DataError naming its line.
+    1-based). Answers that normalize to nothing are skipped, each with one
+    ``skipping <id>: empty after normalization`` line on stderr; a question
+    or answer that is not a string is a DataError naming its line.
     """
     path = Path(path)
     docs: list[Document] = []
@@ -174,7 +173,7 @@ def load_hc3(path: str | Path) -> Corpus:
                 try:
                     body = normalize(answer)
                 except EmptyDocument:
-                    log.warning("skipping %s: empty after normalization", doc_id)
+                    print(f"skipping {doc_id}: empty after normalization", file=sys.stderr)
                     continue
                 docs.append(
                     Document(id=doc_id, body=body, label=label, source_question=question)

@@ -17,11 +17,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mgtdetect
 from mgtdetect import classifiers, embeddings, evaluation, ingest, synthetic, zeroshot
-from mgtdetect.classifiers import HYPERPARAMETER_DEFAULTS
 from mgtdetect.cli import derive_seed, main
-from mgtdetect.embeddings import SKIPGRAM_DEFAULTS
 from mgtdetect.errors import DataError
 from mgtdetect.ingest import Document, Label
+from mgtdetect.sections import HYPERPARAMETER_DEFAULTS, SKIPGRAM_DEFAULTS
 from mgtdetect.synthetic import write_hc3_file
 from mgtdetect.zeroshot import PARAMETER_DEFAULTS as ZEROSHOT_DEFAULTS
 
@@ -112,6 +111,19 @@ class TestIngest:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["ingest", "--config", str(tmp_path / "absent.json")]) == 2
+
+    def test_blank_answer_is_skipped_with_one_line(self, workspace, tmp_path):
+        """An answer that normalizes to nothing is left out of the corpus,
+        with one stderr line naming it, and ingest still succeeds."""
+        data = tmp_path / "data.jsonl"
+        record = {"question": "q", "human_answers": ["   "], "chatgpt_answers": ["fine."]}
+        data.write_text((workspace / "data.jsonl").read_text() + json.dumps(record) + "\n")
+        config = write_config(tmp_path, workspace, dataset__hc3_path=str(data))
+        rc, err, _ = run_entry_point("ingest", "--config", config)
+        assert (rc, err) == (0, ["skipping 41-h1: empty after normalization"])
+        ids = [json.loads(line)["id"]
+               for line in (tmp_path / "out" / "corpus.jsonl").read_text().splitlines()]
+        assert "41-m1" in ids and "41-h1" not in ids
 
     def test_seed_override_changes_splits(self, workspace, tmp_path):
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -897,7 +909,37 @@ print(" ".join(sorted(name for name in sys.modules if name.startswith("mgtdetect
                                "mgtdetect.embeddings"}
         assert proc.stderr == ""
 
-    @pytest.mark.parametrize("command", ["ingest", "detect"])
+    def test_zero_shot_commands_on_a_full_config_import_no_classifier_code(self, workspace,
+                                                                           tmp_path):
+        """On a config with classifier, embeddings and zeroshot sections,
+        ingest, stats and a zero-shot detect leave the classifier and
+        skip-gram modules, and logging, unimported in a fresh process;
+        train imports both modules."""
+        shutil.copytree(workspace / "out", tmp_path / "out")
+        config = write_config(tmp_path, workspace)
+        inp = tmp_path / "in.txt"
+        inp.write_text("waa wab wac wad wae.\n")
+        script = f"""
+import sys
+from mgtdetect.cli import main
+args = ["--config", {config!r}]
+watched = ("mgtdetect.classifiers", "mgtdetect.embeddings", "logging")
+for command in (["ingest"], ["stats"], ["detect", {str(inp)!r}, "--method", "detect_gpt"],
+                ["detect", {str(inp)!r}, "--method", "single_revise"]):
+    assert main(command + args) == 0, command
+print("imported:", *(name for name in watched if name in sys.modules))
+assert main(["train"] + args) == 0
+print("imported:", *(name for name in watched if name in sys.modules))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                              text=True, env=child_env())
+        before_train, after_train = (line.split()[1:] for line in proc.stdout.splitlines()
+                                     if line.startswith("imported:"))
+        assert before_train == []
+        assert {"mgtdetect.classifiers", "mgtdetect.embeddings"} <= set(after_train)
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize("command", ["ingest", "stats", "detect"])
     @pytest.mark.parametrize("change", [
         {"classifier": {"family": "logreg", "l2": -1.0}},
         {"classifier": {"family": "mlp"}},
@@ -907,8 +949,9 @@ print(" ".join(sorted(name for name in sys.modules if name.startswith("mgtdetect
     ], ids=["classifier_range", "classifier_family", "transform_kind", "transform_range",
             "embeddings_range"])
     def test_bad_section_still_exits_2(self, workspace, tmp_path, capsys, command, change):
-        """A section whose library module a command does not otherwise
-        import is still checked by that module."""
+        """A section whose module a command does not run is still checked:
+        the classifier and embeddings sections by their declarations in
+        sections.py, the transforms by evaluation."""
         config = write_config(tmp_path, workspace, **change)
         args = [command, "--config", config]
         if command == "detect":
