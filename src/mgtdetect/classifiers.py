@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import (
     DataError,
-    ModelFormatError,
     json_array,
     json_float,
     json_int,
@@ -592,19 +591,19 @@ def load_model(path: str | Path) -> AnyModel:
     n_trees an integer equal to the number of trees (so at least 1),
     max_depth null or an integer in its sections.HYPERPARAMETER_RANGES
     range, and seed an integer >= 0. Any other content, a key save_model does not
-    write included, raises ModelFormatError.
+    write included, raises DataError.
     """
-    payload = load_json(path, ModelFormatError)
+    payload = load_json(path)
     if not isinstance(payload, dict):
-        raise ModelFormatError(f"{path}: model file must hold a JSON object")
+        raise DataError(f"{path}: model file must hold a JSON object")
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise ModelFormatError(
+        raise DataError(
             f"{path}: unsupported schema_version {version!r}, expected {SCHEMA_VERSION}"
         )
     family = payload.get("family")
     if not isinstance(family, str) or family not in _MODEL_FIELDS:
-        raise ModelFormatError(f"{path}: unknown model family {family!r}")
+        raise DataError(f"{path}: unknown model family {family!r}")
     cls, fields = _MODEL_FIELDS[family]
     parsed: dict = {}
     try:
@@ -621,7 +620,7 @@ def load_model(path: str | Path) -> AnyModel:
                 raise ValueError("gnb variances must be >= 0 and var_smoothing > 0")
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError,
             DataError) as exc:
-        raise ModelFormatError(f"{path}: corrupted model field: {exc}") from exc
+        raise DataError(f"{path}: corrupted model field: {exc}") from exc
     return model
 
 

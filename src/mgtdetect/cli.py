@@ -194,6 +194,8 @@ class RunConfig:
                 embedding_path = resolve(emb_raw["path"], "embeddings.path")
                 if not embedding_path.exists():
                     raise DataError(f"embedding file not found: {embedding_path}")
+            elif "path" in emb_raw:
+                raise ConfigError("embeddings.path needs embeddings.source 'load'")
             try:
                 skipgram = sections.SkipGramConfig(
                     **_typed("embeddings", emb_raw, defaults),
@@ -237,7 +239,10 @@ class RunConfig:
 
         detect_method = _section(raw, "detect", ("method",), {}).get("method")
         if detect_method is None:
-            detect_method = "classifier" if classifier is not None else zeroshot.DEFAULT_METHOD
+            # The first detector the config names.
+            named = zeroshot_cfg["methods"] if zeroshot_cfg is not None else ()
+            detect_method = ("classifier" if classifier is not None
+                             else (*named, zeroshot.DEFAULT_METHOD)[0])
         if detect_method not in ("classifier", *zeroshot.METHODS):
             raise ConfigError(f"unknown detect method {detect_method!r}")
 
@@ -425,7 +430,7 @@ def cmd_stats(cfg: RunConfig) -> int:
     parses = {label: ingest.load_conllu(path) for label, path in cfg.conllu.items()}
     report = corpus_stats.corpus_report(corpus, parses=parses or None)
     with _staged(cfg.output_dir) as stage:
-        _write_json(stage("stats.json"), report.to_dict())
+        _write_json(stage("stats.json"), report)
     print(f"stats written to {cfg.output_dir / 'stats.json'}")
     return EXIT_OK
 
@@ -447,10 +452,10 @@ def cmd_train(cfg: RunConfig) -> int:
     fails to train, or a file that fails to write, leaves embeddings.txt,
     model.json and lm.json as they were, never a new file beside an old
     one."""
-    corpus, manifest = _load_cached_corpus(cfg)
-    splits = _split_corpora(corpus, manifest)
     if cfg.classifier is None and cfg.zeroshot is None:
         raise ConfigError("config has neither a classifier nor a zeroshot section")
+    corpus, manifest = _load_cached_corpus(cfg)
+    splits = _split_corpora(corpus, manifest)
 
     if cfg.classifier is not None:
         from . import classifiers, embeddings, evaluation
@@ -531,6 +536,8 @@ def cmd_detect(cfg: RunConfig, input_path: str, method: str | None,
 def cmd_evaluate(cfg: RunConfig) -> int:
     from . import evaluation
 
+    if cfg.classifier is None and not (cfg.zeroshot and cfg.zeroshot["methods"]):
+        raise ConfigError("config names no detector: no classifier, no zeroshot methods")
     corpus, manifest = _load_cached_corpus(cfg)
     splits = _split_corpora(corpus, manifest)
     test = splits["test"]
@@ -547,38 +554,33 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         for scorer in _zeroshot_scorers(cfg, lm, cfg.zeroshot["methods"]):
             threshold = evaluation.youden_threshold([scorer.score_fn(d) for d in val], labels)
             scorers.append(replace(scorer, threshold=threshold))
-    if not scorers:
-        raise ConfigError("config names no detector: no classifier, no zeroshot methods")
 
     metrics_payload: dict[str, dict] = {}
     robustness_payload: dict[str, dict] = {}
     with _staged(cfg.output_dir) as stage:
         for scorer in scorers:
             report = evaluation.robustness_report(scorer, test, cfg.transforms)
-            metrics_payload[scorer.name] = {
-                "threshold": scorer.threshold,
-                **report.before.to_dict(),
-            }
-            robustness_payload[scorer.name] = report.to_dict()
+            metrics_payload[scorer.name] = {"threshold": scorer.threshold, **report["before"]}
+            robustness_payload[scorer.name] = report
             safe = scorer.name.replace(":", "_")
             fname = f"robustness_{safe}.csv" if len(scorers) > 1 else "robustness.csv"
             _write_robustness_csv(stage(fname), report)
             print(f"[{scorer.name}] threshold={scorer.threshold:.4f}")
             for name in evaluation.METRIC_NAMES:
-                print(f"[{scorer.name}] test {name}: {getattr(report.before, name):.4f}")
+                print(f"[{scorer.name}] test {name}: {report['before'][name]:.4f}")
         _write_json(stage("metrics.json"), {"methods": metrics_payload})
         _write_json(stage("robustness.json"), {"methods": robustness_payload})
     return EXIT_OK
 
 
-def _write_robustness_csv(path: Path, report: evaluation.RobustnessReport) -> None:
+def _write_robustness_csv(path: Path, report: dict) -> None:
     from . import evaluation
 
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     columns = ("before", "after", "delta")
     writer.writerow(["transform", "metric", *columns])
-    for key, entry in report.per_transform.items():
+    for key, entry in report["transforms"].items():
         for metric in evaluation.METRIC_NAMES:
             writer.writerow([key, metric, *(repr(entry[c][metric]) for c in columns)])
     path.write_text(out.getvalue(), encoding="utf-8")

@@ -1,12 +1,12 @@
 """Contrastive corpus statistics: answer length, sentence length,
 type-token ratio, Flesch-Kincaid grade, and dependency distance, with
-per-class histograms and a serializable comparison report.
+per-class histograms and a comparison report that stats.json holds as
+it is.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from .errors import DataError
 from .ingest import Corpus, Document, Label, ParsedSentence
@@ -20,26 +20,6 @@ DEFAULT_BINS: dict[str, list[float]] = {
     "fkgl": [float(x) for x in range(-6, 33, 2)],
     "dependency_distance": [0.5 * i for i in range(0, 17)],
 }
-
-
-@dataclass(frozen=True)
-class Histogram:
-    bin_edges: tuple[float, ...]
-    counts: tuple[int, ...]
-    underflow: int = 0
-    overflow: int = 0
-
-    def __post_init__(self) -> None:
-        if len(self.counts) != len(self.bin_edges) - 1:
-            raise DataError("counts length must be edges length - 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "edges": list(self.bin_edges),
-            "counts": list(self.counts),
-            "underflow": self.underflow,
-            "overflow": self.overflow,
-        }
 
 
 def answer_length(doc: Document) -> int:
@@ -88,9 +68,10 @@ def mean_dependency_distance(sent: ParsedSentence) -> float:
     return sum(distances) / len(distances)
 
 
-def histogram(values: list[float], bin_edges: list[float]) -> Histogram:
-    """Half-open bins [e_i, e_{i+1}) with the last bin closed; values
-    outside the range are tallied as underflow/overflow.
+def histogram(values: list[float], bin_edges: list[float]) -> dict:
+    """{"edges", "counts", "underflow", "overflow"}: half-open bins
+    [e_i, e_{i+1}) with the last bin closed; values outside the range are
+    tallied as underflow/overflow.
     """
     if len(bin_edges) < 2:
         raise DataError("need at least 2 bin edges")
@@ -108,24 +89,8 @@ def histogram(values: list[float], bin_edges: list[float]) -> Histogram:
             counts[-1] += 1
         else:
             counts[bisect_right(bin_edges, v) - 1] += 1
-    return Histogram(
-        bin_edges=tuple(bin_edges),
-        counts=tuple(counts),
-        underflow=underflow,
-        overflow=overflow,
-    )
-
-
-@dataclass(frozen=True)
-class StatsReport:
-    """Per class and per statistic: the mean of per-document (or
-    per-sentence) values plus their histogram.
-    """
-
-    sections: dict[str, dict[str, dict]]
-
-    def to_dict(self) -> dict:
-        return self.sections
+    return {"edges": list(bin_edges), "counts": counts, "underflow": underflow,
+            "overflow": overflow}
 
 
 def _doc_values(corpus: Corpus, label: Label) -> dict[str, list[float]]:
@@ -141,8 +106,9 @@ def _doc_values(corpus: Corpus, label: Label) -> dict[str, list[float]]:
 def corpus_report(
     corpus: Corpus,
     parses: dict[Label, list[ParsedSentence]] | None = None,
-) -> StatsReport:
-    """Compute all five statistics per class, binned at DEFAULT_BINS.
+) -> dict[str, dict[str, dict]]:
+    """Per class and per statistic: the mean of the per-document (or
+    per-sentence) values and their histogram, binned at DEFAULT_BINS.
 
     The dependency-distance section appears only when *parses* supplies
     CoNLL-U sentences for each class.
@@ -159,12 +125,9 @@ def corpus_report(
                 for s in sents
                 if any(h != 0 for h in s.heads)
             ]
-        stats: dict[str, dict] = {}
-        for stat, vals in values.items():
-            hist = histogram(vals, DEFAULT_BINS[stat])
-            stats[stat] = {
-                "mean": sum(vals) / len(vals) if vals else 0.0,
-                "histogram": hist.to_dict(),
-            }
-        sections[label.value] = stats
-    return StatsReport(sections=sections)
+        sections[label.value] = {
+            stat: {"mean": sum(vals) / len(vals) if vals else 0.0,
+                   "histogram": histogram(vals, DEFAULT_BINS[stat])}
+            for stat, vals in values.items()
+        }
+    return sections

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, EmptyEmbedding, read_lines
+from .errors import DataError, read_lines
 from .sections import SkipGramConfig
 from .text_core import UNK, Vocabulary, tokenize, vocab_from_counts
 
@@ -217,7 +217,7 @@ def load_vectors(path: str | Path) -> EmbeddingMatrix:
     except ValueError as exc:
         raise DataError(f"{path}: non-integer header") from exc
     if count == 0:
-        raise EmptyEmbedding(f"{path}: embedding declares zero vectors")
+        raise DataError(f"{path}: embedding declares zero vectors")
     if count < 0 or dim < 1:
         raise DataError(f"{path}: header count and dim must be positive")
     rows: list[list[float]] = []

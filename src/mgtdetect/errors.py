@@ -1,9 +1,9 @@
-"""Exception hierarchy shared across the package, and the input boundary.
+"""The package's exceptions, one per exit code, and the input boundary.
 
 The CLI maps these onto stable exit codes: ConfigError -> 2,
-DataError (and subclasses) -> 3, OSError -> 4. Every file the package
-reads is decoded and parsed here, so invalid UTF-8, malformed JSON and
-JSON nested past the recursion limit all end in the caller's error class.
+DataError -> 3, OSError -> 4. Every file the package reads is decoded
+and parsed here, so invalid UTF-8, malformed JSON and JSON nested past
+the recursion limit all end in the caller's error class.
 The artifact loaders read their numeric fields through json_int,
 json_float and json_array, which take a JSON number as it is and refuse
 anything else (a numeric string or a boolean included), and hold their
@@ -20,36 +20,16 @@ from pathlib import Path
 import numpy as np
 
 
-class MgtError(Exception):
-    """Base class for all package errors."""
-
-
-class ConfigError(MgtError):
+class ConfigError(Exception):
     """Invalid or inconsistent run configuration."""
 
 
-class DataError(MgtError):
+class DataError(Exception):
     """Malformed, degenerate, or missing data / model state."""
 
 
 class EmptyDocument(DataError):
     """Document body is empty after normalization."""
-
-
-class DegenerateSplit(DataError):
-    """A train/val/test split received zero documents of some class."""
-
-
-class EmptyEmbedding(DataError):
-    """Embedding file declares zero vectors."""
-
-
-class AurocUndefined(DataError):
-    """AUROC requested but labels contain a single class."""
-
-
-class ModelFormatError(DataError):
-    """Persisted model file is corrupted or has an unsupported schema."""
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -63,7 +43,7 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
         raise DataError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
 
 
-def parse_json(text: str, where: str, error: type[MgtError] = DataError):
+def parse_json(text: str, where: str, error: type[Exception] = DataError):
     """The JSON value of *text*; *error* naming *where* when it is malformed
     or nested past the recursion limit."""
     try:
@@ -72,7 +52,7 @@ def parse_json(text: str, where: str, error: type[MgtError] = DataError):
         raise error(f"{where}: malformed JSON: {exc}") from exc
 
 
-def read_text(path: str | Path, error: type[MgtError] = DataError) -> str:
+def read_text(path: str | Path, error: type[Exception] = DataError) -> str:
     """A whole UTF-8 file; *error* naming the file when it is not valid UTF-8."""
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -80,7 +60,7 @@ def read_text(path: str | Path, error: type[MgtError] = DataError) -> str:
         raise error(f"{path}: not valid UTF-8 ({exc.reason})") from exc
 
 
-def load_json(path: str | Path, error: type[MgtError] = DataError):
+def load_json(path: str | Path, error: type[Exception] = DataError):
     """The JSON value of a whole UTF-8 file; *error* naming the file when
     it is not valid UTF-8 or not valid JSON."""
     return parse_json(read_text(path, error), str(path), error)

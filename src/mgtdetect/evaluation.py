@@ -6,12 +6,12 @@ reports. Positive class is Machine throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AurocUndefined, DataError
+from .errors import DataError
 from .ingest import Corpus, Document, Label
 from .text_core import rewrite_units, token_spans
 
@@ -36,9 +36,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
 
-    def to_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn}
-
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -50,18 +47,6 @@ class MetricsReport:
     confusion: ConfusionMatrix
     n: int
     flags: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "accuracy": self.accuracy,
-            "auroc": self.auroc,
-            "confusion": self.confusion.to_dict(),
-            "n": self.n,
-            "flags": list(self.flags),
-        }
 
 
 @dataclass(frozen=True)
@@ -105,7 +90,7 @@ def auroc(scores: Sequence[float], labels: Sequence[int]) -> float:
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
-        raise AurocUndefined("AUROC needs both classes in the labels")
+        raise DataError("AUROC needs both classes in the labels")
     ranks = _average_ranks(scores)
     rank_sum = float(np.sum(ranks[labels == 1]))
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
@@ -178,7 +163,7 @@ def youden_threshold(scores: Sequence[float], labels: Sequence[int]) -> float:
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
-        raise AurocUndefined("threshold selection needs both classes")
+        raise DataError("threshold selection needs both classes")
     # One sorted sweep: the candidates are the distinct scores, and the
     # scores at or above one are those from its first place in sorted order.
     order = np.argsort(scores, kind="stable")
@@ -256,42 +241,26 @@ class DetectorScorer:
         return metrics(confusion([self.label(s) for s in scores], labels), scores, labels)
 
 
-@dataclass(frozen=True)
-class RobustnessReport:
-    before: MetricsReport
-    per_transform: dict[str, dict]
-
-    def to_dict(self) -> dict:
-        return {
-            "before": self.before.to_dict(),
-            "transforms": self.per_transform,
-        }
-
-
 def robustness_report(
     scorer: DetectorScorer,
     test: Corpus,
     transforms: Sequence[AdversarialTransform],
-) -> RobustnessReport:
-    """Clean metrics once, then metrics per transformed copy of the test
+) -> dict:
+    """{"before", "transforms"}, as robustness.json holds it per detector:
+    the clean metrics once, then the metrics per transformed copy of the test
     set, with per-metric deltas (after minus before).
     """
     if test.class_counts[Label.HUMAN] == 0 or test.class_counts[Label.MACHINE] == 0:
         raise DataError("robustness evaluation needs both classes")
-    before = scorer.evaluate(test.documents)
+    before = asdict(scorer.evaluate(test.documents))
     per_transform: dict[str, dict] = {}
     for tf in transforms:
-        attacked = [adversarial_transform(d, tf) for d in test.documents]
-        after = scorer.evaluate(attacked)
-        deltas = {
-            m: getattr(after, m) - getattr(before, m) for m in METRIC_NAMES
-        }
-        key = f"{tf.kind}@{tf.intensity}"
-        per_transform[key] = {
+        after = asdict(scorer.evaluate([adversarial_transform(d, tf) for d in test.documents]))
+        per_transform[f"{tf.kind}@{tf.intensity}"] = {
             "kind": tf.kind,
             "intensity": tf.intensity,
-            "before": before.to_dict(),
-            "after": after.to_dict(),
-            "delta": deltas,
+            "before": before,
+            "after": after,
+            "delta": {m: after[m] - before[m] for m in METRIC_NAMES},
         }
-    return RobustnessReport(before=before, per_transform=per_transform)
+    return {"before": before, "transforms": per_transform}

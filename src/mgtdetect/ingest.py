@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DegenerateSplit, EmptyDocument, parse_json, read_lines
+from .errors import DataError, EmptyDocument, parse_json, read_lines
 
 _ZERO_WIDTH = {"​", "‌", "‍", "﻿", "⁠"}
 
@@ -207,7 +207,7 @@ def split(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpus]:
         val.extend(shuffled[n_train : n_train + n_val])
         test.extend(shuffled[n_train + n_val :])
         if min(n_train, n_val, n_test) == 0:
-            raise DegenerateSplit(
+            raise DataError(
                 f"class {label.value!r} would contribute 0 documents to a split "
                 f"(train={n_train}, val={n_val}, test={n_test})"
             )

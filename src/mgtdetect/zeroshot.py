@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import (
     DataError,
-    ModelFormatError,
     check_ranges,
     json_float,
     json_int,
@@ -691,7 +690,7 @@ ROW_BREAK = "], ["  # between two rows of a level, as save_lm writes them
 
 
 def load_lm(path: str | Path) -> NGramLM:
-    """The model save_lm wrote to *path*; ModelFormatError when the file
+    """The model save_lm wrote to *path*; DataError when the file
     is not such a model.
 
     Before the one json.loads, every ROW_BREAK becomes ", null, ", so that
@@ -702,15 +701,15 @@ def load_lm(path: str | Path) -> NGramLM:
     the nulls found there must equal the replacements made, and a literal
     null in a table refuses the file.
     """
-    text = read_text(path, ModelFormatError)
+    text = read_text(path)
     breaks = text.count(ROW_BREAK)
-    payload = parse_json(text.replace(ROW_BREAK, ", null, "), str(path), ModelFormatError)
+    payload = parse_json(text.replace(ROW_BREAK, ", null, "), str(path))
     del text  # freed before the tables are built
     if not isinstance(payload, dict):
-        raise ModelFormatError(f"{path}: LM file must hold a JSON object")
+        raise DataError(f"{path}: LM file must hold a JSON object")
     version = payload.get("schema_version")
     if version != LM_SCHEMA_VERSION:
-        raise ModelFormatError(
+        raise DataError(
             f"{path}: unsupported schema_version {version!r}, expected {LM_SCHEMA_VERSION}"
         )
     try:
@@ -750,7 +749,7 @@ def load_lm(path: str | Path) -> NGramLM:
             raise ValueError(f"the count tables hold {found} row breaks, the file "
                              f"{breaks} {ROW_BREAK!r}")
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError, DataError) as exc:
-        raise ModelFormatError(f"{path}: corrupted LM field: {exc}") from exc
+        raise DataError(f"{path}: corrupted LM field: {exc}") from exc
     return NGramLM(order=order, discount=discount, vocabulary=vocab, grams=grams,
                    end_id=end_id)
 

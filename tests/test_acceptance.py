@@ -284,7 +284,7 @@ def test_07_qualitative_orderings():
                 ParsedSentence(("a", "b", "c", "d", "e", "f"), (6, 6, 6, 6, 6, 0))
             ] * 6,
         }
-        report = cs.corpus_report(corpus, parses=parses).sections
+        report = cs.corpus_report(corpus, parses=parses)
         h, m = report["human"], report["machine"]
         assert m["answer_length"]["mean"] > h["answer_length"]["mean"]
         assert m["sentence_length"]["mean"] > h["sentence_length"]["mean"]

@@ -24,7 +24,7 @@ from mgtdetect.classifiers import (
     train_random_forest,
     tune_gnb,
 )
-from mgtdetect.errors import DataError, ModelFormatError
+from mgtdetect.errors import DataError
 
 
 def separable_2d(n_per_class: int = 20, seed: int = 0) -> Dataset:
@@ -303,7 +303,7 @@ class TestPersistence:
         payload = json.loads(path.read_text())
         payload["schema_version"] = 999
         path.write_text(json.dumps(payload))
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(DataError, match="unsupported schema_version 999, expected 1"):
             load_model(path)
 
     def test_truncated_file_errors(self, tmp_path):
@@ -311,7 +311,7 @@ class TestPersistence:
         save_model(self._models()[0], path)
         text = path.read_text()
         path.write_text(text[: len(text) // 2])
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(DataError, match="malformed JSON"):
             load_model(path)
 
     def test_corrupted_numeric_field_errors(self, tmp_path):
@@ -320,12 +320,12 @@ class TestPersistence:
         payload = json.loads(path.read_text())
         payload["weights"][0] = "not-a-number"
         path.write_text(json.dumps(payload))
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(DataError, match="corrupted model field"):
             load_model(path)
 
     def test_unknown_family_errors(self, tmp_path):
         path = tmp_path / "m.json"
         for family in ("mlp", ["svm"], {"a": 1}, None, 3):
             path.write_text(json.dumps({"schema_version": 1, "family": family, "dim": 2}))
-            with pytest.raises(ModelFormatError, match="unknown model family"):
+            with pytest.raises(DataError, match="unknown model family"):
                 load_model(path)

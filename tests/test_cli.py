@@ -382,6 +382,35 @@ class TestEvaluate:
         assert rc == 3
 
 
+class TestGoldenReports:
+    REPORTS = ("stats.json", "metrics.json", "robustness.json", "robustness_detect_gpt.csv",
+               "robustness_single_revise.csv")
+
+    def test_zero_shot_reports_match_their_golden_copies(self, fixtures_dir, tmp_path):
+        """ingest, stats, train and evaluate on a committed 30-question
+        corpus, with CoNLL-U parses and two transforms, write the report
+        bytes kept in fixtures/reports. The classifier is left out: its
+        skip-gram and SVM numbers go through BLAS, which may differ in the
+        last bit between numpy builds."""
+        golden = fixtures_dir / "reports"
+        conllu = str(fixtures_dir / "sample.conllu")
+        config = {
+            "seed": 7,
+            "output_dir": str(tmp_path / "out"),
+            "dataset": {"hc3_path": str(golden / "data.jsonl"),
+                        "conllu": {"human": conllu, "machine": conllu}},
+            "split": {"train": 0.6, "val": 0.2, "test": 0.2},
+            "zeroshot": {"order": 3, "k": 3, "methods": ["detect_gpt", "single_revise"]},
+            "transforms": [{"kind": "case_flip", "intensity": 0.1},
+                           {"kind": "special_chars", "intensity": 0.2}],
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        for command in ("ingest", "stats", "train", "evaluate"):
+            assert main([command, "--config", str(tmp_path / "config.json")]) == 0, command
+        for name in self.REPORTS:
+            assert (tmp_path / "out" / name).read_bytes() == (golden / name).read_bytes(), name
+
+
 def one_error_line(capsys, prefix: str) -> str:
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(prefix), err
@@ -437,6 +466,32 @@ class TestConfiguredDetectors:
         capsys.readouterr()
         assert main(["evaluate", "--config", config]) == 2
         one_error_line(capsys, "config error:")
+
+    @pytest.mark.parametrize("command, zeroshot", [
+        ("train", None), ("evaluate", None), ("evaluate", {"methods": []}),
+    ], ids=["train", "evaluate", "evaluate_no_methods"])
+    def test_no_detector_exits_2_before_any_file_is_read(self, workspace, tmp_path, capsys,
+                                                         command, zeroshot):
+        """In a fresh output directory, with no corpus.jsonl to read, a
+        config that names no detector for the command is a config error."""
+        config = write_config(tmp_path, workspace, classifier=None, zeroshot=zeroshot)
+        capsys.readouterr()
+        assert main([command, "--config", config]) == 2
+        one_error_line(capsys, "config error:")
+        assert not (tmp_path / "out").exists()
+
+    def test_detect_defaults_to_a_method_the_config_names(self, workspace, tmp_path, capsys):
+        """With no classifier section, no detect section and no --method,
+        detect scores with the first of zeroshot.methods."""
+        shutil.copytree(workspace / "out", tmp_path / "out")
+        config = write_config(tmp_path, workspace, classifier=None, embeddings=None,
+                              zeroshot={"methods": ["single_revise"]})
+        inp = tmp_path / "in.txt"
+        inp.write_text("waa wab wac wad wae.\nwaf wag wah.\n")
+        capsys.readouterr()
+        assert main(["detect", "--config", config, str(inp)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.rsplit(",", 1)[1] for row in rows] == ["single_revise"] * 2
 
     @pytest.mark.parametrize("method, section", [("detect_gpt", "zeroshot"),
                                                  ("classifier", "classifier")])
@@ -500,6 +555,9 @@ class TestMalformedInputs:
         ("stats", {"dataset__conllu": {"human": True}}),
         ("stats", {"dataset__conllu": {"machine": ["machine.conllu"]}}),
         ("train", {"embeddings": {"source": "load", "path": 5}}),
+        # A path is read only with source "load", never ignored.
+        ("ingest", {"embeddings": {"path": "vectors.txt"}}),
+        ("ingest", {"embeddings": {"source": "train", "path": "vectors.txt"}}),
         # Not finite: NaN would train with no update, inf overflow.
         ("ingest", {"embeddings__subsample": float("nan")}),
         ("ingest", {"embeddings__subsample": float("inf")}),
@@ -884,9 +942,9 @@ open({str(report)!r}, "w").write(json.dumps(sorted(imported)))
         assert imported - set(sys.stdlib_module_names) == {"mgtdetect", "numpy"}
 
     def test_zero_shot_commands_import_no_classifier_or_stats_code(self, workspace, tmp_path):
-        """ingest, train and detect on a config with no classifier and no
-        embeddings section leave classifiers, corpus_stats and embeddings
-        unimported in a fresh process."""
+        """ingest, train, evaluate and detect on a config with no classifier
+        and no embeddings section leave classifiers, corpus_stats and
+        embeddings unimported in a fresh process."""
         config = base_config(str(tmp_path / "out"))
         config["dataset"]["hc3_path"] = str(workspace / "data.jsonl")
         del config["classifier"], config["embeddings"]
@@ -897,7 +955,8 @@ open({str(report)!r}, "w").write(json.dumps(sorted(imported)))
 import sys
 from mgtdetect.cli import main
 args = ["--config", {str(tmp_path / "config.json")!r}]
-for command in (["ingest"], ["train"], ["detect", {str(inp)!r}, "--method", "detect_gpt"]):
+for command in (["ingest"], ["train"], ["evaluate"],
+                ["detect", {str(inp)!r}, "--method", "detect_gpt"]):
     assert main(command + args) == 0, command
 print(" ".join(sorted(name for name in sys.modules if name.startswith("mgtdetect."))))
 """

@@ -109,21 +109,21 @@ class TestMeanDependencyDistance:
 class TestHistogram:
     def test_hand_binning(self):
         h = histogram([1, 2, 3], [0, 2, 4])
-        assert h.counts == (1, 2)
+        assert h["counts"] == [1, 2]
 
     def test_empty_values(self):
         h = histogram([], [0, 1, 2])
-        assert h.counts == (0, 0)
+        assert h["counts"] == [0, 0]
 
     def test_last_edge_closed(self):
         h = histogram([4.0], [0, 2, 4])
-        assert h.counts == (0, 1)
-        assert h.overflow == 0
+        assert h["counts"] == [0, 1]
+        assert h["overflow"] == 0
 
     def test_out_of_range_tallies(self):
         h = histogram([-1, 5], [0, 2, 4])
-        assert h.counts == (0, 0)
-        assert (h.underflow, h.overflow) == (1, 1)
+        assert h["counts"] == [0, 0]
+        assert (h["underflow"], h["overflow"]) == (1, 1)
 
     def test_unordered_edges_error(self):
         with pytest.raises(DataError):
@@ -134,32 +134,32 @@ class TestHistogram:
     )
     def test_conservation(self, values):
         h = histogram(values, [-5.0, 0.0, 5.0])
-        assert sum(h.counts) + h.underflow + h.overflow == len(values)
+        assert sum(h["counts"]) + h["underflow"] + h["overflow"] == len(values)
 
 
 class TestCorpusReport:
     def test_verbatim_duplicates_give_identical_distributions(self):
         texts = ["A cat sat. It slept.", "Dogs bark loudly at night."]
-        report = corpus_report(make_corpus(texts, texts)).sections
+        report = corpus_report(make_corpus(texts, texts))
         assert report["human"] == report["machine"]
 
     def test_doubled_bodies_double_mean_length(self):
         human = ["a cat sat here.", "dogs bark at night."]
         machine = [t + " " + t for t in human]
-        report = corpus_report(make_corpus(human, machine)).sections
+        report = corpus_report(make_corpus(human, machine))
         assert report["machine"]["answer_length"]["mean"] == pytest.approx(
             2 * report["human"]["answer_length"]["mean"]
         )
 
     def test_dependency_section_only_with_parses(self):
         corpus = make_corpus(["a b c."], ["d e f."])
-        without = corpus_report(corpus).sections
+        without = corpus_report(corpus)
         assert "dependency_distance" not in without["human"]
         parses = {
             Label.HUMAN: [ParsedSentence(("a", "b"), (2, 0))],
             Label.MACHINE: [ParsedSentence(("c", "d"), (2, 0))],
         }
-        with_parses = corpus_report(corpus, parses=parses).sections
+        with_parses = corpus_report(corpus, parses=parses)
         assert "dependency_distance" in with_parses["human"]
 
     def test_single_class_corpus_rejected(self):

@@ -16,7 +16,7 @@ from mgtdetect.embeddings import (
     sgns_loss_and_grads,
     train_skipgram,
 )
-from mgtdetect.errors import DataError, EmptyEmbedding
+from mgtdetect.errors import DataError
 from mgtdetect.text_core import UNK, Vocabulary, build_vocab, tokenize, vocab_from_counts
 
 
@@ -320,7 +320,7 @@ class TestLoadVectors:
     def test_zero_count_rejected(self, tmp_path):
         p = tmp_path / "v.txt"
         p.write_text("0 4\n")
-        with pytest.raises(EmptyEmbedding):
+        with pytest.raises(DataError, match="embedding declares zero vectors"):
             load_vectors(p)
 
     def test_dimension_mismatch_names_line(self, tmp_path):

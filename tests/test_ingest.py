@@ -5,7 +5,7 @@ import unicodedata
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mgtdetect.errors import DataError, DegenerateSplit, EmptyDocument
+from mgtdetect.errors import DataError, EmptyDocument
 from mgtdetect.ingest import (
     Corpus,
     Document,
@@ -191,7 +191,7 @@ class TestSplit:
 
     def test_degenerate_split(self):
         corpus = make_corpus(["a b c", "d e"], ["x y", "z w", "v u"])
-        with pytest.raises(DegenerateSplit):
+        with pytest.raises(DataError, match="would contribute 0 documents to a split"):
             split(corpus, SplitSpec(0.8, 0.1, 0.1, seed=1))
 
     def test_empty_corpus(self):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mgtdetect import zeroshot as zs
-from mgtdetect.errors import DataError, ModelFormatError, json_float, json_int, load_json
+from mgtdetect.errors import DataError, json_float, json_int, load_json
 from mgtdetect.evaluation import DetectorScorer
 from mgtdetect.ingest import Document
 from mgtdetect.text_core import (
@@ -280,7 +280,7 @@ class TestPackedModel:
         payload["end_id"] += 40
         path = tmp_path / "lm.json"
         path.write_text(json.dumps(payload))
-        with pytest.raises(ModelFormatError, match=r"2\*\*63"):
+        with pytest.raises(DataError, match=r"2\*\*63"):
             zs.load_lm(path)
 
 
@@ -1221,13 +1221,13 @@ class TestLoadLmValidation:
         payload = json.loads(path.read_text())
         mutate(payload)
         path.write_text(json.dumps(payload))
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(DataError, match="corrupted LM field"):
             zs.load_lm(path)
 
     def test_non_object_file_rejected(self, tmp_path):
         path = tmp_path / "lm.json"
         path.write_text("[1, 2]")
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(DataError, match="LM file must hold a JSON object"):
             zs.load_lm(path)
 
 
@@ -1258,12 +1258,12 @@ def oracle_save_lm(lm, path):
 
 
 def oracle_load_lm(path):
-    payload = load_json(path, ModelFormatError)
+    payload = load_json(path)
     if not isinstance(payload, dict):
-        raise ModelFormatError(f"{path}: LM file must hold a JSON object")
+        raise DataError(f"{path}: LM file must hold a JSON object")
     version = payload.get("schema_version")
     if version != zs.LM_SCHEMA_VERSION:
-        raise ModelFormatError(f"{path}: unsupported schema_version {version!r}")
+        raise DataError(f"{path}: unsupported schema_version {version!r}")
     try:
         vocabulary = payload["vocabulary"]
         word_to_id = {w: json_int(i) for w, i in vocabulary["word_to_id"].items()}
@@ -1290,7 +1290,7 @@ def oracle_load_lm(path):
                 raise ValueError(f"level {k} repeats an n-gram")
             grams[k] = (keys, table[first, -1])
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError, DataError) as exc:
-        raise ModelFormatError(f"{path}: corrupted LM field: {exc}") from exc
+        raise DataError(f"{path}: corrupted LM field: {exc}") from exc
     return zs.NGramLM(order=order, discount=discount, vocabulary=vocab, grams=grams,
                       end_id=end_id)
 
@@ -1318,10 +1318,10 @@ def saved_bytes(save, lm):
 
 
 def loaded_or_refused(load, path):
-    """*load*(path), or the ModelFormatError it raised."""
+    """*load*(path), or the DataError it raised."""
     try:
         return load(path)
-    except ModelFormatError as exc:
+    except DataError as exc:
         return exc
 
 
@@ -1450,14 +1450,14 @@ class TestLmJsonOracles:
         mutate(payload)
         path = tmp_path / "lm.json"
         path.write_text(json.dumps(payload, **LAYOUTS[layout]))
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(DataError, match="corrupted LM field"):
             zs.load_lm(path)
         oracle_loads = {f.__name__ for f in (*_strict_rows(), *_strict_fields())} - {"id_null"}
         if mutate.__name__ in oracle_loads:
             with np.errstate(over="ignore"):
                 assert isinstance(oracle_load_lm(path), zs.NGramLM)
         else:
-            with pytest.raises(ModelFormatError):
+            with pytest.raises(DataError, match="corrupted LM field"):
                 oracle_load_lm(path)
 
     @settings(max_examples=100, deadline=None)
@@ -1499,7 +1499,7 @@ class TestLmJsonOracles:
         path = tmp_path / "lm.json"
         path.write_text(json.dumps(payload, **LAYOUTS[layout]))
         assert oracle_load_lm(path).vocabulary.word_to_id["x], [y"] >= 0
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(DataError, match="corrupted LM field: a vocabulary word holds"):
             zs.load_lm(path)
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
@@ -1511,5 +1511,5 @@ class TestLmJsonOracles:
         payload["counts"]["1"] = [[x for row in rows for x in (*row, None)][:-1]]
         path = tmp_path / "lm.json"
         path.write_text(json.dumps(payload, **LAYOUTS[layout]))
-        with pytest.raises(ModelFormatError, match="row breaks"):
+        with pytest.raises(DataError, match="row breaks"):
             zs.load_lm(path)
