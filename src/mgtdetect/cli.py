@@ -3,7 +3,8 @@
 One global seed in the config deterministically derives every module seed
 (SHA-256 over the field path), so a single knob reproduces an entire
 experiment. All outputs land under the output directory with fixed names:
-splits.json, stats.json, model.json, metrics.json, robustness.json.
+splits.json, stats.json, model.json, lm.json and its binary copy lm.bin,
+metrics.json, robustness.json.
 
 Exit codes: 0 success, 2 config error, 3 data/model error, 4 IO error.
 """
@@ -25,16 +26,17 @@ import numpy as np
 
 # classifiers, corpus_stats, embeddings, evaluation and sections are
 # imported where they are used, so that a process pays only for the families
-# its command runs: a config's classifier and embeddings sections are read
-# through sections alone, and only train, evaluate and a classifier detect
-# import the classifier and skip-gram code.
+# its command runs: a config's classifier, embeddings and transforms sections
+# are read through sections alone, only train, evaluate and a classifier
+# detect import the classifier and skip-gram code, and only train with a
+# classifier and evaluate import the metrics and attacks.
 from . import ingest, zeroshot
 from .errors import ConfigError, DataError, load_json, parse_json, read_lines
-from .ingest import Corpus, Document, Label
+from .ingest import Corpus, DetectorScorer, Document, Label
 from .synthetic import stable_seed as derive_seed  # SHA-256 over 'root/path'
 
 if TYPE_CHECKING:
-    from . import classifiers, embeddings, evaluation, sections
+    from . import classifiers, embeddings, sections
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -124,7 +126,7 @@ class RunConfig:
     embedding_path: Path | None
     classifier: dict | None  # _detector's typed sections
     zeroshot: dict | None
-    transforms: list[evaluation.AdversarialTransform]
+    transforms: list[sections.AdversarialTransform]
     detect_method: str
 
     @classmethod
@@ -220,11 +222,11 @@ class RunConfig:
         transforms = []
         seen: set[str] = set()
         for i, t in enumerate(raw.get("transforms", [])):
-            from . import evaluation
+            from . import sections
 
             _object(t, f"transforms.{i}", ("kind", "intensity"))
             try:
-                tf = evaluation.AdversarialTransform(
+                tf = sections.AdversarialTransform(
                     kind=t["kind"],
                     intensity=_as(float, t.get("intensity", 0.1), f"transforms.{i}.intensity"),
                     seed=derive_seed(seed, f"transforms.{i}.{t['kind']}"),
@@ -240,9 +242,9 @@ class RunConfig:
         detect_method = _section(raw, "detect", ("method",), {}).get("method")
         if detect_method is None:
             # The first detector the config names.
-            named = zeroshot_cfg["methods"] if zeroshot_cfg is not None else ()
             detect_method = ("classifier" if classifier is not None
-                             else (*named, zeroshot.DEFAULT_METHOD)[0])
+                             else zeroshot_cfg["methods"][0] if zeroshot_cfg is not None
+                             else zeroshot.DEFAULT_METHOD)
         if detect_method not in ("classifier", *zeroshot.METHODS):
             raise ConfigError(f"unknown detect method {detect_method!r}")
 
@@ -356,18 +358,18 @@ def _split_corpora(corpus: Corpus, manifest: dict[str, list[str]]) -> dict[str, 
 
 
 def _classifier_scorer(model: classifiers.AnyModel,
-                       emb: embeddings.EmbeddingMatrix) -> evaluation.DetectorScorer:
-    from . import classifiers, embeddings, evaluation
+                       emb: embeddings.EmbeddingMatrix) -> DetectorScorer:
+    from . import classifiers, embeddings
 
     def score(doc: Document) -> float:
         return classifiers.predict(model, embeddings.doc_vector(doc.body, emb).values).score
 
-    return evaluation.DetectorScorer(
+    return DetectorScorer(
         name=f"classifier:{model.family}", score_fn=score, threshold=model.threshold
     )
 
 
-def _load_classifier_scorer(cfg: RunConfig) -> evaluation.DetectorScorer:
+def _load_classifier_scorer(cfg: RunConfig) -> DetectorScorer:
     from . import classifiers, embeddings
 
     model_path = _artifact(cfg, "model.json", "train")
@@ -383,13 +385,9 @@ def _load_classifier_scorer(cfg: RunConfig) -> evaluation.DetectorScorer:
 
 
 def _zeroshot_scorers(cfg: RunConfig, lm: zeroshot.NGramLM,
-                      methods: tuple[str, ...]) -> list[evaluation.DetectorScorer]:
+                      methods: tuple[str, ...]) -> list[DetectorScorer]:
     """One scorer per method, each cut at the config threshold."""
-    from . import evaluation
-
-    seed = derive_seed(cfg.seed, "zeroshot.perturb")
-    return [evaluation.DetectorScorer(*scorer)
-            for scorer in zeroshot.scorers(lm, methods, cfg.zeroshot, seed)]
+    return zeroshot.scorers(lm, methods, cfg.zeroshot, derive_seed(cfg.seed, "zeroshot.perturb"))
 
 
 # -- commands --
@@ -450,8 +448,8 @@ def _dataset_from(corpus_docs, emb) -> classifiers.Dataset:
 def cmd_train(cfg: RunConfig) -> int:
     """Train every configured model, then write the artifacts: a model that
     fails to train, or a file that fails to write, leaves embeddings.txt,
-    model.json and lm.json as they were, never a new file beside an old
-    one."""
+    model.json, lm.json and lm.bin as they were, never a new file beside
+    an old one."""
     if cfg.classifier is None and cfg.zeroshot is None:
         raise ConfigError("config has neither a classifier nor a zeroshot section")
     corpus, manifest = _load_cached_corpus(cfg)
@@ -465,7 +463,7 @@ def cmd_train(cfg: RunConfig) -> int:
         train = classifiers.TRAINERS[cfg.classifier["family"]]
         model = train(_dataset_from(splits["train"].documents, emb), cfg.classifier,
                       derive_seed(cfg.seed, "classifier"))
-        report = _classifier_scorer(model, emb).evaluate(splits["val"].documents)
+        report = evaluation.evaluate(_classifier_scorer(model, emb), splits["val"].documents)
     if cfg.zeroshot is not None:
         machine_texts = [d.body for d in splits["train"].by_label(Label.MACHINE)]
         if not machine_texts:
@@ -477,7 +475,9 @@ def cmd_train(cfg: RunConfig) -> int:
             embeddings.export_vectors(emb, stage("embeddings.txt"))
             classifiers.save_model(model, stage("model.json"))
         if cfg.zeroshot is not None:
-            zeroshot.save_lm(lm, stage("lm.json"))
+            lm_json = stage("lm.json")
+            zeroshot.save_lm(lm, lm_json)
+            zeroshot.save_lm_bin(lm, stage("lm.bin"), lm_json)
     if cfg.classifier is not None:
         print(f"classifier: {model.family}")
         for name in evaluation.METRIC_NAMES:
@@ -503,7 +503,7 @@ def cmd_detect(cfg: RunConfig, input_path: str, method: str | None,
     if method == "classifier":
         lm, scorer = None, _load_classifier_scorer(cfg)
     else:
-        lm = zeroshot.load_lm(_artifact(cfg, "lm.json", "train"))
+        lm = zeroshot.load_lm_fast(_artifact(cfg, "lm.json", "train"))
         [scorer] = _zeroshot_scorers(cfg, lm, (method,))
     passes_before = lm.scoring_passes if lm else 0
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -536,19 +536,19 @@ def cmd_detect(cfg: RunConfig, input_path: str, method: str | None,
 def cmd_evaluate(cfg: RunConfig) -> int:
     from . import evaluation
 
-    if cfg.classifier is None and not (cfg.zeroshot and cfg.zeroshot["methods"]):
-        raise ConfigError("config names no detector: no classifier, no zeroshot methods")
+    if cfg.classifier is None and cfg.zeroshot is None:
+        raise ConfigError("config has neither a classifier nor a zeroshot section")
     corpus, manifest = _load_cached_corpus(cfg)
     splits = _split_corpora(corpus, manifest)
     test = splits["test"]
     if test.class_counts[Label.HUMAN] == 0 or test.class_counts[Label.MACHINE] == 0:
         raise DataError("test split must contain both classes")
 
-    scorers: list[evaluation.DetectorScorer] = []
+    scorers: list[DetectorScorer] = []
     if cfg.classifier is not None:
         scorers.append(_load_classifier_scorer(cfg))
-    if cfg.zeroshot is not None and cfg.zeroshot["methods"]:
-        lm = zeroshot.load_lm(_artifact(cfg, "lm.json", "train"))
+    if cfg.zeroshot is not None:
+        lm = zeroshot.load_lm_fast(_artifact(cfg, "lm.json", "train"))
         val = splits["val"].documents
         labels = [1 if d.label == Label.MACHINE else 0 for d in val]
         for scorer in _zeroshot_scorers(cfg, lm, cfg.zeroshot["methods"]):

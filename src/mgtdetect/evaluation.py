@@ -7,12 +7,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .ingest import Corpus, Document, Label
+from .ingest import Corpus, DetectorScorer, Document, Label
+from .sections import AdversarialTransform
 from .text_core import rewrite_units, token_spans
 
 # The scalar metrics of a MetricsReport, in report order.
@@ -47,19 +48,6 @@ class MetricsReport:
     confusion: ConfusionMatrix
     n: int
     flags: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class AdversarialTransform:
-    kind: str
-    intensity: float
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in _ATTACKS:
-            raise DataError(f"unknown transform kind {self.kind!r}")
-        if not (0.0 <= self.intensity <= 1.0):
-            raise DataError("intensity must lie in [0, 1]")
 
 
 def confusion(predictions: Sequence[int], labels: Sequence[int]) -> ConfusionMatrix:
@@ -184,7 +172,8 @@ def youden_threshold(scores: Sequence[float], labels: Sequence[int]) -> float:
 # -- adversarial transforms --
 
 
-# Each attack as (its units in a body, the replacement of one chosen unit).
+# Each attack as (its units in a body, the replacement of one chosen unit),
+# one per sections.TRANSFORM_KINDS name, in that order.
 _ATTACKS = {
     # An insertion point after each word: one escaped quote or slash.
     "special_chars": (
@@ -220,25 +209,11 @@ def adversarial_transform(doc: Document, transform: AdversarialTransform) -> Doc
 # -- robustness --
 
 
-@dataclass(frozen=True)
-class DetectorScorer:
-    """Unified scoring interface: any detector reduced to a score
-    function plus its decision threshold.
-    """
-
-    name: str
-    score_fn: Callable[[Document], float]
-    threshold: float
-
-    def label(self, score: float) -> int:
-        """1 (Machine) iff score >= threshold, so ties go to Machine."""
-        return int(score >= self.threshold)
-
-    def evaluate(self, docs: Sequence[Document]) -> MetricsReport:
-        """Score, label and measure *docs* against their own labels."""
-        labels = [1 if d.label == Label.MACHINE else 0 for d in docs]
-        scores = [self.score_fn(d) for d in docs]
-        return metrics(confusion([self.label(s) for s in scores], labels), scores, labels)
+def evaluate(scorer: DetectorScorer, docs: Sequence[Document]) -> MetricsReport:
+    """Score, label and measure *docs* against their own labels."""
+    labels = [1 if d.label == Label.MACHINE else 0 for d in docs]
+    scores = [scorer.score_fn(d) for d in docs]
+    return metrics(confusion([scorer.label(s) for s in scores], labels), scores, labels)
 
 
 def robustness_report(
@@ -252,10 +227,10 @@ def robustness_report(
     """
     if test.class_counts[Label.HUMAN] == 0 or test.class_counts[Label.MACHINE] == 0:
         raise DataError("robustness evaluation needs both classes")
-    before = asdict(scorer.evaluate(test.documents))
+    before = asdict(evaluate(scorer, test.documents))
     per_transform: dict[str, dict] = {}
     for tf in transforms:
-        after = asdict(scorer.evaluate([adversarial_transform(d, tf) for d in test.documents]))
+        after = asdict(evaluate(scorer, [adversarial_transform(d, tf) for d in test.documents]))
         per_transform[f"{tf.kind}@{tf.intensity}"] = {
             "kind": tf.kind,
             "intensity": tf.intensity,

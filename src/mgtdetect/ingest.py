@@ -1,5 +1,6 @@
 """HC3-style JSONL ingestion, text normalization, deterministic stratified
-splits, and CoNLL-U dependency annotation loading.
+splits, and CoNLL-U dependency annotation loading; the document types and
+the scorer every detector is reduced to.
 """
 
 from __future__ import annotations
@@ -7,6 +8,7 @@ from __future__ import annotations
 import re
 import sys
 import unicodedata
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -73,6 +75,21 @@ class Corpus:
 
     def by_label(self, label: Label) -> list[Document]:
         return [d for d in self.documents if d.label == label]
+
+
+@dataclass(frozen=True)
+class DetectorScorer:
+    """Unified scoring interface: any detector reduced to a score
+    function plus its decision threshold.
+    """
+
+    name: str
+    score_fn: Callable[[Document], float]
+    threshold: float
+
+    def label(self, score: float) -> int:
+        """1 (Machine) iff score >= threshold, so ties go to Machine."""
+        return int(score >= self.threshold)
 
 
 @dataclass(frozen=True)

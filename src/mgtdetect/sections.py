@@ -1,9 +1,11 @@
 """The config sections of the classifier and skip-gram families: their keys,
-defaults and ranges, with no training code.
+defaults and ranges, with no training code; and the adversarial transforms,
+with no attack code.
 
-A command reads every section of its config but may run neither family (a
-zero-shot detect, ingest, stats), so their declarations live here, apart
-from `classifiers` and `embeddings`, which import them from this module.
+A command reads every section of its config but may run neither family nor
+any attack (a zero-shot detect, ingest, stats), so their declarations live
+here, apart from `classifiers`, `embeddings` and `evaluation`, which import
+them from this module.
 """
 
 from __future__ import annotations
@@ -86,3 +88,20 @@ class SkipGramConfig:
 # The embeddings config keys with their defaults, which are SkipGramConfig's;
 # the seed is derived from the config's, never set.
 SKIPGRAM_DEFAULTS = {f.name: f.default for f in fields(SkipGramConfig) if f.name != "seed"}
+
+
+# The kinds of adversarial transform, each one evaluation._ATTACKS entry.
+TRANSFORM_KINDS = ("special_chars", "whitespace_noise", "case_flip")
+
+
+@dataclass(frozen=True)
+class AdversarialTransform:
+    kind: str
+    intensity: float
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.kind not in TRANSFORM_KINDS:
+            raise DataError(f"unknown transform kind {self.kind!r}")
+        if not (0.0 <= self.intensity <= 1.0):
+            raise DataError("intensity must lie in [0, 1]")

@@ -12,11 +12,13 @@ Two methods, one row each of METHODS: the k-perturbation estimator
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import struct
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -32,7 +34,7 @@ from .errors import (
     parse_json,
     read_text,
 )
-from .ingest import Document
+from .ingest import DetectorScorer, Document
 from .text_core import (
     ABBREVIATION_WORDS,
     UNK,
@@ -53,6 +55,11 @@ LM_SCHEMA_VERSION = 1
 # refuses any other.
 LM_KEYS = ("counts", "discount", "end_id", "order", "schema_version", "vocabulary")
 VOCABULARY_KEYS = ("frequencies", "word_to_id")
+# lm.bin, the binary copy of lm.json that train writes beside it: after the
+# two SHA-256 digests, the magic, then order, end_id, the number of words,
+# the vocabulary text's byte length and discount (save_lm_bin has the rest).
+LM_BIN_MAGIC = b"mgtlm\x00b1"
+LM_BIN_HEADER = struct.Struct("<8s4qd")
 STD_GUARD = 1e-9
 BAND_OCTAVES = 1.0  # substitutes lie within this many octaves of the original's frequency
 
@@ -91,10 +98,12 @@ DEFAULT_METHOD = next(iter(METHODS))
 def section_keys(section: dict) -> tuple[dict, dict, tuple[str, ...]]:
     """For a zeroshot config section: the METHODS it names, as {"methods":
     tuple}, its keys with their defaults, and the keys that may be null
-    (none). DataError for an unknown or repeated method."""
+    (none). DataError for an empty list, or an unknown or repeated method."""
     methods = section.get("methods", [DEFAULT_METHOD])
     if not isinstance(methods, list):
         raise DataError("methods must be a list of method names")
+    if not methods:
+        raise DataError(f"methods must name at least one of {tuple(METHODS)}")
     for i, method in enumerate(methods):
         if not isinstance(method, str) or method not in METHODS:
             raise DataError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
@@ -581,17 +590,17 @@ def train(texts: list[str], section: dict) -> NGramLM:
 
 
 def scorers(lm: NGramLM, methods: Iterable[str], section: dict,
-            seed: int) -> list[tuple[str, Callable[[Document], float], float]]:
-    """(name, score function, threshold) of each of *methods*: its METHODS
-    curvature d under *lm* with its number of rewrites, the section's
-    mask_fraction and *seed*, cut at the section's threshold. All share
-    one base config, and so one substitution sampler."""
+            seed: int) -> list[DetectorScorer]:
+    """The scorer of each of *methods*, named by it: its METHODS curvature
+    d under *lm* with its number of rewrites, the section's mask_fraction
+    and *seed*, cut at the section's threshold. All share one base config,
+    and so one substitution sampler."""
     base = PerturbConfig(pool=lm.vocabulary, mask_fraction=section["mask_fraction"], seed=seed)
 
-    def scorer(method: str) -> tuple[str, Callable[[Document], float], float]:
+    def scorer(method: str) -> DetectorScorer:
         k, curvature = METHODS[method]
         cfg = replace(base, k=section["k"] if k is None else k)
-        return method, lambda doc: curvature(lm, doc, cfg).d, section["threshold"]
+        return DetectorScorer(method, lambda doc: curvature(lm, doc, cfg).d, section["threshold"])
 
     return [scorer(m) for m in methods]
 
@@ -794,3 +803,133 @@ def _check_count_rows(level: int, segments: list, end_id: int) -> tuple[np.ndarr
     if not np.isfinite(total):  # a context's total would overflow in NGramLM
         raise ValueError(f"level {level} counts sum past the float range")
     return table, rows - len(segments)
+
+
+def _sha256_file(path: str | Path) -> bytes:
+    """The SHA-256 digest of the bytes of the file at *path*, read by blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(partial(fh.read, 1 << 20), b""):
+            digest.update(block)
+    return digest.digest()
+
+
+def save_lm_bin(lm: NGramLM, path: str | Path, json_path: str | Path) -> None:
+    """Write lm.bin, the binary copy of the lm.json that save_lm wrote for
+    *lm* at *json_path*, for load_lm_fast to read in its place.
+
+    Every number is little-endian. The file is the SHA-256 of lm.json's
+    bytes, the SHA-256 of every byte after the two digests, then:
+    LM_BIN_HEADER (LM_BIN_MAGIC, order, end_id, the number of words n,
+    the byte length of the vocabulary text, discount); each level's row
+    count (int64); each word's length in code points, id and frequency
+    (int64, n each); the vocabulary text, the words joined in lm.json's
+    key order and UTF-8 encoded (lone surrogates as they are), zero-padded
+    to a multiple of 8 bytes; then per level from 1 up its keys (int64)
+    and its counts (float64). The blocks are written and hashed one at a
+    time, so no copy of the whole file is built.
+    """
+    vocab = lm.vocabulary
+    words = sorted(vocab.word_to_id)  # json.dumps(sort_keys=True)'s order
+    text = "".join(words).encode("utf-8", "surrogatepass")
+    levels = range(1, lm.order + 1)
+    blocks = [
+        LM_BIN_HEADER.pack(LM_BIN_MAGIC, lm.order, lm.end_id, len(words), len(text),
+                           lm.discount),
+        np.array([len(lm.grams[k][0]) for k in levels], dtype="<i8"),
+        np.array([len(w) for w in words], dtype="<i8"),
+        np.array([vocab.word_to_id[w] for w in words], dtype="<i8"),
+        np.array([vocab.frequencies[w] for w in words], dtype="<i8"),
+        text + bytes(-len(text) % 8),
+    ]
+    for k in levels:
+        keys, counts = lm.grams[k]
+        blocks += [np.ascontiguousarray(keys, dtype="<i8"),
+                   np.ascontiguousarray(counts, dtype="<f8")]
+    body = hashlib.sha256()
+    with open(path, "wb") as fh:
+        fh.write(bytes(64))  # the digests, written last
+        for block in blocks:
+            fh.write(block)
+            body.update(block)
+        fh.seek(0)
+        fh.write(_sha256_file(json_path) + body.digest())
+
+
+def load_lm_fast(path: str | Path) -> NGramLM:
+    """The model in the lm.json at *path*: read from lm.bin beside it when
+    that copy is current and whole, else by load_lm(path).
+
+    lm.bin is read only when its first digest is that of lm.json's bytes,
+    its second that of its own bytes after the digests, and its arrays
+    pass the checks of _read_lm_bin. A missing, truncated, edited or stale
+    lm.bin is not an error: load_lm reads lm.json and refuses it or not,
+    as when no lm.bin is there.
+    """
+    path = Path(path)
+    try:
+        return _read_lm_bin(path.with_suffix(".bin"), path)
+    except (OSError, ValueError, struct.error, DataError):
+        return load_lm(path)
+
+
+def _read_lm_bin(path: Path, json_path: Path) -> NGramLM:
+    """The model save_lm_bin wrote to *path* as the copy of *json_path*;
+    ValueError or DataError unless both digests match and the arrays are a
+    model load_lm could read: every size as the header gives it, order and
+    discount in range, end_id the vocabulary size, word ids dense with UNK
+    among the words, frequencies >= 0, and each level's keys sorted,
+    unique and of ids in range (context ids START_ID..end_id - 1, targets
+    0..end_id) with counts positive, finite and of finite sum."""
+    with open(path, "rb") as fh:
+        data = bytearray(fh.read())  # writable, as the arrays built on it are
+    if (data[:32] != _sha256_file(json_path)
+            or data[32:64] != hashlib.sha256(memoryview(data)[64:]).digest()):
+        raise ValueError(f"{path} is not the copy of {json_path}")
+    magic, order, end_id, n_words, n_text, discount = LM_BIN_HEADER.unpack_from(data, 64)
+    at = 64 + LM_BIN_HEADER.size
+    if magic != LM_BIN_MAGIC:
+        raise ValueError(f"{path}: not an lm.bin file")
+    check_parameters({"order": order, "discount": discount})
+    if end_id != n_words or n_words < 1 or n_text < 0 or 8 * order > len(data) - at:
+        raise ValueError(f"{path}: header out of range")
+
+    def take(dtype: str, count: int) -> np.ndarray:
+        nonlocal at
+        array = np.frombuffer(data, dtype=dtype, count=count, offset=at)
+        at += array.nbytes
+        return array
+
+    rows = take("<i8", order).tolist()
+    size = at + 24 * n_words + n_text + -n_text % 8 + 16 * sum(rows)
+    if min(rows) < 1 or size != len(data):
+        raise ValueError(f"{path}: sizes differ from the header")
+    lengths, ids, frequencies = take("<i8", n_words), take("<i8", n_words), take("<i8", n_words)
+    text = data[at:at + n_text].decode("utf-8", "surrogatepass")
+    at += n_text + -n_text % 8
+    # A word has no more code points than bytes, so the sums cannot wrap.
+    if not (0 <= lengths.min() and lengths.max() <= n_text and frequencies.min() >= 0):
+        raise ValueError(f"{path}: malformed vocabulary")
+    ends = np.cumsum(lengths).tolist()
+    if ends[-1] != len(text):
+        raise ValueError(f"{path}: word lengths differ from the vocabulary text")
+    words = [text[a:b] for a, b in zip([0, *ends], ends)]
+    word_to_id = dict(zip(words, ids.tolist()))
+    if len(word_to_id) != n_words:
+        raise ValueError(f"{path}: a word repeats")
+    # DataError unless the ids are 0..n - 1 and UNK is a word.
+    vocab = Vocabulary(word_to_id=word_to_id, frequencies=dict(zip(words, frequencies.tolist())))
+    base = _pack_base(order, end_id)
+    grams: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for k, n in enumerate(rows, start=1):
+        keys, counts = take("<i8", n), take("<f8", n)
+        digits = keys[:, None] // _pack_powers(k, base) % base
+        with np.errstate(over="ignore"):
+            total = counts.sum()
+        if not (keys[0] >= 0 and keys[-1] < base**k and np.all(keys[1:] > keys[:-1])
+                and np.all(digits[:, :-1] <= end_id) and np.all(digits[:, -1] >= 1)
+                and np.all(np.isfinite(counts) & (counts > 0)) and np.isfinite(total)):
+            raise ValueError(f"{path}: level {k} is not a count table")
+        grams[k] = (keys, counts)
+    return NGramLM(order=order, discount=discount, vocabulary=vocab, grams=grams,
+                   end_id=end_id)

@@ -190,13 +190,13 @@ class TestTrain:
         out = workspace / "out"
         model = classifiers.load_model(out / "model.json")
         emb = embeddings.load_vectors(out / "embeddings.txt")
-        scorer = evaluation.DetectorScorer(
+        scorer = ingest.DetectorScorer(
             name="classifier",
             score_fn=lambda d: classifiers.predict(
                 model, embeddings.doc_vector(d.body, emb).values).score,
             threshold=model.threshold,
         )
-        report = scorer.evaluate(split_documents(out, "val"))
+        report = evaluation.evaluate(scorer, split_documents(out, "val"))
         assert printed == [(name, f"{getattr(report, name):.4f}")
                            for name in evaluation.METRIC_NAMES]
 
@@ -468,15 +468,21 @@ class TestConfiguredDetectors:
         one_error_line(capsys, "config error:")
 
     @pytest.mark.parametrize("command, zeroshot", [
-        ("train", None), ("evaluate", None), ("evaluate", {"methods": []}),
-    ], ids=["train", "evaluate", "evaluate_no_methods"])
+        ("train", None), ("evaluate", None), ("train", {"methods": []}),
+        ("evaluate", {"methods": []}), ("detect", {"methods": []}),
+    ], ids=["train", "evaluate", "train_no_methods", "evaluate_no_methods",
+            "detect_no_methods"])
     def test_no_detector_exits_2_before_any_file_is_read(self, workspace, tmp_path, capsys,
                                                          command, zeroshot):
         """In a fresh output directory, with no corpus.jsonl to read, a
-        config that names no detector for the command is a config error."""
+        config that names no detector for the command is a config error:
+        also a zeroshot section whose methods list is empty."""
         config = write_config(tmp_path, workspace, classifier=None, zeroshot=zeroshot)
+        inp = tmp_path / "in.txt"
+        inp.write_text("waa wab wac wad wae.\n")
+        args = [str(inp)] if command == "detect" else []
         capsys.readouterr()
-        assert main([command, "--config", config]) == 2
+        assert main([command, "--config", config, *args]) == 2
         one_error_line(capsys, "config error:")
         assert not (tmp_path / "out").exists()
 
@@ -944,29 +950,38 @@ open({str(report)!r}, "w").write(json.dumps(sorted(imported)))
     def test_zero_shot_commands_import_no_classifier_or_stats_code(self, workspace, tmp_path):
         """ingest, train, evaluate and detect on a config with no classifier
         and no embeddings section leave classifiers, corpus_stats and
-        embeddings unimported in a fresh process."""
+        embeddings unimported in a fresh process; ingest and detect, in a
+        process of their own, leave evaluation unimported too, although the
+        config holds transforms."""
         config = base_config(str(tmp_path / "out"))
         config["dataset"]["hc3_path"] = str(workspace / "data.jsonl")
         del config["classifier"], config["embeddings"]
         (tmp_path / "config.json").write_text(json.dumps(config))
         inp = tmp_path / "in.txt"
         inp.write_text("waa wab wac wad wae.\n")
-        script = f"""
+
+        def imported_by(*commands: list[str]) -> set[str]:
+            script = f"""
 import sys
 from mgtdetect.cli import main
 args = ["--config", {str(tmp_path / "config.json")!r}]
-for command in (["ingest"], ["train"], ["evaluate"],
-                ["detect", {str(inp)!r}, "--method", "detect_gpt"]):
+for command in {list(commands)!r}:
     assert main(command + args) == 0, command
 print(" ".join(sorted(name for name in sys.modules if name.startswith("mgtdetect."))))
 """
-        proc = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
-                              text=True, env=child_env())
-        imported = set(proc.stdout.splitlines()[-1].split())
+            proc = subprocess.run([sys.executable, "-c", script], check=True,
+                                  capture_output=True, text=True, env=child_env())
+            assert proc.stderr == ""
+            return set(proc.stdout.splitlines()[-1].split())
+
+        imported = imported_by(["ingest"], ["train"], ["evaluate"])
         assert {"mgtdetect.cli", "mgtdetect.zeroshot", "mgtdetect.evaluation"} <= imported
         assert not imported & {"mgtdetect.classifiers", "mgtdetect.corpus_stats",
                                "mgtdetect.embeddings"}
-        assert proc.stderr == ""
+        imported = imported_by(["ingest"], ["detect", str(inp), "--method", "detect_gpt"])
+        assert {"mgtdetect.cli", "mgtdetect.zeroshot", "mgtdetect.sections"} <= imported
+        assert not imported & {"mgtdetect.classifiers", "mgtdetect.corpus_stats",
+                               "mgtdetect.embeddings", "mgtdetect.evaluation"}
 
     def test_zero_shot_commands_on_a_full_config_import_no_classifier_code(self, workspace,
                                                                            tmp_path):
@@ -1092,25 +1107,134 @@ class TestDefaults:
                                      "subsample": 1e-3}
 
 
+def flip_middle_byte(path: Path) -> None:
+    data = path.read_bytes()
+    at = len(data) // 2
+    path.write_bytes(data[:at] + bytes([data[at] ^ 1]) + data[at + 1:])
+
+
+def rewrite_lm_json_from_another_model(path: Path) -> None:
+    zeroshot.save_lm(zeroshot.train_kn_lm(["waa wab wac.", "wab wac waa wad."], order=3),
+                     path.with_suffix(".json"))
+
+
+def copy_with_key_out_of_range(path: Path) -> None:
+    """An lm.bin with valid digests whose level-2 keys end in one past the
+    level's key range."""
+    from test_zeroshot import appended, edited_copy, edited_grams
+
+    lm = zeroshot.load_lm(path.with_suffix(".json"))
+    copy = edited_copy(lm, grams=edited_grams(lm, 2, appended(lambda k: lm.base**2)))
+    zeroshot.save_lm_bin(copy, path, path.with_suffix(".json"))
+
+
+class TestLmCopy:
+    """train writes lm.bin, the binary copy of lm.json, in the same staged
+    block; detect and evaluate read the model from it when it is current
+    and whole, else from lm.json, and print the same bytes either way."""
+
+    def test_train_writes_the_copy_of_lm_json(self, workspace):
+        from test_zeroshot import assert_same_model
+
+        out = workspace / "out"
+        assert_same_model(zeroshot._read_lm_bin(out / "lm.bin", out / "lm.json"),
+                          zeroshot.load_lm(out / "lm.json"))
+
+    @pytest.mark.parametrize("damage", [
+        lambda p: None,
+        lambda p: p.unlink(),
+        lambda p: p.write_bytes(p.read_bytes()[:100]),
+        flip_middle_byte,
+        rewrite_lm_json_from_another_model,
+        copy_with_key_out_of_range,
+    ], ids=["intact", "missing", "truncated", "byte_flipped", "stale", "key_out_of_range"])
+    # A numpy warning fails the test, as it would print on stderr.
+    @pytest.mark.filterwarnings("error")
+    def test_detect_prints_what_lm_json_alone_gives(self, workspace, tmp_path, capsys,
+                                                     damage):
+        out, alone = tmp_path / "out", tmp_path / "alone"
+        shutil.copytree(workspace / "out", out)
+        damage(out / "lm.bin")
+        shutil.copytree(out, alone)
+        (alone / "lm.bin").unlink(missing_ok=True)
+        inp = tmp_path / "in.txt"
+        inp.write_text("waa wab wac wad wae.\nwab wac waa.\n")
+        capsys.readouterr()
+        for method in ("detect_gpt", "single_revise"):
+            printed = []
+            for directory in (out, alone):
+                assert main(["detect", "--config", cfg_path(workspace), str(inp), "--method",
+                             method, "--output", str(directory)]) == 0
+                captured = capsys.readouterr()
+                assert captured.err == ""
+                printed.append(captured.out)
+            assert printed[0] == printed[1]
+            assert len(printed[0].splitlines()) == 3
+
+    @pytest.mark.parametrize("command", ["detect", "evaluate"])
+    def test_corrupt_lm_json_beside_a_stale_copy_exits_3(self, workspace, tmp_path, command):
+        out = tmp_path / "out"
+        shutil.copytree(workspace / "out", out)
+        payload = json.loads((out / "lm.json").read_text())
+        payload["counts"]["1"][0][-1] = -2.0
+        (out / "lm.json").write_text(json.dumps(payload))
+        inp = tmp_path / "in.txt"
+        inp.write_text("waa wab wac wad wae.\n")
+        args = [str(inp), "--method", "detect_gpt"] if command == "detect" else []
+        rc, err, _ = run_entry_point(command, "--config", cfg_path(workspace),
+                                     "--output", str(out), *args)
+        assert rc == 3
+        assert len(err) == 1 and err[0].startswith("data error:") and "lm.json" in err[0], err
+
+    @pytest.mark.parametrize("failure", ["lm_order", "lm_bin_write"])
+    def test_failed_train_writes_no_copy_beside_an_old_lm_json(self, workspace, tmp_path,
+                                                                capsys, monkeypatch, failure):
+        """An output directory written before train wrote lm.bin: a train
+        that fails, in training or in writing lm.bin, leaves it with its
+        lm.json and no lm.bin."""
+        out = tmp_path / "out"
+        shutil.copytree(workspace / "out", out)
+        (out / "lm.bin").unlink()
+        before = file_bytes(out)
+        if failure == "lm_order":
+            config, code = write_config(tmp_path, workspace, zeroshot__order=60), 3
+        else:
+            save_lm_bin = zeroshot.save_lm_bin
+
+            def failing(lm, path, json_path):
+                save_lm_bin(lm, path, json_path)
+                raise OSError(f"cannot write {path}")
+
+            monkeypatch.setattr(zeroshot, "save_lm_bin", failing)
+            config, code = write_config(tmp_path, workspace, seed=8), 4
+        capsys.readouterr()
+        assert main(["train", "--config", config]) == code
+        one_error_line(capsys, "data error:" if code == 3 else "io error:")
+        assert file_bytes(out) == before
+
+
 class TestOneLoadPerCommand:
     def test_evaluate_loads_lm_and_builds_sampler_once(self, workspace, tmp_path,
                                                        monkeypatch):
         from mgtdetect import zeroshot
 
-        loads, samplers = [], []
-        load_lm = zeroshot.load_lm
+        loads, json_loads, samplers = [], [], []
+        load_lm_fast, load_lm = zeroshot.load_lm_fast, zeroshot.load_lm
 
         class Counting(zeroshot._SubstitutionSampler):
             def __init__(self, *args):
                 samplers.append(args)
                 super().__init__(*args)
 
-        monkeypatch.setattr(zeroshot, "load_lm", lambda p: loads.append(p) or load_lm(p))
+        monkeypatch.setattr(zeroshot, "load_lm_fast",
+                            lambda p: loads.append(p) or load_lm_fast(p))
+        monkeypatch.setattr(zeroshot, "load_lm", lambda p: json_loads.append(p) or load_lm(p))
         monkeypatch.setattr(zeroshot, "_SubstitutionSampler", Counting)
         out = tmp_path / "out"
         shutil.copytree(workspace / "out", out)
         assert main(["evaluate", "--config", cfg_path(workspace), "--output", str(out)]) == 0
         assert len(loads) == 1
+        assert json_loads == []  # read from lm.bin
         assert len(samplers) == 1
 
     def test_train_tokenizes_each_machine_text_once(self, tmp_path, monkeypatch, capsys):

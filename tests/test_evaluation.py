@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mgtdetect import classifiers, embeddings, zeroshot
+from mgtdetect import classifiers, embeddings, evaluation, sections, zeroshot
 from mgtdetect.errors import DataError
 from mgtdetect.evaluation import (
     AdversarialTransform,
     ConfusionMatrix,
-    DetectorScorer,
     adversarial_transform,
     auroc,
     confusion,
@@ -17,7 +16,7 @@ from mgtdetect.evaluation import (
     robustness_report,
     youden_threshold,
 )
-from mgtdetect.ingest import Document, Label
+from mgtdetect.ingest import DetectorScorer, Document, Label
 from mgtdetect.text_core import token_spans, tokenize, word_tokens
 
 from conftest import make_corpus, make_doc
@@ -353,6 +352,11 @@ class TestAdversarialTransforms:
     def test_unknown_kind_rejected(self):
         with pytest.raises(DataError):
             AdversarialTransform(kind="homoglyphs", intensity=0.1, seed=0)
+
+    def test_every_declared_kind_has_one_attack(self):
+        """The config declares the kinds (sections.TRANSFORM_KINDS) apart
+        from the attack code, which has one entry per kind, in that order."""
+        assert tuple(evaluation._ATTACKS) == sections.TRANSFORM_KINDS
 
 
 class TestRobustnessReport:

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 import tempfile
 from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from mgtdetect import zeroshot as zs
 from mgtdetect.errors import DataError, json_float, json_int, load_json
-from mgtdetect.evaluation import DetectorScorer
-from mgtdetect.ingest import Document
+from mgtdetect.ingest import DetectorScorer, Document
 from mgtdetect.text_core import (
     UNK,
     WORD_CHAR_RE,
@@ -1513,3 +1514,234 @@ class TestLmJsonOracles:
         path.write_text(json.dumps(payload, **LAYOUTS[layout]))
         with pytest.raises(DataError, match="row breaks"):
             zs.load_lm(path)
+
+
+# -- lm.bin, the binary copy of lm.json ------------------------------------------
+
+
+def write_pair(lm, directory: Path, copy=None) -> Path:
+    """save_lm(lm) to lm.json in *directory*, and save_lm_bin of *copy*
+    (default *lm*) as its lm.bin; the lm.json path."""
+    json_path = directory / "lm.json"
+    zs.save_lm(lm, json_path)
+    zs.save_lm_bin(lm if copy is None else copy, directory / "lm.bin", json_path)
+    return json_path
+
+
+def resealed(data: bytes) -> bytes:
+    """*data* with its second digest made that of its bytes after the digests."""
+    return data[:32] + hashlib.sha256(data[64:]).digest() + data[64:]
+
+
+def assert_json_fallback(json_path: Path):
+    """lm.bin beside *json_path* is missing or refused, and load_lm_fast
+    gives what load_lm gives."""
+    with pytest.raises((OSError, ValueError, DataError)):
+        zs._read_lm_bin(json_path.with_suffix(".bin"), json_path)
+    loaded = zs.load_lm_fast(json_path)
+    assert_same_model(loaded, zs.load_lm(json_path))
+    assert list(loaded.vocabulary.word_to_id.items()) == \
+        list(zs.load_lm(json_path).vocabulary.word_to_id.items())
+
+
+def edited_copy(lm, **fields):
+    """What save_lm_bin reads of *lm*, with *fields* in place of its own:
+    a model NGramLM itself might not build."""
+    return SimpleNamespace(**{name: getattr(lm, name) for name in
+                              ("order", "discount", "vocabulary", "grams", "end_id")} | fields)
+
+
+def edited_grams(lm, k, edit):
+    """lm.grams with level *k*'s (keys, counts) replaced by edit(keys, counts),
+    given copies."""
+    keys, counts = lm.grams[k]
+    return {**lm.grams, k: edit(keys.copy(), counts.copy())}
+
+
+def appended(key):
+    """An edit that appends *key*(keys) with a count of 1."""
+    return lambda keys, counts: (np.append(keys, key(keys)), np.append(counts, 1.0))
+
+
+def first_key(key):
+    """An edit that sets the first key to *key*(keys)."""
+    return lambda keys, counts: (np.concatenate([[key(keys)], keys[1:]]), counts)
+
+
+LEVEL_REFUSED = r"level \d is not a count table"
+
+
+class RepeatingCat(dict):
+    """A word table whose words, iterated, name "cat" twice."""
+
+    def __iter__(self):
+        yield from super().__iter__()
+        yield "cat"
+
+
+class TestLmBin:
+    @settings(max_examples=60, deadline=None)
+    @given(corpus=LM_CORPORA, order=st.sampled_from([2, 3, 4]),
+           discount=st.floats(min_value=0.01, max_value=0.99))
+    def test_copy_loads_the_model_load_lm_loads(self, corpus, order, discount):
+        """Field for field: bit-equal arrays of the same dtypes, vocabulary
+        dicts equal and in lm.json's key order, no training perplexity and
+        no scoring pass."""
+        lm = zs.train_kn_lm([" ".join(s) + "." for s in corpus] + [LONG_SENTENCE, "zz ?"],
+                            order=order, discount=discount)
+        with tempfile.TemporaryDirectory() as tmp:
+            json_path = write_pair(lm, Path(tmp))
+            copy = zs._read_lm_bin(json_path.with_suffix(".bin"), json_path)
+            loaded = zs.load_lm(json_path)
+        assert_same_model(copy, loaded)
+        assert np.array_equal(copy.unigram_probs, loaded.unigram_probs)
+        for table in ("word_to_id", "frequencies"):
+            items = list(getattr(copy.vocabulary, table).items())
+            assert items == list(getattr(loaded.vocabulary, table).items())
+            assert all(type(v) is int for _, v in items)
+        assert copy.vocabulary.unk_id == loaded.vocabulary.unk_id
+        assert (copy.train_perplexity, copy.scoring_passes) == (None, 0)
+
+    def test_words_of_any_code_points_read_back(self, tmp_path):
+        """Multi-byte, combining and lone-surrogate surfaces keep their code
+        points, as json keeps them."""
+        lm = zs.train_kn_lm(["a b.", "İstanbul é \ud800x 𝔘 a."], order=3)
+        assert any("\ud800" in w for w in lm.vocabulary.word_to_id)
+        json_path = write_pair(lm, tmp_path)
+        copy = zs._read_lm_bin(json_path.with_suffix(".bin"), json_path)
+        assert list(copy.vocabulary.word_to_id.items()) == \
+            list(zs.load_lm(json_path).vocabulary.word_to_id.items())
+
+    def test_load_lm_fast_reads_the_copy(self, tmp_path, monkeypatch):
+        json_path = write_pair(IO_LM, tmp_path)
+        expected = zs.load_lm(json_path)
+        monkeypatch.setattr(zs, "load_lm", lambda path: pytest.fail("lm.json was parsed"))
+        assert_same_model(zs.load_lm_fast(json_path), expected)
+
+    @pytest.mark.parametrize("damage", [
+        lambda p: p.unlink(),
+        lambda p: p.write_bytes(b""),
+        lambda p: p.write_bytes(p.read_bytes()[:100]),
+        lambda p: p.write_bytes(p.read_bytes()[:-1]),
+        lambda p: p.write_bytes(p.read_bytes() + b"\0"),
+        lambda p: p.write_bytes(resealed(p.read_bytes() + bytes(8))),
+        lambda p: p.write_bytes(resealed(p.read_bytes()[:-8])),
+    ], ids=["missing", "empty", "first_100_bytes", "last_byte_cut", "byte_appended",
+            "resealed_8_bytes_appended", "resealed_8_bytes_cut"])
+    def test_missing_or_truncated_copy_falls_back(self, tmp_path, damage):
+        json_path = write_pair(IO_LM, tmp_path)
+        damage(json_path.with_suffix(".bin"))
+        assert_json_fallback(json_path)
+
+    def test_every_flipped_byte_falls_back(self, tmp_path):
+        json_path = write_pair(IO_LM, tmp_path)
+        path = json_path.with_suffix(".bin")
+        data = path.read_bytes()
+        for at in range(len(data)):
+            path.write_bytes(data[:at] + bytes([data[at] ^ 0x10]) + data[at + 1:])
+            with pytest.raises(ValueError, match="not the copy"):
+                zs._read_lm_bin(path, json_path)
+        path.write_bytes(data[:40] + bytes([data[40] ^ 1]) + data[41:])
+        assert_json_fallback(json_path)
+
+    def test_stale_copy_falls_back(self, tmp_path):
+        """lm.json rewritten from another model beside the old lm.bin."""
+        json_path = write_pair(IO_LM, tmp_path)
+        zs.save_lm(zs.train_kn_lm(CORRUPT_TEXTS, order=3), json_path)
+        assert_json_fallback(json_path)
+        assert zs.load_lm_fast(json_path).vocabulary.size != IO_LM.vocabulary.size
+
+    def test_copy_of_an_edited_lm_json_falls_back(self, tmp_path):
+        json_path = write_pair(IO_LM, tmp_path)
+        json_path.write_text(json_path.read_text().replace('"discount": 0.75',
+                                                           '"discount": 0.5'))
+        assert_json_fallback(json_path)
+        assert zs.load_lm_fast(json_path).discount == 0.5
+
+    @pytest.mark.parametrize("edit, refused", [
+        # Keys out of range, each still sorted and unique: a target of START
+        # (shifted 0), a context id of END, one past the level's key range,
+        # below 0.
+        (lambda lm: {"grams": edited_grams(lm, 2, first_key(lambda k: k[0] - k[0] % lm.base))},
+         LEVEL_REFUSED),
+        (lambda lm: {"grams": edited_grams(lm, 3, appended(lambda k: (lm.base - 1) * lm.base**2
+                                                            + 1))}, LEVEL_REFUSED),
+        (lambda lm: {"grams": edited_grams(lm, 2, appended(lambda k: lm.base**2 + 1))},
+         LEVEL_REFUSED),
+        (lambda lm: {"grams": edited_grams(lm, 1, first_key(lambda k: -1))}, LEVEL_REFUSED),
+        # Keys unsorted or repeated.
+        (lambda lm: {"grams": edited_grams(lm, 3, lambda k, c: (k[::-1], c))}, LEVEL_REFUSED),
+        (lambda lm: {"grams": edited_grams(lm, 3, appended(lambda k: k[-1]))}, LEVEL_REFUSED),
+        # Counts not positive and finite, or of a sum past the float range.
+        (lambda lm: {"grams": edited_grams(lm, 2, lambda k, c: (k, c * 0))}, LEVEL_REFUSED),
+        (lambda lm: {"grams": edited_grams(lm, 2, lambda k, c: (k, -c))}, LEVEL_REFUSED),
+        (lambda lm: {"grams": edited_grams(lm, 1, lambda k, c: (k, c * np.nan))},
+         LEVEL_REFUSED),
+        (lambda lm: {"grams": edited_grams(lm, 1, lambda k, c: (k, c * np.inf))},
+         LEVEL_REFUSED),
+        (lambda lm: {"grams": edited_grams(lm, 3, lambda k, c: (k, c * 0 + 1e308))},
+         LEVEL_REFUSED),
+        # A header out of range or at odds with the vocabulary.
+        (lambda lm: {"end_id": lm.end_id + 1}, "header out of range"),
+        (lambda lm: {"discount": 1.5}, "discount must be"),
+        (lambda lm: {"discount": float("nan")}, "discount must be"),
+        (lambda lm: {"order": 1, "grams": {1: lm.grams[1]}}, "order must be"),
+        # A vocabulary whose ids are not dense, with no UNK, with a negative
+        # frequency, with a repeated word.
+        (lambda lm: {"vocabulary": SimpleNamespace(
+            word_to_id=dict.fromkeys(lm.vocabulary.word_to_id, 0),
+            frequencies=lm.vocabulary.frequencies)}, "contiguous"),
+        (lambda lm: {"vocabulary": SimpleNamespace(
+            word_to_id={("<nounk>" if w == UNK else w): i
+                        for w, i in lm.vocabulary.word_to_id.items()},
+            frequencies={("<nounk>" if w == UNK else w): f
+                         for w, f in lm.vocabulary.frequencies.items()})}, "must contain UNK"),
+        (lambda lm: {"vocabulary": SimpleNamespace(
+            word_to_id=lm.vocabulary.word_to_id,
+            frequencies=dict.fromkeys(lm.vocabulary.frequencies, -1))}, "malformed vocabulary"),
+        (lambda lm: {"end_id": lm.end_id + 1, "vocabulary": SimpleNamespace(
+            word_to_id=RepeatingCat(lm.vocabulary.word_to_id),
+            frequencies=lm.vocabulary.frequencies)}, "a word repeats"),
+    ], ids=["target_start", "context_end", "past_key_range", "negative_key", "unsorted_keys",
+            "repeated_key", "zero_count", "negative_count", "nan_count", "inf_count",
+            "count_sum_overflow", "end_id_mismatch", "discount_above_1", "discount_nan",
+            "order_1", "ids_not_dense", "no_unk", "negative_frequency", "repeated_word"])
+    @pytest.mark.filterwarnings("error")  # the fallback prints no numpy warning
+    def test_copy_with_valid_digests_that_load_lm_would_refuse_falls_back(self, tmp_path,
+                                                                          edit, refused):
+        json_path = write_pair(IO_LM, tmp_path, copy=edited_copy(IO_LM, **edit(IO_LM)))
+        with pytest.raises((ValueError, DataError), match=refused):
+            zs._read_lm_bin(json_path.with_suffix(".bin"), json_path)
+        assert_json_fallback(json_path)
+
+    def test_header_sizes_at_odds_with_the_file_fall_back(self, tmp_path):
+        json_path = write_pair(IO_LM, tmp_path)
+        path = json_path.with_suffix(".bin")
+        data = path.read_bytes()
+        for field in range(4):  # order, end_id, words, text bytes
+            at = 72 + 8 * field
+            for value in (-1, 0, 2**62, int.from_bytes(data[at:at + 8], "little") + 1):
+                path.write_bytes(resealed(data[:at] + value.to_bytes(8, "little", signed=True)
+                                          + data[at + 8:]))
+                with pytest.raises((ValueError, DataError)):
+                    zs._read_lm_bin(path, json_path)
+        path.write_bytes(resealed(data[:64] + b"MGTLM\0b1" + data[72:]))
+        assert_json_fallback(json_path)
+
+    def test_word_lengths_at_odds_with_the_text_fall_back(self, tmp_path):
+        json_path = write_pair(IO_LM, tmp_path)
+        path = json_path.with_suffix(".bin")
+        data = path.read_bytes()
+        n = IO_LM.vocabulary.size
+        at = 64 + zs.LM_BIN_HEADER.size + 8 * IO_LM.order + 8 * (n - 1)  # the last length
+        for change in (-1, 1):
+            length = int.from_bytes(data[at:at + 8], "little") + change
+            path.write_bytes(resealed(data[:at] + length.to_bytes(8, "little") + data[at + 8:]))
+            with pytest.raises(ValueError, match="word lengths differ"):
+                zs._read_lm_bin(path, json_path)
+        assert_json_fallback(json_path)
+
+    def test_rewrite_gives_the_same_bytes(self, tmp_path):
+        first = write_pair(IO_LM, tmp_path).with_suffix(".bin").read_bytes()
+        (tmp_path / "again").mkdir()
+        assert write_pair(IO_LM, tmp_path / "again").with_suffix(".bin").read_bytes() == first
