@@ -21,6 +21,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -695,25 +696,18 @@ def save_lm(lm: NGramLM, path: str | Path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-ROW_BREAK = "], ["  # between two rows of a level, as save_lm writes them
-
-
 def load_lm(path: str | Path) -> NGramLM:
     """The model save_lm wrote to *path*; DataError when the file
     is not such a model.
 
-    Before the one json.loads, every ROW_BREAK becomes ", null, ", so that
-    a level decodes as flat lists of numbers with a null between rows, not
-    as a list per row (_check_count_rows cuts them). The file may hold no
-    key save_lm does not write (LM_KEYS, VOCABULARY_KEYS) and no vocabulary
-    word holding ", null, ", so every ROW_BREAK left sits in a count table:
-    the nulls found there must equal the replacements made, and a literal
-    null in a table refuses the file.
+    Here only what belongs to the JSON encoding is checked: the keys
+    save_lm writes (LM_KEYS, VOCABULARY_KEYS) and no other, the schema
+    version, JSON integers for order, end_id, every word id and frequency,
+    frequencies for word_to_id's words and no other, JSON numbers for
+    discount and every count, and levels "1".."n" of rows that pack into
+    keys (_packed_rows). _model_from_arrays checks the model itself.
     """
-    text = read_text(path)
-    breaks = text.count(ROW_BREAK)
-    payload = parse_json(text.replace(ROW_BREAK, ", null, "), str(path))
-    del text  # freed before the tables are built
+    payload = parse_json(read_text(path), str(path))
     if not isinstance(payload, dict):
         raise DataError(f"{path}: LM file must hold a JSON object")
     version = payload.get("schema_version")
@@ -724,85 +718,101 @@ def load_lm(path: str | Path) -> NGramLM:
     try:
         json_keys(payload, LM_KEYS)
         vocabulary = json_keys(payload["vocabulary"], VOCABULARY_KEYS, "vocabulary")
-        word_to_id, frequencies = vocabulary["word_to_id"], vocabulary["frequencies"]
         for name, table in vocabulary.items():
             # One type scan per table: every value a JSON integer.
             if not set(map(type, table.values())) <= {int}:
                 raise ValueError(f"vocabulary {name} holds a value that is not a JSON integer")
-        if frequencies.keys() != word_to_id.keys() or min(frequencies.values()) < 0:
-            raise ValueError("vocabulary frequencies must be integers >= 0 for word_to_id's words")
-        if ", null, " in "\n".join(word_to_id):  # no match spans two words
-            raise ValueError(f"a vocabulary word holds {ROW_BREAK!r} or ', null, '")
-        vocab = Vocabulary(word_to_id=word_to_id, frequencies=frequencies)
+        word_to_id, frequencies = vocabulary["word_to_id"], vocabulary["frequencies"]
+        if frequencies.keys() != word_to_id.keys():
+            raise ValueError("vocabulary frequencies must be of word_to_id's words")
         order = json_int(payload["order"])
         discount = json_float(payload["discount"])
         end_id = json_int(payload["end_id"])
-        check_parameters({"order": order, "discount": discount})
-        if end_id != vocab.size:
-            raise ValueError(f"end_id {end_id} differs from the vocabulary size {vocab.size}")
         tables = payload["counts"]
-        if sorted(tables) != sorted(str(k) for k in range(1, order + 1)):
-            raise ValueError(f"count levels {sorted(tables)} are not 1..{order}")
-        base = _pack_base(order, end_id)
-        grams: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        found = 0
-        for k in range(1, order + 1):
-            table, level_breaks = _check_count_rows(k, tables[str(k)], end_id)
-            found += level_breaks
-            keys, first = np.unique(_pack(table[:, :-1].astype(np.int64) + 1, base),
-                                    return_index=True)
-            if len(keys) != len(table):
-                raise ValueError(f"level {k} repeats an n-gram")
-            grams[k] = (keys, table[first, -1])
-        if found != breaks:
-            raise ValueError(f"the count tables hold {found} row breaks, the file "
-                             f"{breaks} {ROW_BREAK!r}")
+        return _model_from_arrays(
+            order, discount, end_id, list(word_to_id), list(word_to_id.values()),
+            [frequencies[w] for w in word_to_id], len(tables),
+            (_packed_rows(k, tables.get(str(k)), end_id) for k in range(1, len(tables) + 1)))
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError, DataError) as exc:
         raise DataError(f"{path}: corrupted LM field: {exc}") from exc
+
+
+def _packed_rows(level: int, rows: list, end_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """Level *level* of an lm.json as (keys, counts), sorted by key (a
+    repeated n-gram stays, for _model_from_arrays to refuse). ValueError
+    unless *rows* is a list of [context ids..., target id, count] rows of
+    level + 1 items: JSON integer ids in START_ID..end_id, so that each
+    shifted id is one digit of the key base end_id + 2, and a JSON number
+    as count."""
+    if not (type(rows) is list and set(map(type, rows)) <= {list}
+            and set(map(len, rows)) <= {level + 1}):
+        raise ValueError(f"level {level} must be a list of {level + 1}-item rows")
+    ids = list(chain.from_iterable(rows))
+    counts = ids[level::level + 1]
+    del ids[level::level + 1]  # the ids, row by row
+    if not set(map(type, ids)) <= {int}:
+        raise ValueError(f"level {level} holds an id that is not a JSON integer")
+    if not set(map(type, counts)) <= {int, float}:
+        raise ValueError(f"level {level} holds a count that is not a JSON number")
+    if ids and not (START_ID <= min(ids) and max(ids) <= end_id):
+        raise ValueError(f"level {level} holds an id outside {START_ID}..{end_id}")
+    keys = _pack(np.array(ids, dtype=np.int64).reshape(-1, level) + 1, end_id + 2)
+    by_key = np.argsort(keys, kind="stable")
+    return keys[by_key], np.array(counts, dtype=float)[by_key]
+
+
+def _model_from_arrays(order: int, discount: float, end_id: int, words: list[str],
+                       ids: list[int], frequencies: list[int], n_levels: int,
+                       levels: Iterable[tuple[np.ndarray, np.ndarray]]) -> NGramLM:
+    """The NGramLM that load_lm and load_lm_fast read, built only when the
+    parts keep every rule of the model; DataError naming the first rule
+    they break, in this order:
+
+    - order >= 2 and discount in (0, 1) (check_parameters), and *n_levels*
+      equal to order, so that nothing is sized by order first;
+    - distinct *words*, whose *ids* are dense from 0 with UNK among the
+      words (Vocabulary) and whose *frequencies* are >= 0, and end_id the
+      vocabulary size;
+    - (end_id + 2) ** order within the packed-key limit (_pack_base);
+    - per level k of *levels*, drawn only now, so that a reader may pack
+      its keys for a base these rules have bounded: keys non-empty,
+      k-digit (in [0, base**k)) and strictly increasing, so no n-gram
+      repeats; END in no context and START never a target; counts
+      positive and finite, with a finite sum, so that no context total
+      overflows in NGramLM.
+    """
+    check_parameters({"order": order, "discount": discount})
+    if n_levels != order:
+        raise DataError(f"{n_levels} count levels for order {order}")
+    word_to_id = dict(zip(words, ids))
+    if len(word_to_id) != len(words):
+        raise DataError("a vocabulary word repeats")
+    vocab = Vocabulary(word_to_id=word_to_id, frequencies=dict(zip(words, frequencies)))
+    if min(frequencies) < 0:
+        raise DataError("vocabulary frequencies must be >= 0")
+    if end_id != vocab.size:
+        raise DataError(f"end_id {end_id} differs from the vocabulary size {vocab.size}")
+    base = _pack_base(order, end_id)
+    grams: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for k, (keys, counts) in enumerate(levels, start=1):
+        if not (len(keys) and keys[0] >= 0 and int(keys[-1]) < base**k):
+            raise DataError(f"level {k} is empty or holds a key outside [0, base**{k})")
+        if not np.all(keys[1:] > keys[:-1]):
+            raise DataError(f"level {k} repeats an n-gram or is out of key order")
+        digits = keys[:, None] // _pack_powers(k, base) % base
+        if not np.all(digits[:, :-1] <= end_id):
+            raise DataError(f"level {k} holds END in a context")
+        if not np.all(digits[:, -1] >= 1):
+            raise DataError(f"level {k} holds START as a target")
+        if not np.all(np.isfinite(counts) & (counts > 0)):
+            raise DataError(f"level {k} holds a count that is not positive and finite")
+        with np.errstate(over="ignore"):
+            total = counts.sum()
+        if not np.isfinite(total):
+            raise DataError(f"level {k} counts sum past the float range")
+        grams[k] = (keys, counts)
     return NGramLM(order=order, discount=discount, vocabulary=vocab, grams=grams,
                    end_id=end_id)
-
-
-def _check_count_rows(level: int, segments: list, end_id: int) -> tuple[np.ndarray, int]:
-    """Level *level*'s rows as a float table, and the row breaks (nulls)
-    found between them. *segments* is the level as load_lm decodes it:
-    lists of row values with a null between rows, one list for the layout
-    save_lm writes and one per row for a layout with no ROW_BREAK (compact
-    or indented JSON). ValueError unless the rows are a non-empty table of
-    [context ids..., target id, count] rows: JSON integer ids, context ids
-    in [START_ID, end_id), the target in [0, end_id], and a positive,
-    finite JSON number as count.
-    """
-    width = level + 1
-    flat: list = []  # each row's values, then a null
-    for values in segments:
-        if type(values) is not list:
-            raise ValueError(f"level {level} must be a list of rows")
-        flat += values
-        flat.append(None)
-    rows, ragged = divmod(len(flat), width + 1)
-    # The rows' columns, and the nulls that end them.
-    *columns, nulls = (flat[j::width + 1] for j in range(width + 1))
-    kinds = [set(map(type, column)) for column in columns]
-    if (rows == 0 or ragged or nulls.count(None) != rows
-            or any(type(None) in kind for kind in kinds)):
-        raise ValueError(f"level {level} must be a non-empty list of {width}-item rows")
-    if any(kind != {int} for kind in kinds[:-1]):
-        raise ValueError(f"level {level} holds an id that is not a JSON integer")
-    if not kinds[-1] <= {int, float}:
-        raise ValueError(f"level {level} holds a count that is not a JSON number")
-    table = np.array(columns, dtype=float).T
-    context, target, count = table[:, :-2], table[:, -2], table[:, -1]
-    if not (np.all((context >= START_ID) & (context < end_id))
-            and np.all((target >= 0) & (target <= end_id))):
-        raise ValueError(f"level {level} holds an id outside the vocabulary")
-    if not np.all(np.isfinite(count) & (count > 0)):
-        raise ValueError(f"level {level} holds a count that is not positive and finite")
-    with np.errstate(over="ignore"):
-        total = count.sum()
-    if not np.isfinite(total):  # a context's total would overflow in NGramLM
-        raise ValueError(f"level {level} counts sum past the float range")
-    return table, rows - len(segments)
 
 
 def _sha256_file(path: str | Path) -> bytes:
@@ -861,10 +871,10 @@ def load_lm_fast(path: str | Path) -> NGramLM:
     that copy is current and whole, else by load_lm(path).
 
     lm.bin is read only when its first digest is that of lm.json's bytes,
-    its second that of its own bytes after the digests, and its arrays
-    pass the checks of _read_lm_bin. A missing, truncated, edited or stale
-    lm.bin is not an error: load_lm reads lm.json and refuses it or not,
-    as when no lm.bin is there.
+    its second that of its own bytes after the digests, and _read_lm_bin
+    finds its layout whole and the model's rules kept. A missing,
+    truncated, edited or stale lm.bin is not an error: load_lm reads
+    lm.json and refuses it or not, as when no lm.bin is there.
     """
     path = Path(path)
     try:
@@ -874,13 +884,11 @@ def load_lm_fast(path: str | Path) -> NGramLM:
 
 
 def _read_lm_bin(path: Path, json_path: Path) -> NGramLM:
-    """The model save_lm_bin wrote to *path* as the copy of *json_path*;
-    ValueError or DataError unless both digests match and the arrays are a
-    model load_lm could read: every size as the header gives it, order and
-    discount in range, end_id the vocabulary size, word ids dense with UNK
-    among the words, frequencies >= 0, and each level's keys sorted,
-    unique and of ids in range (context ids START_ID..end_id - 1, targets
-    0..end_id) with counts positive, finite and of finite sum."""
+    """The model save_lm_bin wrote to *path* as the copy of *json_path*.
+    ValueError unless both digests match and the file has save_lm_bin's
+    layout: the magic, every size as the header gives it, and word
+    lengths that cut the vocabulary text into words; then
+    DataError unless _model_from_arrays finds every rule of the model kept."""
     with open(path, "rb") as fh:
         data = bytearray(fh.read())  # writable, as the arrays built on it are
     if (data[:32] != _sha256_file(json_path)
@@ -890,8 +898,7 @@ def _read_lm_bin(path: Path, json_path: Path) -> NGramLM:
     at = 64 + LM_BIN_HEADER.size
     if magic != LM_BIN_MAGIC:
         raise ValueError(f"{path}: not an lm.bin file")
-    check_parameters({"order": order, "discount": discount})
-    if end_id != n_words or n_words < 1 or n_text < 0 or 8 * order > len(data) - at:
+    if n_words < 1 or n_text < 0 or not 1 <= order <= (len(data) - at) // 8:
         raise ValueError(f"{path}: header out of range")
 
     def take(dtype: str, count: int) -> np.ndarray:
@@ -908,28 +915,11 @@ def _read_lm_bin(path: Path, json_path: Path) -> NGramLM:
     text = data[at:at + n_text].decode("utf-8", "surrogatepass")
     at += n_text + -n_text % 8
     # A word has no more code points than bytes, so the sums cannot wrap.
-    if not (0 <= lengths.min() and lengths.max() <= n_text and frequencies.min() >= 0):
-        raise ValueError(f"{path}: malformed vocabulary")
+    if not (0 <= lengths.min() and lengths.max() <= n_text):
+        raise ValueError(f"{path}: word lengths out of range")
     ends = np.cumsum(lengths).tolist()
     if ends[-1] != len(text):
         raise ValueError(f"{path}: word lengths differ from the vocabulary text")
     words = [text[a:b] for a, b in zip([0, *ends], ends)]
-    word_to_id = dict(zip(words, ids.tolist()))
-    if len(word_to_id) != n_words:
-        raise ValueError(f"{path}: a word repeats")
-    # DataError unless the ids are 0..n - 1 and UNK is a word.
-    vocab = Vocabulary(word_to_id=word_to_id, frequencies=dict(zip(words, frequencies.tolist())))
-    base = _pack_base(order, end_id)
-    grams: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for k, n in enumerate(rows, start=1):
-        keys, counts = take("<i8", n), take("<f8", n)
-        digits = keys[:, None] // _pack_powers(k, base) % base
-        with np.errstate(over="ignore"):
-            total = counts.sum()
-        if not (keys[0] >= 0 and keys[-1] < base**k and np.all(keys[1:] > keys[:-1])
-                and np.all(digits[:, :-1] <= end_id) and np.all(digits[:, -1] >= 1)
-                and np.all(np.isfinite(counts) & (counts > 0)) and np.isfinite(total)):
-            raise ValueError(f"{path}: level {k} is not a count table")
-        grams[k] = (keys, counts)
-    return NGramLM(order=order, discount=discount, vocabulary=vocab, grams=grams,
-                   end_id=end_id)
+    return _model_from_arrays(order, discount, end_id, words, ids.tolist(), frequencies.tolist(),
+                              order, ((take("<i8", n), take("<f8", n)) for n in rows))

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -777,6 +778,31 @@ class TestMalformedInputs:
         assert len(err) == 1 and err[0].startswith("data error:") and artifact in err[0], err
         assert printed == ""
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("order", 10**9, f"3 count levels for order {10**9}"),
+        ("order", 10**400, f"3 count levels for order {10**400}"),
+        ("vocabulary", {"word_to_id": {}, "frequencies": {}}, "vocabulary must contain UNK"),
+    ], ids=["order_1e9", "order_1e400", "empty_vocabulary"])
+    def test_refused_lm_names_the_rule(self, workspace, tmp_path, field, value, rule):
+        """An order far past the file's count levels is refused before
+        anything sized by it is built. The child's address space is capped
+        at 1 GiB (a detect needs about 0.2), so that a regression fails
+        here, not by the machine running out of memory."""
+        out = tmp_path / "out"
+        shutil.copytree(workspace / "out", out)
+        payload = json.loads((out / "lm.json").read_text())
+        payload[field] = value
+        (out / "lm.json").write_text(json.dumps(payload))
+        inp = tmp_path / "in.txt"
+        inp.write_text("waa wab wac wad wae.\n")
+        rc, err, printed = run_entry_point("detect", "--config", cfg_path(workspace), str(inp),
+                                           "--method", "single_revise", "--output", str(out),
+                                           address_space=1 << 30)
+        assert rc == 3
+        assert len(err) == 1 and err[0].startswith("data error:"), err
+        assert err[0].endswith(f"lm.json: corrupted LM field: {rule}"), err
+        assert printed == ""
+
     def test_underflowing_lm_skips_in_detect_and_exits_3_in_evaluate(self, workspace,
                                                                      tmp_path):
         """Every count finite and positive and every level's sum finite, but
@@ -806,11 +832,18 @@ def child_env() -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=str(Path(mgtdetect.__file__).parents[1]))
 
 
-def run_entry_point(*args: str) -> tuple[int, list[str], str]:
+def run_entry_point(*args: str, address_space: int | None = None) -> tuple[int, list[str], str]:
     """The CLI entry point in a child process: exit code, stderr lines
-    (where an uncaught exception would show as a traceback) and stdout."""
+    (where an uncaught exception would show as a traceback) and stdout.
+    With *address_space*, the child may map at most that many bytes, so
+    that a run that would take the machine's memory fails instead; a
+    child still running after 120 s is killed and fails the test."""
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     proc = subprocess.run([sys.executable, "-m", "mgtdetect.cli", *args],
-                          capture_output=True, text=True, env=child_env())
+                          capture_output=True, text=True, env=child_env(),
+                          preexec_fn=None if address_space is None else cap, timeout=120)
     return proc.returncode, proc.stderr.splitlines(), proc.stdout
 
 

@@ -283,6 +283,10 @@ class TestPackedModel:
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match=r"2\*\*63"):
             zs.load_lm(path)
+        copy = edited_copy(lm, end_id=payload["end_id"], vocabulary=SimpleNamespace(**vocab))
+        zs.save_lm_bin(copy, tmp_path / "lm.bin", path)
+        with pytest.raises(DataError, match=r"2\*\*63"):
+            zs._read_lm_bin(tmp_path / "lm.bin", path)
 
 
 GOLDEN_TEXTS = ["The cat sat on the mat. The dog sat too!", "A dog and a cat? Yes, a cat.",
@@ -1055,6 +1059,9 @@ def _corrupt():
     def empty_level(p):
         p["counts"]["2"] = []
 
+    def null_level(p):
+        p["counts"]["2"] = None
+
     def short_row(p):
         p["counts"]["2"][0] = p["counts"]["2"][0][1:]
 
@@ -1087,6 +1094,9 @@ def _corrupt():
 
     def order_too_small(p):
         p["order"] = 1
+
+    def order_past_levels(p):
+        p["order"] += 1
 
     def discount_too_large(p):
         p["discount"] = 1.5
@@ -1138,17 +1148,16 @@ def _corrupt():
     def frequency_of_unknown_word(p):
         p["vocabulary"]["frequencies"]["zz"] = 1
 
+    # Rows run together with a null between them: one row of the wrong
+    # width, beside as many "], [" as nulls elsewhere in the file.
     def literal_nulls_balanced_by_a_note(p):
-        # Level 1 as one list with a null between rows, and one "], ["
-        # per null in strings under an unknown key, so that the row breaks
-        # counted in the file equal the nulls found in the tables.
         rows = p["counts"]["1"]
         p["counts"]["1"] = [[x for row in rows for x in (*row, None)][:-1]]
         p["note"] = ["], ["] * (len(rows) - 1)
 
     def literal_nulls_balanced_by_a_word(p):
-        # The same with the "], [" in a vocabulary word, which both tables
-        # hold: an even number of literal nulls, after a first row kept.
+        # The "], [" in a vocabulary word, which both tables hold: an even
+        # number of literal nulls, after a first row kept.
         rows = p["counts"]["1"]
         assert len(rows) % 2 == 0
         p["counts"]["1"] = [rows[0], [x for row in rows[1:] for x in (*row, None)][:-1]]
@@ -1158,10 +1167,10 @@ def _corrupt():
 
     return [*_strict_rows(), *_strict_fields(), literal_nulls_balanced_by_a_note,
             literal_nulls_balanced_by_a_word, level_1_deleted, extra_level, no_counts,
-            empty_level, short_row, negative_count, zero_count, target_out_of_range,
+            empty_level, null_level, short_row, negative_count, zero_count, target_out_of_range,
             target_is_start, context_out_of_range, fractional_id, end_id_mismatch, repeated_ngram,
-            non_numeric_count, order_too_small, discount_too_large, discount_zero,
-            order_fractional, order_string, discount_string, end_id_fractional,
+            non_numeric_count, order_too_small, order_past_levels, discount_too_large,
+            discount_zero, order_fractional, order_string, discount_string, end_id_fractional,
             word_id_fractional, frequency_fractional, frequency_boolean, word_id_boolean,
             word_id_integral_float, frequency_string, frequency_null, frequency_negative,
             frequency_missing, frequency_of_unknown_word]
@@ -1169,9 +1178,10 @@ def _corrupt():
 
 def _strict_rows():
     """Count rows whose ids are not JSON integers or whose count is not a
-    JSON number. Each but id_null keeps the row's value (the rows of
-    CORRUPT_TEXTS' model), so the list-per-row route, which converted the
-    rows with np.asarray, loaded them."""
+    JSON number, which the type scan of each column refuses. Each but
+    id_null keeps the row's value (the rows of CORRUPT_TEXTS' model), so
+    the list-per-row route, which converted the rows with np.asarray,
+    loaded them."""
 
     def count_string(p):
         p["counts"]["1"][0][-1] = "2.0"  # [0, 2.0]
@@ -1211,6 +1221,22 @@ def _strict_fields():
 
 
 CORRUPT_TEXTS = ["a b c d.", "d a b c."] * 3
+# The text load_lm gives for some _corrupt() cases: each rule of the JSON
+# encoding, and the model's rules that only lm.json can break (a level
+# count other than order, an empty level).
+JSON_RULE_TEXT = {
+    "level_1_deleted": "2 count levels for order 3",
+    "null_level": "level 2 must be a list of 3-item rows",
+    "short_row": "level 2 must be a list of 3-item rows",
+    "fractional_id": "level 1 holds an id that is not a JSON integer",
+    "non_numeric_count": "level 1 holds a count that is not a JSON number",
+    "target_out_of_range": r"level 2 holds an id outside -1\.\.\d+",
+    "word_id_fractional": "vocabulary word_to_id holds a value that is not a JSON integer",
+    "frequency_of_unknown_word": "vocabulary frequencies must be of word_to_id's words",
+    "unknown_key": "unknown key 'note'",
+    "empty_level": r"level 2 is empty or holds a key outside \[0, base\*\*2\)",
+    "order_past_levels": "3 count levels for order 4",
+}
 
 
 class TestLoadLmValidation:
@@ -1222,7 +1248,8 @@ class TestLoadLmValidation:
         payload = json.loads(path.read_text())
         mutate(payload)
         path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match="corrupted LM field"):
+        rule = JSON_RULE_TEXT.get(mutate.__name__, "")
+        with pytest.raises(DataError, match=f"corrupted LM field: {rule}"):
             zs.load_lm(path)
 
     def test_non_object_file_rejected(self, tmp_path):
@@ -1430,7 +1457,9 @@ class TestLmJsonOracles:
         route accepted, with equal tables, save those whose rows hold a
         value that is not a JSON number of the right kind (a string, a
         boolean, an integral float as id) or whose level counts sum past
-        the float range, and refuses every other file."""
+        the float range, and refuses every other file: a row edited to
+        another width or with a null in it is refused by its width or its
+        column's type."""
         payload = edited_payload(edits)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "lm.json"
@@ -1490,29 +1519,29 @@ class TestLmJsonOracles:
         assert_same_model(zs.load_lm(path), IO_LM)
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    def test_row_break_outside_the_tables_refused(self, tmp_path, layout):
-        """The one file the list-per-row route loaded and load_lm refuses
-        for a reason other than a row's value: one with "], [" outside the
-        count tables, here in a vocabulary word."""
+    @pytest.mark.parametrize("word", ["x], [y", "x, null, y"])
+    def test_row_break_in_a_vocabulary_word_loads_as_oracle(self, tmp_path, layout, word):
+        """A vocabulary word holding "], [" (the row break of save_lm's
+        layout) or ", null, " is a word like any other."""
         payload = json.loads(saved_bytes(zs.save_lm, IO_LM))
         for table in payload["vocabulary"].values():
-            table["x], [y"] = table.pop("cat")
+            table[word] = table.pop("cat")
         path = tmp_path / "lm.json"
         path.write_text(json.dumps(payload, **LAYOUTS[layout]))
-        assert oracle_load_lm(path).vocabulary.word_to_id["x], [y"] >= 0
-        with pytest.raises(DataError, match="corrupted LM field: a vocabulary word holds"):
-            zs.load_lm(path)
+        lm = zs.load_lm(path)
+        assert lm.vocabulary.word_to_id[word] >= 0
+        assert_same_model(lm, oracle_load_lm(path))
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_literal_null_is_no_row_break(self, tmp_path, layout):
-        # Level 1 as one list of values with a null between rows: what
-        # load_lm decodes from a level it wrote, but written by hand.
+        # Level 1 as one list of values with a null between rows: one row
+        # of the wrong width.
         payload = json.loads(saved_bytes(zs.save_lm, IO_LM))
         rows = payload["counts"]["1"]
         payload["counts"]["1"] = [[x for row in rows for x in (*row, None)][:-1]]
         path = tmp_path / "lm.json"
         path.write_text(json.dumps(payload, **LAYOUTS[layout]))
-        with pytest.raises(DataError, match="row breaks"):
+        with pytest.raises(DataError, match="level 1 must be a list of 2-item rows"):
             zs.load_lm(path)
 
 
@@ -1568,7 +1597,7 @@ def first_key(key):
     return lambda keys, counts: (np.concatenate([[key(keys)], keys[1:]]), counts)
 
 
-LEVEL_REFUSED = r"level \d is not a count table"
+KEY_RANGE = r"level \d is empty or holds a key outside \[0, base\*\*\d\)"
 
 
 class RepeatingCat(dict):
@@ -1659,53 +1688,19 @@ class TestLmBin:
         assert zs.load_lm_fast(json_path).discount == 0.5
 
     @pytest.mark.parametrize("edit, refused", [
-        # Keys out of range, each still sorted and unique: a target of START
-        # (shifted 0), a context id of END, one past the level's key range,
-        # below 0.
-        (lambda lm: {"grams": edited_grams(lm, 2, first_key(lambda k: k[0] - k[0] % lm.base))},
-         LEVEL_REFUSED),
-        (lambda lm: {"grams": edited_grams(lm, 3, appended(lambda k: (lm.base - 1) * lm.base**2
-                                                            + 1))}, LEVEL_REFUSED),
+        # Keys one past the level's key range or below 0, each still sorted
+        # and unique, or keys out of order: no lm.json packs to these (the
+        # rules lm.json can break too are MODEL_RULES).
         (lambda lm: {"grams": edited_grams(lm, 2, appended(lambda k: lm.base**2 + 1))},
-         LEVEL_REFUSED),
-        (lambda lm: {"grams": edited_grams(lm, 1, first_key(lambda k: -1))}, LEVEL_REFUSED),
-        # Keys unsorted or repeated.
-        (lambda lm: {"grams": edited_grams(lm, 3, lambda k, c: (k[::-1], c))}, LEVEL_REFUSED),
-        (lambda lm: {"grams": edited_grams(lm, 3, appended(lambda k: k[-1]))}, LEVEL_REFUSED),
-        # Counts not positive and finite, or of a sum past the float range.
-        (lambda lm: {"grams": edited_grams(lm, 2, lambda k, c: (k, c * 0))}, LEVEL_REFUSED),
-        (lambda lm: {"grams": edited_grams(lm, 2, lambda k, c: (k, -c))}, LEVEL_REFUSED),
-        (lambda lm: {"grams": edited_grams(lm, 1, lambda k, c: (k, c * np.nan))},
-         LEVEL_REFUSED),
-        (lambda lm: {"grams": edited_grams(lm, 1, lambda k, c: (k, c * np.inf))},
-         LEVEL_REFUSED),
-        (lambda lm: {"grams": edited_grams(lm, 3, lambda k, c: (k, c * 0 + 1e308))},
-         LEVEL_REFUSED),
-        # A header out of range or at odds with the vocabulary.
-        (lambda lm: {"end_id": lm.end_id + 1}, "header out of range"),
-        (lambda lm: {"discount": 1.5}, "discount must be"),
+         KEY_RANGE),
+        (lambda lm: {"grams": edited_grams(lm, 1, first_key(lambda k: -1))}, KEY_RANGE),
+        (lambda lm: {"grams": edited_grams(lm, 3, lambda k, c: (k[::-1], c))},
+         "level 3 repeats an n-gram or is out of key order"),
         (lambda lm: {"discount": float("nan")}, "discount must be"),
-        (lambda lm: {"order": 1, "grams": {1: lm.grams[1]}}, "order must be"),
-        # A vocabulary whose ids are not dense, with no UNK, with a negative
-        # frequency, with a repeated word.
-        (lambda lm: {"vocabulary": SimpleNamespace(
-            word_to_id=dict.fromkeys(lm.vocabulary.word_to_id, 0),
-            frequencies=lm.vocabulary.frequencies)}, "contiguous"),
-        (lambda lm: {"vocabulary": SimpleNamespace(
-            word_to_id={("<nounk>" if w == UNK else w): i
-                        for w, i in lm.vocabulary.word_to_id.items()},
-            frequencies={("<nounk>" if w == UNK else w): f
-                         for w, f in lm.vocabulary.frequencies.items()})}, "must contain UNK"),
-        (lambda lm: {"vocabulary": SimpleNamespace(
-            word_to_id=lm.vocabulary.word_to_id,
-            frequencies=dict.fromkeys(lm.vocabulary.frequencies, -1))}, "malformed vocabulary"),
         (lambda lm: {"end_id": lm.end_id + 1, "vocabulary": SimpleNamespace(
             word_to_id=RepeatingCat(lm.vocabulary.word_to_id),
-            frequencies=lm.vocabulary.frequencies)}, "a word repeats"),
-    ], ids=["target_start", "context_end", "past_key_range", "negative_key", "unsorted_keys",
-            "repeated_key", "zero_count", "negative_count", "nan_count", "inf_count",
-            "count_sum_overflow", "end_id_mismatch", "discount_above_1", "discount_nan",
-            "order_1", "ids_not_dense", "no_unk", "negative_frequency", "repeated_word"])
+            frequencies=lm.vocabulary.frequencies)}, "a vocabulary word repeats"),
+    ], ids=["past_key_range", "negative_key", "unsorted_keys", "discount_nan", "repeated_word"])
     @pytest.mark.filterwarnings("error")  # the fallback prints no numpy warning
     def test_copy_with_valid_digests_that_load_lm_would_refuse_falls_back(self, tmp_path,
                                                                           edit, refused):
@@ -1745,3 +1740,107 @@ class TestLmBin:
         first = write_pair(IO_LM, tmp_path).with_suffix(".bin").read_bytes()
         (tmp_path / "again").mkdir()
         assert write_pair(IO_LM, tmp_path / "again").with_suffix(".bin").read_bytes() == first
+
+
+# -- one model contract for both encodings ---------------------------------------
+
+
+def first(value):
+    """A counts edit that sets the first count (the first row of the level
+    in lm.json, whose rows are in key order) to *value*."""
+    return lambda counts: np.concatenate([[value], counts[1:]])
+
+
+def count_rule(k, edit, rule):
+    """A MODEL_RULES row whose level-*k* counts are edit(counts)."""
+    def edit_payload(p):
+        rows = p["counts"][str(k)]
+        for row, count in zip(rows, edit(np.array([row[-1] for row in rows])).tolist()):
+            row[-1] = count
+
+    def fields(lm):
+        return {"grams": edited_grams(lm, k, lambda keys, counts: (keys, edit(counts)))}
+
+    return edit_payload, fields, rule
+
+
+def vocabulary_rule(edit, rule):
+    """A MODEL_RULES row whose (word_to_id, frequencies) are edit(copies of both)."""
+    def edit_payload(p):
+        tables = p["vocabulary"]
+        tables["word_to_id"], tables["frequencies"] = edit(tables["word_to_id"],
+                                                           tables["frequencies"])
+
+    def fields(lm):
+        word_to_id, frequencies = edit(dict(lm.vocabulary.word_to_id),
+                                       dict(lm.vocabulary.frequencies))
+        return {"vocabulary": SimpleNamespace(word_to_id=word_to_id, frequencies=frequencies)}
+
+    return edit_payload, fields, rule
+
+
+def renamed_unk(*tables):
+    return tuple({("<nounk>" if w == UNK else w): v for w, v in table.items()} for table in tables)
+
+
+# Each rule of zeroshot._model_from_arrays broken once: as an edit of the
+# lm.json payload, as the fields of an lm.bin copy (edited_copy) that break
+# it alike, and the rule text both readers give.
+MODEL_RULES = {
+    "target_start": (
+        lambda p: p["counts"]["2"][0].__setitem__(-2, zs.START_ID),
+        lambda lm: {"grams": edited_grams(lm, 2, first_key(lambda k: k[0] - k[0] % lm.base))},
+        "level 2 holds START as a target"),
+    "context_end": (
+        lambda p: p["counts"]["3"][0].__setitem__(0, p["end_id"]),
+        lambda lm: {"grams": edited_grams(lm, 3, appended(
+            lambda k: (lm.base - 1) * lm.base**2 + 1))},
+        "level 3 holds END in a context"),
+    "repeated_ngram": (
+        lambda p: p["counts"]["1"].append(p["counts"]["1"][-1]),
+        lambda lm: {"grams": edited_grams(lm, 1, appended(lambda k: k[-1]))},
+        "level 1 repeats an n-gram or is out of key order"),
+    "zero_count": count_rule(2, first(0.0), "level 2 holds a count that is not positive"),
+    "negative_count": count_rule(2, first(-1.0), "level 2 holds a count that is not positive"),
+    "nan_count": count_rule(1, first(np.nan), "level 1 holds a count that is not positive"),
+    "inf_count": count_rule(3, first(np.inf), "level 3 holds a count that is not positive"),
+    "count_sum_overflow": count_rule(3, lambda c: c * 0 + 1e308,
+                                     "level 3 counts sum past the float range"),
+    "ids_not_dense": vocabulary_rule(lambda w, f: (dict.fromkeys(w, 0), f),
+                                     "vocabulary ids must be contiguous from 0"),
+    "no_unk": vocabulary_rule(renamed_unk, "vocabulary must contain UNK"),
+    "negative_frequency": vocabulary_rule(lambda w, f: (w, {**f, "a": -1}),
+                                          "vocabulary frequencies must be >= 0"),
+    "end_id_mismatch": (lambda p: p.__setitem__("end_id", p["end_id"] + 1),
+                        lambda lm: {"end_id": lm.end_id + 1},
+                        r"end_id \d+ differs from the vocabulary size \d+"),
+    "order_1": (lambda p: p.__setitem__("order", 1),
+                lambda lm: {"order": 1, "grams": {1: lm.grams[1]}},
+                r"order must be at least 2, got 1"),
+    "discount_1.5": (lambda p: p.__setitem__("discount", 1.5), lambda lm: {"discount": 1.5},
+                     r"discount must be in \(0, 1\), got 1.5"),
+}
+
+
+class TestModelRules:
+    """lm.json and lm.bin are two encodings of one model, and one function
+    holds the model's rules: a rule broken in either encoding is refused
+    with the same text, and load_lm_fast reads lm.json in place of a copy
+    that breaks one."""
+
+    @pytest.mark.parametrize("edit_payload, fields, rule", list(MODEL_RULES.values()),
+                             ids=list(MODEL_RULES))
+    @pytest.mark.filterwarnings("error")  # neither reader prints a numpy warning
+    def test_both_readers_refuse_with_one_rule_text(self, tmp_path, edit_payload, fields,
+                                                    rule):
+        payload = json.loads(saved_bytes(zs.save_lm, IO_LM))
+        edit_payload(payload)
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=rule) as from_json:
+            zs.load_lm(edited)
+        json_path = write_pair(IO_LM, tmp_path, copy=edited_copy(IO_LM, **fields(IO_LM)))
+        with pytest.raises(DataError, match=rule) as from_bin:
+            zs._read_lm_bin(json_path.with_suffix(".bin"), json_path)
+        assert str(from_json.value) == f"{edited}: corrupted LM field: {from_bin.value}"
+        assert_json_fallback(json_path)
