@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import DataError, EmptyDocument, parse_json, read_lines
 
-_ZERO_WIDTH = {"​", "‌", "‍", "﻿", "⁠"}
-
 # Category Cc is exactly U+0000-U+001F and U+007F-U+009F; a body may keep
 # its newlines.
 _CONTROL_RE = re.compile(r"[\x00-\x09\x0b-\x1f\x7f-\x9f]")
@@ -128,13 +126,13 @@ class ParsedSentence:
 
 
 def normalize(raw: str) -> str:
-    """Unicode NFC, non-breaking spaces to spaces, zero-width and control
-    characters removed, whitespace runs collapsed to one space, stripped.
+    """Unicode NFC, control and format characters that are not whitespace
+    (zero-width ones among them) removed, whitespace runs (non-breaking
+    spaces among them) collapsed to one space, stripped.
 
     Raises EmptyDocument when nothing remains.
     """
     text = unicodedata.normalize("NFC", raw)
-    text = text.replace(" ", " ")
     collapsed = " ".join(_NON_ASCII_PRINTABLE_RE.sub(_drop_invisible, text).split())
     if not collapsed:
         raise EmptyDocument("text is empty after normalization")
@@ -142,11 +140,9 @@ def normalize(raw: str) -> str:
 
 
 def _drop_invisible(m: re.Match) -> str:
-    """'' for a zero-width character or a control or format character
-    that is not whitespace, else the character itself."""
+    """'' for a control or format character that is not whitespace, else
+    the character itself."""
     ch = m[0]
-    if ch in _ZERO_WIDTH:
-        return ""
     if unicodedata.category(ch) in ("Cc", "Cf") and not ch.isspace():
         return ""
     return ch

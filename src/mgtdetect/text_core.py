@@ -107,19 +107,12 @@ def seeded_rewrites(n: int, fraction: float, seed: int,
     return [(i, replace(rng, i)) for i in sorted(rng.choice(n, size=m, replace=False).tolist())]
 
 
-def rewrite_units(text: str, units: Sequence[tuple[int, int]], fraction: float,
-                  seed: int, replace: Callable[[np.random.Generator, str], str]) -> str:
-    """*text* with floor(fraction * len(units)) of its units rewritten.
-
-    *units* are disjoint (start, end) spans in text order; an empty span
-    is an insertion point. seeded_rewrites chooses the units and, in text
-    order, splices each with replace(rng, text[start:end]). When no unit
-    is chosen, *text* comes back as it is.
+def splice_units(text: str, units: Sequence[tuple[int, int]],
+                 rewrites: Sequence[tuple[int, str]]) -> str:
+    """*text* with each (index, replacement) of *rewrites*, in increasing
+    index order, written over units[index]. *units* are disjoint (start,
+    end) spans in text order; an empty span is an insertion point.
     """
-    rewrites = seeded_rewrites(len(units), fraction, seed,
-                               lambda rng, i: replace(rng, text[units[i][0]:units[i][1]]))
-    if not rewrites:
-        return text
     pieces: list[str] = []
     prev = 0
     for i, new in rewrites:
@@ -129,6 +122,17 @@ def rewrite_units(text: str, units: Sequence[tuple[int, int]], fraction: float,
         prev = b
     pieces.append(text[prev:])
     return "".join(pieces)
+
+
+def rewrite_units(text: str, units: Sequence[tuple[int, int]], fraction: float,
+                  seed: int, replace: Callable[[np.random.Generator, str], str]) -> str:
+    """*text* with floor(fraction * len(units)) of its units rewritten:
+    seeded_rewrites chooses the units and draws, in text order, each
+    replacement as replace(rng, text[start:end]); splice_units writes them
+    in. When no unit is chosen, *text* comes back as it is.
+    """
+    return splice_units(text, units, seeded_rewrites(
+        len(units), fraction, seed, lambda rng, i: replace(rng, text[units[i][0]:units[i][1]])))
 
 
 def split_sentences(text: str) -> list[str]:
@@ -189,8 +193,8 @@ class Vocabulary:
     unk_id: int = field(init=False)
 
     def __post_init__(self) -> None:
-        ids = sorted(self.word_to_id.values())
-        if ids != list(range(len(self.word_to_id))):
+        # n values that hold each of 0 .. n-1 are those ids exactly once.
+        if not set(self.word_to_id.values()).issuperset(range(len(self.word_to_id))):
             raise DataError("vocabulary ids must be contiguous from 0")
         if UNK not in self.word_to_id:
             raise DataError("vocabulary must contain UNK")

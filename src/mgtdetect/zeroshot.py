@@ -43,8 +43,8 @@ from .text_core import (
     Token,
     Vocabulary,
     period_chunk_words,
-    rewrite_units,
     seeded_rewrites,
+    splice_units,
     split_sentences,
     token_spans,
     tokenize,
@@ -491,25 +491,6 @@ class _SubstitutionSampler:
         return self._patch_surfaces[pick]
 
 
-def _perturbed_body(body: str, cfg: PerturbConfig, seed: int) -> str:
-    """*body* with floor(mask_fraction * word_count) word tokens, chosen by
-    rewrite_units' seeded sampling without replacement, replaced by pool
-    draws for their lowercased surfaces, spliced in as they are; every
-    other character of the body is kept. A draw that tokenizes as one
-    word keeps the token count; a pool surface that does not ("x y", or
-    "i̇stanbul", whose combining dot is a punctuation token) adds tokens,
-    and a draw beside a period can make or unmake an abbreviation and so
-    move a sentence end. Identical (body, cfg, seed) gives identical
-    output.
-    """
-    words = [(a, b) for a, b, is_word in token_spans(body) if is_word]
-
-    def draw(rng: np.random.Generator, word: str) -> str:
-        return cfg._sampler().draw(rng, word.lower())
-
-    return rewrite_units(body, words, cfg.mask_fraction, seed, draw)
-
-
 def curvature_stat(logp_original: float, perturbed: list[float]) -> tuple[float, float, float]:
     """(d, mean, std) of the perturbation discrepancy; std guard at
     STD_GUARD returns d = 0 for degenerate models.
@@ -525,18 +506,21 @@ def curvature_stat(logp_original: float, perturbed: list[float]) -> tuple[float,
 def _rewrite_groups(lm: NGramLM, doc: Document, cfg: PerturbConfig,
                     seeds: Iterable[int]) -> list[list[list[int]]]:
     """The id sentences of doc's body, then of its rewrite under each of
-    *seeds*: what tokenizing doc.body and each _perturbed_body(doc.body,
-    cfg, seed) gives, computed in id space. The body is tokenized once;
-    each rewrite makes rewrite_units' draws through seeded_rewrites and
-    patches each pick's id into a copy of the body's ids. A rewrite whose draws
-    could re-segment the text is spliced and tokenized as a string
-    instead: one with a pick that patch_surface refuses, or with a word
-    in a chunk ending in "." whose original or pick is in
-    ABBREVIATION_WORDS. DataError when the body has no word token.
+    *seeds*: the body with the spans of floor(mask_fraction * words) of its
+    word tokens spliced over (splice_units) by the picks of one
+    seeded_rewrites call, each drawn for its word's lowercase, then
+    tokenized. The body is tokenized once, and each pick's id is patched
+    into a copy of its ids, unless a pick could re-segment the text: one
+    that patch_surface refuses, or a word in a chunk ending in "." whose
+    original or pick is in ABBREVIATION_WORDS. Such a rewrite's picks are
+    spliced and the text tokenized. DataError when the body has no word
+    token.
     """
     sentences, words = _body_ids(lm, doc, doc.body)
     sampler = cfg._sampler()
-    period_chunks: list[bool] = []  # period_chunk_words(doc.body), built on first need
+    # period_chunk_words(doc.body) and the body's word spans, built on first need.
+    period_chunks: list[bool] = []
+    spans: list[tuple[int, int]] = []
 
     def draw(rng: np.random.Generator, i: int) -> str:
         return sampler.draw(rng, words[i][2])
@@ -552,11 +536,14 @@ def _rewrite_groups(lm: NGramLM, doc: Document, cfg: PerturbConfig,
 
     groups = [sentences]
     for seed in seeds:
+        rewrites = seeded_rewrites(len(words), cfg.mask_fraction, seed, draw)
         patched = sentences.copy()
-        for i, pick in seeded_rewrites(len(words), cfg.mask_fraction, seed, draw):
+        for i, pick in rewrites:
             surface = sampler.patch_surface(pick)
             if resegments(i, surface):
-                patched, _ = _body_ids(lm, doc, _perturbed_body(doc.body, cfg, seed))
+                if not spans:
+                    spans[:] = [(a, b) for a, b, is_word in token_spans(doc.body) if is_word]
+                patched, _ = _body_ids(lm, doc, splice_units(doc.body, spans, rewrites))
                 break
             s, p, _ = words[i]
             if patched[s] is sentences[s]:

@@ -383,33 +383,56 @@ class TestEvaluate:
         assert rc == 3
 
 
+@pytest.fixture(scope="class")
+def golden_run(fixtures_dir, tmp_path_factory) -> Path:
+    """ingest, stats, train and evaluate run on the committed 30-question
+    corpus in fixtures/reports, with CoNLL-U parses and two transforms; the
+    directory holding config.json and out/. The classifier is left out: its
+    skip-gram and SVM numbers go through BLAS, which may differ in the last
+    bit between numpy builds."""
+    root = tmp_path_factory.mktemp("golden")
+    golden = fixtures_dir / "reports"
+    conllu = str(fixtures_dir / "sample.conllu")
+    config = {
+        "seed": 7,
+        "output_dir": str(root / "out"),
+        "dataset": {"hc3_path": str(golden / "data.jsonl"),
+                    "conllu": {"human": conllu, "machine": conllu}},
+        "split": {"train": 0.6, "val": 0.2, "test": 0.2},
+        "zeroshot": {"order": 3, "k": 3, "methods": ["detect_gpt", "single_revise"]},
+        "transforms": [{"kind": "case_flip", "intensity": 0.1},
+                       {"kind": "special_chars", "intensity": 0.2}],
+    }
+    (root / "config.json").write_text(json.dumps(config))
+    for command in ("ingest", "stats", "train", "evaluate"):
+        assert main([command, "--config", str(root / "config.json")]) == 0, command
+    return root
+
+
 class TestGoldenReports:
     REPORTS = ("stats.json", "metrics.json", "robustness.json", "robustness_detect_gpt.csv",
                "robustness_single_revise.csv")
 
-    def test_zero_shot_reports_match_their_golden_copies(self, fixtures_dir, tmp_path):
-        """ingest, stats, train and evaluate on a committed 30-question
-        corpus, with CoNLL-U parses and two transforms, write the report
-        bytes kept in fixtures/reports. The classifier is left out: its
-        skip-gram and SVM numbers go through BLAS, which may differ in the
-        last bit between numpy builds."""
+    def test_zero_shot_reports_match_their_golden_copies(self, fixtures_dir, golden_run):
+        """The pipeline of golden_run writes the report bytes kept in
+        fixtures/reports."""
         golden = fixtures_dir / "reports"
-        conllu = str(fixtures_dir / "sample.conllu")
-        config = {
-            "seed": 7,
-            "output_dir": str(tmp_path / "out"),
-            "dataset": {"hc3_path": str(golden / "data.jsonl"),
-                        "conllu": {"human": conllu, "machine": conllu}},
-            "split": {"train": 0.6, "val": 0.2, "test": 0.2},
-            "zeroshot": {"order": 3, "k": 3, "methods": ["detect_gpt", "single_revise"]},
-            "transforms": [{"kind": "case_flip", "intensity": 0.1},
-                           {"kind": "special_chars", "intensity": 0.2}],
-        }
-        (tmp_path / "config.json").write_text(json.dumps(config))
-        for command in ("ingest", "stats", "train", "evaluate"):
-            assert main([command, "--config", str(tmp_path / "config.json")]) == 0, command
         for name in self.REPORTS:
-            assert (tmp_path / "out" / name).read_bytes() == (golden / name).read_bytes(), name
+            assert (golden_run / "out" / name).read_bytes() == (golden / name).read_bytes(), name
+
+    @pytest.mark.parametrize("method, passes", [("detect_gpt", 4), ("single_revise", 2)])
+    def test_detect_on_odd_input_matches_its_golden_copy(self, fixtures_dir, golden_run, capsys,
+                                                         method, passes):
+        """detect --debug on lines full of abbreviations, whose rewrites are
+        mostly spliced and tokenized as text, prints the CSV kept in
+        fixtures/reports and k + 1 scoring passes per document."""
+        golden = fixtures_dir / "reports"
+        capsys.readouterr()
+        assert main(["detect", "--config", str(golden_run / "config.json"),
+                     str(golden / "detect_odd.txt"), "--method", method, "--debug"]) == 0
+        out, err = capsys.readouterr()
+        assert out.encode() == (golden / f"detect_{method}.csv").read_bytes()
+        assert err == f"debug: lm scoring passes = {4 * passes} (4 docs, {passes}.0 per doc)\n"
 
 
 def one_error_line(capsys, prefix: str) -> str:

@@ -10,6 +10,7 @@ from mgtdetect.errors import DataError
 from mgtdetect.text_core import (
     UNK,
     WORD_CHAR_RE,
+    Vocabulary,
     build_vocab,
     count_syllables,
     period_chunk_words,
@@ -252,6 +253,21 @@ class TestBuildVocab:
     def test_id_of_falls_back_to_unk(self):
         vocab = build_vocab(["a a b"], min_count=2)
         assert vocab.id_of("zzz") == vocab.unk_id
+
+    @settings(max_examples=150, deadline=None)
+    @given(ids=st.one_of(
+        st.lists(st.integers(-2, 6), min_size=1, max_size=6),
+        st.integers(1, 6).flatmap(lambda n: st.permutations(range(n))),
+    ))
+    def test_ids_accepted_exactly_when_sorted_they_are_a_range(self, ids):
+        words = [UNK] + [f"w{i}" for i in range(len(ids) - 1)]
+        word_to_id = dict(zip(words, ids))
+        frequencies = dict.fromkeys(words, 1)
+        if sorted(ids) == list(range(len(ids))):
+            assert Vocabulary(word_to_id, frequencies).unk_id == ids[0]
+        else:
+            with pytest.raises(DataError, match="^vocabulary ids must be contiguous from 0$"):
+                Vocabulary(word_to_id, frequencies)
 
 
 class TestPeriodChunkWords:

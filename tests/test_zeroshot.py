@@ -19,9 +19,11 @@ from mgtdetect.text_core import (
     WORD_CHAR_RE,
     Vocabulary,
     build_vocab,
+    rewrite_units,
     split_sentences,
     token_spans,
     tokenize,
+    word_tokens,
 )
 
 from conftest import make_doc
@@ -366,27 +368,36 @@ def word_pool(texts):
     return build_vocab(texts, min_count=1)
 
 
+def perturbed_body(body, cfg, seed):
+    """The string rewrite of *body* under *seed*, from the package's parts:
+    rewrite_units over its word spans, each word drawn for its lowercase
+    by cfg's sampler, built at the first draw."""
+    words = [(a, b) for a, b, is_word in token_spans(body) if is_word]
+    return rewrite_units(body, words, cfg.mask_fraction, seed,
+                         lambda rng, word: cfg._sampler().draw(rng, word.lower()))
+
+
 class TestPerturb:
     POOL_TEXTS = ["apple banana cherry date elder fig grape melon peach plum"] * 3
 
     def test_mask_zero_is_identity(self):
         doc = make_doc("one two three.")
         cfg = zs.PerturbConfig(pool=word_pool(self.POOL_TEXTS), mask_fraction=0.0, seed=1, k=1)
-        assert zs._perturbed_body(doc.body, cfg, cfg.seed) == doc.body
+        assert perturbed_body(doc.body, cfg, cfg.seed) == doc.body
 
     def test_floor_rule_replaces_exact_count(self):
         doc = make_doc("apple banana cherry date elder fig grape melon peach plum")
         cfg = zs.PerturbConfig(pool=word_pool(self.POOL_TEXTS), mask_fraction=0.3, seed=5, k=1)
         orig = doc.body.split()
-        new = zs._perturbed_body(doc.body, cfg, cfg.seed).split()
+        new = perturbed_body(doc.body, cfg, cfg.seed).split()
         assert len(new) == len(orig)
         assert sum(a != b for a, b in zip(orig, new)) == 3
 
     def test_deterministic(self):
         doc = make_doc("apple banana cherry date elder fig grape melon.")
         cfg = zs.PerturbConfig(pool=word_pool(self.POOL_TEXTS), mask_fraction=0.5, seed=9, k=1)
-        assert (zs._perturbed_body(doc.body, cfg, cfg.seed)
-                == zs._perturbed_body(doc.body, cfg, cfg.seed))
+        assert (perturbed_body(doc.body, cfg, cfg.seed)
+                == perturbed_body(doc.body, cfg, cfg.seed))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -400,7 +411,7 @@ class TestPerturb:
         cfg = zs.PerturbConfig(pool=word_pool(self.POOL_TEXTS),
                                mask_fraction=frac, seed=seed, k=1)
         orig_tokens = tokenize(doc.body)
-        new_tokens = tokenize(zs._perturbed_body(doc.body, cfg, seed))
+        new_tokens = tokenize(perturbed_body(doc.body, cfg, seed))
         assert len(new_tokens) == len(orig_tokens)
         assert [t.surface for t in new_tokens if not t.is_word] == [
             t.surface for t in orig_tokens if not t.is_word
@@ -464,7 +475,7 @@ class TestDetectors:
         cfg = zs.PerturbConfig(pool=lm.vocabulary, mask_fraction=0.25, seed=4, k=1)
         score = zs.single_revise_score(lm, doc, cfg)
         lp_orig = zs.per_token_log_prob(lm, doc)
-        variant = replace(doc, body=zs._perturbed_body(doc.body, cfg, cfg.seed + 1))
+        variant = replace(doc, body=perturbed_body(doc.body, cfg, cfg.seed + 1))
         lp_pert = zs.per_token_log_prob(lm, variant)
         assert score.d == pytest.approx(lp_orig - lp_pert, abs=1e-12)
         assert score.logp_perturbed_std == 0.0
@@ -613,15 +624,15 @@ class TestSharedSampler:
     def test_wordless_pool_raises_only_when_a_word_is_replaced(self):
         pool = build_vocab([". , ! ?"], min_count=1)
         cfg = zs.PerturbConfig(pool=pool, mask_fraction=0.5, seed=1, k=1)
-        assert zs._perturbed_body("a.", cfg, 1) == "a."  # floor(0.5) = 0
+        assert perturbed_body("a.", cfg, 1) == "a."  # floor(0.5) = 0
         with pytest.raises(DataError):
-            zs._perturbed_body("a b c d.", cfg, 1)
+            perturbed_body("a b c d.", cfg, 1)
         with pytest.raises(DataError):
-            zs._perturbed_body("a b c d.", cfg, 1)
+            perturbed_body("a b c d.", cfg, 1)
 
 
 # -- oracles of the one-sweep path ------------------------------------------
-# _perturbed_body, per_token_log_prob (with its tokenization and log sum),
+# The string rewrite, per_token_log_prob (with its tokenization and log sum),
 # detect_gpt_score and single_revise_score written the plain way: one
 # perturbation and one scoring pass per text, sharing only the row-wise
 # _windows and _probs with the package. The package's one sweep per
@@ -810,9 +821,9 @@ class TestOneSweepScoring:
                                seed=seed, k=k)
         doc = make_doc(body)
         seeds = range(seed + 1, seed + k + 1)
-        assert [zs._perturbed_body(body, cfg, s) for s in seeds] == [
+        assert [perturbed_body(body, cfg, s) for s in seeds] == [
             oracle_perturb(doc, replace(cfg, seed=s)).body for s in seeds]
-        assert zs._perturbed_body(body, cfg, seed) == oracle_perturb(doc, cfg).body
+        assert perturbed_body(body, cfg, seed) == oracle_perturb(doc, cfg).body
 
     def test_failed_document_adds_no_pass(self):
         lm = SWEEP_LM
@@ -863,14 +874,21 @@ class TestMixedCasePerturbation:
         cfg = zs.PerturbConfig(pool=SWEEP_LM.vocabulary, mask_fraction=mask_fraction,
                                seed=seed, k=k)
         seeds = range(seed + 1, seed + k + 1)
-        assert [zs._perturbed_body(body, cfg, s) for s in seeds] == [
+        assert [perturbed_body(body, cfg, s) for s in seeds] == [
             oracle_perturb(make_doc(body), replace(cfg, seed=s)).body for s in seeds]
+        try:
+            groups = zs._rewrite_groups(SWEEP_LM, make_doc(body), cfg, seeds)
+        except DataError:
+            assert SWEEP_LM._tokenized([body])[1] == []
+            return
+        assert groups == tokenized_rewrites(SWEEP_LM, body, cfg, seeds)
 
 
 def tokenized_rewrites(lm, body, cfg, seeds):
-    """The id sentences of *body* and of each of its string rewrites."""
+    """The id sentences of *body* and of each of its oracle string rewrites."""
+    doc = make_doc(body)
     return [lm._tokenized([b])[0]
-            for b in [body, *(zs._perturbed_body(body, cfg, s) for s in seeds)]]
+            for b in [body, *(oracle_perturb(doc, replace(cfg, seed=s)).body for s in seeds)]]
 
 
 class TestIdSpaceRewrites:
@@ -917,9 +935,9 @@ class TestIdSpaceRewrites:
         expected = tokenized_rewrites(SWEEP_LM, body, cfg, seeds)
 
         def no_fallback(*args):
-            raise AssertionError("string rewrite made")
+            raise AssertionError("rewrite spliced")
 
-        monkeypatch.setattr(zs, "_perturbed_body", no_fallback)
+        monkeypatch.setattr(zs, "splice_units", no_fallback)
         assert zs._rewrite_groups(SWEEP_LM, make_doc(body), cfg, seeds) == expected
 
     @pytest.mark.parametrize("body, pool", [
@@ -928,13 +946,23 @@ class TestIdSpaceRewrites:
         # A word before a period replaced by one: "Dr." or "no." does not.
         ("The cat. Sat on a mat. Then done.", {"Dr": 1, "no": 1}),
     ], ids=["original", "drawn"])
-    def test_abbreviation_word_falls_back(self, body, pool):
+    def test_abbreviation_word_falls_back(self, monkeypatch, body, pool):
         cfg = zs.PerturbConfig(pool=pool_of(pool), mask_fraction=1.0, seed=0, k=1)
         seeds = range(1, 21)
         expected = tokenized_rewrites(SWEEP_LM, body, cfg, seeds)
         # Every rewrite has another number of sentences than the original.
         assert all(len(sentences) != len(expected[0]) for sentences in expected[1:])
+        draws = []
+        draw = zs._SubstitutionSampler.draw
+
+        def counted(sampler, rng, original):
+            draws.append(original)
+            return draw(sampler, rng, original)
+
+        monkeypatch.setattr(zs._SubstitutionSampler, "draw", counted)
         assert zs._rewrite_groups(SWEEP_LM, make_doc(body), cfg, seeds) == expected
+        # Each spliced rewrite draws its floor(1.0 * words) picks once.
+        assert len(draws) == len(seeds) * len(word_tokens(body))
 
 
 def oracle_slice_for(sampler, original):
