@@ -53,13 +53,12 @@ TRAINERS = {
 class Dataset:
     features: np.ndarray  # (n, d)
     labels: np.ndarray  # (n,) with 1 = Machine
-    ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if self.features.ndim != 2 or len(self.features) < 1:
             raise DataError("features must be a non-empty (n, d) matrix")
-        if len(self.labels) != len(self.features) or len(self.ids) != len(self.features):
-            raise DataError("features, labels, ids must have equal length")
+        if len(self.labels) != len(self.features):
+            raise DataError("features and labels must have equal length")
         if not np.all(np.isfinite(self.features)):
             raise DataError("features must be finite")
         if not np.all(np.isin(self.labels, (0, 1))):
@@ -162,16 +161,6 @@ class RfModel:
 
 
 AnyModel = LogRegModel | GnbModel | SvmModel | RfModel
-
-
-@dataclass(frozen=True)
-class Prediction:
-    score: float
-    label: int  # 1 = Machine
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.score):
-            raise DataError("prediction score must be finite")
 
 
 def _sigmoid(z):
@@ -319,7 +308,7 @@ def tune_gnb(data: Dataset, budget: int = 20, seed: int = 0) -> float:
 
     def objective(log10_s: float) -> float:
         model = train_gnb(tr, var_smoothing=10.0**log10_s)
-        preds = [predict(model, x).label for x in va.features]
+        preds = [int(predict(model, x) >= model.threshold) for x in va.features]
         return _f1(np.array(preds), va.labels)
 
     best_log, _ = bayes_opt_1d(objective, (-12.0, 0.0), budget, seed)
@@ -347,11 +336,7 @@ def _stratified_holdout(data: Dataset, frac: float, seed: int) -> tuple[Dataset,
     hold.sort()
 
     def take(rows: list[int]) -> Dataset:
-        return Dataset(
-            features=data.features[rows],
-            labels=data.labels[rows],
-            ids=tuple(data.ids[i] for i in rows),
-        )
+        return Dataset(features=data.features[rows], labels=data.labels[rows])
 
     return take(keep), take(hold)
 
@@ -491,16 +476,19 @@ def train_random_forest(
 # -- unified prediction --
 
 
-def predict(model: AnyModel, x: np.ndarray) -> Prediction:
-    """Family score with the family's threshold rule; ties go to Machine.
-    DataError when *x* is not of the model's dimension or the score is not
-    finite: Prediction refuses an overflow, so numpy need not warn of it."""
+def predict(model: AnyModel, x: np.ndarray) -> float:
+    """The family score of *x*, higher meaning more likely Machine; the
+    label is score >= model.threshold (DetectorScorer.label). DataError
+    when *x* is not of the model's dimension or the score is not finite:
+    an overflow is refused here, so numpy need not warn of it."""
     x = np.asarray(x, dtype=float)
     if len(x) != model.dim:
         raise DataError(f"feature dimension {len(x)} != model dimension {model.dim}")
     with np.errstate(over="ignore", invalid="ignore"):
         score = model.score(x)
-    return Prediction(score=score, label=int(score >= model.threshold))
+    if not math.isfinite(score):
+        raise DataError("prediction score must be finite")
+    return score
 
 
 # -- persistence --

@@ -362,7 +362,7 @@ def _classifier_scorer(model: classifiers.AnyModel,
     from . import classifiers, embeddings
 
     def score(doc: Document) -> float:
-        return classifiers.predict(model, embeddings.doc_vector(doc.body, emb).values).score
+        return classifiers.predict(model, embeddings.doc_vector(doc.body, emb).values)
 
     return DetectorScorer(
         name=f"classifier:{model.family}", score_fn=score, threshold=model.threshold
@@ -440,9 +440,7 @@ def _dataset_from(corpus_docs, emb) -> classifiers.Dataset:
         embeddings.doc_vector(d.body, emb).values for d in corpus_docs
     ])
     labels = np.array([1 if d.label == Label.MACHINE else 0 for d in corpus_docs])
-    return classifiers.Dataset(
-        features=feats, labels=labels, ids=tuple(d.id for d in corpus_docs)
-    )
+    return classifiers.Dataset(features=feats, labels=labels)
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -481,7 +479,7 @@ def cmd_train(cfg: RunConfig) -> int:
     if cfg.classifier is not None:
         print(f"classifier: {model.family}")
         for name in evaluation.METRIC_NAMES:
-            print(f"validation {name}: {getattr(report, name):.4f}")
+            print(f"validation {name}: {report[name]:.4f}")
     if cfg.zeroshot is not None:
         print(f"lm: order={lm.order} vocab={lm.vocabulary.size} "
               f"train_perplexity={lm.train_perplexity:.3f}")

@@ -6,7 +6,8 @@ reports. Positive class is Machine throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from collections import Counter
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -16,59 +17,10 @@ from .ingest import Corpus, DetectorScorer, Document, Label
 from .sections import AdversarialTransform
 from .text_core import rewrite_units, token_spans
 
-# The scalar metrics of a MetricsReport, in report order.
+# The scalar metrics of a metrics record, in record order.
 METRIC_NAMES = ("precision", "recall", "f1", "accuracy", "auroc")
 
 _SPECIAL_SEQUENCES = ('\\"', "\\'", "/", "\\")
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-
-    def __post_init__(self) -> None:
-        if min(self.tp, self.fp, self.fn, self.tn) < 0:
-            raise DataError("confusion counts must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    precision: float
-    recall: float
-    f1: float
-    accuracy: float
-    auroc: float
-    confusion: ConfusionMatrix
-    n: int
-    flags: tuple[str, ...] = ()
-
-
-def confusion(predictions: Sequence[int], labels: Sequence[int]) -> ConfusionMatrix:
-    """Counts with positive class = Machine (label 1)."""
-    if len(predictions) != len(labels):
-        raise DataError("predictions and labels must have equal length")
-    if len(labels) == 0:
-        raise DataError("cannot build a confusion matrix from empty inputs")
-    tp = fp = fn = tn = 0
-    for p, y in zip(predictions, labels):
-        if y == 1:
-            if p == 1:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if p == 1:
-                fp += 1
-            else:
-                tn += 1
-    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
 def auroc(scores: Sequence[float], labels: Sequence[int]) -> float:
@@ -103,43 +55,50 @@ def _average_ranks(scores: np.ndarray) -> np.ndarray:
 
 
 def metrics(
-    cm: ConfusionMatrix, scores: Sequence[float], labels: Sequence[int]
-) -> MetricsReport:
-    """All scalar metrics from the confusion counts plus rank AUROC.
+    predictions: Sequence[int], scores: Sequence[float], labels: Sequence[int]
+) -> dict:
+    """The metrics.json entry of one scored set: precision, recall, f1,
+    accuracy, rank AUROC, the confusion counts {tp, fp, fn, tn}, n and
+    flags. A prediction or label of 1 is Machine, any other value Human.
 
     Zero-denominator metrics are defined as 0 and noted in ``flags``.
     """
-    if len(scores) != cm.total or len(labels) != cm.total:
-        raise DataError("scores/labels length must match the confusion total")
+    n = len(labels)
+    if len(predictions) != n or len(scores) != n:
+        raise DataError("predictions, scores and labels must have equal length")
+    if n == 0:
+        raise DataError("cannot measure an empty set")
+    cells = Counter((p == 1, y == 1) for p, y in zip(predictions, labels))
+    tp, fp, fn = cells[True, True], cells[True, False], cells[False, True]
+    tn = n - tp - fp - fn
     flags: list[str] = []
-    if cm.tp + cm.fp > 0:
-        precision = cm.tp / (cm.tp + cm.fp)
+    if tp + fp > 0:
+        precision = tp / (tp + fp)
     else:
         precision = 0.0
         flags.append("precision_zero_denominator")
-    if cm.tp + cm.fn > 0:
-        recall = cm.tp / (cm.tp + cm.fn)
+    if tp + fn > 0:
+        recall = tp / (tp + fn)
     else:
         recall = 0.0
         flags.append("recall_zero_denominator")
-    # Harmonic-mean identity 2tp/(2tp+fp+fn) keeps integer exactness.
-    if cm.tp > 0:
-        f1 = 2 * cm.tp / (2 * cm.tp + cm.fp + cm.fn)
+    # Harmonic-mean identity 2tp/(2tp+fp+fn) keeps integer exactness. With
+    # tp = 0, precision and recall are both 0, so 2PR/(P+R) has none.
+    if tp > 0:
+        f1 = 2 * tp / (2 * tp + fp + fn)
     else:
         f1 = 0.0
-        if precision + recall == 0:
-            flags.append("f1_zero_denominator")
-    accuracy = (cm.tp + cm.tn) / cm.total
-    return MetricsReport(
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        accuracy=accuracy,
-        auroc=auroc(scores, labels),
-        confusion=cm,
-        n=cm.total,
-        flags=tuple(flags),
-    )
+        flags.append("f1_zero_denominator")
+    return {
+        "precision": precision,
+        "recall": recall,
+        "f1": f1,
+        "accuracy": (tp + tn) / n,
+        "auroc": auroc(scores, labels),
+        "confusion": {"tp": tp, "fp": fp, "fn": fn, "tn": tn},
+        "n": n,
+        "flags": flags,
+    }
 
 
 def youden_threshold(scores: Sequence[float], labels: Sequence[int]) -> float:
@@ -209,11 +168,12 @@ def adversarial_transform(doc: Document, transform: AdversarialTransform) -> Doc
 # -- robustness --
 
 
-def evaluate(scorer: DetectorScorer, docs: Sequence[Document]) -> MetricsReport:
-    """Score, label and measure *docs* against their own labels."""
+def evaluate(scorer: DetectorScorer, docs: Sequence[Document]) -> dict:
+    """Score, label and measure *docs* against their own labels: the
+    metrics record of the set."""
     labels = [1 if d.label == Label.MACHINE else 0 for d in docs]
     scores = [scorer.score_fn(d) for d in docs]
-    return metrics(confusion([scorer.label(s) for s in scores], labels), scores, labels)
+    return metrics([scorer.label(s) for s in scores], scores, labels)
 
 
 def robustness_report(
@@ -227,10 +187,10 @@ def robustness_report(
     """
     if test.class_counts[Label.HUMAN] == 0 or test.class_counts[Label.MACHINE] == 0:
         raise DataError("robustness evaluation needs both classes")
-    before = asdict(evaluate(scorer, test.documents))
+    before = evaluate(scorer, test.documents)
     per_transform: dict[str, dict] = {}
     for tf in transforms:
-        after = asdict(evaluate(scorer, [adversarial_transform(d, tf) for d in test.documents]))
+        after = evaluate(scorer, [adversarial_transform(d, tf) for d in test.documents])
         per_transform[f"{tf.kind}@{tf.intensity}"] = {
             "kind": tf.kind,
             "intensity": tf.intensity,

@@ -16,8 +16,8 @@ from mgtdetect import embeddings as em
 from mgtdetect import synthetic as syn
 from mgtdetect import zeroshot as zs
 from mgtdetect.cli import main
-from mgtdetect.evaluation import auroc, confusion, metrics
-from mgtdetect.ingest import Document, Label, ParsedSentence
+from mgtdetect.evaluation import auroc, metrics
+from mgtdetect.ingest import DetectorScorer, Document, Label, ParsedSentence
 from mgtdetect.text_core import word_tokens
 
 from conftest import make_corpus, make_doc
@@ -62,12 +62,11 @@ def test_01_auroc_oracle_equivalence():
 
 def test_02_f1_consistency_with_reported_row():
     with criterion(2, "F1 consistency at P = R = 0.97"):
-        cm = confusion([1] * 97 + [0] * 3 + [1] * 3 + [0] * 97,
-                       [1] * 100 + [0] * 100)
-        report = metrics(cm, [1.0] * 100 + [0.0] * 100, [1] * 100 + [0] * 100)
-        assert report.precision == 0.97
-        assert report.recall == 0.97
-        assert report.f1 == 0.97
+        report = metrics([1] * 97 + [0] * 3 + [1] * 3 + [0] * 97,
+                         [1.0] * 100 + [0.0] * 100, [1] * 100 + [0] * 100)
+        assert report["precision"] == 0.97
+        assert report["recall"] == 0.97
+        assert report["f1"] == 0.97
 
 
 def test_03_synthetic_separability():
@@ -96,15 +95,13 @@ def test_03_synthetic_separability():
                               seed=12),
         )
         feats = np.stack([em.doc_vector(t, emb).values for t in texts])
-        data = cl.Dataset(
-            features=feats[train_idx], labels=labels[train_idx],
-            ids=tuple(map(str, train_idx)),
-        )
+        data = cl.Dataset(features=feats[train_idx], labels=labels[train_idx])
 
         def test_f1(model) -> float:
-            preds = [cl.predict(model, feats[i]).label for i in test_idx]
-            cm = confusion(preds, [int(labels[i]) for i in test_idx])
-            return 2 * cm.tp / (2 * cm.tp + cm.fp + cm.fn) if cm.tp else 0.0
+            scorer = DetectorScorer(name=model.family, score_fn=None, threshold=model.threshold)
+            scores = [cl.predict(model, feats[i]) for i in test_idx]
+            return metrics([scorer.label(s) for s in scores], scores,
+                           [int(labels[i]) for i in test_idx])["f1"]
 
         assert test_f1(cl.train_logreg(data, l2=1e-4, epochs=150, lr=0.5, seed=5)) >= 0.90
         assert test_f1(cl.train_linear_svm(data, lam=1e-3, epochs=40, seed=5)) >= 0.90

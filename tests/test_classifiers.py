@@ -25,6 +25,7 @@ from mgtdetect.classifiers import (
     tune_gnb,
 )
 from mgtdetect.errors import DataError
+from mgtdetect.ingest import DetectorScorer
 
 
 def separable_2d(n_per_class: int = 20, seed: int = 0) -> Dataset:
@@ -33,11 +34,18 @@ def separable_2d(n_per_class: int = 20, seed: int = 0) -> Dataset:
     pos = rng.normal(2.0, 0.4, size=(n_per_class, 2))
     X = np.vstack([neg, pos])
     y = np.array([0] * n_per_class + [1] * n_per_class)
-    return Dataset(features=X, labels=y, ids=tuple(str(i) for i in range(2 * n_per_class)))
+    return Dataset(features=X, labels=y)
+
+
+def label(model, x: np.ndarray) -> int:
+    """The label the CLI gives *x*: DetectorScorer.label cuts the score at
+    the model's threshold."""
+    scorer = DetectorScorer(name=model.family, score_fn=None, threshold=model.threshold)
+    return scorer.label(predict(model, x))
 
 
 def train_accuracy(model, data: Dataset) -> float:
-    preds = [predict(model, x).label for x in data.features]
+    preds = [label(model, x) for x in data.features]
     return float(np.mean(np.array(preds) == data.labels))
 
 
@@ -77,7 +85,6 @@ class TestLogReg:
         data = Dataset(
             features=np.ones((3, 2)) * np.arange(3)[:, None],
             labels=np.zeros(3, dtype=int),
-            ids=("a", "b", "c"),
         )
         with pytest.raises(DataError):
             train_logreg(data)
@@ -85,22 +92,18 @@ class TestLogReg:
     def test_order_invariance_with_same_seed(self):
         data = separable_2d()
         perm = np.random.default_rng(3).permutation(len(data.features))
-        shuffled = Dataset(
-            features=data.features[perm],
-            labels=data.labels[perm],
-            ids=tuple(data.ids[i] for i in perm),
-        )
+        shuffled = Dataset(features=data.features[perm], labels=data.labels[perm])
         m1 = train_logreg(data, seed=5, epochs=40)
         m2 = train_logreg(shuffled, seed=5, epochs=40)
         probe = np.array([0.3, -0.7])
-        assert predict(m1, probe).score == pytest.approx(predict(m2, probe).score, abs=0.05)
+        assert predict(m1, probe) == pytest.approx(predict(m2, probe), abs=0.05)
 
 
 class TestGnb:
     def _symmetric(self) -> Dataset:
         X = np.array([[-1.0], [1.0], [9.0], [11.0]])
         y = np.array([0, 0, 1, 1])
-        return Dataset(features=X, labels=y, ids=("a", "b", "c", "d"))
+        return Dataset(features=X, labels=y)
 
     def test_symmetric_midpoint(self):
         model = train_gnb(self._symmetric(), var_smoothing=1e-9)
@@ -115,7 +118,7 @@ class TestGnb:
         # the posterior collapses to the (equal) class priors.
         X = np.array([[1.0], [1.0], [1.0], [1.0]])
         y = np.array([0, 0, 1, 1])
-        data = Dataset(features=X, labels=y, ids=("a", "b", "c", "d"))
+        data = Dataset(features=X, labels=y)
         model = train_gnb(data, var_smoothing=1e-9)
         score = model.score(np.array([1.0]))
         assert np.isfinite(score)
@@ -129,9 +132,9 @@ class TestGnb:
         rng = np.random.default_rng(2)
         X = np.vstack([rng.normal(0, 1, (30, 3)), rng.normal(1.5, 1.2, (30, 3))])
         y = np.array([0] * 30 + [1] * 30)
-        data = Dataset(features=X, labels=y, ids=tuple(map(str, range(60))))
+        data = Dataset(features=X, labels=y)
         c = 2.0
-        scaled = Dataset(features=c * X, labels=y, ids=data.ids)
+        scaled = Dataset(features=c * X, labels=y)
         m = train_gnb(data, var_smoothing=1e-12)
         ms = train_gnb(scaled, var_smoothing=1e-12)
         for probe in (X[0], X[31], np.array([0.5, -0.2, 1.1])):
@@ -223,7 +226,7 @@ class TestRandomForest:
     def test_pure_node_becomes_leaf(self):
         X = np.array([[0.0], [1.0], [2.0]])
         y = np.array([1, 1, 1])
-        data = Dataset(features=X, labels=y, ids=("a", "b", "c"))
+        data = Dataset(features=X, labels=y)
         model = train_random_forest(data, n_trees=1, max_depth=5, seed=0)
         root = model.trees[0]
         assert root.leaf_fraction == 1.0
@@ -231,7 +234,7 @@ class TestRandomForest:
     def test_one_dimensional_threshold(self):
         X = np.array([[0.1], [0.2], [0.3], [0.7], [0.8], [0.9]])
         y = np.array([0, 0, 0, 1, 1, 1])
-        data = Dataset(features=X, labels=y, ids=tuple(map(str, range(6))))
+        data = Dataset(features=X, labels=y)
         model = unbootstrapped_forest(data, n_trees=1, max_depth=1, seed=0)
         assert train_accuracy(model, data) == 1.0
 
@@ -239,7 +242,7 @@ class TestRandomForest:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(40, 3))
         y = rng.integers(0, 2, size=40)
-        data = Dataset(features=X, labels=y, ids=tuple(map(str, range(40))))
+        data = Dataset(features=X, labels=y)
         model = unbootstrapped_forest(data, n_trees=3, max_depth=None, seed=1)
         assert train_accuracy(model, data) == 1.0
 
@@ -258,14 +261,14 @@ class TestRandomForest:
 class TestPredict:
     def test_tie_breaks_to_machine(self):
         model = LogRegModel(weights=np.zeros(2), bias=0.0, l2=0.0)
-        pred = predict(model, np.array([1.0, 2.0]))
-        assert pred.score == 0.5
-        assert pred.label == 1
+        x = np.array([1.0, 2.0])
+        assert predict(model, x) == 0.5
+        assert label(model, x) == 1
 
     def test_svm_threshold_is_zero(self):
         model = SvmModel(weights=np.array([1.0]), bias=0.0, lam=0.1)
-        assert predict(model, np.array([0.0])).label == 1  # margin 0 ties to Machine
-        assert predict(model, np.array([-0.1])).label == 0
+        assert label(model, np.array([0.0])) == 1  # margin 0 ties to Machine
+        assert label(model, np.array([-0.1])) == 0
 
     def test_dimension_mismatch(self):
         model = LogRegModel(weights=np.zeros(2), bias=0.0, l2=0.0)
@@ -295,7 +298,7 @@ class TestPersistence:
             save_model(loaded, again)
             assert again.read_bytes() == path.read_bytes()
             for x in probe:
-                assert predict(loaded, x).score == predict(model, x).score
+                assert predict(loaded, x) == predict(model, x)
 
     def test_schema_version_gate(self, tmp_path):
         path = tmp_path / "m.json"

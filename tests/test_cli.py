@@ -194,11 +194,11 @@ class TestTrain:
         scorer = ingest.DetectorScorer(
             name="classifier",
             score_fn=lambda d: classifiers.predict(
-                model, embeddings.doc_vector(d.body, emb).values).score,
+                model, embeddings.doc_vector(d.body, emb).values),
             threshold=model.threshold,
         )
         report = evaluation.evaluate(scorer, split_documents(out, "val"))
-        assert printed == [(name, f"{getattr(report, name):.4f}")
+        assert printed == [(name, f"{report[name]:.4f}")
                            for name in evaluation.METRIC_NAMES]
 
     def test_unknown_family_exits_2(self, workspace, tmp_path):
@@ -1351,9 +1351,7 @@ def family_models(workspace, tmp_path_factory) -> dict[str, bytes]:
 
     dim = json.loads((workspace / "out" / "model.json").read_text())["dim"]
     rng = np.random.default_rng(0)
-    data = classifiers.Dataset(features=rng.normal(size=(40, dim)),
-                               labels=np.arange(40) % 2,
-                               ids=tuple(str(i) for i in range(40)))
+    data = classifiers.Dataset(features=rng.normal(size=(40, dim)), labels=np.arange(40) % 2)
     models = {
         "logreg": classifiers.train_logreg(data, epochs=5),
         "gnb": classifiers.train_gnb(data),

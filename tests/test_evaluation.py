@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,10 +9,8 @@ from mgtdetect import classifiers, embeddings, evaluation, sections, zeroshot
 from mgtdetect.errors import DataError
 from mgtdetect.evaluation import (
     AdversarialTransform,
-    ConfusionMatrix,
     adversarial_transform,
     auroc,
-    confusion,
     metrics,
     robustness_report,
     youden_threshold,
@@ -34,33 +33,52 @@ def brute_force_auroc(scores, labels):
 
 class TestConfusion:
     def test_hand_count(self):
-        cm = confusion([1, 1, 0], [1, 1, 0])
-        assert (cm.tp, cm.tn, cm.fp, cm.fn) == (2, 1, 0, 0)
+        cm = metrics([1, 1, 0], [0.0] * 3, [1, 1, 0])["confusion"]
+        assert (cm["tp"], cm["tn"], cm["fp"], cm["fn"]) == (2, 1, 0, 0)
 
     def test_total_inversion(self):
-        cm = confusion([0, 0, 1], [1, 1, 0])
-        assert (cm.tp, cm.tn) == (0, 0)
-        assert (cm.fp, cm.fn) == (1, 2)
+        cm = metrics([0, 0, 1], [0.0] * 3, [1, 1, 0])["confusion"]
+        assert (cm["tp"], cm["tn"]) == (0, 0)
+        assert (cm["fp"], cm["fn"]) == (1, 2)
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            confusion([], [])
+            metrics([], [], [])
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
-            confusion([1], [1, 0])
+            metrics([1], [0.0, 0.0], [1, 0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=2,
+                          max_size=60).filter(lambda pairs: len({y for _, y in pairs}) == 2))
+    def test_counts_and_ratios_match_their_definitions(self, pairs):
+        predictions = [p for p, _ in pairs]
+        labels = [y for _, y in pairs]
+        report = metrics(predictions, [float(p) for p in predictions], labels)
+        tp, fp, fn, tn = (pairs.count(cell) for cell in ((1, 1), (1, 0), (0, 1), (0, 0)))
+        assert report["confusion"] == {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
+        assert report["n"] == len(pairs)
+        assert report["precision"] == (tp / (tp + fp) if tp + fp else 0.0)
+        assert report["recall"] == (tp / (tp + fn) if tp + fn else 0.0)
+        assert report["f1"] == (2 * tp / (2 * tp + fp + fn) if tp else 0.0)
+        assert report["accuracy"] == (tp + tn) / len(pairs)
+        # F1 = 2PR / (P + R), and P + R = 0 exactly when tp = 0.
+        assert report["flags"] == (["precision_zero_denominator"] * (tp + fp == 0)
+                                   + ["recall_zero_denominator"] * (tp + fn == 0)
+                                   + ["f1_zero_denominator"] * (tp == 0))
 
 
 class TestMetrics:
     def test_f1_exact_for_symmetric_097(self):
         # tp=97, fp=3, fn=3 gives P = R = 0.97 and F1 = 194/200 = 0.97.
-        cm = ConfusionMatrix(tp=97, fp=3, fn=3, tn=97)
+        predictions = [1] * 97 + [0] * 3 + [1] * 3 + [0] * 97
         scores = [1.0] * 100 + [0.0] * 100
         labels = [1] * 100 + [0] * 100
-        report = metrics(cm, scores, labels)
-        assert report.precision == 0.97
-        assert report.recall == 0.97
-        assert report.f1 == 0.97
+        report = metrics(predictions, scores, labels)
+        assert report["precision"] == 0.97
+        assert report["recall"] == 0.97
+        assert report["f1"] == 0.97
 
     def test_perfect_separation_auroc(self):
         assert auroc([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0]) == 1.0
@@ -75,16 +93,16 @@ class TestMetrics:
             auroc([0.1, 0.9], [1, 1])
 
     def test_zero_denominators_flagged(self):
-        cm = ConfusionMatrix(tp=0, fp=0, fn=2, tn=2)
-        report = metrics(cm, [0.1, 0.2, 0.3, 0.4], [1, 1, 0, 0])
-        assert report.precision == 0.0
-        assert report.f1 == 0.0
-        assert "precision_zero_denominator" in report.flags
+        report = metrics([0, 0, 0, 0], [0.1, 0.2, 0.3, 0.4], [1, 1, 0, 0])
+        assert report["precision"] == 0.0
+        assert report["f1"] == 0.0
+        assert "precision_zero_denominator" in report["flags"]
 
     def test_accuracy_identity(self):
-        cm = ConfusionMatrix(tp=3, fp=2, fn=1, tn=4)
-        report = metrics(cm, list(np.linspace(0, 1, 10)), [1, 1, 1, 1, 0, 0, 0, 0, 0, 1])
-        assert report.accuracy == (3 + 4) / 10
+        report = metrics([1, 1, 1, 0, 1, 1, 0, 0, 0, 0], list(np.linspace(0, 1, 10)),
+                         [1, 1, 1, 1, 0, 0, 0, 0, 0, 0])
+        assert report["confusion"] == {"tp": 3, "fp": 2, "fn": 1, "tn": 4}
+        assert report["accuracy"] == (3 + 4) / 10
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -110,10 +128,11 @@ class TestMetrics:
         assert auroc(list(np.tanh(scores)), labels) == pytest.approx(base, abs=1e-12)
 
     def test_f1_between_precision_and_recall(self):
-        cm = ConfusionMatrix(tp=6, fp=4, fn=1, tn=9)
-        report = metrics(cm, list(np.linspace(0, 1, 20)), [1] * 7 + [0] * 13)
-        assert min(report.precision, report.recall) <= report.f1
-        assert report.f1 <= max(report.precision, report.recall)
+        # tp=6, fn=1, fp=4, tn=9.
+        report = metrics([1] * 6 + [0] + [1] * 4 + [0] * 9, list(np.linspace(0, 1, 20)),
+                         [1] * 7 + [0] * 13)
+        assert min(report["precision"], report["recall"]) <= report["f1"]
+        assert report["f1"] <= max(report["precision"], report["recall"])
 
 
 class TestYouden:
@@ -405,6 +424,87 @@ class TestRobustnessReport:
         with pytest.raises(DataError):
             robustness_report(scorer, corpus, [])
 
+    def test_record_of_a_detector_whose_denominators_vanish(self):
+        """Every document scored 0.0 under threshold 1.0: no Machine label,
+        so precision and F1 have no denominator and all scores tie."""
+        scorer = DetectorScorer(name="zero", score_fn=lambda d: 0.0, threshold=1.0)
+        transforms = [AdversarialTransform(kind="case_flip", intensity=0.5, seed=0)]
+        report = robustness_report(scorer, self._corpus(), transforms)
+        assert json.dumps(report, sort_keys=True, indent=2) == ZERO_DENOMINATOR_RECORD
+
+
+# The robustness.json entry of the detector that scores every document 0.0.
+ZERO_DENOMINATOR_RECORD = """\
+{
+  "before": {
+    "accuracy": 0.5,
+    "auroc": 0.5,
+    "confusion": {
+      "fn": 2,
+      "fp": 0,
+      "tn": 2,
+      "tp": 0
+    },
+    "f1": 0.0,
+    "flags": [
+      "precision_zero_denominator",
+      "f1_zero_denominator"
+    ],
+    "n": 4,
+    "precision": 0.0,
+    "recall": 0.0
+  },
+  "transforms": {
+    "case_flip@0.5": {
+      "after": {
+        "accuracy": 0.5,
+        "auroc": 0.5,
+        "confusion": {
+          "fn": 2,
+          "fp": 0,
+          "tn": 2,
+          "tp": 0
+        },
+        "f1": 0.0,
+        "flags": [
+          "precision_zero_denominator",
+          "f1_zero_denominator"
+        ],
+        "n": 4,
+        "precision": 0.0,
+        "recall": 0.0
+      },
+      "before": {
+        "accuracy": 0.5,
+        "auroc": 0.5,
+        "confusion": {
+          "fn": 2,
+          "fp": 0,
+          "tn": 2,
+          "tp": 0
+        },
+        "f1": 0.0,
+        "flags": [
+          "precision_zero_denominator",
+          "f1_zero_denominator"
+        ],
+        "n": 4,
+        "precision": 0.0,
+        "recall": 0.0
+      },
+      "delta": {
+        "accuracy": 0.0,
+        "auroc": 0.0,
+        "f1": 0.0,
+        "precision": 0.0,
+        "recall": 0.0
+      },
+      "intensity": 0.5,
+      "kind": "case_flip"
+    }
+  }
+}"""
+
 
 # One detector of each family the attacks meet: an LM for detect_gpt and
 # single_revise, and an svm over mean-pooled vectors of the LM's tokens, so
@@ -431,7 +531,7 @@ def curvature(body: str, k: int, seed: int) -> float:
 
 def svm_score(body: str) -> float:
     return classifiers.predict(INVARIANCE_SVM,
-                               embeddings.doc_vector(body, INVARIANCE_EMB).values).score
+                               embeddings.doc_vector(body, INVARIANCE_EMB).values)
 
 
 def outcome(score, body: str) -> str:
