@@ -7,6 +7,11 @@ Scores follow one convention: higher means more likely Machine. Labels
 threshold at 0.5 for probability scores and at 0 for the SVM margin, with
 ties going to Machine. Each family's config keys, defaults and ranges are
 declared in `sections`.
+
+Each family's model class checks its own rules when it is built, so that a
+trained model and one load_model reads obey the same rules; load_model
+checks only the JSON encoding. A forest's trees are the records model.json
+holds.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import ClassVar
 
@@ -73,6 +79,16 @@ class Dataset:
             raise DataError("training data must contain both classes")
 
 
+def _check_array(name: str, value, shape: tuple) -> None:
+    """DataError unless *value* is a finite array of *shape* (a number: ()),
+    where None matches any length."""
+    actual = np.shape(value)
+    if len(actual) != len(shape) or any(n not in (None, m) for n, m in zip(shape, actual)):
+        raise DataError(f"{name} must have shape {shape}, got {actual}")
+    if not np.all(np.isfinite(value)):
+        raise DataError(f"{name} must be finite")
+
+
 @dataclass
 class LogRegModel:
     weights: np.ndarray
@@ -80,6 +96,11 @@ class LogRegModel:
     l2: float
     family: ClassVar[str] = "logreg"
     threshold: ClassVar[float] = 0.5
+
+    def __post_init__(self) -> None:
+        _check_array("weights", self.weights, (None,))
+        _check_array("bias", self.bias, ())
+        check_hyperparameters({"l2": self.l2})
 
     @property
     def dim(self) -> int:
@@ -97,6 +118,14 @@ class GnbModel:
     var_smoothing: float
     family: ClassVar[str] = "gnb"
     threshold: ClassVar[float] = 0.5
+
+    def __post_init__(self) -> None:
+        _check_array("means", self.means, (2, None))
+        _check_array("variances", self.variances, self.means.shape)
+        _check_array("priors", self.priors, (2,))
+        if np.any(self.priors <= 0) or np.any(self.variances < 0):
+            raise DataError("gnb priors must be > 0 and variances >= 0")
+        check_hyperparameters({"var_smoothing": self.var_smoothing})
 
     @property
     def dim(self) -> int:
@@ -121,6 +150,11 @@ class SvmModel:
     family: ClassVar[str] = "svm"
     threshold: ClassVar[float] = 0.0
 
+    def __post_init__(self) -> None:
+        _check_array("weights", self.weights, (None,))
+        _check_array("bias", self.bias, ())
+        check_hyperparameters({"lambda": self.lam})
+
     @property
     def dim(self) -> int:
         return len(self.weights)
@@ -129,26 +163,15 @@ class SvmModel:
         return float(self.weights @ x + self.bias)
 
 
-@dataclass
-class TreeNode:
-    """Internal node (feature, threshold, children) or leaf (fraction)."""
-
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    leaf_fraction: float | None = None
-
-    def predict(self, x: np.ndarray) -> float:
-        node = self
-        while node.leaf_fraction is None:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node.leaf_fraction
+# The keys of a tree node: a leaf holding its Machine fraction, or a split
+# sending x with x[feature] <= threshold left and any other x right.
+_LEAF_KEYS = frozenset({"leaf"})
+_SPLIT_KEYS = frozenset({"feature", "threshold", "left", "right"})
 
 
 @dataclass
 class RfModel:
-    trees: list[TreeNode]
+    trees: list[dict]  # root nodes, each a record as model.json holds it
     n_trees: int
     max_depth: int | None
     seed: int
@@ -156,8 +179,41 @@ class RfModel:
     family: ClassVar[str] = "random_forest"
     threshold: ClassVar[float] = 0.5
 
+    def __post_init__(self) -> None:
+        check_hyperparameters({"n_trees": self.n_trees, "max_depth": self.max_depth})
+        if self.n_trees != len(self.trees):
+            raise DataError(f"n_trees {self.n_trees} differs from the {len(self.trees)} trees")
+        if self.seed < 0 or self.dim < 1:
+            raise DataError(f"seed must be >= 0 and dim >= 1, got {self.seed} and {self.dim}")
+        nodes = list(self.trees)
+        while nodes:
+            node = nodes.pop()
+            keys = node.keys() if type(node) is dict else None
+            if keys == _LEAF_KEYS:
+                leaf = node["leaf"]
+                if type(leaf) not in (int, float) or not 0 <= leaf <= 1:
+                    raise DataError(f"tree leaf must be a number in [0, 1], got {leaf!r}")
+            elif keys == _SPLIT_KEYS:
+                feature, threshold = node["feature"], node["threshold"]
+                if type(feature) is not int or not 0 <= feature < self.dim:
+                    raise DataError(f"tree feature must be an integer in [0, {self.dim}), "
+                                    f"got {feature!r}")
+                if type(threshold) not in (int, float) or not math.isfinite(threshold):
+                    raise DataError(f"tree threshold must be a finite number, got {threshold!r}")
+                nodes += (node["left"], node["right"])
+            else:
+                raise DataError(f"tree node must hold the keys {sorted(_LEAF_KEYS)} or "
+                                f"{sorted(_SPLIT_KEYS)}, got {node!r:.60}")
+
     def score(self, x: np.ndarray) -> float:
-        return float(np.mean([t.predict(x) for t in self.trees]))
+        return float(np.mean([_leaf(tree, x) for tree in self.trees]))
+
+
+def _leaf(node: dict, x: np.ndarray) -> float:
+    """The Machine fraction of the leaf that *x* reaches from *node*."""
+    while "leaf" not in node:
+        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+    return node["leaf"]
 
 
 AnyModel = LogRegModel | GnbModel | SvmModel | RfModel
@@ -203,15 +259,17 @@ def train_logreg(
     n, d = data.features.shape
     w = np.zeros(d)
     b = 0.0
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, LOGREG_BATCH_SIZE):
-            idx = order[start : start + LOGREG_BATCH_SIZE]
-            _, gw, gb = logreg_loss_and_grad(
-                w, b, data.features[idx], data.labels[idx].astype(float), l2
-            )
-            w -= lr * gw
-            b -= lr * gb
+    # A diverging run ends in the model's DataError, not in numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, LOGREG_BATCH_SIZE):
+                idx = order[start : start + LOGREG_BATCH_SIZE]
+                _, gw, gb = logreg_loss_and_grad(
+                    w, b, data.features[idx], data.labels[idx].astype(float), l2
+                )
+                w -= lr * gw
+                b -= lr * gb
     return LogRegModel(weights=w, bias=float(b), l2=l2)
 
 
@@ -303,23 +361,20 @@ def tune_gnb(data: Dataset, budget: int = 20, seed: int = 0) -> float:
     """Bayesian-optimize log10(var_smoothing) over [-12, 0], scoring each
     candidate by validation F1 on an internal stratified 80/20 split.
     """
+    # Imported here, so that a classifier detect imports no evaluation.
+    from .evaluation import metrics
+
     data.require_both_classes()
     tr, va = _stratified_holdout(data, 0.2, seed)
 
     def objective(log10_s: float) -> float:
         model = train_gnb(tr, var_smoothing=10.0**log10_s)
-        preds = [int(predict(model, x) >= model.threshold) for x in va.features]
-        return _f1(np.array(preds), va.labels)
+        scores = [predict(model, x) for x in va.features]
+        preds = [int(score >= model.threshold) for score in scores]
+        return metrics(preds, scores, va.labels)["f1"]
 
     best_log, _ = bayes_opt_1d(objective, (-12.0, 0.0), budget, seed)
     return 10.0**best_log
-
-
-def _f1(preds: np.ndarray, labels: np.ndarray) -> float:
-    tp = int(np.sum((preds == 1) & (labels == 1)))
-    fp = int(np.sum((preds == 1) & (labels == 0)))
-    fn = int(np.sum((preds == 0) & (labels == 1)))
-    return 2 * tp / (2 * tp + fp + fn) if tp else 0.0
 
 
 def _stratified_holdout(data: Dataset, frac: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -366,16 +421,18 @@ def train_linear_svm(
     X = np.hstack([data.features, np.ones((n, 1))])
     w = np.zeros(d + 1)
     t = 0
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for i in order:
-            t += 1
-            eta = 1.0 / (lam * t)
-            x = X[i]
-            if y_pm[i] * (w @ x) < 1.0:
-                w = (1.0 - eta * lam) * w + eta * y_pm[i] * x
-            else:
-                w = (1.0 - eta * lam) * w
+    # A diverging run ends in the model's DataError, not in numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            for i in order:
+                t += 1
+                eta = 1.0 / (lam * t)
+                x = X[i]
+                if y_pm[i] * (w @ x) < 1.0:
+                    w = (1.0 - eta * lam) * w + eta * y_pm[i] * x
+                else:
+                    w = (1.0 - eta * lam) * w
     return SvmModel(weights=w[:d], bias=float(w[d]), lam=lam)
 
 
@@ -424,9 +481,9 @@ def _grow_tree(
     depth: int,
     max_depth: int | None,
     n_subset: int,
-) -> TreeNode:
+) -> dict:
     if len(np.unique(y)) == 1 or (max_depth is not None and depth >= max_depth):
-        return TreeNode(leaf_fraction=float(np.mean(y)))
+        return {"leaf": float(np.mean(y))}
     d = X.shape[1]
     subset = np.sort(rng.choice(d, size=min(n_subset, d), replace=False))
     split = _best_split(X, y, subset)
@@ -435,12 +492,12 @@ def _grow_tree(
         # so consistent data always separates.
         split = _best_split(X, y, np.arange(d))
     if split is None:
-        return TreeNode(leaf_fraction=float(np.mean(y)))
+        return {"leaf": float(np.mean(y))}
     f, thr, _ = split
     mask = X[:, f] <= thr
     left = _grow_tree(X[mask], y[mask], rng, depth + 1, max_depth, n_subset)
     right = _grow_tree(X[~mask], y[~mask], rng, depth + 1, max_depth, n_subset)
-    return TreeNode(feature=f, threshold=thr, left=left, right=right)
+    return {"feature": f, "threshold": thr, "left": left, "right": right}
 
 
 def train_random_forest(
@@ -456,7 +513,7 @@ def train_random_forest(
     check_hyperparameters({"n_trees": n_trees, "max_depth": max_depth})
     n, d = data.features.shape
     n_subset = max(1, int(math.isqrt(d)))
-    trees: list[TreeNode] = []
+    trees: list[dict] = []
     for t in range(n_trees):
         rng = np.random.default_rng(seed + t)
         idx = rng.integers(0, n, size=n)
@@ -493,73 +550,24 @@ def predict(model: AnyModel, x: np.ndarray) -> float:
 
 # -- persistence --
 
-
-def _finite_array(ndim: int):
-    """The field parser of a finite numeric array of *ndim* dimensions."""
-    return lambda values, _parsed: json_array(values, ndim)
-
-
-def _finite_float(value, _parsed) -> float:
-    return json_float(value)
-
-
-def _dim(value, _parsed) -> int:
-    dim = json_int(value)
-    if dim < 1:
-        raise ValueError("random_forest dim must be >= 1")
-    return dim
-
-
-def _forest(value, parsed) -> list[TreeNode]:
-    trees = [_tree_from_dict(t, parsed["dim"]) for t in value]
-    if not trees:
-        raise ValueError("random_forest needs at least one tree")
-    return trees
-
-
-def _n_trees(value, parsed) -> int:
-    n_trees = json_int(value)
-    if n_trees != len(parsed["trees"]):
-        raise ValueError(f"n_trees {n_trees} differs from the {len(parsed['trees'])} trees")
-    return n_trees
-
-
-def _max_depth(value, _parsed) -> int | None:
-    max_depth = None if value is None else json_int(value)
-    check_hyperparameters({"max_depth": max_depth})
-    return max_depth
-
-
-def _seed(value, _parsed) -> int:
-    seed = json_int(value)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
-# Each family's model class and its model.json fields beyond schema_version,
-# family and dim, as (JSON key, attribute, parser). save_model writes each
-# attribute under its key; load_model parses the keys in this order, each
-# parser given the JSON value and the attributes parsed before it.
+# Each family's model class and its model.json keys beyond schema_version,
+# family and dim, as (JSON key, attribute, reader). save_model writes each
+# attribute under its key; load_model hands the class each key's value as
+# its reader returns it, a reader of the JSON encoding alone.
 _MODEL_FIELDS = {
-    "logreg": (LogRegModel, (("weights", "weights", _finite_array(1)),
-                             ("bias", "bias", _finite_float), ("l2", "l2", _finite_float))),
-    "gnb": (GnbModel, (("means", "means", _finite_array(2)),
-                       ("variances", "variances", _finite_array(2)),
-                       ("priors", "priors", _finite_array(1)),
-                       ("var_smoothing", "var_smoothing", _finite_float))),
-    "svm": (SvmModel, (("weights", "weights", _finite_array(1)),
-                       ("bias", "bias", _finite_float), ("lambda", "lam", _finite_float))),
-    "random_forest": (RfModel, (("dim", "dim", _dim), ("trees", "trees", _forest),
-                                ("n_trees", "n_trees", _n_trees),
-                                ("max_depth", "max_depth", _max_depth),
-                                ("seed", "seed", _seed))),
+    "logreg": (LogRegModel, (("weights", "weights", partial(json_array, ndim=1)),
+                             ("bias", "bias", json_float), ("l2", "l2", json_float))),
+    "gnb": (GnbModel, (("means", "means", partial(json_array, ndim=2)),
+                       ("variances", "variances", partial(json_array, ndim=2)),
+                       ("priors", "priors", partial(json_array, ndim=1)),
+                       ("var_smoothing", "var_smoothing", json_float))),
+    "svm": (SvmModel, (("weights", "weights", partial(json_array, ndim=1)),
+                       ("bias", "bias", json_float), ("lambda", "lam", json_float))),
+    "random_forest": (RfModel, (("trees", "trees", list), ("n_trees", "n_trees", json_int),
+                                ("max_depth", "max_depth",
+                                 lambda value: None if value is None else json_int(value)),
+                                ("seed", "seed", json_int), ("dim", "dim", json_int))),
 }
-
-
-def _to_json(value):
-    """The JSON form of a model attribute that json cannot write itself."""
-    return value.tolist() if isinstance(value, np.ndarray) else _tree_to_dict(value)
 
 
 def save_model(model: AnyModel, path: str | Path) -> None:
@@ -567,19 +575,20 @@ def save_model(model: AnyModel, path: str | Path) -> None:
     _, fields = _MODEL_FIELDS[model.family]
     payload = {"schema_version": SCHEMA_VERSION, "family": model.family, "dim": model.dim}
     payload.update((key, getattr(model, attr)) for key, attr, _ in fields)
-    Path(path).write_text(json.dumps(payload, sort_keys=True, default=_to_json),
+    Path(path).write_text(json.dumps(payload, sort_keys=True, default=np.ndarray.tolist),
                           encoding="utf-8")
 
 
 def load_model(path: str | Path) -> AnyModel:
-    """Read a save_model file, checking every field each family's score
-    reads: numbers finite, weights 1-D, gnb arrays of shape (2, d) and
-    (2,), random-forest dim and split features integers, the features in
-    [0, dim), and the forest's metadata as train_random_forest writes it:
-    n_trees an integer equal to the number of trees (so at least 1),
-    max_depth null or an integer in its sections.HYPERPARAMETER_RANGES
-    range, and seed an integer >= 0. Any other content, a key save_model does not
-    write included, raises DataError.
+    """The model save_model wrote to *path*; DataError when the file is not
+    such a model.
+
+    Here only what belongs to the JSON encoding is checked: the keys
+    save_model writes for the family and no other, the schema version, each
+    key's JSON type (its _MODEL_FIELDS reader: integers, finite numbers,
+    arrays of them, a list of trees, max_depth an integer or null), and dim
+    an integer equal to the built model's. The model class checks the
+    model itself.
     """
     payload = load_json(path)
     if not isinstance(payload, dict):
@@ -593,47 +602,12 @@ def load_model(path: str | Path) -> AnyModel:
     if not isinstance(family, str) or family not in _MODEL_FIELDS:
         raise DataError(f"{path}: unknown model family {family!r}")
     cls, fields = _MODEL_FIELDS[family]
-    parsed: dict = {}
     try:
         json_keys(payload, ("schema_version", "family", "dim", *(key for key, _, _ in fields)))
-        for key, attr, parse in fields:
-            parsed[attr] = parse(payload[key], parsed)
-        model = cls(**parsed)
-        if isinstance(model, GnbModel):
-            if len(model.means) != 2 or model.variances.shape != model.means.shape:
-                raise ValueError("gnb means and variances must have shape (2, d)")
-            if model.priors.shape != (2,) or np.any(model.priors <= 0):
-                raise ValueError("gnb priors must be 2 positive numbers")
-            if np.any(model.variances < 0) or model.var_smoothing <= 0:
-                raise ValueError("gnb variances must be >= 0 and var_smoothing > 0")
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError,
-            DataError) as exc:
+        model = cls(**{attr: read(payload[key]) for key, attr, read in fields})
+        dim = json_int(payload["dim"])
+        if dim != model.dim:
+            raise ValueError(f"dim {dim} differs from the model's {model.dim}")
+    except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
         raise DataError(f"{path}: corrupted model field: {exc}") from exc
     return model
-
-
-def _tree_to_dict(node: TreeNode) -> dict:
-    if node.leaf_fraction is not None:
-        return {"leaf": node.leaf_fraction}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _tree_to_dict(node.left),
-        "right": _tree_to_dict(node.right),
-    }
-
-
-def _tree_from_dict(d: dict, dim: int) -> TreeNode:
-    if not isinstance(d, dict):
-        raise TypeError("tree node must be a JSON object")
-    if "leaf" in d:
-        return TreeNode(leaf_fraction=json_float(d["leaf"]))
-    feature = json_int(d["feature"])
-    if not 0 <= feature < dim:
-        raise ValueError(f"tree feature {feature} outside [0, {dim})")
-    return TreeNode(
-        feature=feature,
-        threshold=json_float(d["threshold"]),
-        left=_tree_from_dict(d["left"], dim),
-        right=_tree_from_dict(d["right"], dim),
-    )

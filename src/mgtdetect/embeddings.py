@@ -130,66 +130,69 @@ def train_skipgram(texts: list[str], config: SkipGramConfig) -> EmbeddingMatrix:
     # the fast ufunc.at path and keeps the row-wise accumulation order.
     w_out_flat = w_out.reshape(-1)
     cells = np.arange(w_out.size).reshape(w_out.shape)
-    for _ in range(config.epochs):
-        epoch_loss = 0.0
-        epoch_pairs = 0
-        for seq_ids in id_arrays:
-            # One uniform per token, in token order, as one draw per text.
-            kept = seq_ids[random(len(seq_ids)) < keep_prob[seq_ids]]
-            n_kept = len(kept)
-            for i in range(n_kept):
-                progress = seen / total_centers
-                lr = lr0 * (1.0 - progress * (1.0 - LR_FLOOR_FRACTION))
-                seen += 1
-                lo = max(0, i - window)
-                hi = min(n_kept, i + window + 1)
-                n = hi - lo - 1
-                if n == 0:
-                    continue
-                # ids = contexts, then (n, k) negatives drawn from the noise
-                # CDF; a negative equal to its pair's context is re-drawn (in
-                # C order) at most 10 times.
-                ids = np.concatenate(
-                    (kept[lo:i], kept[i + 1 : hi], draw(random(n * k), "right"))
-                )
-                ctx_ids = ids[:n, None]
-                negs = ids[n:].reshape(n, k)
-                for _ in range(10):
-                    mask = negs == ctx_ids
-                    hits = np.count_nonzero(mask)
-                    if not hits:
-                        break
-                    negs[mask] = draw(random(hits), "right")
-                # The context block is scored as (n, dim) @ (dim,) and the
-                # negative block as (n, k, dim) @ (dim,): BLAS picks kernels
-                # by shape, so merging the two products could move the last
-                # bit. The elementwise steps run once over both blocks.
-                center = kept[i]
-                v_c = w_in[center]
-                u = w_out.take(ids, axis=0)
-                u_ctx = u[:n]
-                u_neg = u[n:].reshape(n, k, dim)
-                logits = np.empty(len(ids))
-                np.matmul(u_ctx, v_c, out=logits[:n])
-                np.matmul(u_neg, v_c, out=logits[n:].reshape(n, k))
-                scores = _sigmoid(logits)
-                # -log sigmoid(pos) - sum log(1 - sigmoid(neg)), clipped.
-                fit = 1.0 - scores
-                fit[:n] = scores[:n]
-                log_fit = np.log(np.maximum(fit, 1e-12))
-                epoch_loss += float(-np.add.reduce(log_fit[:n]) - np.add.reduce(log_fit[n:]))
-                epoch_pairs += n
-                scores[:n] -= 1.0  # d loss / d logit of each context pair
-                g_center = scores[:n] @ u_ctx + np.einsum(
-                    "ck,ckd->d", scores[n:].reshape(n, k), u_neg
-                )
-                # Context rows first, then negative rows; a repeated row
-                # accumulates its updates in that order.
-                step = scores[:, None] * v_c
-                step *= -lr
-                np.add.at(w_out_flat, cells.take(ids, axis=0).ravel(), step.ravel())
-                w_in[center] = v_c - lr * g_center
-        losses.append(epoch_loss / epoch_pairs if epoch_pairs else 0.0)
+    # A diverging run ends in EmbeddingMatrix's DataError, not in numpy
+    # warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.epochs):
+            epoch_loss = 0.0
+            epoch_pairs = 0
+            for seq_ids in id_arrays:
+                # One uniform per token, in token order, as one draw per text.
+                kept = seq_ids[random(len(seq_ids)) < keep_prob[seq_ids]]
+                n_kept = len(kept)
+                for i in range(n_kept):
+                    progress = seen / total_centers
+                    lr = lr0 * (1.0 - progress * (1.0 - LR_FLOOR_FRACTION))
+                    seen += 1
+                    lo = max(0, i - window)
+                    hi = min(n_kept, i + window + 1)
+                    n = hi - lo - 1
+                    if n == 0:
+                        continue
+                    # ids = contexts, then (n, k) negatives drawn from the noise
+                    # CDF; a negative equal to its pair's context is re-drawn (in
+                    # C order) at most 10 times.
+                    ids = np.concatenate(
+                        (kept[lo:i], kept[i + 1 : hi], draw(random(n * k), "right"))
+                    )
+                    ctx_ids = ids[:n, None]
+                    negs = ids[n:].reshape(n, k)
+                    for _ in range(10):
+                        mask = negs == ctx_ids
+                        hits = np.count_nonzero(mask)
+                        if not hits:
+                            break
+                        negs[mask] = draw(random(hits), "right")
+                    # The context block is scored as (n, dim) @ (dim,) and the
+                    # negative block as (n, k, dim) @ (dim,): BLAS picks kernels
+                    # by shape, so merging the two products could move the last
+                    # bit. The elementwise steps run once over both blocks.
+                    center = kept[i]
+                    v_c = w_in[center]
+                    u = w_out.take(ids, axis=0)
+                    u_ctx = u[:n]
+                    u_neg = u[n:].reshape(n, k, dim)
+                    logits = np.empty(len(ids))
+                    np.matmul(u_ctx, v_c, out=logits[:n])
+                    np.matmul(u_neg, v_c, out=logits[n:].reshape(n, k))
+                    scores = _sigmoid(logits)
+                    # -log sigmoid(pos) - sum log(1 - sigmoid(neg)), clipped.
+                    fit = 1.0 - scores
+                    fit[:n] = scores[:n]
+                    log_fit = np.log(np.maximum(fit, 1e-12))
+                    epoch_loss += float(-np.add.reduce(log_fit[:n]) - np.add.reduce(log_fit[n:]))
+                    epoch_pairs += n
+                    scores[:n] -= 1.0  # d loss / d logit of each context pair
+                    g_center = scores[:n] @ u_ctx + np.einsum(
+                        "ck,ckd->d", scores[n:].reshape(n, k), u_neg
+                    )
+                    # Context rows first, then negative rows; a repeated row
+                    # accumulates its updates in that order.
+                    step = scores[:, None] * v_c
+                    step *= -lr
+                    np.add.at(w_out_flat, cells.take(ids, axis=0).ravel(), step.ravel())
+                    w_in[center] = v_c - lr * g_center
+            losses.append(epoch_loss / epoch_pairs if epoch_pairs else 0.0)
 
     return EmbeddingMatrix(
         vocabulary=vocab,

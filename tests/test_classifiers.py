@@ -1,5 +1,8 @@
+import copy
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +13,6 @@ from mgtdetect.classifiers import (
     LogRegModel,
     RfModel,
     SvmModel,
-    TreeNode,
     _grow_tree,
     bayes_opt_1d,
     load_model,
@@ -160,6 +162,20 @@ class TestHyperparameterRanges:
         with pytest.raises(DataError, match="must be"):
             train(separable_2d(10))
 
+    @pytest.mark.parametrize("train", [
+        lambda d: train_logreg(d, lr=1e300, epochs=3),
+        lambda d: train_linear_svm(d, lam=1e-308, epochs=2),
+    ], ids=["logreg_lr_1e300", "svm_lambda_1e-308"])
+    def test_diverging_run_refused_without_warning(self, train):
+        """Values inside their ranges on features of scale 10, on which the
+        run diverges: the model refuses its non-finite weights, and numpy
+        warns of nothing on the way."""
+        data = separable_2d(10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="must be finite"):
+                train(Dataset(features=5 * data.features, labels=data.labels))
+
 
 class TestBayesOpt:
     def test_flat_objective_returns_first_evaluated(self):
@@ -229,7 +245,7 @@ class TestRandomForest:
         data = Dataset(features=X, labels=y)
         model = train_random_forest(data, n_trees=1, max_depth=5, seed=0)
         root = model.trees[0]
-        assert root.leaf_fraction == 1.0
+        assert root == {"leaf": 1.0}
 
     def test_one_dimensional_threshold(self):
         X = np.array([[0.1], [0.2], [0.3], [0.7], [0.8], [0.9]])
@@ -252,7 +268,7 @@ class TestRandomForest:
 
     def test_pure_leaf_scores_are_exact(self):
         model = RfModel(
-            trees=[TreeNode(leaf_fraction=1.0)], n_trees=1, max_depth=1,
+            trees=[{"leaf": 1.0}], n_trees=1, max_depth=1,
             seed=0, dim=2,
         )
         assert model.score(np.array([0.0, 0.0])) in (0.0, 1.0)
@@ -274,6 +290,81 @@ class TestPredict:
         model = LogRegModel(weights=np.zeros(2), bias=0.0, l2=0.0)
         with pytest.raises(DataError):
             predict(model, np.array([1.0]))
+
+
+def _first_leaf(node: dict) -> dict:
+    while "leaf" not in node:
+        node = node["left"]
+    return node
+
+
+def _root(**changes):
+    """An RfModel change: the first tree's root node with *changes*."""
+    return lambda m: {"trees": [{**m.trees[0], **changes}, *m.trees[1:]]}
+
+
+def _leaf_of(value):
+    """An RfModel change: the first tree's leftmost leaf holding *value*."""
+    def change(m):
+        trees = copy.deepcopy(m.trees)
+        _first_leaf(trees[0])["leaf"] = value
+        return {"trees": trees}
+    return change
+
+
+class TestModelRules:
+    """Each model class refuses, when it is built, a model that breaks one
+    of its family's rules: a trained model and a loaded one alike."""
+
+    @pytest.mark.parametrize("family, change", [
+        ("logreg", lambda m: {"weights": m.weights[None, :]}),
+        ("logreg", lambda m: {"weights": np.full_like(m.weights, np.nan)}),
+        ("logreg", lambda m: {"bias": math.inf}),
+        ("logreg", lambda m: {"l2": -1.0}),
+        ("gnb", lambda m: {"means": np.vstack([m.means, m.means[:1]])}),
+        ("gnb", lambda m: {"means": m.means[0]}),
+        ("gnb", lambda m: {"means": np.full_like(m.means, np.inf)}),
+        ("gnb", lambda m: {"variances": m.variances[:, 1:]}),
+        ("gnb", lambda m: {"variances": np.full_like(m.variances, np.nan)}),
+        ("gnb", lambda m: {"variances": -m.variances}),
+        ("gnb", lambda m: {"priors": np.array([0.5, 0.25, 0.25])}),
+        ("gnb", lambda m: {"priors": np.array([np.inf, 0.5])}),
+        ("gnb", lambda m: {"priors": np.array([0.0, 1.0])}),
+        ("gnb", lambda m: {"var_smoothing": 0.0}),
+        ("svm", lambda m: {"weights": np.full_like(m.weights, np.inf)}),
+        ("svm", lambda m: {"weights": m.weights[0]}),
+        ("svm", lambda m: {"bias": math.nan}),
+        ("svm", lambda m: {"lam": 0.0}),
+        ("random_forest", lambda m: {"trees": [], "n_trees": 0}),
+        ("random_forest", lambda m: {"trees": m.trees[1:]}),
+        ("random_forest", lambda m: {"max_depth": 0}),
+        ("random_forest", lambda m: {"seed": -1}),
+        ("random_forest", lambda m: {"trees": [{"leaf": 0.5}], "n_trees": 1, "dim": 0}),
+        ("random_forest", _root(feature=4)),
+        ("random_forest", _root(feature=-1)),
+        ("random_forest", _root(feature=1.0)),
+        ("random_forest", _root(threshold=math.inf)),
+        ("random_forest", _root(threshold="0.5")),
+        ("random_forest", _root(note=1)),
+        ("random_forest", _root(leaf=0.5)),
+        ("random_forest", lambda m: {"trees": [["leaf", 0.5], *m.trees[1:]]}),
+        ("random_forest", _leaf_of(7.0)),
+        ("random_forest", _leaf_of(-0.5)),
+        ("random_forest", _leaf_of(math.nan)),
+        ("random_forest", _leaf_of(True)),
+    ], ids=["logreg_weights_2d", "logreg_weights_nan", "logreg_bias_inf", "logreg_l2_negative",
+            "gnb_three_classes", "gnb_means_1d", "gnb_means_inf", "gnb_variance_width",
+            "gnb_variances_nan", "gnb_variances_negative", "gnb_three_priors",
+            "gnb_prior_inf", "gnb_prior_zero", "gnb_smoothing_zero", "svm_weights_inf",
+            "svm_weights_scalar", "svm_bias_nan", "svm_lambda_zero", "rf_no_trees",
+            "rf_n_trees_mismatch", "rf_max_depth_zero", "rf_seed_negative", "rf_dim_zero",
+            "rf_feature_dim", "rf_feature_negative", "rf_feature_float", "rf_threshold_inf",
+            "rf_threshold_string", "rf_node_unknown_key", "rf_split_with_leaf",
+            "rf_node_list", "rf_leaf_7", "rf_leaf_negative", "rf_leaf_nan", "rf_leaf_boolean"])
+    def test_broken_rule_refused(self, fixtures_dir, family, change):
+        model = load_model(fixtures_dir / "models" / f"{family}.model.json")
+        with pytest.raises(DataError):
+            replace(model, **change(model))
 
 
 class TestPersistence:
@@ -299,6 +390,14 @@ class TestPersistence:
             assert again.read_bytes() == path.read_bytes()
             for x in probe:
                 assert predict(loaded, x) == predict(model, x)
+
+    @pytest.mark.parametrize("family", ["logreg", "gnb", "svm", "random_forest"])
+    def test_fixture_resaves_byte_for_byte(self, fixtures_dir, tmp_path, family):
+        """A model.json that an earlier save_model wrote loads and re-saves
+        to the same bytes."""
+        path, again = fixtures_dir / "models" / f"{family}.model.json", tmp_path / "again.json"
+        save_model(load_model(path), again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_schema_version_gate(self, tmp_path):
         path = tmp_path / "m.json"

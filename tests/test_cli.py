@@ -1367,6 +1367,13 @@ def family_models(workspace, tmp_path_factory) -> dict[str, bytes]:
     return blobs
 
 
+def first_leaf(node: dict) -> dict:
+    """The leftmost leaf of a model.json tree node."""
+    while "leaf" not in node:
+        node = node["left"]
+    return node
+
+
 class TestCorruptClassifierArtifacts:
     """A corrupt model.json or embeddings.txt makes `detect --method
     classifier` exit 3 with one data error line naming the file."""
@@ -1472,6 +1479,31 @@ class TestCorruptClassifierArtifacts:
         assert err == ["data error: feature vector must be finite"]
         assert file_bytes(out) == before
 
+    @pytest.mark.parametrize("classifier, learning_rate", [
+        ({"family": "logreg", "lr": 1e300, "epochs": 3}, 0.025),
+        ({"family": "logreg"}, 1e300),
+    ], ids=["logreg_lr", "skipgram_learning_rate"])
+    def test_diverging_training_prints_only_its_error(self, tmp_path, classifier,
+                                                      learning_rate):
+        """A learning rate inside its range on which the classifier or the
+        skip-gram run diverges: in a process of its own, train exits 3 with
+        one data error line and no numpy warning, and no file of the output
+        directory has changed."""
+        write_hc3_file(tmp_path / "data.jsonl", n_lines=40, seed=3)
+        config = base_config(str(tmp_path / "out"))
+        del config["zeroshot"]
+        config.update(seed=3, classifier=classifier, embeddings={
+            "dim": 8, "window": 3, "epochs": 1, "min_count": 1, "learning_rate": learning_rate})
+        config["dataset"]["hc3_path"] = str(tmp_path / "data.jsonl")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["ingest", "--config", str(path)]) == 0
+        before = file_bytes(tmp_path / "out")
+        rc, err, _ = run_entry_point("train", "--config", str(path))
+        assert rc == 3
+        assert len(err) == 1 and err[0].startswith("data error:"), err
+        assert file_bytes(tmp_path / "out") == before
+
     def test_failed_lm_training_writes_no_file(self, workspace, tmp_path, capsys):
         """The classifier trains, then the LM's order is refused: train
         exits 3 before it writes any of its artifacts."""
@@ -1543,6 +1575,20 @@ class TestCorruptClassifierArtifacts:
         ("logreg", lambda p: p.__setitem__("note", "hello")),
         ("gnb", lambda p: p.__setitem__("weights", p["means"][0])),
         ("random_forest", lambda p: p.__setitem__("lambda", 1e-3)),
+        ("logreg", lambda p: p.__setitem__("dim", "garbage")),
+        ("logreg", lambda p: p.__setitem__("dim", 999)),
+        ("logreg", lambda p: p.pop("dim")),
+        ("gnb", lambda p: p.__setitem__("dim", "garbage")),
+        ("gnb", lambda p: p.__setitem__("dim", 999)),
+        ("gnb", lambda p: p.pop("dim")),
+        ("svm", lambda p: p.__setitem__("dim", "garbage")),
+        ("svm", lambda p: p.__setitem__("dim", 999)),
+        ("svm", lambda p: p.pop("dim")),
+        ("logreg", lambda p: p.__setitem__("l2", -1)),
+        ("svm", lambda p: p.__setitem__("lambda", -1)),
+        ("random_forest", lambda p: p["trees"][0].__setitem__("note", 1)),
+        ("random_forest", lambda p: first_leaf(p["trees"][0]).__setitem__("leaf", 7.0)),
+        ("random_forest", lambda p: p["trees"][0].__setitem__("leaf", 0.5)),
     ], ids=["svm_weights_2d", "logreg_weights_2d", "logreg_weights_scalar",
             "logreg_bias_infinite", "gnb_means_1d", "gnb_three_classes",
             "gnb_variance_width", "gnb_three_priors", "gnb_negative_prior",
@@ -1551,7 +1597,11 @@ class TestCorruptClassifierArtifacts:
             "rf_n_trees_fractional", "rf_seed_negative", "rf_dim_fractional",
             "rf_feature_fractional", "logreg_bias_string", "logreg_bias_boolean",
             "logreg_l2_string", "logreg_weights_strings", "gnb_mean_boolean",
-            "rf_threshold_string", "logreg_unknown_key", "gnb_logreg_key", "rf_svm_key"])
+            "rf_threshold_string", "logreg_unknown_key", "gnb_logreg_key", "rf_svm_key",
+            "logreg_dim_string", "logreg_dim_999", "logreg_dim_missing", "gnb_dim_string",
+            "gnb_dim_999", "gnb_dim_missing", "svm_dim_string", "svm_dim_999",
+            "svm_dim_missing", "logreg_l2_negative", "svm_lambda_negative",
+            "rf_node_unknown_key", "rf_leaf_7", "rf_split_with_leaf"])
     def test_corrupt_model_exit_3(self, workspace, family_models, tmp_path, capsys,
                                   family, mutate):
         payload = json.loads(family_models[family])
