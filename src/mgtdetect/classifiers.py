@@ -285,11 +285,14 @@ def train_gnb(data: Dataset, var_smoothing: float = 1e-9) -> GnbModel:
     means = np.empty((2, data.dim))
     variances = np.empty((2, data.dim))
     priors = np.empty(2)
-    for c in (0, 1):
-        rows = data.features[data.labels == c]
-        means[c] = rows.mean(axis=0)
-        variances[c] = rows.var(axis=0)
-        priors[c] = len(rows) / len(data.features)
+    # Moments past the float range end in the model's DataError, not in
+    # numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in (0, 1):
+            rows = data.features[data.labels == c]
+            means[c] = rows.mean(axis=0)
+            variances[c] = rows.var(axis=0)
+            priors[c] = len(rows) / len(data.features)
     return GnbModel(means=means, variances=variances, priors=priors,
                     var_smoothing=var_smoothing)
 

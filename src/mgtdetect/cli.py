@@ -47,28 +47,9 @@ EXIT_IO = 4
 # and defaults of every other section are its module's.
 SPLIT_DEFAULTS = {"train": 0.8, "val": 0.1, "test": 0.1}
 # The top-level config keys; every other object's keys are named where it
-# is read, and _object refuses any other key.
+# is read, and _read refuses any other key.
 TOP_KEYS = ("seed", "output_dir", "dataset", "split", "embeddings", "classifier", "zeroshot",
             "transforms", "detect")
-
-
-def _object(value, path: str, keys) -> dict:
-    """*value*, which must be a JSON object holding only *keys*; *path*
-    names it in errors (empty for the whole config)."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path or 'config'} must be an object")
-    for key in value:
-        if key not in keys:
-            name = f"{path}.{key}" if path else key
-            raise ConfigError(f"unknown config key {name!r}")
-    return value
-
-
-def _section(raw: dict, path: str, keys, default=None) -> dict | None:
-    """The object under the last name of *path* in *raw*, held to *keys* by
-    _object; *default* when absent or null."""
-    value = raw.get(path.rpartition(".")[2])
-    return default if value is None else _object(value, path, keys)
 
 
 def _as(kind: type, value, name: str):
@@ -85,32 +66,45 @@ def _as(kind: type, value, name: str):
         raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}") from None
 
 
-def _typed(section: str, raw: dict, defaults: dict, nullable: tuple[str, ...] = ()) -> dict:
-    """Each key of *defaults*, read from *raw* and typed as its default; a
-    key in *nullable* may also be null."""
-    out = {}
-    for key, default in defaults.items():
-        value = raw.get(key, default)
-        nulled = value is None and key in nullable
-        out[key] = None if nulled else _as(type(default), value, f"{section}.{key}")
-    return out
+def _keys(as_is: tuple[str, ...] = (), defaults: dict | None = None) -> Callable:
+    """The keys function of an object that makes no choice: those of
+    *as_is* it holds, with their values, and the typed keys *defaults*."""
+    return lambda value: ({k: value[k] for k in as_is if k in value}, defaults or {}, ())
 
 
-def _detector(section: str, value, keys: Callable, check: Callable) -> dict:
-    """The detector section *value*, typed as its module declares it: its
-    choice, the keys it reads and those that may be null by keys(value),
-    absent keys at their defaults, and their ranges by check. The
-    module's DataError is a ConfigError."""
+def _checked(check: Callable) -> Callable:
+    """The build of a detector section: its typed keys held to their ranges
+    by *check*, and the whole section as one dict."""
+    return lambda choice, typed: check(typed) or {**choice, **typed}
+
+
+def _read(value, path: str, keys: Callable,
+          build: Callable = lambda choice, typed: {**choice, **typed}):
+    """The config object *value* at *path* (empty for the whole config; null
+    reads as an empty object), as build(choice, typed) makes it.
+
+    keys(value) gives the keys taken as they are, with their values (a
+    choice such as the classifier family, or a path), the typed keys with
+    their defaults, and the typed keys that may also be null. Any other key
+    is refused; an absent typed key takes its default, and each is typed by
+    _as. A DataError of keys or build is a ConfigError naming *path*."""
+    value = {} if value is None else value
     if not isinstance(value, dict):
-        raise ConfigError(f"{section} must be an object")
+        raise ConfigError(f"{path or 'config'} must be an object")
     try:
         choice, defaults, nullable = keys(value)
-        typed = _typed(section, _object(value, section, (*choice, *defaults)), defaults,
-                       nullable)
-        check(typed)
+        for key in value:
+            if key not in choice and key not in defaults:
+                name = f"{path}.{key}" if path else key
+                raise ConfigError(f"unknown config key {name!r}")
+        typed = {}
+        for key, default in defaults.items():
+            got = value.get(key, default)
+            nulled = got is None and key in nullable
+            typed[key] = None if nulled else _as(type(default), got, f"{path}.{key}")
+        return build(choice, typed)
     except DataError as exc:
-        raise ConfigError(f"invalid {section} section: {exc}") from exc
-    return {**choice, **typed}
+        raise ConfigError(f"invalid {path}: {exc}") from exc
 
 
 @dataclass
@@ -124,7 +118,7 @@ class RunConfig:
     # path; both None with no embeddings and no classifier section.
     skipgram: sections.SkipGramConfig | None
     embedding_path: Path | None
-    classifier: dict | None  # _detector's typed sections
+    classifier: dict | None  # _read's typed detector sections
     zeroshot: dict | None
     transforms: list[sections.AdversarialTransform]
     detect_method: str
@@ -139,107 +133,73 @@ class RunConfig:
         config_path = Path(config_path)
         if not config_path.exists():
             raise ConfigError(f"config file not found: {config_path}")
-        raw = _object(load_json(config_path, ConfigError), "", TOP_KEYS)
+        raw = _read(load_json(config_path, ConfigError), "", _keys(TOP_KEYS))
         base = config_path.parent
 
-        def resolve(value, name: str) -> Path:
-            """The path string *value*, relative to the config's directory."""
+        def resolve(value, name: str, what: str | None = None) -> Path:
+            """The path string *value*, relative to the config's directory;
+            a DataError when *what* names the file and it is missing."""
             if not isinstance(value, str):
                 raise ConfigError(f"{name} must be a path string, got {value!r}")
-            path = Path(value)
-            return path if path.is_absolute() else base / path
+            path = base / value  # an absolute value is kept as it is
+            if what and not path.exists():
+                raise DataError(f"{what} not found: {path}")
+            return path
 
         if seed_override is None and "seed" not in raw:
             raise ConfigError("config missing required field 'seed'")
         seed = _as(int, raw["seed"] if seed_override is None else seed_override, "seed")
 
-        dataset = _section(raw, "dataset", ("hc3_path", "conllu"), {})
+        dataset = _read(raw.get("dataset"), "dataset", _keys(("hc3_path", "conllu")))
         if "hc3_path" not in dataset:
             raise ConfigError("config needs dataset.hc3_path")
-        hc3_path = resolve(dataset["hc3_path"], "dataset.hc3_path")
-        if not hc3_path.exists():
-            raise DataError(f"dataset file not found: {hc3_path}")
+        hc3_path = resolve(dataset["hc3_path"], "dataset.hc3_path", "dataset file")
+        conllu = _read(dataset.get("conllu"), "dataset.conllu", _keys(("human", "machine")))
+        conllu = {Label(key): resolve(value, f"dataset.conllu.{key}", "CoNLL-U file")
+                  for key, value in conllu.items() if value is not None}
 
-        conllu: dict[Label, Path] = {}
-        conllu_raw = _section(dataset, "dataset.conllu", ("human", "machine"), {})
-        for key, label in (("human", Label.HUMAN), ("machine", Label.MACHINE)):
-            value = conllu_raw.get(key)
-            if value is not None:
-                path = resolve(value, f"dataset.conllu.{key}")
-                if not path.exists():
-                    raise DataError(f"CoNLL-U file not found: {path}")
-                conllu[label] = path
+        split_spec = _read(raw.get("split"), "split", _keys(defaults=SPLIT_DEFAULTS),
+                           lambda _, f: ingest.SplitSpec(f["train"], f["val"], f["test"],
+                                                         derive_seed(seed, "split")))
 
-        fractions = _typed("split", _section(raw, "split", SPLIT_DEFAULTS, {}), SPLIT_DEFAULTS)
-        try:
-            split_spec = ingest.SplitSpec(
-                train_frac=fractions["train"],
-                val_frac=fractions["val"],
-                test_frac=fractions["test"],
-                seed=derive_seed(seed, "split"),
-            )
-        except DataError as exc:
-            raise ConfigError(f"invalid split spec: {exc}") from exc
-
-        skipgram, embedding_path = None, None
+        skipgram = embedding_path = classifier = None
         if raw.get("embeddings") is not None or raw.get("classifier") is not None:
             from . import sections
 
-            defaults = sections.SKIPGRAM_DEFAULTS
-            emb_raw = _section(raw, "embeddings", ("source", "path", *defaults), {})
-            source = emb_raw.get("source", "train")
-            if source not in ("train", "load"):
-                raise ConfigError("embeddings.source must be 'train' or 'load'")
-            if source == "load":
-                if "path" not in emb_raw:
-                    raise ConfigError("embeddings.source 'load' needs embeddings.path")
-                embedding_path = resolve(emb_raw["path"], "embeddings.path")
-                if not embedding_path.exists():
-                    raise DataError(f"embedding file not found: {embedding_path}")
-            elif "path" in emb_raw:
-                raise ConfigError("embeddings.path needs embeddings.source 'load'")
-            try:
-                skipgram = sections.SkipGramConfig(
-                    **_typed("embeddings", emb_raw, defaults),
-                    seed=derive_seed(seed, "embeddings"),
-                )
-            except DataError as exc:
-                raise ConfigError(f"invalid embeddings section: {exc}") from exc
+            # Source "train" reads the skip-gram keys, "load" only the path.
+            choice, skipgram = _read(
+                raw.get("embeddings"), "embeddings", sections.embedding_keys,
+                lambda choice, typed: (choice, sections.SkipGramConfig(
+                    **typed, seed=derive_seed(seed, "embeddings")) if typed else None))
+            if choice["source"] == "load":
+                embedding_path = resolve(choice["path"], "embeddings.path", "embedding file")
+            if raw.get("classifier") is not None:
+                classifier = _read(raw["classifier"], "classifier", sections.section_keys,
+                                   _checked(sections.check_hyperparameters))
 
-        classifier = raw.get("classifier")
-        if classifier is not None:
-            from . import sections
-
-            classifier = _detector("classifier", classifier, sections.section_keys,
-                                   sections.check_hyperparameters)
         zeroshot_cfg = raw.get("zeroshot")
         if zeroshot_cfg is not None:
-            zeroshot_cfg = _detector("zeroshot", zeroshot_cfg, zeroshot.section_keys,
-                                     zeroshot.check_parameters)
+            zeroshot_cfg = _read(zeroshot_cfg, "zeroshot", zeroshot.section_keys,
+                                 _checked(zeroshot.check_parameters))
 
         if not isinstance(raw.get("transforms", []), list):
             raise ConfigError("transforms must be a list")
         transforms = []
         seen: set[str] = set()
-        for i, t in enumerate(raw.get("transforms", [])):
+        for i, value in enumerate(raw.get("transforms", [])):
             from . import sections
 
-            _object(t, f"transforms.{i}", ("kind", "intensity"))
-            try:
-                tf = sections.AdversarialTransform(
-                    kind=t["kind"],
-                    intensity=_as(float, t.get("intensity", 0.1), f"transforms.{i}.intensity"),
-                    seed=derive_seed(seed, f"transforms.{i}.{t['kind']}"),
-                )
-            except (KeyError, TypeError, ValueError, AttributeError, DataError) as exc:
-                raise ConfigError(f"invalid transform #{i}: {exc}") from exc
+            tf = _read(value, f"transforms.{i}", _keys(("kind",), {"intensity": 0.1}),
+                       lambda choice, typed: sections.AdversarialTransform(
+                           choice.get("kind"), typed["intensity"],
+                           derive_seed(seed, f"transforms.{i}.{choice.get('kind')}")))
             key = f"{tf.kind}@{tf.intensity}"
             if key in seen:
                 raise ConfigError(f"transform #{i} repeats {key}")
             seen.add(key)
             transforms.append(tf)
 
-        detect_method = _section(raw, "detect", ("method",), {}).get("method")
+        detect_method = _read(raw.get("detect"), "detect", _keys(("method",))).get("method")
         if detect_method is None:
             # The first detector the config names.
             detect_method = ("classifier" if classifier is not None

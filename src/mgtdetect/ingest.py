@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, EmptyDocument, parse_json, read_lines
+from .text_core import WORD_CHAR_RE
 
 # Category Cc is exactly U+0000-U+001F and U+007F-U+009F; a body may keep
 # its newlines.
@@ -153,9 +154,10 @@ def load_hc3(path: str | Path) -> Corpus:
     ``human_answers`` and ``chatgpt_answers`` string arrays.
 
     Each answer becomes one Document (ids ``<line#>-h<k>`` / ``<line#>-m<k>``,
-    1-based). Answers that normalize to nothing are skipped, each with one
-    ``skipping <id>: empty after normalization`` line on stderr; a question
-    or answer that is not a string is a DataError naming its line.
+    1-based). Answers that normalize to nothing, or to no word token (such
+    as ``"?!"``), are skipped, each with one ``skipping <id>: empty after
+    normalization`` or ``skipping <id>: no word tokens`` line on stderr; a
+    question or answer that is not a string is a DataError naming its line.
     """
     path = Path(path)
     docs: list[Document] = []
@@ -187,6 +189,9 @@ def load_hc3(path: str | Path) -> Corpus:
                     body = normalize(answer)
                 except EmptyDocument:
                     print(f"skipping {doc_id}: empty after normalization", file=sys.stderr)
+                    continue
+                if not WORD_CHAR_RE.search(body):
+                    print(f"skipping {doc_id}: no word tokens", file=sys.stderr)
                     continue
                 docs.append(
                     Document(id=doc_id, body=body, label=label, source_question=question)

@@ -90,6 +90,22 @@ class SkipGramConfig:
 SKIPGRAM_DEFAULTS = {f.name: f.default for f in fields(SkipGramConfig) if f.name != "seed"}
 
 
+def embedding_keys(section: dict) -> tuple[dict, dict, tuple[str, ...]]:
+    """For an embeddings config section: the source it names, as {"source":
+    name}, with "load" also the vectors' path as {"path": value}; the keys
+    that source reads with their defaults, SKIPGRAM_DEFAULTS for "train" (the
+    default) and none for "load"; and the keys that may be null (none).
+    DataError for another source, or "load" without a path."""
+    source = section.get("source", "train")
+    if source == "load":
+        if "path" not in section:
+            raise DataError("source 'load' needs a path")
+        return {"source": source, "path": section["path"]}, {}, ()
+    if source != "train":
+        raise DataError(f"source must be 'train' or 'load', got {source!r}")
+    return {"source": source}, SKIPGRAM_DEFAULTS, ()
+
+
 # The kinds of adversarial transform, each one evaluation._ATTACKS entry.
 TRANSFORM_KINDS = ("special_chars", "whitespace_noise", "case_flip")
 

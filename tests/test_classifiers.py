@@ -176,6 +176,15 @@ class TestHyperparameterRanges:
             with pytest.raises(DataError, match="must be finite"):
                 train(Dataset(features=5 * data.features, labels=data.labels))
 
+    def test_gnb_variance_past_float_range_refused_without_warning(self):
+        """Features of +-1e200 square past the float range: the model
+        refuses the infinite variances, and numpy warns of nothing."""
+        data = Dataset(np.array([[1e200], [-1e200], [1e200], [-1e200]]), np.array([0, 0, 1, 1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="variances must be finite"):
+                train_gnb(data)
+
 
 class TestBayesOpt:
     def test_flat_objective_returns_first_evaluated(self):

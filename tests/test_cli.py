@@ -113,18 +113,22 @@ class TestIngest:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["ingest", "--config", str(tmp_path / "absent.json")]) == 2
 
-    def test_blank_answer_is_skipped_with_one_line(self, workspace, tmp_path):
-        """An answer that normalizes to nothing is left out of the corpus,
-        with one stderr line naming it, and ingest still succeeds."""
+    @pytest.mark.parametrize("answer, reason", [("   ", "empty after normalization"),
+                                                ("?!", "no word tokens")])
+    def test_blank_answer_is_skipped_with_one_line(self, workspace, tmp_path, answer, reason):
+        """An answer that normalizes to nothing, or to no word token, is left
+        out of the corpus, with one stderr line naming it; ingest still
+        succeeds, and so does stats on the corpus it wrote."""
         data = tmp_path / "data.jsonl"
-        record = {"question": "q", "human_answers": ["   "], "chatgpt_answers": ["fine."]}
+        record = {"question": "q", "human_answers": [answer], "chatgpt_answers": ["fine."]}
         data.write_text((workspace / "data.jsonl").read_text() + json.dumps(record) + "\n")
         config = write_config(tmp_path, workspace, dataset__hc3_path=str(data))
         rc, err, _ = run_entry_point("ingest", "--config", config)
-        assert (rc, err) == (0, ["skipping 41-h1: empty after normalization"])
+        assert (rc, err) == (0, [f"skipping 41-h1: {reason}"])
         ids = [json.loads(line)["id"]
                for line in (tmp_path / "out" / "corpus.jsonl").read_text().splitlines()]
         assert "41-m1" in ids and "41-h1" not in ids
+        assert run_entry_point("stats", "--config", config)[:2] == (0, [])
 
     def test_seed_override_changes_splits(self, workspace, tmp_path):
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -588,6 +592,10 @@ class TestMalformedInputs:
         # A path is read only with source "load", never ignored.
         ("ingest", {"embeddings": {"path": "vectors.txt"}}),
         ("ingest", {"embeddings": {"source": "train", "path": "vectors.txt"}}),
+        # A falsy source is neither "train" nor "load", never the default.
+        ("ingest", {"embeddings": {"source": None}}),
+        ("ingest", {"embeddings": {"source": False}}),
+        ("ingest", {"embeddings": {"source": []}}),
         # Not finite: NaN would train with no update, inf overflow.
         ("ingest", {"embeddings__subsample": float("nan")}),
         ("ingest", {"embeddings__subsample": float("inf")}),
@@ -671,10 +679,13 @@ class TestMalformedInputs:
         ({"zeroshot__mask_fracton": 0.9}, "zeroshot.mask_fracton"),
         ({"transforms": [{"kind": "case_flip", "intensty": 0.9}]}, "transforms.0.intensty"),
         ({"detect": {"methods": "detect_gpt"}}, "detect.methods"),
+        ({"embeddings": {"source": "load", "path": "vectors.txt", "dim": 8}}, "embeddings.dim"),
     ])
     def test_unknown_config_key_exits_2(self, workspace, tmp_path, capsys, changes, name):
         """A key no config object reads is refused, never run at a
-        default; a key of another classifier family is unknown too."""
+        default; a key of another classifier family is unknown too, and so
+        is a skip-gram key beside embeddings.source "load"."""
+        shutil.copy(workspace / "out" / "embeddings.txt", tmp_path / "vectors.txt")
         config = write_config(tmp_path, workspace, **changes)
         assert main(["ingest", "--config", config]) == 2
         assert f"'{name}'" in one_error_line(capsys, "config error:")
@@ -685,6 +696,47 @@ class TestMalformedInputs:
         config = write_config(tmp_path, workspace, embeddings={"dim": 8})
         parsed = RunConfig.from_file(config)
         assert (parsed.embedding_path, parsed.skipgram.dim) == (None, 8)
+
+    def test_embeddings_source_load_reads_only_the_path(self, workspace, tmp_path):
+        from mgtdetect.cli import RunConfig
+
+        shutil.copy(workspace / "out" / "embeddings.txt", tmp_path / "vectors.txt")
+        config = write_config(tmp_path, workspace,
+                              embeddings={"source": "load", "path": "vectors.txt"})
+        parsed = RunConfig.from_file(config)
+        assert (parsed.embedding_path, parsed.skipgram) == (tmp_path / "vectors.txt", None)
+
+    def test_readme_config_example(self, tmp_path):
+        """The README's config example reads, with the values it and its
+        bullets state."""
+        from mgtdetect.cli import RunConfig
+        from mgtdetect.sections import AdversarialTransform, SkipGramConfig
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Config example", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        (tmp_path / "config.json").write_text(block)
+        for name in ("data.jsonl", "human.conllu", "machine.conllu"):
+            (tmp_path / name).write_text("")
+        parsed = RunConfig.from_file(tmp_path / "config.json")
+        assert (parsed.seed, parsed.output_dir, parsed.hc3_path) == (
+            7, tmp_path / "out", tmp_path / "data.jsonl")
+        assert parsed.conllu == {Label.HUMAN: tmp_path / "human.conllu",
+                                 Label.MACHINE: tmp_path / "machine.conllu"}
+        split = parsed.split
+        assert (split.train_frac, split.val_frac, split.test_frac, split.seed) == (
+            0.8, 0.1, 0.1, derive_seed(7, "split"))
+        assert parsed.skipgram == SkipGramConfig(
+            dim=32, window=5, negatives=5, epochs=3, learning_rate=0.025, min_count=2,
+            subsample=0.001, seed=derive_seed(7, "embeddings"))
+        assert parsed.embedding_path is None
+        assert parsed.classifier == {"family": "svm", "lambda": 0.001, "epochs": 40}
+        assert parsed.zeroshot == {"order": 3, "discount": 0.75, "k": 10,
+                                   "mask_fraction": 0.15, "threshold": 0.0,
+                                   "methods": ("detect_gpt", "single_revise")}
+        assert parsed.transforms == [AdversarialTransform(
+            "special_chars", 0.1, derive_seed(7, "transforms.0.special_chars"))]
+        # The first detector the config names.
+        assert parsed.detect_method == "classifier"
 
     def test_model_dimension_mismatch_exits_3(self, workspace, tmp_path, capsys):
         out = tmp_path / "out"
