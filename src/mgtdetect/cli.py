@@ -138,11 +138,12 @@ class RunConfig:
 
         def resolve(value, name: str, what: str | None = None) -> Path:
             """The path string *value*, relative to the config's directory;
-            a DataError when *what* names the file and it is missing."""
+            a DataError when *what* names the file and no file is there (a
+            directory is not one)."""
             if not isinstance(value, str):
                 raise ConfigError(f"{name} must be a path string, got {value!r}")
             path = base / value  # an absolute value is kept as it is
-            if what and not path.exists():
+            if what and not path.is_file():
                 raise DataError(f"{what} not found: {path}")
             return path
 

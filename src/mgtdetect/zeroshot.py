@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -62,6 +63,10 @@ VOCABULARY_KEYS = ("frequencies", "word_to_id")
 LM_BIN_MAGIC = b"mgtlm\x00b1"
 LM_BIN_HEADER = struct.Struct("<8s4qd")
 STD_GUARD = 1e-9
+# The rows that save_lm writes (count rows, vocabulary entries) and that
+# train_kn_lm scores and _log_totals converts to floats, at a time: their
+# memory stays within a fixed multiple of a block, not of the model.
+ROW_BLOCK = 1 << 12
 BAND_OCTAVES = 1.0  # substitutes lie within this many octaves of the original's frequency
 
 END = "</s>"  # predictable end-of-sentence symbol
@@ -157,8 +162,10 @@ class NGramLM:
         self.base = self.end_id + 2
         self.contexts = {}
         for k, (keys, counts) in self.grams.items():
-            context_keys, starts, distinct = np.unique(keys // self.base, return_index=True,
-                                                       return_counts=True)
+            # The keys are sorted, so each context's n-grams are one run.
+            context = keys // self.base
+            starts = np.flatnonzero(np.diff(context, prepend=-1))
+            context_keys, distinct = context[starts], np.diff(starts, append=len(keys))
             totals = np.add.reduceat(counts, starts)
             # Divided in place, so that no third array of this size is live
             # at the peak memory of train and detect.
@@ -257,37 +264,46 @@ def _windows(sentences: list[list[int]], order: int, end_id: int) -> np.ndarray:
     for ids in sentences:
         seq += [START_ID] * (order - 1) + ids + [end_id]
     shifted = np.array(seq, dtype=np.int64) + 1
-    # START (shifted to 0) is never predicted; every other place is.
+    # START (shifted to 0) is never predicted; every other place is. The
+    # rows are filled a column at a time, so that no index array of their
+    # size is built.
     targets = np.flatnonzero(shifted)
-    return shifted[targets[:, None] + np.arange(1 - order, 1)]
+    windows = np.empty((len(targets), order), dtype=np.int64)
+    for j in range(order):
+        windows[:, j] = shifted[targets + (j + 1 - order)]
+    return windows
 
 
-def _symbols(sentences: list[list[int]]) -> int:
-    """The predicted positions of *sentences*: each id and each END."""
-    return sum(len(ids) + 1 for ids in sentences)
+def _positions(sentences: list[list[int]]) -> list[int]:
+    """The predicted positions of each of *sentences*: each id and the END."""
+    return [len(ids) + 1 for ids in sentences]
 
 
-def _log_totals(probs: np.ndarray, groups: list[list[list[int]]]) -> list[float]:
-    """Per group, the sum of log *probs*, whose rows are the len(ids) + 1
-    predicted positions of each sentence of each group in turn: math.log
-    and left-to-right sums per sentence, then over the group's sentences
+def _log_totals(probs: np.ndarray, groups: list[list[int]]) -> list[float]:
+    """Per group, the sum of log *probs*, whose rows are the predicted
+    positions of each sentence of each group in turn, a group listing how
+    many each of its sentences has (_positions): math.log and
+    left-to-right sums per sentence, then over the group's sentences
     (np.log or np.sum could differ in the last bit). A group's total does
-    not depend on the groups beside it. DataError when a probability is 0,
-    as back-off products over a loaded model's counts can underflow to.
+    not depend on the groups beside it. *probs* become floats ROW_BLOCK
+    rows at a time, so that no list of all of them is built. DataError
+    when a probability is 0, as back-off products over a loaded model's
+    counts can underflow to.
     """
-    values = probs.tolist()
     totals = []
-    start = 0
+    values: list[float] = []  # probs[first:first + len(values)], converted a block at a time
+    first = start = 0
     try:
-        for sentences in groups:
+        for positions in groups:
             total = 0.0
-            for ids in sentences:
-                stop = start + len(ids) + 1
+            for n in positions:
+                if start + n > first + len(values):
+                    first, values = start, probs[start:start + max(n, ROW_BLOCK)].tolist()
                 sentence = 0.0
-                for p in values[start:stop]:
+                for p in values[start - first:start - first + n]:
                     sentence += math.log(p)
                 total += sentence
-                start = stop
+                start += n
             totals.append(total)
     except ValueError:  # math.log(0.0)
         raise DataError("a predicted symbol has probability 0 under the language model") from None
@@ -313,11 +329,16 @@ def train_kn_lm(texts: list[str], order: int = 3, discount: float = 0.75) -> NGr
     check_parameters({"order": order, "discount": discount})
     if not texts:
         raise DataError("cannot train a language model on an empty corpus")
-    tokenized = list(_sentence_tokens(texts))
-    vocab = vocab_from_counts(Counter(t.surface for tokens in tokenized for t in tokens))
+    # Only the surfaces outlive each sentence's tokens, and each sentence's
+    # surfaces go as its ids replace them: no Token, and no surface but the
+    # vocabulary's, is held past this point.
+    sentences = [[surface for surface, _ in tokens] for tokens in _sentence_tokens(texts)]
+    vocab = vocab_from_counts(Counter(chain.from_iterable(sentences)))
     end_id = vocab.size  # one past the vocabulary ids
+    id_of = vocab.word_to_id.__getitem__  # every surface was counted
+    for i, surfaces in enumerate(sentences):
+        sentences[i] = list(map(id_of, surfaces))
 
-    sentences = [[vocab.id_of(t.surface) for t in tokens] for tokens in tokenized]
     longest = max(len(ids) for ids in sentences)
     if order > longest + 2:
         raise DataError(
@@ -328,6 +349,8 @@ def train_kn_lm(texts: list[str], order: int = 3, discount: float = 0.75) -> NGr
     # Only n-grams ending at a predicted position count, so the padding
     # start symbols are contexts, never events.
     windows = _windows(sentences, order, end_id)
+    positions = _positions(sentences)
+    del sentences  # from here on, only how many rows each sentence has
     grams: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for k in range(2, order + 1):
         keys, raw = np.unique(_pack(windows[:, order - k:], base), return_counts=True)
@@ -341,7 +364,9 @@ def train_kn_lm(texts: list[str], order: int = 3, discount: float = 0.75) -> NGr
                  end_id=end_id)
     # The training perplexity from one sweep over the windows counted
     # above, with no second tokenization of the texts.
-    [total] = _log_totals(lm._probs(windows), [sentences])
+    probs = np.concatenate([lm._probs(windows[start:start + ROW_BLOCK])
+                            for start in range(0, len(windows), ROW_BLOCK)])
+    [total] = _log_totals(probs, [positions])
     lm.train_perplexity = math.exp(-total / len(windows))
     return lm
 
@@ -369,9 +394,10 @@ def _log_probs_per_symbol(lm: NGramLM, groups: list[list[list[int]]]) -> list[fl
     to lm.scoring_passes.
     """
     sentences = [ids for group in groups for ids in group]
-    totals = _log_totals(lm._probs(_windows(sentences, lm.order, lm.end_id)), groups)
+    positions = [_positions(group) for group in groups]
+    totals = _log_totals(lm._probs(_windows(sentences, lm.order, lm.end_id)), positions)
     lm.scoring_passes += len(groups)
-    return [total / _symbols(sentences) for total, sentences in zip(totals, groups)]
+    return [total / sum(n) for total, n in zip(totals, positions)]
 
 
 @dataclass(frozen=True)
@@ -432,10 +458,14 @@ class _SubstitutionSampler:
     def __init__(self, pool: Vocabulary):
         self.pool = pool
         freq = pool.frequencies
-        # The word surfaces but UNK, filtered at C speed, sorted by word,
+        # The surfaces but UNK that hold a word character, sorted by word,
         # then stably by frequency: the (frequency, word) order. Those of
-        # frequency 0 lead and are cut.
-        words = sorted(filter(WORD_CHAR_RE.search, filter(UNK.__ne__, freq)))
+        # frequency 0 lead and are cut. str.isalnum settles most surfaces,
+        # at a fraction of the regex's cost; it is true for a surface all
+        # of whose characters WORD_CHAR_RE matches, so the regex is asked
+        # only about the rest.
+        words = sorted(w for w in freq
+                       if w != UNK and (w.isalnum() or WORD_CHAR_RE.search(w)))
         words.sort(key=freq.__getitem__)
         freqs = list(map(freq.__getitem__, words))
         start = bisect_right(freqs, 0)
@@ -645,42 +675,67 @@ def sample_document(lm: NGramLM, seed: int, max_tokens: int = 60,
 def save_lm(lm: NGramLM, path: str | Path) -> None:
     """Binary-free JSON: count tables as [ngram ids..., count] rows.
 
-    The bytes are those of json.dumps(payload, sort_keys=True), with each
-    level's rows formatted straight from the packed arrays: one string per
-    id and one per distinct count (as json.dumps formats it), gathered by
-    column into one cell per value and joined once with ", ". The cells
-    of the first column open a row with "[" and those of the count column
-    close it with "]", so that rows are joined by "], [". "counts" sorts
-    before every other key, so it opens the object json.dumps writes for
-    the rest of the payload.
+    The bytes are those of json.dumps(payload, sort_keys=True), written
+    straight to the file in blocks of at most ROW_BLOCK count rows or
+    vocabulary entries, so that no whole level, table or text is built.
+    LM_KEYS and VOCABULARY_KEYS are in json's key order, so "counts"
+    opens the object and "vocabulary" closes it.
     """
+    vocab = lm.vocabulary
+    words = sorted(vocab.word_to_id)  # json's key order
+    scalars = json.dumps({"discount": lm.discount, "end_id": lm.end_id, "order": lm.order,
+                          "schema_version": LM_SCHEMA_VERSION})
     ids = [str(i) for i in range(START_ID, lm.end_id + 1)]  # indexed by shifted id
     opening = np.array(["[" + s for s in ids], dtype=object)
     inner = np.array(ids, dtype=object)
-    levels = []
-    for name in sorted(map(str, lm.grams)):  # json's key order: "10" before "2"
-        k = int(name)
-        keys, counts = lm.grams[k]
-        digits = keys[:, None] // _pack_powers(k, lm.base) % lm.base
-        distinct, which = np.unique(counts, return_inverse=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{"counts": {')
+        for n, name in enumerate(sorted(map(str, lm.grams))):  # json's order: "10" before "2"
+            fh.write(f'{", " if n else ""}"{name}": [')
+            _write_joined(fh, _row_blocks(lm, int(name), opening, inner))
+            fh.write("]")
+        fh.write("}, " + scalars[1:-1] + ', "vocabulary": {"frequencies": {')
+        _write_joined(fh, _entry_blocks(words, vocab.frequencies))
+        fh.write('}, "word_to_id": {')
+        _write_joined(fh, _entry_blocks(words, vocab.word_to_id))
+        fh.write("}}}")
+
+
+def _write_joined(fh: TextIO, blocks: Iterable[str]) -> None:
+    """Write *blocks* to *fh* separated by ", ", as json.dumps separates items."""
+    for i, block in enumerate(blocks):
+        if i:
+            fh.write(", ")
+        fh.write(block)
+
+
+def _row_blocks(lm: NGramLM, k: int, opening: np.ndarray, inner: np.ndarray) -> Iterator[str]:
+    """Level k's count rows as json.dumps writes them, ROW_BLOCK rows a
+    block, formatted straight from the packed arrays: the text of each id
+    (*opening* a row with "[" in the first column, *inner* after it,
+    both indexed by shifted id) and one string per distinct count of the
+    block (as json.dumps formats it), gathered by column into one cell
+    per value and joined once with ", ". The cells of the count column
+    close their row with "]", so that rows are joined by "], [".
+    """
+    keys, counts = lm.grams[k]
+    powers = _pack_powers(k, lm.base)
+    for start in range(0, len(keys), ROW_BLOCK):
+        digits = keys[start:start + ROW_BLOCK, None] // powers % lm.base
+        distinct, which = np.unique(counts[start:start + ROW_BLOCK], return_inverse=True)
         closing = [s + "]" for s in json.dumps(distinct.tolist())[1:-1].split(", ")]
-        cells = np.empty((len(keys), k + 1), dtype=object)
+        cells = np.empty((len(digits), k + 1), dtype=object)
         cells[:, 0] = opening[digits[:, 0]]
         cells[:, 1:k] = inner[digits[:, 1:]]
         cells[:, k] = np.array(closing, dtype=object)[which]
-        levels.append(f'"{name}": [{", ".join(cells.ravel().tolist())}]')
-    rest = json.dumps({
-        "schema_version": LM_SCHEMA_VERSION,
-        "order": lm.order,
-        "discount": lm.discount,
-        "end_id": lm.end_id,
-        "vocabulary": {
-            "word_to_id": lm.vocabulary.word_to_id,
-            "frequencies": lm.vocabulary.frequencies,
-        },
-    }, sort_keys=True)
-    text = '{"counts": {' + ", ".join(levels) + "}, " + rest[1:]
-    Path(path).write_text(text, encoding="utf-8")
+        yield ", ".join(cells.ravel().tolist())
+
+
+def _entry_blocks(words: list[str], table: dict[str, int]) -> Iterator[str]:
+    """The entries of *table* for *words* in turn, as json.dumps writes
+    them between the braces, ROW_BLOCK entries a block."""
+    for start in range(0, len(words), ROW_BLOCK):
+        yield json.dumps({w: table[w] for w in words[start:start + ROW_BLOCK]})[1:-1]
 
 
 def load_lm(path: str | Path) -> NGramLM:

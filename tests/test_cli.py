@@ -87,6 +87,22 @@ class TestIngest:
         assert rc == 3
         assert "nope.jsonl" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("changes, what", [
+        ({"dataset__hc3_path": ""}, "dataset file"),
+        ({"dataset__conllu": {"human": ""}}, "CoNLL-U file"),
+        ({"dataset__conllu": {"human": "sample.conllu", "machine": ""}}, "CoNLL-U file"),
+        ({"embeddings": {"source": "load", "path": ""}}, "embedding file"),
+    ], ids=["hc3_path", "conllu.human", "conllu.machine", "embeddings.path"])
+    def test_directory_as_input_file_exits_3_at_config_read(self, workspace, fixtures_dir,
+                                                            tmp_path, capsys, changes, what):
+        # "" names the config's own directory.
+        shutil.copy(fixtures_dir / "sample.conllu", tmp_path)
+        config = write_config(tmp_path, workspace, **changes)
+        assert main(["ingest", "--config", config]) == 3
+        line = one_error_line(capsys, "data error:")
+        assert line == f"data error: {what} not found: {tmp_path}"
+        assert not (tmp_path / "out").exists()
+
     def test_rerun_produces_identical_manifest(self, workspace):
         before = (workspace / "out" / "splits.json").read_bytes()
         assert main(["ingest", "--config", cfg_path(workspace)]) == 0

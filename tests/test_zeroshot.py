@@ -1,8 +1,11 @@
+import gc
 import hashlib
 import json
 import math
 import tempfile
+import tracemalloc
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,6 +26,7 @@ from mgtdetect.text_core import (
     split_sentences,
     token_spans,
     tokenize,
+    vocab_from_counts,
     word_tokens,
 )
 
@@ -168,6 +172,99 @@ class TestTrainKnLm:
             zs.train_kn_lm(["a. b."], order=5)
 
 
+# -- train_kn_lm as it counted from Token lists ------------------------------
+# Every sentence's Token list held to the end, one index array over all the
+# windows and one list of every probability: the counting that train_kn_lm
+# replaced with a count of surfaces alone. It pins the grams and the
+# training perplexity, and is the yardstick of the memory train_kn_lm holds.
+
+
+def token_list_train_kn_lm(texts, order, discount):
+    tokenized = list(zs._sentence_tokens(texts))
+    vocab = vocab_from_counts(Counter(t.surface for tokens in tokenized for t in tokens))
+    end_id = vocab.size
+    sentences = [[vocab.id_of(t.surface) for t in tokens] for tokens in tokenized]
+    base = zs._pack_base(order, end_id)
+    seq = []
+    for ids in sentences:
+        seq += [zs.START_ID] * (order - 1) + ids + [end_id]
+    shifted = np.array(seq, dtype=np.int64) + 1
+    targets = np.flatnonzero(shifted)
+    windows = shifted[targets[:, None] + np.arange(1 - order, 1)]
+    grams = {}
+    for k in range(2, order + 1):
+        keys, raw = np.unique(zs._pack(windows[:, order - k:], base), return_counts=True)
+        suffixes, cont = np.unique(keys % base ** (k - 1), return_counts=True)
+        grams[k - 1] = (suffixes, cont.astype(float))
+    grams[order] = (keys, raw.astype(float))
+    lm = zs.NGramLM(order=order, discount=discount, vocabulary=vocab, grams=grams,
+                    end_id=end_id)
+    total = oracle_log_total(lm._probs(windows), sentences)
+    lm.train_perplexity = math.exp(-total / len(windows))
+    return lm
+
+
+def traced_peak(fn, *args):
+    """The peak of the memory tracemalloc traces while fn(*args) runs, over
+    what was traced before the call."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def random_texts(seed, n_words, n_sentences, lengths=(8, 16)):
+    """*n_sentences* seeded sentences of uniform draws from n_words words,
+    two to a text."""
+    rng = np.random.default_rng(seed)
+    words = np.array([f"w{i}" for i in range(n_words)])
+    sentences = [" ".join(words[rng.integers(0, n_words, rng.integers(*lengths))]) + "."
+                 for _ in range(n_sentences)]
+    return [" ".join(sentences[i:i + 2]) for i in range(0, n_sentences, 2)]
+
+
+# About 37,500 training tokens (words and periods) over a 3,000-word list.
+MEMORY_TEXTS = random_texts(26, 3_000, 3_000)
+
+
+def assert_same_training(lm, other):
+    assert_same_model(lm, other)
+    assert list(lm.vocabulary.word_to_id.items()) == list(other.vocabulary.word_to_id.items())
+    assert list(lm.vocabulary.frequencies.items()) == list(other.vocabulary.frequencies.items())
+    assert lm.train_perplexity == other.train_perplexity  # bit for bit
+
+
+class TestSurfaceCounting:
+    @settings(max_examples=60, deadline=None)
+    @given(texts=st.lists(st.text(alphabet="abcİé' .!?,", min_size=1, max_size=60),
+                          min_size=1, max_size=8),
+           order=st.sampled_from([2, 3, 4, 11]),
+           discount=st.floats(min_value=0.01, max_value=0.99))
+    def test_model_equals_token_list_counting(self, texts, order, discount):
+        texts = texts + [LONG_SENTENCE]  # every order up to 11 trains
+        assert_same_training(zs.train_kn_lm(texts, order=order, discount=discount),
+                             token_list_train_kn_lm(texts, order, discount))
+
+    def test_rows_across_blocks_equal_token_list_counting(self):
+        # Rows straddle the block edges, and one sentence is longer than a
+        # block, so that a block of floats is cut to fit it.
+        long_sentence = random_texts(5, 50, 1, (zs.ROW_BLOCK + 10, zs.ROW_BLOCK + 11))
+        texts = random_texts(4, 300, 700) + long_sentence + random_texts(6, 300, 9)
+        assert_same_training(zs.train_kn_lm(texts, order=3, discount=0.75),
+                             token_list_train_kn_lm(texts, 3, 0.75))
+
+    def test_peak_memory_at_most_60_percent_of_token_list_counting(self):
+        tokens = sum(len(tokenize(text)) for text in MEMORY_TEXTS)
+        peak = traced_peak(zs.train_kn_lm, MEMORY_TEXTS, 3, 0.75)
+        oracle_peak = traced_peak(token_list_train_kn_lm, MEMORY_TEXTS, 3, 0.75)
+        assert peak <= 0.6 * oracle_peak, (
+            f"{peak / tokens:.0f} B against {oracle_peak / tokens:.0f} B per training token")
+
+
 # -- plain-Python reference over the saved rows ------------------------------
 # The interpolated recursion over an lm.json payload's count rows, with the
 # same floating-point operations as the packed model: its results must be
@@ -301,7 +398,7 @@ def log_prob(lm, body):
     tokenization and sweep, as _log_probs_per_symbol reads it."""
     sentences, _ = lm._tokenized([body])
     [total] = zs._log_totals(lm._probs(zs._windows(sentences, lm.order, lm.end_id)),
-                             [sentences])
+                             [zs._positions(sentences)])
     return total
 
 
@@ -1049,9 +1146,13 @@ def oracle_pool_generator(pool):
     return words, [freq[w] for w in words]
 
 
+# Besides surfaces that str.isalnum settles, some that fail it but hold a
+# word character (an apostrophe, a period, an underscore, a combining mark
+# beside a letter) and some that hold none (a combining mark alone).
 POOL_SURFACES = st.one_of(st.text(max_size=3),
                           st.sampled_from(["a", "b", "ab", "B", "-", ",", "_", "x_", "İ", "ß",
-                                           "é", "日本", "x1", "<unk>x", UNK.upper()]))
+                                           "é", "日本", "x1", "<unk>x", UNK.upper(), "don't",
+                                           "a.b", "x_y", "e\u0301", "\u0301", "...", "__"]))
 
 
 class TestSamplerPool:
@@ -1450,6 +1551,40 @@ def edited_payload(edits):
     return payload
 
 
+# Row and entry counts at and beside the edges of save_lm's blocks.
+BLOCK_EDGES = [0, 1, 2, zs.ROW_BLOCK - 1, zs.ROW_BLOCK, zs.ROW_BLOCK + 1]
+# Word stems of several scripts, a lone surrogate among them; json.dumps
+# escapes every code point past ASCII.
+WORD_STEMS = ["w", "é", "日本", "İstanbul", "don't", "\ud800", "𝔘", ","]
+
+
+@st.composite
+def streamed_models(draw, order):
+    """What save_lm reads of an *order* model whose levels and vocabulary
+    tables have row counts at and beside the block edges: sorted distinct
+    keys within each level's key range and counts of several formats. A
+    stand-in, so that a level may be empty; an order of 10 or more names a
+    level "10", which json's key order puts before "2", and keeps the
+    vocabulary small enough for its keys to pack."""
+    sizes = [1, 7, 40] if order >= 10 else [1, 7] + [n - 1 for n in BLOCK_EDGES[3:]]
+    n_words = draw(st.sampled_from(sizes))  # UNK makes one entry more
+    # Bulk draws come from a seeded generator: hypothesis data would overrun.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    words = [f"{stem}{i}" for i, stem in enumerate(rng.choice(WORD_STEMS, n_words))] + [UNK]
+    vocab = Vocabulary(word_to_id=dict(zip(words, rng.permutation(len(words)).tolist())),
+                       frequencies=dict(zip(words, rng.integers(0, 10**6, len(words)).tolist())))
+    base = vocab.size + 2
+    grams = {}
+    for k in range(1, order + 1):
+        rows = draw(st.one_of(st.sampled_from(BLOCK_EDGES), st.integers(0, 30)))
+        rows = min(rows, base**k)
+        keys = np.sort(rng.choice(base**k, size=rows, replace=False)).astype(np.int64)
+        counts = rng.choice([1.0, 2.0, 3.0, 0.5, 2.5, 1e16, 1e-5, 7.25e-300], size=rows)
+        grams[k] = (keys, counts)
+    return SimpleNamespace(order=order, discount=draw(st.floats(0.01, 0.99)), vocabulary=vocab,
+                           grams=grams, end_id=vocab.size, base=base)
+
+
 class TestLmJsonOracles:
     @settings(max_examples=60, deadline=None)
     @given(corpus=LM_CORPORA, order=st.sampled_from([2, 3, 4, 11]),
@@ -1458,6 +1593,19 @@ class TestLmJsonOracles:
         lm = zs.train_kn_lm([" ".join(s) + "." for s in corpus] + [LONG_SENTENCE],
                             order=order, discount=discount)
         assert saved_bytes(zs.save_lm, lm) == saved_bytes(oracle_save_lm, lm)
+
+    @pytest.mark.parametrize("order", [2, 3, 10, 11])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_streamed_bytes_equal_json_dumps_at_block_edges(self, order, data):
+        lm = data.draw(streamed_models(order))
+        assert saved_bytes(zs.save_lm, lm) == saved_bytes(oracle_save_lm, lm)
+
+    def test_save_peak_memory_at_most_2_5_times_the_file(self, tmp_path):
+        lm = zs.train_kn_lm(MEMORY_TEXTS, order=3, discount=0.75)
+        peak = traced_peak(zs.save_lm, lm, tmp_path / "lm.json")
+        size = (tmp_path / "lm.json").stat().st_size
+        assert peak <= 2.5 * size, f"{peak / size:.2f} times the file"
 
     @settings(max_examples=60, deadline=None)
     @given(corpus=LM_CORPORA, order=st.sampled_from([2, 3, 11]),
