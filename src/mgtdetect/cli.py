@@ -454,7 +454,9 @@ def cmd_detect(cfg: RunConfig, input_path: str, method: str | None,
     if getattr(cfg, section) is None:
         raise ConfigError(f"detect method {method!r} needs a {section} section")
     path = Path(input_path)
-    if not path.exists():
+    # A directory is no input file; anything else that exists (a pipe,
+    # /dev/stdin) is read.
+    if not path.exists() or path.is_dir():
         raise DataError(f"input file not found: {path}")
     # Decoded in full before any output; held, not read again, so that a
     # pipe works too.

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError, read_lines
 from .sections import SkipGramConfig
-from .text_core import UNK, Vocabulary, tokenize, vocab_from_counts
+from .text_core import UNK, Vocabulary, token_surfaces, tokenize, vocab_from_counts
 
 LR_FLOOR_FRACTION = 1e-4  # learning rate decays linearly to lr0 * this
 
@@ -95,7 +95,7 @@ def train_skipgram(texts: list[str], config: SkipGramConfig) -> EmbeddingMatrix:
     depends only on (texts, config) and the BLAS build.
     """
     # One tokenization per text feeds the vocabulary and the id sequences.
-    surfaces = [[t.surface for t in tokenize(text)] for text in texts]
+    surfaces = [token_surfaces(text) for text in texts]
     vocab = vocab_from_counts(Counter(s for seq in surfaces for s in seq), config.min_count)
     if vocab.size <= 1:
         raise DataError("vocabulary is empty apart from UNK")

@@ -23,7 +23,10 @@ UNK = "<unk>"
 # word-internal only, so a lone quote stays punctuation; every other
 # non-space character is its own punctuation token (group 2). ``\S`` and
 # str.isspace agree on every code point.
-_TOKEN_RE = re.compile(r"([^\W_]+(?:['’][^\W_]+)*)|(\S)")
+_WORD = r"[^\W_]+(?:['’][^\W_]+)*"
+_TOKEN_RE = re.compile(rf"({_WORD})|(\S)")
+# The same scan without groups: findall gives each token's text.
+_SURFACE_RE = re.compile(rf"{_WORD}|\S")
 
 # One letter or digit: ``[^\W_]`` matches exactly the code points for
 # which str.isalnum is true.
@@ -66,6 +69,14 @@ def tokenize(text: str) -> list[Token]:
     return [_new_token(Token, (word.lower(), True)) if word
             else _new_token(Token, (mark.lower(), False))
             for word, mark in _TOKEN_RE.findall(text)]
+
+
+def token_surfaces(text: str) -> list[str]:
+    """The surfaces of tokenize(text), in order, with no Token built. Each
+    token is lowercased on its own, as tokenize lowercases it: lowercasing
+    the whole text first could split a word ("İ") or change a letter by
+    its neighbours (a final "Σ")."""
+    return [token.lower() for token in _SURFACE_RE.findall(text)]
 
 
 # The word surfaces of _ABBREVIATIONS. split_sentences reads only the
@@ -234,10 +245,10 @@ def vocab_from_counts(counts: dict[str, int], min_count: int = 1) -> Vocabulary:
         raise DataError("min_count must be >= 1")
     if not counts:
         raise DataError("cannot build a vocabulary from an empty corpus")
-    kept = sorted(
-        (w for w, c in counts.items() if c >= min_count),
-        key=lambda w: (-counts[w], w),
-    )
+    # By surface, then stably by count descending: (frequency desc, surface
+    # asc) with no Python key built per word.
+    kept = sorted(w for w, c in counts.items() if c >= min_count)
+    kept.sort(key=counts.__getitem__, reverse=True)
     word_to_id = {w: i for i, w in enumerate(kept)}
     word_to_id[UNK] = len(kept)
     frequencies = {w: counts[w] for w in kept}

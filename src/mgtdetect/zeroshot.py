@@ -48,6 +48,7 @@ from .text_core import (
     splice_units,
     split_sentences,
     token_spans,
+    token_surfaces,
     tokenize,
     vocab_from_counts,
 )
@@ -248,6 +249,11 @@ def _pack(digits: np.ndarray, base: int) -> np.ndarray:
     return digits @ _pack_powers(digits.shape[1], base)
 
 
+def _unpack(keys: np.ndarray, level: int, base: int) -> np.ndarray:
+    """The digits of each of the *level*-digit *keys*, a row per key: _pack's inverse."""
+    return keys[:, None] // _pack_powers(level, base) % base
+
+
 def _pack_base(order: int, end_id: int) -> int:
     """The key base; DataError when an order-gram key could pass int64."""
     base = end_id + 2
@@ -329,10 +335,10 @@ def train_kn_lm(texts: list[str], order: int = 3, discount: float = 0.75) -> NGr
     check_parameters({"order": order, "discount": discount})
     if not texts:
         raise DataError("cannot train a language model on an empty corpus")
-    # Only the surfaces outlive each sentence's tokens, and each sentence's
-    # surfaces go as its ids replace them: no Token, and no surface but the
-    # vocabulary's, is held past this point.
-    sentences = [[surface for surface, _ in tokens] for tokens in _sentence_tokens(texts)]
+    # Only surfaces are made, and each sentence's surfaces go as its ids
+    # replace them: no surface but the vocabulary's is held past this point.
+    sentences = [surfaces for text in texts for sent in split_sentences(text)
+                 if (surfaces := token_surfaces(sent))]
     vocab = vocab_from_counts(Counter(chain.from_iterable(sentences)))
     end_id = vocab.size  # one past the vocabulary ids
     id_of = vocab.word_to_id.__getitem__  # every surface was counted
@@ -347,27 +353,30 @@ def train_kn_lm(texts: list[str], order: int = 3, discount: float = 0.75) -> NGr
 
     base = _pack_base(order, end_id)
     # Only n-grams ending at a predicted position count, so the padding
-    # start symbols are contexts, never events.
-    windows = _windows(sentences, order, end_id)
+    # start symbols are contexts, never events. Each window is one top-order
+    # key; the inverse maps every window to its distinct key.
+    keys, inverse, raw = np.unique(_pack(_windows(sentences, order, end_id), base),
+                                   return_inverse=True, return_counts=True)
     positions = _positions(sentences)
     del sentences  # from here on, only how many rows each sentence has
-    grams: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for k in range(2, order + 1):
-        keys, raw = np.unique(_pack(windows[:, order - k:], base), return_counts=True)
-        # Level k - 1 uses continuation counts: how many distinct one-id
-        # left extensions of each (k-1)-gram the k-grams hold.
-        suffixes, cont = np.unique(keys % base ** (k - 1), return_counts=True)
+    # Top order keeps raw counts. Level k - 1 uses continuation counts: how
+    # many distinct one-id left extensions of each (k-1)-gram the k-grams
+    # hold. The distinct k-grams are the k-id suffixes of the distinct
+    # top-order keys, so each level comes from the distinct keys above it.
+    grams = {order: (keys, raw.astype(float))}
+    for k in range(order, 1, -1):
+        suffixes, cont = np.unique(grams[k][0] % base ** (k - 1), return_counts=True)
         grams[k - 1] = (suffixes, cont.astype(float))
-    # Top order keeps raw counts.
-    grams[order] = (keys, raw.astype(float))
     lm = NGramLM(order=order, discount=discount, vocabulary=vocab, grams=grams,
                  end_id=end_id)
-    # The training perplexity from one sweep over the windows counted
-    # above, with no second tokenization of the texts.
-    probs = np.concatenate([lm._probs(windows[start:start + ROW_BLOCK])
-                            for start in range(0, len(windows), ROW_BLOCK)])
-    [total] = _log_totals(probs, [positions])
-    lm.train_perplexity = math.exp(-total / len(windows))
+    # The training perplexity with no second tokenization of the texts:
+    # each distinct window is scored once, its key unpacked to a row, in
+    # key order and ROW_BLOCK rows at a time, and the inverse puts the
+    # probabilities back in window order.
+    distinct = np.concatenate([lm._probs(_unpack(keys[start:start + ROW_BLOCK], order, base))
+                               for start in range(0, len(keys), ROW_BLOCK)])
+    [total] = _log_totals(distinct[inverse], [positions])
+    lm.train_perplexity = math.exp(-total / len(inverse))
     return lm
 
 
@@ -719,9 +728,8 @@ def _row_blocks(lm: NGramLM, k: int, opening: np.ndarray, inner: np.ndarray) -> 
     close their row with "]", so that rows are joined by "], [".
     """
     keys, counts = lm.grams[k]
-    powers = _pack_powers(k, lm.base)
     for start in range(0, len(keys), ROW_BLOCK):
-        digits = keys[start:start + ROW_BLOCK, None] // powers % lm.base
+        digits = _unpack(keys[start:start + ROW_BLOCK], k, lm.base)
         distinct, which = np.unique(counts[start:start + ROW_BLOCK], return_inverse=True)
         closing = [s + "]" for s in json.dumps(distinct.tolist())[1:-1].split(", ")]
         cells = np.empty((len(digits), k + 1), dtype=object)
@@ -841,7 +849,7 @@ def _model_from_arrays(order: int, discount: float, end_id: int, words: list[str
             raise DataError(f"level {k} is empty or holds a key outside [0, base**{k})")
         if not np.all(keys[1:] > keys[:-1]):
             raise DataError(f"level {k} repeats an n-gram or is out of key order")
-        digits = keys[:, None] // _pack_powers(k, base) % base
+        digits = _unpack(keys, k, base)
         if not np.all(digits[:, :-1] <= end_id):
             raise DataError(f"level {k} holds END in a context")
         if not np.all(digits[:, -1] >= 1):

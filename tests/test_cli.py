@@ -285,6 +285,14 @@ class TestDetect:
         assert proc.returncode == 0, proc.stderr
         assert [row.split(",")[0] for row in proc.stdout.splitlines()] == ["id", "1", "2"]
 
+    @pytest.mark.parametrize("name", ["missing.txt", "a_directory"])
+    def test_input_that_is_no_file_exits_3(self, workspace, tmp_path, capsys, name):
+        (tmp_path / "a_directory").mkdir()
+        inp = tmp_path / name
+        capsys.readouterr()
+        assert main(["detect", "--config", cfg_path(workspace), str(inp)]) == 3
+        assert one_error_line(capsys, "data error:") == f"data error: input file not found: {inp}"
+
     @pytest.mark.parametrize("method", ["detect_gpt", "single_revise"])
     def test_prints_what_per_text_oracle_scoring_prints(self, workspace, tmp_path, capsys,
                                                          method):
@@ -1386,10 +1394,11 @@ class TestOneLoadPerCommand:
         golden = iter(GOLDEN_TEXTS)
         ingest_with([next(golden) if i in slots else f"filler {i}." for i in range(5)])
 
-        split_sentences, tokenize = text_core.split_sentences, text_core.tokenize
-        calls = {"split_sentences": [], "tokenize": []}
+        split_sentences, token_surfaces = text_core.split_sentences, text_core.token_surfaces
+        calls = {"split_sentences": [], "token_surfaces": []}
         for module in (text_core, zeroshot):
-            for name, fn in (("split_sentences", split_sentences), ("tokenize", tokenize)):
+            for name, fn in (("split_sentences", split_sentences),
+                             ("token_surfaces", token_surfaces)):
                 monkeypatch.setattr(module, name,
                                     lambda t, fn=fn, name=name: calls[name].append(t) or fn(t))
         train_kn_lm = zeroshot.train_kn_lm
@@ -1403,7 +1412,7 @@ class TestOneLoadPerCommand:
 
         machine_texts = calls["split_sentences"]
         assert sorted(machine_texts) == sorted(GOLDEN_TEXTS)
-        assert calls["tokenize"] == [s for t in machine_texts for s in split_sentences(t)]
+        assert calls["token_surfaces"] == [s for t in machine_texts for s in split_sentences(t)]
         ppl = oracle_perplexity(trained[0], machine_texts)
         assert trained[0].train_perplexity == ppl  # bit for bit
         assert f"train_perplexity={ppl:.3f}\n" in capsys.readouterr().out

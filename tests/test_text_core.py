@@ -17,6 +17,7 @@ from mgtdetect.text_core import (
     rewrite_units,
     split_sentences,
     token_spans,
+    token_surfaces,
     tokenize,
     vocab_from_counts,
 )
@@ -29,6 +30,15 @@ ALL_CHARS = "".join(chr(c) for c in range(sys.maxunicode + 1) if not 0xD800 <= c
 SPECIAL = st.sampled_from([".", "!", "?", " ", "\t", "\n", "\u2003", "'", "’", "_",
                            "Dr.", "e.g.", "No.", "ETC.", "x.y", "İ", "Ⓐ", "ß"])
 MIXED_TEXT = st.lists(st.one_of(st.text(max_size=8), SPECIAL), max_size=30).map("".join)
+# Pieces whose lowercase depends on how much text is lowercased at once:
+# "İ" lowercases to two code points, the second a combining mark that is no
+# word character; "Σ" lowercases to "ς" at the end of a word and to "σ"
+# before a letter, even across an apostrophe or a period. Apostrophes sit
+# inside and at the edges of words, combining marks after letters and alone.
+CASE_PIECES = st.sampled_from(["İ", "İstanbul", "ΟΔΟΣ", "Σ", "ΑΣ.Β", "ΑΣ'Β", "ΑΣ’", "'Σ",
+                               "don't", "'tis", "rock'", "’n’", "e\u0301", "\u0301",
+                               "\u0307", "_", "a_b", "ß", "ǅ", " ", ".", "'", "’"])
+CASE_TEXT = st.lists(st.one_of(st.text(max_size=6), CASE_PIECES), max_size=30).map("".join)
 
 
 # The per-character implementations the single regex scans replaced, kept
@@ -101,6 +111,7 @@ class TestOracles:
         assert [tuple(t) for t in tokenize(ALL_CHARS)] == [
             (ALL_CHARS[a:b].lower(), w) for a, b, w in spans
         ]
+        assert token_surfaces(ALL_CHARS) == [ALL_CHARS[a:b].lower() for a, b, _ in spans]
         # Each terminator is followed by one code point.
         dotted = ".".join(ALL_CHARS)
         assert split_sentences(dotted) == oracle_split_sentences(dotted)
@@ -160,6 +171,15 @@ class TestTokenize:
             found = lowered.find(s, pos)
             assert found >= pos
             pos = found + len(s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), CASE_TEXT))
+    def test_token_surfaces_are_the_surfaces_of_tokenize(self, text):
+        assert token_surfaces(text) == [t.surface for t in tokenize(text)]
+
+    def test_token_surfaces_lowercase_each_token_alone(self):
+        # Lowercasing the whole text would give "i", "\u0307" and "ασ", ".", "β".
+        assert token_surfaces("İ ΑΣ.Β") == ["i\u0307", "ας", ".", "β"]
 
     @given(st.text(max_size=80))
     def test_spans_cover_disjoint_ranges(self, text):
@@ -249,6 +269,22 @@ class TestBuildVocab:
             vocab_from_counts({}, 1)
         with pytest.raises(DataError):
             vocab_from_counts(counts, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.dictionaries(st.one_of(st.text(min_size=1, max_size=3),
+                                            st.sampled_from(["a", "b", "B", "İ", "é", "e\u0301"])),
+                                  st.integers(1, 4), min_size=1, max_size=40),
+           min_count=st.integers(1, 5), data=st.data())
+    def test_vocab_order_is_the_count_then_surface_key(self, counts, min_count, data):
+        # Few distinct counts, so most words tie; the dict's order is shuffled.
+        counts = dict(data.draw(st.permutations(list(counts.items()))))
+        kept = sorted((w for w, c in counts.items() if c >= min_count),
+                      key=lambda w: (-counts[w], w))
+        vocab = vocab_from_counts(counts, min_count)
+        assert list(vocab.word_to_id.items()) == [*zip(kept, range(len(kept))), (UNK, len(kept))]
+        assert list(vocab.frequencies.items()) == [
+            *((w, counts[w]) for w in kept),
+            (UNK, sum(c for c in counts.values() if c < min_count))]
 
     def test_id_of_falls_back_to_unk(self):
         vocab = build_vocab(["a a b"], min_count=2)

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from mgtdetect import zeroshot as zs
 from mgtdetect.errors import DataError, json_float, json_int, load_json
 from mgtdetect.ingest import DetectorScorer, Document
+from mgtdetect.synthetic import two_source_corpus
 from mgtdetect.text_core import (
     UNK,
     WORD_CHAR_RE,
@@ -256,6 +257,32 @@ class TestSurfaceCounting:
         texts = random_texts(4, 300, 700) + long_sentence + random_texts(6, 300, 9)
         assert_same_training(zs.train_kn_lm(texts, order=3, discount=0.75),
                              token_list_train_kn_lm(texts, 3, 0.75))
+
+    def test_more_distinct_windows_than_a_block_equal_token_list_counting(self):
+        # Each distinct top-order n-gram is scored once, its keys unpacked a
+        # block at a time: here over three blocks of them, at order 4.
+        texts = random_texts(8, 2_000, 1_200)
+        lm = zs.train_kn_lm(texts, order=4, discount=0.6)
+        assert len(lm.grams[4][0]) > 3 * zs.ROW_BLOCK
+        assert_same_training(lm, token_list_train_kn_lm(texts, 4, 0.6))
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_repeated_windows_equal_token_list_counting(self, order):
+        # The synthetic source over the 60 DEFAULT_WORDS: most windows
+        # repeat, so most probabilities are spread back from one distinct row.
+        _, texts = two_source_corpus(300, 5)
+        lm = zs.train_kn_lm(texts, order=order, discount=0.75)
+        windows = sum(len(tokenize(s)) + 1 for text in texts for s in split_sentences(text))
+        assert len(lm.grams[order][0]) < windows / 4
+        assert_same_training(lm, token_list_train_kn_lm(texts, order, 0.75))
+
+    def test_memory_texts_train_the_same_bytes_and_perplexity(self):
+        # Pinned from the counting over Token lists and one probability per
+        # window: lm.json's SHA-256 and the perplexity's repr.
+        lm = zs.train_kn_lm(MEMORY_TEXTS, order=3, discount=0.75)
+        assert hashlib.sha256(saved_bytes(zs.save_lm, lm)).hexdigest() == (
+            "97f28a0e69f2a76df488cce2afc544513b0219d2a08d43ec81f349cf61db4653")
+        assert repr(lm.train_perplexity) == "5.517747205445577"
 
     def test_peak_memory_at_most_60_percent_of_token_list_counting(self):
         tokens = sum(len(tokenize(text)) for text in MEMORY_TEXTS)
