@@ -16,8 +16,10 @@ import json
 import math
 from collections.abc import Iterator
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ConfigError(Exception):
@@ -110,6 +112,8 @@ def json_array(values, ndim: int) -> np.ndarray:
     """*values* as a float array when it nests *ndim* levels of lists
     around finite JSON numbers; ValueError otherwise (a string or a boolean
     element included)."""
+    import numpy as np  # here, so that a process that loads no artifact runs without numpy
+
     arr = np.array(values, dtype=float)
     if arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-D numeric array, got {arr.ndim}-D")

@@ -5,6 +5,7 @@ the scorer every detector is reduced to.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 import unicodedata
@@ -13,9 +14,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-import numpy as np
-
 from .errors import DataError, EmptyDocument, parse_json, read_lines
+from .sections import stable_seed
 from .text_core import WORD_CHAR_RE
 
 # Category Cc is exactly U+0000-U+001F and U+007F-U+009F; a body may keep
@@ -202,24 +202,25 @@ def load_hc3(path: str | Path) -> Corpus:
 def split(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpus]:
     """Stratified, seeded train/val/test partition.
 
-    Per class: a seeded permutation, then floor(frac * n) documents to val
-    and test with the remainder assigned to train. Deterministic for
-    identical (corpus, spec).
+    Per class, the n documents are sorted by their keys stable_seed(spec.seed,
+    id), two equal keys by id; of that order, val takes floor(val_frac * n)
+    documents and test floor(test_frac * n), train the rest: train the
+    first, val the next and test the last. A split depends on the seed and
+    the ids alone, neither on the order the documents come in nor on a
+    random number generator's stream.
     """
     if not corpus.documents:
         raise DataError("cannot split an empty corpus")
-    rng = np.random.default_rng(spec.seed)
     train: list[Document] = []
     val: list[Document] = []
     test: list[Document] = []
     present = [lb for lb in (Label.HUMAN, Label.MACHINE) if corpus.class_counts[lb] > 0]
     for label in present:
-        group = corpus.by_label(label)
-        order = rng.permutation(len(group))
-        shuffled = [group[i] for i in order]
+        shuffled = sorted(corpus.by_label(label),
+                          key=lambda d: (stable_seed(spec.seed, d.id), d.id))
         n = len(shuffled)
-        n_val = int(np.floor(spec.val_frac * n))
-        n_test = int(np.floor(spec.test_frac * n))
+        n_val = math.floor(spec.val_frac * n)
+        n_test = math.floor(spec.test_frac * n)
         n_train = n - n_val - n_test
         train.extend(shuffled[:n_train])
         val.extend(shuffled[n_train : n_train + n_val])

@@ -1,15 +1,18 @@
-"""The config sections of the classifier and skip-gram families: their keys,
-defaults and ranges, with no training code; and the adversarial transforms,
-with no attack code.
+"""The config sections of the classifier, skip-gram and zero-shot families:
+their keys, defaults and ranges, with no training or scoring code; the
+adversarial transforms, with no attack code; and stable_seed, the SHA-256
+seed that every module seed is derived by.
 
-A command reads every section of its config but may run neither family nor
-any attack (a zero-shot detect, ingest, stats), so their declarations live
-here, apart from `classifiers`, `embeddings` and `evaluation`, which import
-them from this module.
+A command reads every section of its config but may run no family and no
+attack (ingest, stats, a detect by one family), so their declarations live
+here, apart from `classifiers`, `embeddings`, `zeroshot` and `evaluation`,
+which import them from this module. This module imports no numpy: ingest
+and stats, which read the config through it, run without numpy.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, fields
 from functools import partial
@@ -17,6 +20,13 @@ from functools import partial
 from .errors import DataError, check_ranges
 
 BO_N_INIT = 5  # seeded points that start a Bayesian optimization run
+
+
+def stable_seed(*parts) -> int:
+    """64-bit seed: the first 8 bytes of the SHA-256 of the parts joined by
+    '/'. The CLI's derive_seed(root_seed, field_path) is this function."""
+    digest = hashlib.sha256("/".join(str(p) for p in parts).encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 def _finite_positive(value: float) -> bool:
@@ -54,7 +64,7 @@ HYPERPARAMETER_DEFAULTS = {
 check_hyperparameters = partial(check_ranges, ranges=HYPERPARAMETER_RANGES)
 
 
-def section_keys(section: dict) -> tuple[dict, dict, tuple[str, ...]]:
+def classifier_keys(section: dict) -> tuple[dict, dict, tuple[str, ...]]:
     """For a classifier config section: the family it names, as {"family":
     name}, that family's keys with their defaults, and the keys that may
     be null. DataError for an unknown family."""
@@ -104,6 +114,48 @@ def embedding_keys(section: dict) -> tuple[dict, dict, tuple[str, ...]]:
     if source != "train":
         raise DataError(f"source must be 'train' or 'load', got {source!r}")
     return {"source": source}, SKIPGRAM_DEFAULTS, ()
+
+
+# The zeroshot config keys with their defaults: zeroshot.train_kn_lm's and
+# PerturbConfig's, and the detect threshold on d (d >= 0: the original
+# scores at least as high as its rewrites). A config value takes its
+# default's type; each key's range is PARAMETER_RANGES.
+PARAMETER_DEFAULTS = {"order": 3, "discount": 0.75, "k": 10, "mask_fraction": 0.15,
+                      "threshold": 0.0}
+# The range of every zero-shot parameter, as name: (test, rule). k is the
+# number of rewrites detect_gpt averages; single_revise always takes one.
+PARAMETER_RANGES = {
+    "order": (lambda v: v >= 2, "at least 2"),
+    "discount": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "k": (lambda v: v >= 2, "at least 2"),
+    "mask_fraction": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "threshold": (math.isfinite, "finite"),
+}
+# DataError unless each value of a dict keyed by parameter name lies in
+# that name's PARAMETER_RANGES range.
+check_parameters = partial(check_ranges, ranges=PARAMETER_RANGES)
+# Each zero-shot method with the number of rewrites it scores (None for the
+# config's k); its curvature score is zeroshot.SCORES. The first is the
+# default method.
+METHODS = {"detect_gpt": None, "single_revise": 1}
+DEFAULT_METHOD = next(iter(METHODS))
+
+
+def zeroshot_keys(section: dict) -> tuple[dict, dict, tuple[str, ...]]:
+    """For a zeroshot config section: the METHODS it names, as {"methods":
+    tuple}, its keys with their defaults, and the keys that may be null
+    (none). DataError for an empty list, or an unknown or repeated method."""
+    methods = section.get("methods", [DEFAULT_METHOD])
+    if not isinstance(methods, list):
+        raise DataError("methods must be a list of method names")
+    if not methods:
+        raise DataError(f"methods must name at least one of {tuple(METHODS)}")
+    for i, method in enumerate(methods):
+        if not isinstance(method, str) or method not in METHODS:
+            raise DataError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
+        if method in methods[:i]:
+            raise DataError(f"method #{i} repeats {method!r}")
+    return {"methods": tuple(methods)}, PARAMETER_DEFAULTS, ()
 
 
 # The kinds of adversarial transform, each one evaluation._ATTACKS entry.

@@ -6,20 +6,13 @@ anywhere (it is salted per process).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 
+from .sections import stable_seed  # SHA-256 over the parts joined by '/'
 from .text_core import word_tokens
-
-
-def stable_seed(*parts) -> int:
-    """64-bit seed: the first 8 bytes of the SHA-256 of the parts joined by
-    '/'. The CLI's derive_seed(root_seed, field_path) is this function."""
-    digest = hashlib.sha256("/".join(str(p) for p in parts).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 class TrigramSource:

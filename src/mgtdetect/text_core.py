@@ -11,11 +11,12 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import DataError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 UNK = "<unk>"
 
@@ -114,6 +115,8 @@ def seeded_rewrites(n: int, fraction: float, seed: int,
     m = math.floor(fraction * n)
     if m == 0:
         return []
+    import numpy as np  # here, so that ingest and stats, which tokenize, run without numpy
+
     rng = np.random.default_rng(seed)
     return [(i, replace(rng, i)) for i in sorted(rng.choice(n, size=m, replace=False).tolist())]
 

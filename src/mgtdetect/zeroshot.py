@@ -6,8 +6,10 @@ score lower under p than the original, while rewrites of human text move
 either way; the normalized gap between the original log probability and
 the mean over rewrites is the detection statistic d.
 
-Two methods, one row each of METHODS: the k-perturbation estimator
+Two methods, one row each of SCORES: the k-perturbation estimator
 (k+1 scoring passes) and the single-revision fast path (2 scoring passes).
+Their config declarations (keys, defaults, ranges and numbers of rewrites)
+are in sections.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import numpy as np
 
 from .errors import (
     DataError,
-    check_ranges,
     json_float,
     json_int,
     json_keys,
@@ -37,6 +38,7 @@ from .errors import (
     read_text,
 )
 from .ingest import DetectorScorer, Document
+from .sections import METHODS, check_parameters
 from .text_core import (
     ABBREVIATION_WORDS,
     UNK,
@@ -74,49 +76,13 @@ END = "</s>"  # predictable end-of-sentence symbol
 START_ID = -1  # context-only padding id, never predicted
 WordToken = tuple[int, int, str]  # a word token's sentence, position and surface
 
-# The zeroshot config keys with their defaults: train_kn_lm's and
-# PerturbConfig's, and the detect threshold on d (d >= 0: the original
-# scores at least as high as its rewrites). A config value takes its
-# default's type; each key's range is PARAMETER_RANGES.
-PARAMETER_DEFAULTS = {"order": 3, "discount": 0.75, "k": 10, "mask_fraction": 0.15,
-                      "threshold": 0.0}
-# The range of every zero-shot parameter, as name: (test, rule). k is the
-# number of rewrites detect_gpt averages; single_revise always takes one.
-PARAMETER_RANGES = {
-    "order": (lambda v: v >= 2, "at least 2"),
-    "discount": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    "k": (lambda v: v >= 2, "at least 2"),
-    "mask_fraction": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    "threshold": (math.isfinite, "finite"),
+# Each zero-shot method's curvature score, called by its module name so that
+# a wrapper set on that name sees the call: one row for each row of
+# sections.METHODS, which holds the method's number of rewrites.
+SCORES = {
+    "detect_gpt": lambda lm, doc, cfg: detect_gpt_score(lm, doc, cfg),
+    "single_revise": lambda lm, doc, cfg: single_revise_score(lm, doc, cfg),
 }
-# DataError unless each value of a dict keyed by parameter name lies in
-# that name's PARAMETER_RANGES range.
-check_parameters = partial(check_ranges, ranges=PARAMETER_RANGES)
-# Each zero-shot method: the number of rewrites it scores (None for the
-# config's k) and its curvature score, called by its module name so that a
-# wrapper set on that name sees the call. The first is the default method.
-METHODS = {
-    "detect_gpt": (None, lambda lm, doc, cfg: detect_gpt_score(lm, doc, cfg)),
-    "single_revise": (1, lambda lm, doc, cfg: single_revise_score(lm, doc, cfg)),
-}
-DEFAULT_METHOD = next(iter(METHODS))
-
-
-def section_keys(section: dict) -> tuple[dict, dict, tuple[str, ...]]:
-    """For a zeroshot config section: the METHODS it names, as {"methods":
-    tuple}, its keys with their defaults, and the keys that may be null
-    (none). DataError for an empty list, or an unknown or repeated method."""
-    methods = section.get("methods", [DEFAULT_METHOD])
-    if not isinstance(methods, list):
-        raise DataError("methods must be a list of method names")
-    if not methods:
-        raise DataError(f"methods must name at least one of {tuple(METHODS)}")
-    for i, method in enumerate(methods):
-        if not isinstance(method, str) or method not in METHODS:
-            raise DataError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
-        if method in methods[:i]:
-            raise DataError(f"method #{i} repeats {method!r}")
-    return {"methods": tuple(methods)}, PARAMETER_DEFAULTS, ()
 
 
 @dataclass(eq=False)
@@ -618,14 +584,14 @@ def train(texts: list[str], section: dict) -> NGramLM:
 
 def scorers(lm: NGramLM, methods: Iterable[str], section: dict,
             seed: int) -> list[DetectorScorer]:
-    """The scorer of each of *methods*, named by it: its METHODS curvature
-    d under *lm* with its number of rewrites, the section's mask_fraction
-    and *seed*, cut at the section's threshold. All share one base config,
+    """The scorer of each of *methods*, named by it: its SCORES curvature
+    d under *lm* with its METHODS number of rewrites, the section's
+    mask_fraction and *seed*, cut at the section's threshold. All share one base config,
     and so one substitution sampler."""
     base = PerturbConfig(pool=lm.vocabulary, mask_fraction=section["mask_fraction"], seed=seed)
 
     def scorer(method: str) -> DetectorScorer:
-        k, curvature = METHODS[method]
+        k, curvature = METHODS[method], SCORES[method]
         cfg = replace(base, k=section["k"] if k is None else k)
         return DetectorScorer(method, lambda doc: curvature(lm, doc, cfg).d, section["threshold"])
 

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import io
 import json
+import math
 import os
 import re
 import resource
@@ -17,13 +18,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mgtdetect
-from mgtdetect import classifiers, embeddings, evaluation, ingest, synthetic, zeroshot
+from mgtdetect import classifiers, embeddings, evaluation, ingest, sections, synthetic, zeroshot
 from mgtdetect.cli import derive_seed, main
 from mgtdetect.errors import DataError
 from mgtdetect.ingest import Document, Label
 from mgtdetect.sections import HYPERPARAMETER_DEFAULTS, SKIPGRAM_DEFAULTS
+from mgtdetect.sections import PARAMETER_DEFAULTS as ZEROSHOT_DEFAULTS
 from mgtdetect.synthetic import write_hc3_file
-from mgtdetect.zeroshot import PARAMETER_DEFAULTS as ZEROSHOT_DEFAULTS
 
 
 def base_config(output_dir: str = "out") -> dict:
@@ -1079,6 +1080,47 @@ open({str(report)!r}, "w").write(json.dumps(sorted(imported)))
         assert {"mgtdetect", "numpy"} <= imported
         assert imported - set(sys.stdlib_module_names) == {"mgtdetect", "numpy"}
 
+    def test_ingest_and_stats_import_no_numpy(self, workspace, fixtures_dir, tmp_path):
+        """ingest then stats, in a fresh process, on a config with
+        classifier, embeddings, zeroshot and transforms sections and
+        CoNLL-U parses: every section is read through sections alone, so
+        neither numpy nor the zero-shot or synthetic module is imported."""
+        conllu = str(fixtures_dir / "sample.conllu")
+        config = write_config(tmp_path, workspace,
+                              dataset__conllu={"human": conllu, "machine": conllu})
+        script = f"""
+import sys
+from mgtdetect.cli import main
+for command in ("ingest", "stats"):
+    assert main([command, "--config", {config!r}]) == 0, command
+watched = ("numpy", "mgtdetect.zeroshot", "mgtdetect.synthetic")
+print("imported:", *(name for name in watched if name in sys.modules))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                              text=True, env=child_env())
+        assert proc.stdout.splitlines()[-1] == "imported:"
+        assert proc.stderr == ""
+
+    def test_zero_shot_train_and_detect_import_no_synthetic_code(self, workspace, tmp_path):
+        """A zero-shot train and detect, in a fresh process, take their
+        seeds from sections: the synthetic text module is not imported."""
+        shutil.copytree(workspace / "out", tmp_path / "out")
+        config = write_config(tmp_path, workspace, classifier=None, embeddings=None)
+        inp = tmp_path / "in.txt"
+        inp.write_text("waa wab wac wad wae.\n")
+        script = f"""
+import sys
+from mgtdetect.cli import main
+for command in (["train"], ["detect", {str(inp)!r}, "--method", "detect_gpt"]):
+    assert main(command + ["--config", {config!r}]) == 0, command
+print("imported:", *(name for name in ("mgtdetect.zeroshot", "mgtdetect.synthetic")
+                     if name in sys.modules))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                              text=True, env=child_env())
+        assert proc.stdout.splitlines()[-1] == "imported: mgtdetect.zeroshot"
+        assert proc.stderr == ""
+
     def test_zero_shot_commands_import_no_classifier_or_stats_code(self, workspace, tmp_path):
         """ingest, train, evaluate and detect on a config with no classifier
         and no embeddings section leave classifiers, corpus_stats and
@@ -1172,9 +1214,9 @@ print("imported:", *(name for name in watched if name in sys.modules))
 class TestMethodTable:
     def test_cli_takes_method_names_from_the_zeroshot_table(self, workspace, tmp_path,
                                                             monkeypatch, capsys):
-        """A row added to zeroshot.METHODS is a --method choice, passes the
-        config's method check and is scored by the scorer builder, with no
-        other change."""
+        """A row added to sections.METHODS, with its score in zeroshot.SCORES,
+        is a --method choice, passes the config's method check and is scored
+        by the scorer builder, with no other change."""
         from mgtdetect.cli import RunConfig, build_parser
 
         rewrites = []
@@ -1183,7 +1225,8 @@ class TestMethodTable:
             rewrites.append(cfg.k)
             return zeroshot.single_revise_score(lm, doc, cfg)
 
-        monkeypatch.setitem(zeroshot.METHODS, "table_row", (1, score))
+        monkeypatch.setitem(sections.METHODS, "table_row", 1)
+        monkeypatch.setitem(zeroshot.SCORES, "table_row", score)
         args = ["detect", "--config", "config.json", "in.txt", "--method", "table_row"]
         assert build_parser().parse_args(args).method == "table_row"
         shutil.copytree(workspace / "out", tmp_path / "out")
@@ -1198,6 +1241,11 @@ class TestMethodTable:
         assert main(["detect", "--config", config, str(inp)]) == 0
         assert capsys.readouterr().out.splitlines()[1].endswith(",table_row")
         assert rewrites == [1]
+
+    def test_method_table_and_score_table_name_the_same_methods(self):
+        """Each method of sections.METHODS has its score in zeroshot.SCORES,
+        and no other method has one."""
+        assert list(sections.METHODS) == list(zeroshot.SCORES)
 
 
 class TestDefaults:
@@ -1519,20 +1567,29 @@ class TestCorruptClassifierArtifacts:
         assert [row.split(",")[0] for row in out.splitlines()] == ["id", "1", "3"]
 
     def test_overflowing_score_prints_only_its_skip_line(self, workspace, tmp_path):
-        """One word whose finite vector alternates 1e308 and -1e308: the
-        model's score overflows, and in a process of its own the skip line
-        is all that reaches stderr."""
+        """An svm trained on the workspace's vectors, and one word whose
+        finite vector is the largest float times the sign of each trained
+        weight: every term of the score's dot product is positive, so the
+        score overflows whatever documents trained the svm, and in a process
+        of its own the skip line is all that reaches stderr."""
         out = tmp_path / "out"
         shutil.copytree(workspace / "out", out)
+        config = write_config(tmp_path, workspace, classifier={"family": "svm"}, zeroshot=None,
+                              embeddings={"source": "load",
+                                          "path": str(workspace / "out" / "embeddings.txt")})
+        assert main(["train", "--config", config]) == 0
+        weights = json.loads((out / "model.json").read_text())["weights"]
+        # The sum of |w| * max exceeds max only when the |w| sum to more than 1.
+        assert sum(abs(w) for w in weights) > 1.0 + 1e-9
         rows = (out / "embeddings.txt").read_text().split("\n")
         i = next(i for i, row in enumerate(rows) if row.split(" ")[0].isalpha())
-        word, *values = rows[i].split(" ")
-        rows[i] = " ".join([word] + [("1e308", "-1e308")[j % 2] for j in range(len(values))])
+        word = rows[i].split(" ")[0]
+        rows[i] = " ".join([word] + [repr(math.copysign(sys.float_info.max, w)) for w in weights])
         (out / "embeddings.txt").write_text("\n".join(rows))
         inp = tmp_path / "in.txt"
         inp.write_text(f"{word}.\n")
-        rc, err, printed = run_entry_point("detect", "--config", cfg_path(workspace), str(inp),
-                                           "--method", "classifier", "--output", str(out))
+        rc, err, printed = run_entry_point("detect", "--config", config, str(inp),
+                                           "--method", "classifier")
         assert rc == 0
         assert err == ["skipping line 1: prediction score must be finite"]
         assert printed.splitlines() == ["id,score,label,method"]

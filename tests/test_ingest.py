@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import sys
 import unicodedata
 
@@ -213,6 +215,92 @@ class TestSplit:
         ids = [d.id for part in (train, val, test) for d in part.documents]
         assert sorted(ids) == sorted(d.id for d in corpus.documents)
         assert len(set(ids)) == len(ids)
+
+
+def manifest_bytes(parts) -> bytes:
+    """The train, val and test ids of split's *parts*, as splits.json
+    lists them."""
+    ids = {name: [d.id for d in part.documents]
+           for name, part in zip(("train", "val", "test"), parts)}
+    return json.dumps(ids, sort_keys=True, indent=2).encode()
+
+
+def sized_corpus(n_human: int, n_machine: int) -> Corpus:
+    return make_corpus([f"human text {i}" for i in range(n_human)],
+                       [f"machine text {i}" for i in range(n_machine)])
+
+
+fractions = st.tuples(st.floats(0.02, 0.45), st.floats(0.02, 0.45)).map(
+    lambda vt: SplitSpec(1.0 - vt[0] - vt[1], vt[0], vt[1], seed=0))
+
+
+class TestKeyedSplit:
+    """split orders each class by the SHA-256 keys of its seed and ids."""
+
+    def test_hand_checked_order(self):
+        """Five documents a class, seed 7: each class in increasing order
+        of its keys, the first 8 bytes of SHA-256("7/<id>") read big-endian,
+        then 3 to train, 1 to val and 1 to test."""
+        def key(doc_id: str) -> int:
+            return int.from_bytes(hashlib.sha256(f"7/{doc_id}".encode()).digest()[:8], "big")
+
+        human = ["h1", "h4", "h2", "h3", "h0"]
+        machine = ["m3", "m4", "m2", "m1", "m0"]
+        for order in (human, machine):
+            keys = [key(i) for i in order]
+            assert keys == sorted(keys)
+        assert key("h1") == 1641918907218119622
+        assert key("m0") == 14661437776276373313
+        train, val, test = split(sized_corpus(5, 5), SplitSpec(0.6, 0.2, 0.2, seed=7))
+        assert [d.id for d in train.documents] == human[:3] + machine[:3]
+        assert [d.id for d in val.documents] == ["h3", "m1"]
+        assert [d.id for d in test.documents] == ["h0", "m0"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_human=st.integers(1, 60), n_machine=st.integers(1, 60), spec=fractions,
+           seed=st.integers(0, 2**64 - 1))
+    def test_floor_counts_per_class(self, n_human, n_machine, spec, seed):
+        """Per class of n documents, val gets floor(val_frac * n), test
+        floor(test_frac * n) and train the rest; a class that would leave a
+        split empty is a DataError."""
+        spec = SplitSpec(spec.train_frac, spec.val_frac, spec.test_frac, seed)
+        expected = {}
+        for label, n in ((Label.HUMAN, n_human), (Label.MACHINE, n_machine)):
+            n_val, n_test = math.floor(spec.val_frac * n), math.floor(spec.test_frac * n)
+            expected[label] = (n - n_val - n_test, n_val, n_test)
+        corpus = sized_corpus(n_human, n_machine)
+        if min(min(counts) for counts in expected.values()) == 0:
+            with pytest.raises(DataError, match="would contribute 0 documents"):
+                split(corpus, spec)
+            return
+        parts = split(corpus, spec)
+        for label, counts in expected.items():
+            assert tuple(part.class_counts[label] for part in parts) == counts
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(5, 40), seed=st.integers(0, 2**64 - 1))
+    def test_manifest_ignores_document_order(self, data, n, seed):
+        """The documents in any order give the same manifest."""
+        corpus = sized_corpus(n, n + 3)
+        shuffled = Corpus(tuple(data.draw(st.permutations(corpus.documents))))
+        spec = SplitSpec(0.6, 0.2, 0.2, seed)
+        assert manifest_bytes(split(shuffled, spec)) == manifest_bytes(split(corpus, spec))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(5, 40), seed=st.integers(0, 2**64 - 1))
+    def test_rerun_gives_the_same_bytes(self, n, seed):
+        """Two splits of two corpora built alike write the same bytes."""
+        spec = SplitSpec(0.6, 0.2, 0.2, seed)
+        first = manifest_bytes(split(sized_corpus(n, n), spec))
+        assert manifest_bytes(split(sized_corpus(n, n), spec)) == first
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(20, 60), seeds=st.lists(st.integers(0, 2**64 - 1), min_size=2,
+                                                 max_size=2, unique=True))
+    def test_another_seed_gives_another_split(self, n, seeds):
+        corpus = sized_corpus(n, n)
+        a, b = (manifest_bytes(split(corpus, SplitSpec(0.6, 0.2, 0.2, seed))) for seed in seeds)
+        assert a != b
 
 
 class TestLoadConllu:
