@@ -12,46 +12,11 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from mgtdetect import synthetic as syn
 from mgtdetect import zeroshot as zs
 from mgtdetect.evaluation import auroc
-from mgtdetect.ingest import Document, Label
-from mgtdetect.text_core import word_tokens
+from mgtdetect.synthetic import curvature_bench
 
 HUMAN_FIXTURE = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "human_texts.txt"
-
-
-def build_benchmark(seed: int, n_docs: int, n_train_sentences: int):
-    paragraphs = [
-        l.strip() for l in HUMAN_FIXTURE.read_text(encoding="utf-8").splitlines()
-        if l.strip()
-    ]
-    vocab = sorted({w for t in paragraphs for w in word_tokens(t)})
-    source = syn.TrigramSource(vocab, seed=syn.stable_seed(seed, "machine-source"))
-    rng = np.random.default_rng(syn.stable_seed(seed, "machine-sentences"))
-    sentences = [source.sentence(rng, 8, 18) for _ in range(n_train_sentences)]
-    lm = zs.train_kn_lm(sentences, order=3, discount=0.75)
-
-    sampled, i = [], 0
-    while len(sampled) < n_docs:
-        text = zs.sample_document(lm, seed=syn.stable_seed(seed, "sample", i),
-                                  max_tokens=30, sentences=2)
-        i += 1
-        if len(text.split()) >= 10:
-            sampled.append(text)
-    shuffled = [
-        syn.shuffle_words(paragraphs[j % len(paragraphs)],
-                          seed=syn.stable_seed(seed, "shuffle", j))
-        for j in range(n_docs)
-    ]
-    docs = [Document(id=f"m{j}", body=t, label=Label.MACHINE)
-            for j, t in enumerate(sampled)]
-    docs += [Document(id=f"h{j}", body=t, label=Label.HUMAN)
-             for j, t in enumerate(shuffled)]
-    labels = [1] * n_docs + [0] * n_docs
-    return lm, docs, labels
 
 
 def run(argv=None) -> int:
@@ -63,7 +28,9 @@ def run(argv=None) -> int:
                         help="training sentences for the language model")
     args = parser.parse_args(argv)
 
-    lm, docs, labels = build_benchmark(args.seed, args.docs, args.sentences)
+    paragraphs = [l.strip() for l in HUMAN_FIXTURE.read_text(encoding="utf-8").splitlines()
+                  if l.strip()]
+    lm, docs, labels = curvature_bench(paragraphs, args.seed, args.docs, args.sentences)
     print(f"language model: order={lm.order} vocab={lm.vocabulary.size} "
           f"docs={len(docs)}")
 

@@ -107,7 +107,10 @@ class LogRegModel:
         return len(self.weights)
 
     def score(self, x: np.ndarray) -> float:
-        return float(_sigmoid(self.weights @ x + self.bias))
+        # An overflowing w·x + b is NaN, never clipped to 0 or 1 by
+        # _sigmoid, so that predict refuses it as it does under svm.
+        z = self.weights @ x + self.bias
+        return float(_sigmoid(z)) if math.isfinite(z) else math.nan
 
 
 @dataclass

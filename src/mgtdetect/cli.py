@@ -4,7 +4,7 @@ One global seed in the config deterministically derives every module seed
 (SHA-256 over the field path), so a single knob reproduces an entire
 experiment. All outputs land under the output directory with fixed names:
 splits.json, stats.json, model.json, lm.json and its binary copy lm.bin,
-metrics.json, robustness.json.
+metrics.json, robustness.json and one robustness_<detector>.csv per detector.
 
 Exit codes: 0 success, 2 config error, 3 data/model error, 4 IO error.
 """
@@ -48,7 +48,7 @@ SPLIT_DEFAULTS = {"train": 0.8, "val": 0.1, "test": 0.1}
 # The top-level config keys; every other object's keys are named where it
 # is read, and _read refuses any other key.
 TOP_KEYS = ("seed", "output_dir", "dataset", "split", "embeddings", "classifier", "zeroshot",
-            "transforms", "detect")
+            "transforms")
 
 
 def _as(kind: type, value, name: str):
@@ -120,7 +120,17 @@ class RunConfig:
     classifier: dict | None  # _read's typed detector sections
     zeroshot: dict | None
     transforms: list[sections.AdversarialTransform]
-    detect_method: str
+
+    @property
+    def detectors(self) -> tuple[str, ...]:
+        """The detectors the config names: "classifier", then the zeroshot methods."""
+        return ((("classifier",) if self.classifier is not None else ())
+                + (self.zeroshot["methods"] if self.zeroshot is not None else ()))
+
+    @property
+    def detect_method(self) -> str:
+        """detect's method without --method: the first detector, else DEFAULT_METHOD."""
+        return (*self.detectors, sections.DEFAULT_METHOD)[0]
 
     @classmethod
     def from_file(
@@ -195,15 +205,6 @@ class RunConfig:
             seen.add(key)
             transforms.append(tf)
 
-        detect_method = _read(raw.get("detect"), "detect", _keys(("method",))).get("method")
-        if detect_method is None:
-            # The first detector the config names.
-            detect_method = ("classifier" if classifier is not None
-                             else zeroshot_cfg["methods"][0] if zeroshot_cfg is not None
-                             else sections.DEFAULT_METHOD)
-        if detect_method not in ("classifier", *sections.METHODS):
-            raise ConfigError(f"unknown detect method {detect_method!r}")
-
         output_dir = Path(output_override) if output_override else resolve(
             raw.get("output_dir", "out"), "output_dir"
         )
@@ -218,7 +219,6 @@ class RunConfig:
             classifier=classifier,
             zeroshot=zeroshot_cfg,
             transforms=transforms,
-            detect_method=detect_method,
         )
 
 
@@ -265,7 +265,10 @@ def _artifact(cfg: RunConfig, name: str, command: str) -> Path:
     return path
 
 
-def _load_cached_corpus(cfg: RunConfig) -> tuple[Corpus, dict[str, list[str]]]:
+def _load_splits(cfg: RunConfig) -> tuple[Corpus, dict[str, Corpus]]:
+    """The ingested corpus and each split of its manifest as a corpus;
+    DataError for a malformed record or manifest, for an id the corpus
+    lacks, or for one the manifest lists twice, in two splits or in one."""
     corpus_path = _artifact(cfg, "corpus.jsonl", "ingest")
     splits_path = _artifact(cfg, "splits.json", "ingest")
     docs = []
@@ -282,19 +285,13 @@ def _load_cached_corpus(cfg: RunConfig) -> tuple[Corpus, dict[str, list[str]]]:
             raise DataError(f"{corpus_path}:{lineno}: malformed record: {exc!r}") from exc
     manifest = load_json(splits_path)
     try:
-        splits = {name: manifest[name] for name in ("train", "val", "test")}
+        manifest = {name: manifest[name] for name in ("train", "val", "test")}
         if not all(isinstance(ids, list) and all(isinstance(i, str) for i in ids)
-                   for ids in splits.values()):
+                   for ids in manifest.values()):
             raise TypeError("train, val and test must be lists of document ids")
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{splits_path}: malformed split manifest: {exc!r}") from exc
-    return Corpus(tuple(docs)), splits
-
-
-def _split_corpora(corpus: Corpus, manifest: dict[str, list[str]]) -> dict[str, Corpus]:
-    """Each split of *manifest* as a corpus; DataError for an id the corpus
-    lacks or one the manifest lists twice, in two splits or in one."""
-    by_id = {d.id: d for d in corpus.documents}
+    by_id = {d.id: d for d in docs}
     split_of: dict[str, str] = {}
     out = {}
     for name, ids in manifest.items():
@@ -307,7 +304,7 @@ def _split_corpora(corpus: Corpus, manifest: dict[str, list[str]]) -> dict[str, 
             out[name] = Corpus(tuple(by_id[i] for i in ids))
         except KeyError as exc:
             raise DataError(f"split manifest references unknown id {exc}") from exc
-    return out
+    return Corpus(tuple(docs)), out
 
 
 # -- detectors: trained artifacts as scorers --
@@ -325,27 +322,33 @@ def _classifier_scorer(model: classifiers.AnyModel,
     )
 
 
-def _load_classifier_scorer(cfg: RunConfig) -> DetectorScorer:
-    from . import classifiers, embeddings
+def _scorers(cfg: RunConfig, methods: tuple[str, ...]
+             ) -> tuple[list[DetectorScorer], zeroshot.NGramLM | None]:
+    """The scorer of each of *methods*, in order, built from the trained
+    artifacts and cut at the family or config threshold, and the LM the
+    zero-shot ones score under (None without one)."""
+    built: dict[str, DetectorScorer] = {}
+    if "classifier" in methods:
+        from . import classifiers, embeddings
 
-    model_path = _artifact(cfg, "model.json", "train")
-    emb_path = _artifact(cfg, "embeddings.txt", "train")
-    model = classifiers.load_model(model_path)
-    emb = embeddings.load_vectors(emb_path)
-    if emb.dim != model.dim:
-        raise DataError(
-            f"{model_path}: model dimension {model.dim} != embedding "
-            f"dimension {emb.dim} of {emb_path}"
-        )
-    return _classifier_scorer(model, emb)
+        model_path = _artifact(cfg, "model.json", "train")
+        emb_path = _artifact(cfg, "embeddings.txt", "train")
+        model = classifiers.load_model(model_path)
+        emb = embeddings.load_vectors(emb_path)
+        if emb.dim != model.dim:
+            raise DataError(
+                f"{model_path}: model dimension {model.dim} != embedding "
+                f"dimension {emb.dim} of {emb_path}"
+            )
+        built["classifier"] = _classifier_scorer(model, emb)
+    lm = None
+    if zeroshot_methods := [m for m in methods if m != "classifier"]:
+        from . import zeroshot
 
-
-def _zeroshot_scorers(cfg: RunConfig, lm: zeroshot.NGramLM,
-                      methods: tuple[str, ...]) -> list[DetectorScorer]:
-    """One scorer per method, each cut at the config threshold."""
-    from . import zeroshot
-
-    return zeroshot.scorers(lm, methods, cfg.zeroshot, derive_seed(cfg.seed, "zeroshot.perturb"))
+        lm = zeroshot.load_lm_fast(_artifact(cfg, "lm.json", "train"))
+        built.update(zip(zeroshot_methods, zeroshot.scorers(
+            lm, zeroshot_methods, cfg.zeroshot, derive_seed(cfg.seed, "zeroshot.perturb"))))
+    return [built[m] for m in methods], lm
 
 
 # -- commands --
@@ -382,7 +385,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
 def cmd_stats(cfg: RunConfig) -> int:
     from . import corpus_stats
 
-    corpus, _ = _load_cached_corpus(cfg)
+    corpus, _ = _load_splits(cfg)
     parses = {label: ingest.load_conllu(path) for label, path in cfg.conllu.items()}
     report = corpus_stats.corpus_report(corpus, parses=parses or None)
     with _staged(cfg.output_dir) as stage:
@@ -408,14 +411,13 @@ def cmd_train(cfg: RunConfig) -> int:
     fails to train, or a file that fails to write, leaves embeddings.txt,
     model.json, lm.json and lm.bin as they were, never a new file beside
     an old one."""
-    if cfg.classifier is None and cfg.zeroshot is None:
+    if not cfg.detectors:
         raise ConfigError("config has neither a classifier nor a zeroshot section")
     if cfg.zeroshot is not None:
         # Imported before the corpus is read: imported after it, the desk
         # train process peaked at 41.2 MB, not 38.9 MB.
         from . import zeroshot
-    corpus, manifest = _load_cached_corpus(cfg)
-    splits = _split_corpora(corpus, manifest)
+    _, splits = _load_splits(cfg)
 
     if cfg.classifier is not None:
         from . import classifiers, embeddings, evaluation
@@ -430,7 +432,8 @@ def cmd_train(cfg: RunConfig) -> int:
         machine_texts = [d.body for d in splits["train"].by_label(Label.MACHINE)]
         if not machine_texts:
             raise DataError("zeroshot training needs Machine documents in train split")
-        lm = zeroshot.train(machine_texts, cfg.zeroshot)
+        lm = zeroshot.train_kn_lm(machine_texts, order=cfg.zeroshot["order"],
+                                  discount=cfg.zeroshot["discount"])
 
     with _staged(cfg.output_dir) as stage:
         if cfg.classifier is not None:
@@ -464,13 +467,7 @@ def cmd_detect(cfg: RunConfig, input_path: str, method: str | None,
     # Decoded in full before any output; held, not read again, so that a
     # pipe works too.
     lines = list(read_lines(path))
-    if method == "classifier":
-        lm, scorer = None, _load_classifier_scorer(cfg)
-    else:
-        from . import zeroshot
-
-        lm = zeroshot.load_lm_fast(_artifact(cfg, "lm.json", "train"))
-        [scorer] = _zeroshot_scorers(cfg, lm, (method,))
+    [scorer], lm = _scorers(cfg, (method,))
     passes_before = lm.scoring_passes if lm else 0
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["id", "score", "label", "method"])
@@ -502,26 +499,22 @@ def cmd_detect(cfg: RunConfig, input_path: str, method: str | None,
 def cmd_evaluate(cfg: RunConfig) -> int:
     from . import evaluation
 
-    if cfg.classifier is None and cfg.zeroshot is None:
+    if not cfg.detectors:
         raise ConfigError("config has neither a classifier nor a zeroshot section")
     if cfg.zeroshot is not None:
         from . import zeroshot  # before the corpus is read, as in cmd_train
-    corpus, manifest = _load_cached_corpus(cfg)
-    splits = _split_corpora(corpus, manifest)
+    _, splits = _load_splits(cfg)
     test = splits["test"]
     if test.class_counts[Label.HUMAN] == 0 or test.class_counts[Label.MACHINE] == 0:
         raise DataError("test split must contain both classes")
 
-    scorers: list[DetectorScorer] = []
-    if cfg.classifier is not None:
-        scorers.append(_load_classifier_scorer(cfg))
-    if cfg.zeroshot is not None:
-        lm = zeroshot.load_lm_fast(_artifact(cfg, "lm.json", "train"))
-        val = splits["val"].documents
-        labels = [1 if d.label == Label.MACHINE else 0 for d in val]
-        for scorer in _zeroshot_scorers(cfg, lm, cfg.zeroshot["methods"]):
-            threshold = evaluation.youden_threshold([scorer.score_fn(d) for d in val], labels)
-            scorers.append(replace(scorer, threshold=threshold))
+    scorers, _ = _scorers(cfg, cfg.detectors)
+    val = splits["val"].documents
+    labels = [1 if d.label == Label.MACHINE else 0 for d in val]
+    for i, method in enumerate(cfg.detectors):
+        if method != "classifier":  # cut at its validation Youden point
+            threshold = evaluation.youden_threshold([scorers[i].score_fn(d) for d in val], labels)
+            scorers[i] = replace(scorers[i], threshold=threshold)
 
     metrics_payload: dict[str, dict] = {}
     robustness_payload: dict[str, dict] = {}
@@ -531,8 +524,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             metrics_payload[scorer.name] = {"threshold": scorer.threshold, **report["before"]}
             robustness_payload[scorer.name] = report
             safe = scorer.name.replace(":", "_")
-            fname = f"robustness_{safe}.csv" if len(scorers) > 1 else "robustness.csv"
-            _write_robustness_csv(stage(fname), report)
+            _write_robustness_csv(stage(f"robustness_{safe}.csv"), report)
             print(f"[{scorer.name}] threshold={scorer.threshold:.4f}")
             for name in evaluation.METRIC_NAMES:
                 print(f"[{scorer.name}] test {name}: {report['before'][name]:.4f}")

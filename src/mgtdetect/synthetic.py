@@ -8,11 +8,16 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .sections import stable_seed  # SHA-256 over the parts joined by '/'
 from .text_core import word_tokens
+
+if TYPE_CHECKING:
+    from .ingest import Document
+    from .zeroshot import NGramLM
 
 
 class TrigramSource:
@@ -112,3 +117,31 @@ def shuffle_words(text: str, seed: int) -> str:
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(words))
     return " ".join(words[i] for i in order) + "."
+
+
+def curvature_bench(paragraphs: list[str], seed: int, n_docs: int,
+                    n_sentences: int) -> tuple[NGramLM, list[Document], list[int]]:
+    """An order-3 LM on *n_sentences* sentences of a trigram source over the
+    words of *paragraphs*; *n_docs* documents of 10 or more words sampled
+    from it (Machine, label 1), then *n_docs* shuffled *paragraphs* (Human, 0)."""
+    from . import zeroshot  # here, so that importing synthetic loads neither
+    from .ingest import Document, Label
+
+    vocab = sorted({w for t in paragraphs for w in word_tokens(t)})
+    source = TrigramSource(vocab, seed=stable_seed(seed, "machine-source"))
+    rng = np.random.default_rng(stable_seed(seed, "machine-sentences"))
+    sentences = [source.sentence(rng, 8, 18) for _ in range(n_sentences)]
+    lm = zeroshot.train_kn_lm(sentences, order=3, discount=0.75)
+
+    sampled, i = [], 0
+    while len(sampled) < n_docs:
+        text = zeroshot.sample_document(lm, seed=stable_seed(seed, "sample", i),
+                                        max_tokens=30, sentences=2)
+        i += 1
+        if len(text.split()) >= 10:
+            sampled.append(text)
+    shuffled = [shuffle_words(paragraphs[j % len(paragraphs)], stable_seed(seed, "shuffle", j))
+                for j in range(n_docs)]
+    docs = [Document(id=f"m{j}", body=t, label=Label.MACHINE) for j, t in enumerate(sampled)]
+    docs += [Document(id=f"h{j}", body=t, label=Label.HUMAN) for j, t in enumerate(shuffled)]
+    return lm, docs, [1] * n_docs + [0] * n_docs

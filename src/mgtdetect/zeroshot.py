@@ -576,12 +576,6 @@ def single_revise_score(lm: NGramLM, doc: Document, cfg: PerturbConfig) -> Curva
     return _curvature_score(lm, doc, cfg)
 
 
-def train(texts: list[str], section: dict) -> NGramLM:
-    """train_kn_lm on *texts* with a zeroshot config section's order and
-    discount."""
-    return train_kn_lm(texts, order=section["order"], discount=section["discount"])
-
-
 def scorers(lm: NGramLM, methods: Iterable[str], section: dict,
             seed: int) -> list[DetectorScorer]:
     """The scorer of each of *methods*, named by it: its SCORES curvature

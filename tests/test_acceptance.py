@@ -17,8 +17,7 @@ from mgtdetect import synthetic as syn
 from mgtdetect import zeroshot as zs
 from mgtdetect.cli import main
 from mgtdetect.evaluation import auroc, metrics
-from mgtdetect.ingest import DetectorScorer, Document, Label, ParsedSentence
-from mgtdetect.text_core import word_tokens
+from mgtdetect.ingest import DetectorScorer, Label, ParsedSentence
 
 from conftest import make_corpus, make_doc
 
@@ -112,37 +111,8 @@ def test_03_synthetic_separability():
 
 @pytest.fixture(scope="module")
 def curvature_bench(human_fixture_texts):
-    """Shared construction for criteria 4 and 5: an order-3 LM over 2,000
-    machine-source sentences, 200 LM-sampled docs, and 200 word-shuffled
-    human-fixture docs.
-    """
-    vocab_words = sorted({w for t in human_fixture_texts for w in word_tokens(t)})
-    source = syn.TrigramSource(
-        vocab_words, seed=syn.stable_seed(202, "machine-source"), branching=4
-    )
-    rng = np.random.default_rng(syn.stable_seed(202, "machine-sentences"))
-    machine_sentences = [source.sentence(rng, 8, 18) for _ in range(2000)]
-    lm = zs.train_kn_lm(machine_sentences, order=3, discount=0.75)
-
-    sampled: list[str] = []
-    i = 0
-    while len(sampled) < 200:
-        text = zs.sample_document(lm, seed=syn.stable_seed(202, "sample", i),
-                                  max_tokens=30, sentences=2)
-        i += 1
-        if len(text.split()) >= 10:
-            sampled.append(text)
-    shuffled = [
-        syn.shuffle_words(human_fixture_texts[j % len(human_fixture_texts)],
-                          seed=syn.stable_seed(202, "shuffle", j))
-        for j in range(200)
-    ]
-    docs = [Document(id=f"m{j}", body=t, label=Label.MACHINE)
-            for j, t in enumerate(sampled)]
-    docs += [Document(id=f"h{j}", body=t, label=Label.HUMAN)
-             for j, t in enumerate(shuffled)]
-    labels = [1] * 200 + [0] * 200
-    return lm, docs, labels
+    """The LM, documents and labels of criteria 4 and 5."""
+    return syn.curvature_bench(human_fixture_texts, seed=202, n_docs=200, n_sentences=2000)
 
 
 def timed_runs(lm, docs, methods, rounds: int = 3):

@@ -189,6 +189,21 @@ class TestStats:
                    "--output", str(tmp_path / "fresh")])
         assert rc == 3
 
+    @pytest.mark.parametrize("val", [["no-such-id"], None], ids=["unknown_id", "listed_twice"])
+    def test_manifest_is_checked_as_train_checks_it(self, workspace, tmp_path, capsys, val):
+        """stats refuses a manifest that train refuses, with train's line."""
+        out = tmp_path / "out"
+        shutil.copytree(workspace / "out", out)
+        manifest = json.loads((out / "splits.json").read_text())
+        manifest["val"] = val or manifest["val"] + manifest["train"][:1]
+        (out / "splits.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        lines = []
+        for command in ("train", "stats"):
+            assert main([command, "--config", cfg_path(workspace), "--output", str(out)]) == 3
+            lines.append(one_error_line(capsys, "data error:"))
+        assert lines[0] == lines[1]
+
     def test_unwritable_report_exits_4(self, workspace, tmp_path):
         out = tmp_path / "out4"
         assert main(["ingest", "--config", cfg_path(workspace),
@@ -552,6 +567,29 @@ class TestConfiguredDetectors:
         rows = capsys.readouterr().out.splitlines()[1:]
         assert [row.rsplit(",", 1)[1] for row in rows] == ["single_revise"] * 2
 
+    @pytest.mark.parametrize("changes, csv_name", [
+        ({"zeroshot": None}, "robustness_classifier_logreg.csv"),
+        ({"classifier": None, "embeddings": None, "zeroshot__methods": ["single_revise"]},
+         "robustness_single_revise.csv"),
+    ], ids=["classifier", "single_revise"])
+    def test_one_detector_csv_is_named_by_it(self, workspace, tmp_path, changes, csv_name):
+        """Every robustness CSV is named by its detector, the only one too."""
+        shutil.copytree(workspace / "out", tmp_path / "out",
+                        ignore=shutil.ignore_patterns("robustness*.csv"))
+        config = write_config(tmp_path, workspace, **changes)
+        assert main(["evaluate", "--config", config]) == 0
+        assert [p.name for p in (tmp_path / "out").glob("robustness*.csv")] == [csv_name]
+
+    @pytest.mark.parametrize("command", ["ingest", "stats", "train", "detect", "evaluate"])
+    def test_detect_section_is_an_unknown_key(self, workspace, tmp_path, capsys, command):
+        """--method is the one method switch: every command refuses a detect section."""
+        config = write_config(tmp_path, workspace, detect={"method": "single_revise"})
+        args = ["in.txt"] if command == "detect" else []
+        capsys.readouterr()
+        assert main([command, "--config", config, *args]) == 2
+        assert one_error_line(capsys, "config error:") == "config error: unknown config key 'detect'"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("method, section", [("detect_gpt", "zeroshot"),
                                                  ("classifier", "classifier")])
     def test_detect_method_outside_config_exits_2(self, workspace, tmp_path, capsys,
@@ -703,7 +741,7 @@ class TestMalformedInputs:
         ({"classifier": {"family": "svm", "n_trees": 5}}, "classifier.n_trees"),
         ({"zeroshot__mask_fracton": 0.9}, "zeroshot.mask_fracton"),
         ({"transforms": [{"kind": "case_flip", "intensty": 0.9}]}, "transforms.0.intensty"),
-        ({"detect": {"methods": "detect_gpt"}}, "detect.methods"),
+        ({"detect": {"methods": "detect_gpt"}}, "detect"),
         ({"embeddings": {"source": "load", "path": "vectors.txt", "dim": 8}}, "embeddings.dim"),
     ])
     def test_unknown_config_key_exits_2(self, workspace, tmp_path, capsys, changes, name):
@@ -1230,8 +1268,8 @@ class TestMethodTable:
         args = ["detect", "--config", "config.json", "in.txt", "--method", "table_row"]
         assert build_parser().parse_args(args).method == "table_row"
         shutil.copytree(workspace / "out", tmp_path / "out")
-        config = write_config(tmp_path, workspace, zeroshot__methods=["table_row"],
-                              detect={"method": "table_row"})
+        config = write_config(tmp_path, workspace, classifier=None, embeddings=None,
+                              zeroshot__methods=["table_row"])
         parsed = RunConfig.from_file(config)
         assert (parsed.zeroshot["methods"], parsed.detect_method) == (("table_row",),
                                                                      "table_row")
@@ -1566,15 +1604,17 @@ class TestCorruptClassifierArtifacts:
         assert err == ["skipping line 2: feature vector must be finite"]
         assert [row.split(",")[0] for row in out.splitlines()] == ["id", "1", "3"]
 
-    def test_overflowing_score_prints_only_its_skip_line(self, workspace, tmp_path):
-        """An svm trained on the workspace's vectors, and one word whose
-        finite vector is the largest float times the sign of each trained
-        weight: every term of the score's dot product is positive, so the
-        score overflows whatever documents trained the svm, and in a process
-        of its own the skip line is all that reaches stderr."""
+    @pytest.mark.parametrize("family", ["svm", "logreg"])
+    def test_overflowing_score_prints_only_its_skip_line(self, workspace, tmp_path, family):
+        """A linear model trained on the workspace's vectors, and one word
+        whose finite vector is the largest float times the sign of each
+        trained weight: every term of the dot product is positive, so it
+        overflows whatever documents trained the model, logreg's sigmoid
+        does not hide it, and in a process of its own the skip line is all
+        that reaches stderr."""
         out = tmp_path / "out"
         shutil.copytree(workspace / "out", out)
-        config = write_config(tmp_path, workspace, classifier={"family": "svm"}, zeroshot=None,
+        config = write_config(tmp_path, workspace, classifier={"family": family}, zeroshot=None,
                               embeddings={"source": "load",
                                           "path": str(workspace / "out" / "embeddings.txt")})
         assert main(["train", "--config", config]) == 0
