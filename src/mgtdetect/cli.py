@@ -19,6 +19,7 @@ import sys
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -265,6 +266,15 @@ def _artifact(cfg: RunConfig, name: str, command: str) -> Path:
     return path
 
 
+def _corpus_line(d: Document) -> str:
+    """*d*'s corpus.jsonl line: json.dumps({"id", "label", "body", "question"},
+    sort_keys=True) and a newline, formatted key by key around the string
+    encoder json.dumps calls for each str value."""
+    question = "null" if d.source_question is None else _json_str(d.source_question)
+    return (f'{{"body": {_json_str(d.body)}, "id": {_json_str(d.id)}, '
+            f'"label": "{d.label.value}", "question": {question}}}\n')
+
+
 def _load_splits(cfg: RunConfig) -> tuple[Corpus, dict[str, Corpus]]:
     """The ingested corpus and each split of its manifest as a corpus;
     DataError for a malformed record or manifest, for an id the corpus
@@ -359,14 +369,9 @@ def cmd_ingest(cfg: RunConfig) -> int:
     if not corpus.documents:
         raise DataError(f"{cfg.hc3_path}: no documents survived ingestion")
     train, val, test = ingest.split(corpus, cfg.split)
-    # One encoder for every record; json.dumps(..., sort_keys=True) would
-    # build one per call and write the same bytes.
-    encode = json.JSONEncoder(sort_keys=True).encode
     with _staged(cfg.output_dir) as stage:
         with stage("corpus.jsonl").open("w", encoding="utf-8") as fh:
-            for d in corpus.documents:
-                fh.write(encode({"id": d.id, "label": d.label.value, "body": d.body,
-                                 "question": d.source_question}) + "\n")
+            fh.writelines(map(_corpus_line, corpus.documents))
         _write_json(stage("splits.json"), {
             "seed": cfg.split.seed,
             "fractions": {"train": cfg.split.train_frac, "val": cfg.split.val_frac,

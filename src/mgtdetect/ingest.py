@@ -15,14 +15,15 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import DataError, EmptyDocument, parse_json, read_lines
-from .sections import stable_seed
+from .sections import keyed_seed
 from .text_core import WORD_CHAR_RE
 
 # Category Cc is exactly U+0000-U+001F and U+007F-U+009F; a body may keep
 # its newlines.
 _CONTROL_RE = re.compile(r"[\x00-\x09\x0b-\x1f\x7f-\x9f]")
 
-# Everything outside printable ASCII, which normalize() never removes.
+# Everything outside printable ASCII, which normalize() never removes: text
+# that is all printable ASCII has nothing for it to match.
 _NON_ASCII_PRINTABLE_RE = re.compile(r"[^\x20-\x7e]")
 
 
@@ -43,7 +44,9 @@ class Document:
     def __post_init__(self) -> None:
         if not self.body:
             raise EmptyDocument(f"document {self.id!r} has an empty body")
-        control = _CONTROL_RE.search(self.body)
+        # No control character is printable, so only a body that is not
+        # printable (one with a newline, say) is searched.
+        control = not self.body.isprintable() and _CONTROL_RE.search(self.body)
         if control:
             raise DataError(
                 f"document {self.id!r} contains control character {control[0]!r}"
@@ -134,7 +137,9 @@ def normalize(raw: str) -> str:
     Raises EmptyDocument when nothing remains.
     """
     text = unicodedata.normalize("NFC", raw)
-    collapsed = " ".join(_NON_ASCII_PRINTABLE_RE.sub(_drop_invisible, text).split())
+    if not (text.isascii() and text.isprintable()):
+        text = _NON_ASCII_PRINTABLE_RE.sub(_drop_invisible, text)
+    collapsed = " ".join(text.split())
     if not collapsed:
         raise EmptyDocument("text is empty after normalization")
     return collapsed
@@ -211,13 +216,13 @@ def split(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpus]:
     """
     if not corpus.documents:
         raise DataError("cannot split an empty corpus")
+    key = keyed_seed(spec.seed)
     train: list[Document] = []
     val: list[Document] = []
     test: list[Document] = []
     present = [lb for lb in (Label.HUMAN, Label.MACHINE) if corpus.class_counts[lb] > 0]
     for label in present:
-        shuffled = sorted(corpus.by_label(label),
-                          key=lambda d: (stable_seed(spec.seed, d.id), d.id))
+        shuffled = sorted(corpus.by_label(label), key=lambda d: (key(d.id), d.id))
         n = len(shuffled)
         n_val = math.floor(spec.val_frac * n)
         n_test = math.floor(spec.test_frac * n)

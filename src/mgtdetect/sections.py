@@ -1,7 +1,8 @@
 """The config sections of the classifier, skip-gram and zero-shot families:
 their keys, defaults and ranges, with no training or scoring code; the
 adversarial transforms, with no attack code; and stable_seed, the SHA-256
-seed that every module seed is derived by.
+seed that every module seed is derived by, with keyed_seed, its form for
+many keys under one seed.
 
 A command reads every section of its config but may run no family and no
 attack (ingest, stats, a detect by one family), so their declarations live
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from functools import partial
 
@@ -27,6 +29,20 @@ def stable_seed(*parts) -> int:
     '/'. The CLI's derive_seed(root_seed, field_path) is this function."""
     digest = hashlib.sha256("/".join(str(p) for p in parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def keyed_seed(seed) -> Callable[[str], int]:
+    """The function key -> stable_seed(seed, key) for a str key, from one
+    SHA-256 state fed the seed and its '/' that is copied per key, so that
+    each key costs one copy and one update."""
+    state = hashlib.sha256(f"{seed}/".encode("utf-8"))
+
+    def of(key: str) -> int:
+        h = state.copy()
+        h.update(key.encode("utf-8"))
+        return int.from_bytes(h.digest()[:8], "big")
+
+    return of
 
 
 def _finite_positive(value: float) -> bool:

@@ -15,11 +15,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import mgtdetect
 from mgtdetect import classifiers, embeddings, evaluation, ingest, sections, synthetic, zeroshot
-from mgtdetect.cli import derive_seed, main
+from mgtdetect.cli import _corpus_line, derive_seed, main
 from mgtdetect.errors import DataError
 from mgtdetect.ingest import Document, Label
 from mgtdetect.sections import HYPERPARAMETER_DEFAULTS, SKIPGRAM_DEFAULTS
@@ -57,6 +57,11 @@ def workspace(tmp_path_factory) -> Path:
     assert main(["ingest", "--config", str(root / "config.json")]) == 0
     assert main(["train", "--config", str(root / "config.json")]) == 0
     return root
+
+
+# Strings that json escapes, each in its own way, or writes unescaped.
+HOSTILE = ['say "hi"', "back\\slash", "rub\x7fout", "line\u2028break", "caf\u00e9 na\u00efve",
+           "smile \U0001F600 wide", "lone \ud800 half"]
 
 
 def cfg_path(workspace: Path) -> str:
@@ -103,6 +108,31 @@ class TestIngest:
         line = one_error_line(capsys, "data error:")
         assert line == f"data error: {what} not found: {tmp_path}"
         assert not (tmp_path / "out").exists()
+
+    def test_corpus_lines_are_json_dumps(self, workspace, tmp_path):
+        """Each corpus.jsonl line is what json.dumps(sort_keys=True) writes
+        for it and for its document, for every string json escapes."""
+        data = tmp_path / "data.jsonl"
+        with data.open("w", encoding="utf-8") as fh:
+            for i in range(14):
+                q, a = HOSTILE[i % len(HOSTILE)], HOSTILE[-1 - i % len(HOSTILE)]
+                fh.write(json.dumps({"question": q, "human_answers": [f"{a} {i}"],
+                                     "chatgpt_answers": [f"{i} {a}"]}) + "\n")
+        assert "\\ud800" in data.read_text(encoding="utf-8")
+        config = write_config(tmp_path, workspace, dataset__hc3_path=str(data))
+        assert main(["ingest", "--config", config]) == 0
+        lines = (tmp_path / "out" / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        docs = ingest.load_hc3(data).documents
+        assert len(lines) == len(docs) == 28
+        for line, d in zip(lines, docs):
+            assert line == json.dumps(json.loads(line), sort_keys=True)
+            assert line == json.dumps({"id": d.id, "label": d.label.value, "body": d.body,
+                                       "question": d.source_question}, sort_keys=True)
+
+    def test_corpus_line_without_question(self):
+        d = Document(id="1-m1", body='a "quoted" caf\u00e9 \U0001F600', label=Label.MACHINE)
+        assert _corpus_line(d) == json.dumps({"id": d.id, "label": "machine", "body": d.body,
+                                              "question": None}, sort_keys=True) + "\n"
 
     def test_rerun_produces_identical_manifest(self, workspace):
         before = (workspace / "out" / "splits.json").read_bytes()
@@ -369,9 +399,13 @@ class TestDetect:
 
 
 @pytest.fixture(scope="module")
-def evaluated(workspace) -> Path:
-    assert main(["evaluate", "--config", cfg_path(workspace)]) == 0
-    return workspace / "out"
+def evaluated(workspace, tmp_path_factory) -> Path:
+    """evaluate's reports, written to a copy of workspace/out: a test that
+    copies workspace/out sees the same files whichever tests ran before it."""
+    out = tmp_path_factory.mktemp("evaluated") / "out"
+    shutil.copytree(workspace / "out", out)
+    assert main(["evaluate", "--config", cfg_path(workspace), "--output", str(out)]) == 0
+    return out
 
 
 class TestEvaluate:
@@ -574,8 +608,7 @@ class TestConfiguredDetectors:
     ], ids=["classifier", "single_revise"])
     def test_one_detector_csv_is_named_by_it(self, workspace, tmp_path, changes, csv_name):
         """Every robustness CSV is named by its detector, the only one too."""
-        shutil.copytree(workspace / "out", tmp_path / "out",
-                        ignore=shutil.ignore_patterns("robustness*.csv"))
+        shutil.copytree(workspace / "out", tmp_path / "out")
         config = write_config(tmp_path, workspace, **changes)
         assert main(["evaluate", "--config", config]) == 0
         assert [p.name for p in (tmp_path / "out").glob("robustness*.csv")] == [csv_name]
@@ -1977,6 +2010,12 @@ class TestDeriveSeed:
 
     def test_one_derivation(self):
         assert derive_seed is synthetic.stable_seed
+
+    @settings(max_examples=200)
+    @given(seed=st.integers(), key=st.text())
+    @example(seed=7, key="1-h\u00e9\U0001F600")
+    def test_keyed_seed_is_stable_seed(self, seed, key):
+        assert sections.keyed_seed(seed)(key) == sections.stable_seed(seed, key)
 
 
 class TestConfigFuzz:
