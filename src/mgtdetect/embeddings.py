@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError, read_lines
 from .sections import SkipGramConfig
-from .text_core import UNK, Vocabulary, token_surfaces, tokenize, vocab_from_counts
+from .text_core import UNK, Vocabulary, token_surfaces, vocab_from_counts, word_tokens
 
 LR_FLOOR_FRACTION = 1e-4  # learning rate decays linearly to lr0 * this
 
@@ -264,20 +264,13 @@ def doc_vector(body: str, emb: EmbeddingMatrix) -> FeatureVector:
     is refused by FeatureVector's finite check, so numpy need not warn of
     it too.
     """
-    words = [t.surface for t in tokenize(body) if t.is_word]
-    vecs = []
-    oov = 0
-    for w in words:
-        v = emb.vector(w)
-        if v is None or w == UNK:
-            oov += 1
-        else:
-            vecs.append(v)
+    words = word_tokens(body)
+    vecs = [v for v in map(emb.vector, words) if v is not None]
     if not vecs:
         return FeatureVector(values=np.zeros(emb.dim), oov_fraction=1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.mean(vecs, axis=0)
-    return FeatureVector(values=values, oov_fraction=oov / len(words))
+    return FeatureVector(values=values, oov_fraction=(len(words) - len(vecs)) / len(words))
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:

@@ -1,11 +1,10 @@
-"""Detection metrics (precision/recall/F1/accuracy, rank-based AUROC),
+"""Detection metrics (precision/recall/F1/accuracy, Mann-Whitney AUROC),
 seeded adversarial test-set transforms, and pre/post-attack robustness
 reports. Positive class is Machine throughout.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import replace
 from typing import Sequence
@@ -23,42 +22,41 @@ METRIC_NAMES = ("precision", "recall", "f1", "accuracy", "auroc")
 _SPECIAL_SEQUENCES = ('\\"', "\\'", "/", "\\")
 
 
-def auroc(scores: Sequence[float], labels: Sequence[int]) -> float:
-    """Mann-Whitney rank statistic; tied scores count one half."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    n_pos = int(np.sum(labels == 1))
-    n_neg = int(np.sum(labels == 0))
-    if n_pos == 0 or n_neg == 0:
-        raise DataError("AUROC needs both classes in the labels")
-    ranks = _average_ranks(scores)
-    rank_sum = float(np.sum(ranks[labels == 1]))
-    u = rank_sum - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
-
-
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned their group average.
-
-    A group of equal scores spans sorted positions first..last and gets
-    (first + last) / 2 + 1. NaN never equals itself, so each NaN is its
-    own group.
+def _roc(scores: Sequence[float], labels: Sequence[int], message: str):
+    """One stable sort of *scores*: the distinct scores in increasing order
+    (NaN never equals itself, so each NaN is its own), the positives (label
+    1, Machine) and negatives (any other label, as in metrics) below each,
+    and the two class sizes. DataError(*message*) unless both classes are
+    present.
     """
+    scores = np.asarray(scores, dtype=float)
     order = np.argsort(scores, kind="stable")
-    _, first, counts = np.unique(
-        scores[order], return_index=True, return_counts=True, equal_nan=False
-    )
-    last = first + counts - 1
-    ranks = np.empty(len(scores))
-    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, counts)
-    return ranks
+    ranked, ranked_labels = scores[order], np.asarray(labels, dtype=int)[order]
+    first = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    machine = ranked_labels == 1
+    below_pos, below_neg = np.r_[0, np.cumsum(machine)], np.r_[0, np.cumsum(~machine)]
+    n_pos, n_neg = int(below_pos[-1]), int(below_neg[-1])
+    if n_pos == 0 or n_neg == 0:
+        raise DataError(message)
+    return ranked[first], below_pos[first], below_neg[first], n_pos, n_neg
+
+
+def auroc(scores: Sequence[float], labels: Sequence[int]) -> float:
+    """Mann-Whitney U / (n_pos * n_neg) over the tie groups g of _roc:
+    U = sum(pos_g * neg_below_g) + sum(pos_g * neg_g) / 2, so tied scores
+    count one half and U, a half-integer, is exact.
+    """
+    _, below_pos, below_neg, n_pos, n_neg = _roc(
+        scores, labels, "AUROC needs both classes in the labels")
+    pos, neg = np.diff(below_pos, append=n_pos), np.diff(below_neg, append=n_neg)
+    return (int(pos @ below_neg) + int(pos @ neg) / 2.0) / (n_pos * n_neg)
 
 
 def metrics(
     predictions: Sequence[int], scores: Sequence[float], labels: Sequence[int]
 ) -> dict:
     """The metrics.json entry of one scored set: precision, recall, f1,
-    accuracy, rank AUROC, the confusion counts {tp, fp, fn, tn}, n and
+    accuracy, Mann-Whitney AUROC, the confusion counts {tp, fp, fn, tn}, n and
     flags. A prediction or label of 1 is Machine, any other value Human.
 
     Zero-denominator metrics are defined as 0 and noted in ``flags``.
@@ -103,28 +101,16 @@ def metrics(
 
 def youden_threshold(scores: Sequence[float], labels: Sequence[int]) -> float:
     """Threshold maximizing TPR - FPR over the label-at-or-above rule,
-    breaking ties toward the smallest candidate.
+    breaking ties toward the smallest candidate. The candidates are the
+    distinct scores, and the scores at or above one are those not below it.
     """
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    n_pos = int(np.sum(labels == 1))
-    n_neg = int(np.sum(labels == 0))
-    if n_pos == 0 or n_neg == 0:
-        raise DataError("threshold selection needs both classes")
-    # One sorted sweep: the candidates are the distinct scores, and the
-    # scores at or above one are those from its first place in sorted order.
-    order = np.argsort(scores, kind="stable")
-    ranked = scores[order]
-    first = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
-    below_pos = np.r_[0, np.cumsum(labels[order] == 1)][first]
-    below_neg = np.r_[0, np.cumsum(labels[order] == 0)][first]
+    candidates, below_pos, below_neg, n_pos, n_neg = _roc(
+        scores, labels, "threshold selection needs both classes")
     j_values = (n_pos - below_pos) / n_pos - (n_neg - below_neg) / n_neg
-    best_t = float("-inf")
-    best_j = -math.inf
-    for t, j in zip(ranked[first].tolist(), j_values.tolist()):
+    best_t = best_j = float("-inf")
+    for t, j in zip(candidates.tolist(), j_values.tolist()):
         if j > best_j + 1e-12:
-            best_j = j
-            best_t = t
+            best_t, best_j = t, j
     return best_t
 
 

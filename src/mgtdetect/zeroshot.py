@@ -508,6 +508,17 @@ def curvature_stat(logp_original: float, perturbed: list[float]) -> tuple[float,
     return (logp_original - mean) / std, mean, std
 
 
+def _fewest_masked_words(fraction: float) -> int | None:
+    """The fewest words of which floor(fraction * words) masks one: ceil(1 /
+    fraction), or a count next to it where the roundings settle it so. None
+    at fraction 0, and where that count passes 2**53, past which floats no
+    longer tell one count from the next."""
+    if fraction == 0 or 1 / fraction > 2**53:
+        return None
+    n = math.ceil(1 / fraction)
+    return next((m for m in (n - 1, n, n + 1) if math.floor(fraction * m)), None)
+
+
 def _rewrite_groups(lm: NGramLM, doc: Document, cfg: PerturbConfig,
                     seeds: Iterable[int]) -> list[list[list[int]]]:
     """The id sentences of doc's body, then of its rewrite under each of
@@ -519,9 +530,14 @@ def _rewrite_groups(lm: NGramLM, doc: Document, cfg: PerturbConfig,
     that patch_surface refuses, or a word in a chunk ending in "." whose
     original or pick is in ABBREVIATION_WORDS. Such a rewrite's picks are
     spliced and the text tokenized. DataError when the body has no word
-    token.
+    token, or too few for floor(mask_fraction * words) to mask one.
     """
     sentences, words = _body_ids(lm, doc, doc.body)
+    if math.floor(cfg.mask_fraction * len(words)) == 0:
+        fewest = _fewest_masked_words(cfg.mask_fraction)
+        raise DataError(f"document {doc.id!r} has {len(words)} word tokens; curvature scoring "
+                        f"at mask_fraction {cfg.mask_fraction} "
+                        + (f"needs at least {fewest}" if fewest else "masks none"))
     sampler = cfg._sampler()
     # period_chunk_words(doc.body) and the body's word spans, built on first need.
     period_chunks: list[bool] = []

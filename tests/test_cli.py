@@ -293,7 +293,7 @@ class TestDetect:
 
     def test_single_revise_two_passes_per_doc(self, workspace, tmp_path, capsys):
         inp = tmp_path / "in.txt"
-        inp.write_text("waa wab wac wad wae waf wag wah.\nwba wbb wbc wbd wbe.\n")
+        inp.write_text("waa wab wac wad wae waf wag wah.\nwba wbb wbc wbd wbe wbf wbg.\n")
         rc = main(["detect", "--config", cfg_path(workspace), str(inp),
                    "--method", "single_revise", "--debug"])
         assert rc == 0
@@ -326,8 +326,8 @@ class TestDetect:
         proc = subprocess.run(
             [sys.executable, "-m", "mgtdetect.cli", "detect", "--config", cfg_path(workspace),
              "/dev/stdin", "--method", "single_revise"],
-            input="waa wab wac wad wae.\nwab wac.\n", capture_output=True, text=True,
-            env=child_env())
+            input="waa wab wac wad wae waf wag.\nwab wac wad wae waf wag wah.\n",
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert [row.split(",")[0] for row in proc.stdout.splitlines()] == ["id", "1", "2"]
 
@@ -406,6 +406,39 @@ def evaluated(workspace, tmp_path_factory) -> Path:
     shutil.copytree(workspace / "out", out)
     assert main(["evaluate", "--config", cfg_path(workspace), "--output", str(out)]) == 0
     return out
+
+
+class TestTooFewWordsToRewrite:
+    """A curvature score refuses a document of which floor(mask_fraction *
+    words) masks no word: 6 words or fewer at the config's 0.15."""
+
+    SHORT = ("document '{}' has 6 word tokens; curvature scoring at mask_fraction 0.15 "
+             "needs at least 7")
+
+    @pytest.mark.parametrize("method", ["detect_gpt", "single_revise"])
+    def test_detect_skips_six_words_and_scores_seven(self, workspace, tmp_path, method):
+        inp = tmp_path / "in.txt"
+        inp.write_text("waa wab wac wad wae waf.\nwaa wab wac wad wae waf wag.\n")
+        rc, err, printed = run_entry_point("detect", "--config", cfg_path(workspace), str(inp),
+                                           "--method", method)
+        assert (rc, err) == (0, ["skipping line 1: " + self.SHORT.format(1)])
+        header, row = printed.splitlines()
+        assert header == "id,score,label,method"
+        assert row.startswith("2,") and row.endswith(f",{method}")
+
+    def test_evaluate_exits_3_on_a_six_word_test_document(self, workspace, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(workspace / "out", out)
+        record = {"body": "waa wab wac wad wae waf.", "id": "99-h1", "label": "human",
+                  "question": "q"}
+        with open(out / "corpus.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        manifest = json.loads((out / "splits.json").read_text())
+        manifest["test"].append("99-h1")
+        (out / "splits.json").write_text(json.dumps(manifest))
+        config = write_config(tmp_path, workspace, classifier=None, embeddings=None)
+        rc, err, _ = run_entry_point("evaluate", "--config", config)
+        assert (rc, err) == (3, ["data error: " + self.SHORT.format("99-h1")])
 
 
 class TestEvaluate:
@@ -595,7 +628,7 @@ class TestConfiguredDetectors:
         config = write_config(tmp_path, workspace, classifier=None, embeddings=None,
                               zeroshot={"methods": ["single_revise"]})
         inp = tmp_path / "in.txt"
-        inp.write_text("waa wab wac wad wae.\nwaf wag wah.\n")
+        inp.write_text("waa wab wac wad wae waf wag.\nwaf wag wah wai waj wak wal.\n")
         capsys.readouterr()
         assert main(["detect", "--config", config, str(inp)]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
@@ -987,7 +1020,7 @@ class TestMalformedInputs:
                 row[-1] = 1e300 if row[-2] % 2 else 1.0
         (out / "lm.json").write_text(json.dumps(payload))
         inp = tmp_path / "in.txt"
-        inp.write_text("waa wab wac wad wae.\n")
+        inp.write_text("waa wab wac wad wae waf wag.\n")
         config = write_config(tmp_path, workspace)
         rc, err, printed = run_entry_point("detect", "--config", config, str(inp),
                                            "--method", "detect_gpt")
@@ -1178,7 +1211,7 @@ print("imported:", *(name for name in watched if name in sys.modules))
         shutil.copytree(workspace / "out", tmp_path / "out")
         config = write_config(tmp_path, workspace, classifier=None, embeddings=None)
         inp = tmp_path / "in.txt"
-        inp.write_text("waa wab wac wad wae.\n")
+        inp.write_text("waa wab wac wad wae waf wag.\n")
         script = f"""
 import sys
 from mgtdetect.cli import main
@@ -1203,7 +1236,7 @@ print("imported:", *(name for name in ("mgtdetect.zeroshot", "mgtdetect.syntheti
         del config["classifier"], config["embeddings"]
         (tmp_path / "config.json").write_text(json.dumps(config))
         inp = tmp_path / "in.txt"
-        inp.write_text("waa wab wac wad wae.\n")
+        inp.write_text("waa wab wac wad wae waf wag.\n")
 
         def imported_by(*commands: list[str]) -> set[str]:
             script = f"""
@@ -1237,7 +1270,7 @@ print(" ".join(sorted(name for name in sys.modules if name.startswith("mgtdetect
         shutil.copytree(workspace / "out", tmp_path / "out")
         config = write_config(tmp_path, workspace)
         inp = tmp_path / "in.txt"
-        inp.write_text("waa wab wac wad wae.\n")
+        inp.write_text("waa wab wac wad wae waf wag.\n")
         script = f"""
 import sys
 from mgtdetect.cli import main
@@ -1307,7 +1340,7 @@ class TestMethodTable:
         assert (parsed.zeroshot["methods"], parsed.detect_method) == (("table_row",),
                                                                      "table_row")
         inp = tmp_path / "in.txt"
-        inp.write_text("waa wab wac wad wae.\n")
+        inp.write_text("waa wab wac wad wae waf wag.\n")
         capsys.readouterr()
         assert main(["detect", "--config", config, str(inp)]) == 0
         assert capsys.readouterr().out.splitlines()[1].endswith(",table_row")
@@ -1409,7 +1442,7 @@ class TestLmCopy:
         shutil.copytree(out, alone)
         (alone / "lm.bin").unlink(missing_ok=True)
         inp = tmp_path / "in.txt"
-        inp.write_text("waa wab wac wad wae.\nwab wac waa.\n")
+        inp.write_text("waa wab wac wad wae waf wag.\nwab wac waa wad wae waf wag.\n")
         capsys.readouterr()
         for method in ("detect_gpt", "single_revise"):
             printed = []

@@ -92,6 +92,15 @@ class TestMetrics:
         with pytest.raises(DataError, match="AUROC needs both classes in the labels"):
             auroc([0.1, 0.9], [1, 1])
 
+    def test_any_label_but_1_is_human_in_every_metric(self):
+        """A label other than 1 counts as Human in the confusion counts, the
+        AUROC and the Youden point alike."""
+        scores = [0.1, 0.9, 0.3, 0.8]
+        report = metrics([0, 0, 1, 1], scores, [2, 0, 1, 1])
+        assert report == metrics([0, 0, 1, 1], scores, [0, 0, 1, 1])
+        assert report["auroc"] == 0.5
+        assert youden_threshold(scores, [2, 0, 1, 1]) == youden_threshold(scores, [0, 0, 1, 1])
+
     def test_zero_denominators_flagged(self):
         report = metrics([0, 0, 0, 0], [0.1, 0.2, 0.3, 0.4], [1, 1, 0, 0])
         assert report["precision"] == 0.0
@@ -136,6 +145,10 @@ class TestMetrics:
 
 
 class TestYouden:
+    def test_single_class_undefined(self):
+        with pytest.raises(DataError, match="^threshold selection needs both classes$"):
+            youden_threshold([0.1, 0.9], [0, 0])
+
     def test_matches_sweep_oracle(self):
         rng = np.random.default_rng(4)
         scores = list(rng.normal(0, 1, 15)) + list(rng.normal(1.5, 1, 15))
@@ -165,7 +178,8 @@ class TestYouden:
 
 
 def average_ranks_tie_walk(scores):
-    """The Python tie walk _average_ranks replaced, kept as an oracle."""
+    """1-based ranks with ties assigned their group average, by a Python
+    tie walk: the rank-sum oracle of auroc."""
     order = np.argsort(scores, kind="stable")
     ranks = np.empty(len(scores))
     i = 0
@@ -201,11 +215,8 @@ class TestAverageRanks:
     @settings(max_examples=300, deadline=None)
     @given(TIED_ROWS)
     def test_ranks_and_auroc_equal_tie_walk(self, rows):
-        from mgtdetect.evaluation import _average_ranks
-
         scores = np.array([s for s, _ in rows])
         labels = [y for _, y in rows]
-        assert np.array_equal(_average_ranks(scores), average_ranks_tie_walk(scores))
         assert auroc(scores, labels) == auroc_tie_walk(scores, labels)
 
     def test_large_heavily_tied_input(self):

@@ -905,6 +905,18 @@ sweep_bodies = st.one_of(
     st.sampled_from(["!!! ?", "... ,", "?"]),
 )
 
+# A document a curvature score can rewrite at every mask_fraction from
+# 0.15 (floor(0.15 * 7) = 1): seven or more words, or no word at all.
+REWRITABLE_FRACTIONS = st.floats(0.15, 1.0)
+rewritable_bodies = st.one_of(
+    st.lists(st.lists(st.sampled_from(SWEEP_WORDS + ODD_CHUNKS + [","]), min_size=7,
+                      max_size=20)
+             .map(" ".join), min_size=1, max_size=3)
+    .map(lambda sentences: ". ".join(sentences) + ".")
+    .filter(lambda body: len(word_tokens(body)) >= 7),
+    st.sampled_from(["!!! ?", "... ,", "?"]),
+)
+
 
 def package_score(lm, doc, cfg):
     """The package's score of *doc*, or the message of its DataError."""
@@ -918,7 +930,7 @@ def package_score(lm, doc, cfg):
 class TestOneSweepScoring:
     @settings(max_examples=40, deadline=None)
     @given(
-        bodies=st.lists(sweep_bodies, min_size=1, max_size=6),
+        bodies=st.lists(rewritable_bodies, min_size=1, max_size=6),
         k=st.sampled_from([1, 2, 5]),
         mask_fraction=st.sampled_from([0.15, 0.3, 0.6]),
         seed=st.integers(0, 2**32),
@@ -961,6 +973,45 @@ class TestOneSweepScoring:
         assert lm.scoring_passes == before
 
 
+class TestTooFewWordsToRewrite:
+    """A curvature score refuses, before any scoring pass, a document of
+    which floor(mask_fraction * words) masks no word, naming the fewest
+    words it would rewrite."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n_words=st.integers(1, 40), mask_fraction=st.floats(0.0, 1.0),
+           k=st.sampled_from([1, 3]))
+    def test_refused_exactly_when_no_word_is_masked(self, n_words, mask_fraction, k):
+        lm = SWEEP_LM
+        body = " ".join(SWEEP_WORDS[i % len(SWEEP_WORDS)] for i in range(n_words)) + "."
+        cfg = zs.PerturbConfig(pool=lm.vocabulary, mask_fraction=mask_fraction, seed=3, k=k)
+        before = lm.scoring_passes
+        result = package_score(lm, make_doc(body, doc_id="7"), cfg)
+        if math.floor(mask_fraction * n_words):
+            assert not isinstance(result, str)
+            assert lm.scoring_passes - before == k + 1
+            return
+        assert lm.scoring_passes == before
+        fewest = zs._fewest_masked_words(mask_fraction)
+        stated = "masks none" if fewest is None else f"needs at least {fewest}"
+        assert result == (f"document '7' has {n_words} word tokens; curvature scoring at "
+                          f"mask_fraction {mask_fraction} {stated}")
+        if fewest is None:
+            # No document of fewer than 2**53 words could be rewritten.
+            assert math.floor(mask_fraction * 2**53) == 0
+        else:
+            assert math.floor(mask_fraction * fewest) >= 1
+            assert math.floor(mask_fraction * (fewest - 1)) == 0
+
+    @pytest.mark.parametrize("mask_fraction, fewest", [
+        (0.15, 7), (0.3, 4), (1.0, 1), (0.0, None), (5e-324, None),
+        # 1 / (1 / 161) is 161, but (1 / 161) * 161 rounds below 1.
+        (1 / 161, 162),
+    ])
+    def test_fewest_masked_words(self, mask_fraction, fewest):
+        assert zs._fewest_masked_words(mask_fraction) == fewest
+
+
 class TestOneScoringRoute:
     @settings(max_examples=80, deadline=None)
     @given(bodies=st.lists(sweep_bodies, min_size=1, max_size=4))
@@ -988,10 +1039,11 @@ class TestMixedCasePerturbation:
     @given(
         words=st.lists(st.sampled_from(SWEEP_WORDS + ODD_CHUNKS
                                        + ["The", "A", "F", "ZZ", "tHe"]),
-                       min_size=1, max_size=15),
+                       min_size=7, max_size=15)
+        .filter(lambda words: len(word_tokens(" ".join(words))) >= 7),
         k=st.integers(1, 4),
         seed=st.integers(0, 2**32),
-        mask_fraction=st.floats(0.0, 1.0),
+        mask_fraction=REWRITABLE_FRACTIONS,
     )
     def test_capitalized_words_draw_for_their_lowercase(self, words, k, seed, mask_fraction):
         body = " ".join(words) + "."
@@ -1021,9 +1073,9 @@ class TestIdSpaceRewrites:
     scores are pinned by TestOneSweepScoring, ODD_POOL included)."""
 
     @settings(max_examples=60, deadline=None)
-    @given(body=sweep_bodies, pool=st.sampled_from([SWEEP_LM.vocabulary, ODD_POOL]),
+    @given(body=rewritable_bodies, pool=st.sampled_from([SWEEP_LM.vocabulary, ODD_POOL]),
            k=st.integers(1, 6), seed=st.integers(0, 2**32),
-           mask_fraction=st.floats(0.0, 1.0))
+           mask_fraction=REWRITABLE_FRACTIONS)
     def test_groups_equal_tokenized_rewrites(self, body, pool, k, seed, mask_fraction):
         cfg = zs.PerturbConfig(pool=pool, mask_fraction=mask_fraction, seed=seed, k=k)
         seeds = range(seed + 1, seed + k + 1)
