@@ -517,6 +517,7 @@ def train_random_forest(
     concurrent build would match the sequential one.
     """
     check_hyperparameters({"n_trees": n_trees, "max_depth": max_depth})
+    data.require_both_classes()
     n, d = data.features.shape
     n_subset = max(1, int(math.isqrt(d)))
     trees: list[dict] = []

@@ -11,7 +11,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import DataError
 
@@ -20,14 +20,16 @@ if TYPE_CHECKING:
 
 UNK = "<unk>"
 
-# One scan: letters/digits form words (group 1), with apostrophes
-# word-internal only, so a lone quote stays punctuation; every other
-# non-space character is its own punctuation token (group 2). ``\S`` and
-# str.isspace agree on every code point.
+# One scan: letters/digits form words, with apostrophes word-internal
+# only, so a lone quote stays punctuation; every other non-space character
+# is its own punctuation token. ``\S`` and str.isspace agree on every code
+# point. A word starts with a letter or digit and a punctuation token is
+# one other character, so a token is a word exactly when its first
+# character passes str.isalnum. So is its lowercase surface: the lowercase
+# of every code point starts with a letter or digit exactly when the code
+# point is one.
 _WORD = r"[^\W_]+(?:['’][^\W_]+)*"
-_TOKEN_RE = re.compile(rf"({_WORD})|(\S)")
-# The same scan without groups: findall gives each token's text.
-_SURFACE_RE = re.compile(rf"{_WORD}|\S")
+_TOKEN_RE = re.compile(rf"{_WORD}|\S")
 
 # One letter or digit: ``[^\W_]`` matches exactly the code points for
 # which str.isalnum is true.
@@ -46,38 +48,21 @@ _ABBREVIATIONS = {
 }
 
 
-class Token(NamedTuple):
-    surface: str  # lowercased, never empty
-    is_word: bool
-
-
 def token_spans(text: str) -> list[tuple[int, int, bool]]:
     """Return (start, end, is_word) spans covering every token in *text*.
 
     Word spans come from the word regex; every other non-space character
     is its own punctuation span. Spans are disjoint and ordered.
     """
-    return [(*m.span(), m.lastindex == 1) for m in _TOKEN_RE.finditer(text)]
+    return [(*m.span(), text[m.start()].isalnum()) for m in _TOKEN_RE.finditer(text)]
 
 
-# Token's own __new__ is a Python function; building the tuple directly
-# makes the same Token at about half the cost per token.
-_new_token = tuple.__new__
-
-
-def tokenize(text: str) -> list[Token]:
-    """Segment *text* into lowercased word tokens and punctuation tokens."""
-    return [_new_token(Token, (word.lower(), True)) if word
-            else _new_token(Token, (mark.lower(), False))
-            for word, mark in _TOKEN_RE.findall(text)]
-
-
-def token_surfaces(text: str) -> list[str]:
-    """The surfaces of tokenize(text), in order, with no Token built. Each
-    token is lowercased on its own, as tokenize lowercases it: lowercasing
-    the whole text first could split a word ("İ") or change a letter by
-    its neighbours (a final "Σ")."""
-    return [token.lower() for token in _SURFACE_RE.findall(text)]
+def tokenize(text: str) -> list[str]:
+    """Segment *text* into lowercased word and punctuation surfaces, in
+    order; a surface s is a word exactly when s[0].isalnum(). Each token is
+    lowercased on its own: lowercasing the whole text first could split a
+    word ("İ") or change a letter by its neighbours (a final "Σ")."""
+    return [token.lower() for token in _TOKEN_RE.findall(text)]
 
 
 # The word surfaces of _ABBREVIATIONS. split_sentences reads only the
@@ -86,7 +71,7 @@ def token_surfaces(text: str) -> list[str]:
 # move a sentence end unless the word's chunk ends in "." and the old or
 # the new lowercase is in this set.
 ABBREVIATION_WORDS = frozenset(
-    t.surface for a in _ABBREVIATIONS for t in tokenize(a) if t.is_word
+    s for a in _ABBREVIATIONS for s in tokenize(a) if s[0].isalnum()
 )
 
 _CHUNK_REST_RE = re.compile(r"\S*")
@@ -101,7 +86,7 @@ def period_chunk_words(text: str) -> list[bool]:
 
 def word_tokens(text: str) -> list[str]:
     """Lowercased word surfaces only, in order."""
-    return [t.surface for t in tokenize(text) if t.is_word]
+    return [s for s in tokenize(text) if s[0].isalnum()]
 
 
 def seeded_rewrites(n: int, fraction: float, seed: int,
@@ -236,7 +221,7 @@ def build_vocab(texts: list[str], min_count: int = 1) -> Vocabulary:
     ordinary surfaces.
     """
     return vocab_from_counts(
-        Counter(t.surface for text in texts for t in tokenize(text)), min_count
+        Counter(s for text in texts for s in tokenize(text)), min_count
     )
 
 

@@ -43,14 +43,12 @@ from .text_core import (
     ABBREVIATION_WORDS,
     UNK,
     WORD_CHAR_RE,
-    Token,
     Vocabulary,
     period_chunk_words,
     seeded_rewrites,
     splice_units,
     split_sentences,
     token_spans,
-    token_surfaces,
     tokenize,
     vocab_from_counts,
 )
@@ -161,8 +159,8 @@ class NGramLM:
         sentences: list[list[int]] = []
         words: list[WordToken] = []
         for tokens in _sentence_tokens(texts):
-            words += [(len(sentences), p, t.surface) for p, t in enumerate(tokens) if t.is_word]
-            sentences.append([self.vocabulary.id_of(t.surface) for t in tokens])
+            words += [(len(sentences), p, s) for p, s in enumerate(tokens) if s[0].isalnum()]
+            sentences.append([self.vocabulary.id_of(s) for s in tokens])
         return sentences, words
 
     def distribution(self, context: tuple[int, ...]) -> np.ndarray:
@@ -282,8 +280,8 @@ def _log_totals(probs: np.ndarray, groups: list[list[int]]) -> list[float]:
     return totals
 
 
-def _sentence_tokens(texts: Iterable[str]) -> Iterator[list[Token]]:
-    """The tokens of each non-empty sentence of *texts*, in order."""
+def _sentence_tokens(texts: Iterable[str]) -> Iterator[list[str]]:
+    """The token surfaces of each non-empty sentence of *texts*, in order."""
     for text in texts:
         for sent in split_sentences(text):
             tokens = tokenize(sent)
@@ -303,8 +301,7 @@ def train_kn_lm(texts: list[str], order: int = 3, discount: float = 0.75) -> NGr
         raise DataError("cannot train a language model on an empty corpus")
     # Only surfaces are made, and each sentence's surfaces go as its ids
     # replace them: no surface but the vocabulary's is held past this point.
-    sentences = [surfaces for text in texts for sent in split_sentences(text)
-                 if (surfaces := token_surfaces(sent))]
+    sentences = list(_sentence_tokens(texts))
     vocab = vocab_from_counts(Counter(chain.from_iterable(sentences)))
     end_id = vocab.size  # one past the vocabulary ids
     id_of = vocab.word_to_id.__getitem__  # every surface was counted

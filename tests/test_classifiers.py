@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mgtdetect.classifiers import (
+    TRAINERS,
     Dataset,
     GnbModel,
     LogRegModel,
@@ -28,6 +29,7 @@ from mgtdetect.classifiers import (
 )
 from mgtdetect.errors import DataError
 from mgtdetect.ingest import DetectorScorer
+from mgtdetect.sections import HYPERPARAMETER_DEFAULTS
 
 
 def separable_2d(n_per_class: int = 20, seed: int = 0) -> Dataset:
@@ -252,7 +254,8 @@ class TestRandomForest:
         X = np.array([[0.0], [1.0], [2.0]])
         y = np.array([1, 1, 1])
         data = Dataset(features=X, labels=y)
-        model = train_random_forest(data, n_trees=1, max_depth=5, seed=0)
+        # The tree grower alone: train_random_forest refuses one-class data.
+        model = unbootstrapped_forest(data, n_trees=1, max_depth=5, seed=0)
         root = model.trees[0]
         assert root == {"leaf": 1.0}
 
@@ -281,6 +284,15 @@ class TestRandomForest:
             seed=0, dim=2,
         )
         assert model.score(np.array([0.0, 0.0])) in (0.0, 1.0)
+
+
+@pytest.mark.parametrize("family", sorted(TRAINERS))
+@pytest.mark.parametrize("cls", [0, 1])
+def test_every_family_refuses_one_class_data(family, cls):
+    data = separable_2d(5)
+    one_class = Dataset(features=data.features, labels=np.full(len(data.labels), cls))
+    with pytest.raises(DataError, match="^training data must contain both classes$"):
+        TRAINERS[family](one_class, HYPERPARAMETER_DEFAULTS[family], 0)
 
 
 class TestPredict:

@@ -1546,11 +1546,11 @@ class TestOneLoadPerCommand:
         golden = iter(GOLDEN_TEXTS)
         ingest_with([next(golden) if i in slots else f"filler {i}." for i in range(5)])
 
-        split_sentences, token_surfaces = text_core.split_sentences, text_core.token_surfaces
-        calls = {"split_sentences": [], "token_surfaces": []}
+        split_sentences, tokenize = text_core.split_sentences, text_core.tokenize
+        calls = {"split_sentences": [], "tokenize": []}
         for module in (text_core, zeroshot):
             for name, fn in (("split_sentences", split_sentences),
-                             ("token_surfaces", token_surfaces)):
+                             ("tokenize", tokenize)):
                 monkeypatch.setattr(module, name,
                                     lambda t, fn=fn, name=name: calls[name].append(t) or fn(t))
         train_kn_lm = zeroshot.train_kn_lm
@@ -1564,7 +1564,7 @@ class TestOneLoadPerCommand:
 
         machine_texts = calls["split_sentences"]
         assert sorted(machine_texts) == sorted(GOLDEN_TEXTS)
-        assert calls["token_surfaces"] == [s for t in machine_texts for s in split_sentences(t)]
+        assert calls["tokenize"] == [s for t in machine_texts for s in split_sentences(t)]
         ppl = oracle_perplexity(trained[0], machine_texts)
         assert trained[0].train_perplexity == ppl  # bit for bit
         assert f"train_perplexity={ppl:.3f}\n" in capsys.readouterr().out

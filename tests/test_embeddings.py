@@ -46,7 +46,7 @@ def _oracle_draw_negatives(rng, noise_cdf, k, contexts):
 
 
 def oracle_train_skipgram(texts, config):
-    surfaces = [[t.surface for t in tokenize(text)] for text in texts]
+    surfaces = [tokenize(text) for text in texts]
     vocab = vocab_from_counts(Counter(s for seq in surfaces for s in seq), config.min_count)
     if vocab.size <= 1:
         raise DataError("vocabulary is empty apart from UNK")

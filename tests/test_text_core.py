@@ -17,7 +17,6 @@ from mgtdetect.text_core import (
     rewrite_units,
     split_sentences,
     token_spans,
-    token_surfaces,
     tokenize,
     vocab_from_counts,
 )
@@ -73,6 +72,12 @@ def oracle_tokenize(text):
     return [(text[a:b].lower(), w) for a, b, w in oracle_token_spans(text)]
 
 
+def flagged(text):
+    """tokenize(text) with each surface's word flag, read as its callers
+    read it: from the surface's first character."""
+    return [(s, s[0].isalnum()) for s in tokenize(text)]
+
+
 def oracle_split_sentences(text):
     sentences = []
     start = 0
@@ -102,16 +107,17 @@ class TestOracles:
     @given(st.one_of(st.text(), MIXED_TEXT))
     def test_scans_match_per_character_oracles(self, text):
         assert token_spans(text) == oracle_token_spans(text)
-        assert [tuple(t) for t in tokenize(text)] == oracle_tokenize(text)
+        assert flagged(text) == oracle_tokenize(text)
         assert split_sentences(text) == oracle_split_sentences(text)
 
     def test_every_code_point(self):
-        spans = oracle_token_spans(ALL_CHARS)
-        assert token_spans(ALL_CHARS) == spans
-        assert [tuple(t) for t in tokenize(ALL_CHARS)] == [
-            (ALL_CHARS[a:b].lower(), w) for a, b, w in spans
-        ]
-        assert token_surfaces(ALL_CHARS) == [ALL_CHARS[a:b].lower() for a, b, _ in spans]
+        assert token_spans(ALL_CHARS) == oracle_token_spans(ALL_CHARS)
+        assert flagged(ALL_CHARS) == oracle_tokenize(ALL_CHARS)
+        # Each code point starts a token: the word flag is read from its
+        # lowercase's first character.
+        spaced = " ".join(ALL_CHARS)
+        assert token_spans(spaced) == oracle_token_spans(spaced)
+        assert flagged(spaced) == oracle_tokenize(spaced)
         # Each terminator is followed by one code point.
         dotted = ".".join(ALL_CHARS)
         assert split_sentences(dotted) == oracle_split_sentences(dotted)
@@ -145,8 +151,7 @@ class TestOracles:
 
 class TestTokenize:
     def test_words_and_punctuation(self):
-        toks = tokenize("Hello, world!")
-        assert [(t.surface, t.is_word) for t in toks] == [
+        assert flagged("Hello, world!") == [
             ("hello", True), (",", False), ("world", True), ("!", False),
         ]
 
@@ -154,17 +159,16 @@ class TestTokenize:
         assert tokenize("") == []
 
     def test_internal_apostrophe_stays_in_word(self):
-        assert [t.surface for t in tokenize("don't stop")] == ["don't", "stop"]
+        assert tokenize("don't stop") == ["don't", "stop"]
 
     def test_lone_apostrophe_is_punctuation(self):
-        toks = tokenize("a ' b")
-        assert [(t.surface, t.is_word) for t in toks] == [
+        assert flagged("a ' b") == [
             ("a", True), ("'", False), ("b", True),
         ]
 
     @given(st.text(alphabet=st.characters(max_codepoint=0x7F), max_size=80))
     def test_word_surfaces_preserve_input_order(self, text):
-        surfaces = [t.surface for t in tokenize(text) if t.is_word]
+        surfaces = [s for s in tokenize(text) if s[0].isalnum()]
         lowered = text.lower()
         pos = 0
         for s in surfaces:
@@ -174,12 +178,12 @@ class TestTokenize:
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.text(), CASE_TEXT))
-    def test_token_surfaces_are_the_surfaces_of_tokenize(self, text):
-        assert token_surfaces(text) == [t.surface for t in tokenize(text)]
+    def test_surfaces_are_the_spans_lowercased_alone(self, text):
+        assert flagged(text) == oracle_tokenize(text)
 
-    def test_token_surfaces_lowercase_each_token_alone(self):
+    def test_tokenize_lowercases_each_token_alone(self):
         # Lowercasing the whole text would give "i", "\u0307" and "ασ", ".", "β".
-        assert token_surfaces("İ ΑΣ.Β") == ["i\u0307", "ας", ".", "β"]
+        assert tokenize("İ ΑΣ.Β") == ["i\u0307", "ας", ".", "β"]
 
     @given(st.text(max_size=80))
     def test_spans_cover_disjoint_ranges(self, text):

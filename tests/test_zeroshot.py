@@ -76,7 +76,7 @@ def kn_oracle(sentence_token_lists, order, discount, event_space):
 
 
 def lm_tokens(text):
-    return [t.surface for t in tokenize(text)]
+    return tokenize(text)
 
 
 class TestTrainKnLm:
@@ -174,17 +174,18 @@ class TestTrainKnLm:
 
 
 # -- train_kn_lm as it counted from Token lists ------------------------------
-# Every sentence's Token list held to the end, one index array over all the
+# Every sentence's Token list held to the end (a (surface, is_word) tuple per
+# token, as the former text_core.Token was), one index array over all the
 # windows and one list of every probability: the counting that train_kn_lm
 # replaced with a count of surfaces alone. It pins the grams and the
 # training perplexity, and is the yardstick of the memory train_kn_lm holds.
 
 
 def token_list_train_kn_lm(texts, order, discount):
-    tokenized = list(zs._sentence_tokens(texts))
-    vocab = vocab_from_counts(Counter(t.surface for tokens in tokenized for t in tokens))
+    tokenized = [[(s, s[0].isalnum()) for s in tokens] for tokens in zs._sentence_tokens(texts)]
+    vocab = vocab_from_counts(Counter(s for tokens in tokenized for s, _ in tokens))
     end_id = vocab.size
-    sentences = [[vocab.id_of(t.surface) for t in tokens] for tokens in tokenized]
+    sentences = [[vocab.id_of(s) for s, _ in tokens] for tokens in tokenized]
     base = zs._pack_base(order, end_id)
     seq = []
     for ids in sentences:
@@ -476,15 +477,15 @@ class TestLogProb:
     @given(st.text(min_size=1, max_size=40))
     def test_word_flag_matches_word_surface_check(self, text):
         lm = zs.train_kn_lm(["a b c."] * 5, order=2, discount=0.75)
-        expected = any(ch.isalnum() for t in tokenize(text) for ch in t.surface)
+        expected = any(ch.isalnum() for s in tokenize(text) for ch in s)
         sentences, words = lm._tokenized([text])
         assert bool(words) == expected
         assert oracle_score_texts(lm, [text])[2] == expected
         # Each entry names a word token by its sentence and position.
         tokens = [tokenize(sent) for sent in split_sentences(text)]
         tokens = [t for t in tokens if t]
-        assert words == [(s, p, t.surface) for s, sent in enumerate(tokens)
-                         for p, t in enumerate(sent) if t.is_word]
+        assert words == [(s, p, w) for s, sent in enumerate(tokens)
+                         for p, w in enumerate(sent) if w[0].isalnum()]
         assert all(sentences[s][p] == lm.vocabulary.id_of(w) for s, p, w in words)
 
 
@@ -537,14 +538,14 @@ class TestPerturb:
         orig_tokens = tokenize(doc.body)
         new_tokens = tokenize(perturbed_body(doc.body, cfg, seed))
         assert len(new_tokens) == len(orig_tokens)
-        assert [t.surface for t in new_tokens if not t.is_word] == [
-            t.surface for t in orig_tokens if not t.is_word
+        assert [s for s in new_tokens if not s[0].isalnum()] == [
+            s for s in orig_tokens if not s[0].isalnum()
         ]
-        n_words = sum(t.is_word for t in orig_tokens)
+        n_words = sum(s[0].isalnum() for s in orig_tokens)
         changed = sum(
-            a.surface != b.surface
+            a != b
             for a, b in zip(orig_tokens, new_tokens)
-            if a.is_word
+            if a[0].isalnum()
         )
         assert changed <= int(math.floor(frac * n_words))
 
@@ -767,8 +768,8 @@ def oracle_score_texts(lm, texts):
     sentences = []
     has_word = False
     for tokens in zs._sentence_tokens(texts):
-        has_word = has_word or any(t.is_word for t in tokens)
-        sentences.append([lm.vocabulary.id_of(t.surface) for t in tokens])
+        has_word = has_word or any(s[0].isalnum() for s in tokens)
+        sentences.append([lm.vocabulary.id_of(s) for s in tokens])
     if not sentences:
         return 0.0, 0, has_word
     windows = zs._windows(sentences, lm.order, lm.end_id)
