@@ -3,7 +3,7 @@
 One global seed in the config deterministically derives every module seed
 (SHA-256 over the field path), so a single knob reproduces an entire
 experiment. All outputs land under the output directory with fixed names:
-splits.json, stats.json, model.json, lm.json and its binary copy lm.bin,
+splits.json, stats.json, model.json, lm.json and its binary copy (zeroshot.save_lm),
 metrics.json, robustness.json and one robustness_<detector>.csv per detector.
 
 Exit codes: 0 success, 2 config error, 3 data/model error, 4 IO error.
@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import sys
+import tempfile
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -31,7 +32,7 @@ from typing import TYPE_CHECKING
 # and skip-gram code, and only train with a classifier and evaluate the
 # metrics and attacks.
 from . import ingest, sections
-from .errors import ConfigError, DataError, load_json, parse_json, read_lines
+from .errors import ConfigError, DataError, json_keys, load_json, parse_json, read_lines
 from .ingest import Corpus, DetectorScorer, Document, Label
 from .sections import stable_seed as derive_seed  # SHA-256 over 'root/path'
 
@@ -50,6 +51,9 @@ SPLIT_DEFAULTS = {"train": 0.8, "val": 0.1, "test": 0.1}
 # is read, and _read refuses any other key.
 TOP_KEYS = ("seed", "output_dir", "dataset", "split", "embeddings", "classifier", "zeroshot",
             "transforms")
+# The keys of ingest's corpus.jsonl records and splits.json (_load_splits).
+RECORD_KEYS = {"body", "id", "label", "question"}
+MANIFEST_KEYS = ("fractions", "seed", "test", "train", "val")
 
 
 def _as(kind: type, value, name: str):
@@ -227,29 +231,22 @@ class RunConfig:
 
 
 @contextmanager
-def _staged(output_dir: Path) -> Iterator[Callable[[str], Path]]:
-    """Write a command's files all or none: stage(name) is the temporary
-    path in *output_dir* to write the file *name* to. Once the block ends
-    without an error every staged file is renamed to its name; on any error
-    the staged files are removed, so every file in *output_dir* is as it
-    was before the command.
-    """
+def _staged(output_dir: Path) -> Iterator[Path]:
+    """Write a command's files all or none: the block writes them under
+    their names to the fresh hidden directory it is given in *output_dir*,
+    and only once it ends without an error are they moved into
+    *output_dir*. The directory is removed either way, on an error with its
+    files, so that every file in *output_dir* is as it was before."""
     output_dir.mkdir(parents=True, exist_ok=True)
-    staged: dict[Path, Path] = {}
-
-    def stage(name: str) -> Path:
-        path = output_dir / f".{name}.tmp"
-        staged[path] = output_dir / name
-        return path
-
+    stage = Path(tempfile.mkdtemp(prefix=".staged-", dir=output_dir))
     try:
         yield stage
-    except BaseException:
-        for path in staged:
-            path.unlink(missing_ok=True)
-        raise
-    for path, final in staged.items():
-        path.replace(final)
+        for path in sorted(stage.iterdir()):
+            path.replace(output_dir / path.name)
+    finally:
+        for path in stage.iterdir():
+            path.unlink()
+        stage.rmdir()
 
 
 def _write_json(path: Path, payload) -> None:
@@ -285,16 +282,20 @@ def _load_splits(cfg: RunConfig) -> tuple[Corpus, dict[str, Corpus]]:
     for lineno, line in read_lines(corpus_path):
         rec = parse_json(line, f"{corpus_path}:{lineno}")
         try:
-            if not (isinstance(rec["id"], str) and isinstance(rec["body"], str)):
-                raise TypeError("id and body must be strings")
+            if type(rec) is not dict or rec.keys() != RECORD_KEYS:
+                raise ValueError(f"a record holds the keys {sorted(RECORD_KEYS)} and no other")
+            if not (isinstance(rec["id"], str) and isinstance(rec["body"], str)
+                    and isinstance(rec["question"], (str, type(None)))):
+                raise TypeError("id and body must be strings, question a string or null")
             docs.append(Document(
                 id=rec["id"], body=rec["body"], label=Label(rec["label"]),
-                source_question=rec.get("question"),
+                source_question=rec["question"],
             ))
         except (ValueError, KeyError, TypeError) as exc:
             raise DataError(f"{corpus_path}:{lineno}: malformed record: {exc!r}") from exc
     manifest = load_json(splits_path)
     try:
+        json_keys(manifest, MANIFEST_KEYS)
         manifest = {name: manifest[name] for name in ("train", "val", "test")}
         if not all(isinstance(ids, list) and all(isinstance(i, str) for i in ids)
                    for ids in manifest.values()):
@@ -370,9 +371,9 @@ def cmd_ingest(cfg: RunConfig) -> int:
         raise DataError(f"{cfg.hc3_path}: no documents survived ingestion")
     train, val, test = ingest.split(corpus, cfg.split)
     with _staged(cfg.output_dir) as stage:
-        with stage("corpus.jsonl").open("w", encoding="utf-8") as fh:
+        with (stage / "corpus.jsonl").open("w", encoding="utf-8") as fh:
             fh.writelines(map(_corpus_line, corpus.documents))
-        _write_json(stage("splits.json"), {
+        _write_json(stage / "splits.json", {
             "seed": cfg.split.seed,
             "fractions": {"train": cfg.split.train_frac, "val": cfg.split.val_frac,
                           "test": cfg.split.test_frac},
@@ -394,7 +395,7 @@ def cmd_stats(cfg: RunConfig) -> int:
     parses = {label: ingest.load_conllu(path) for label, path in cfg.conllu.items()}
     report = corpus_stats.corpus_report(corpus, parses=parses or None)
     with _staged(cfg.output_dir) as stage:
-        _write_json(stage("stats.json"), report)
+        _write_json(stage / "stats.json", report)
     print(f"stats written to {cfg.output_dir / 'stats.json'}")
     return EXIT_OK
 
@@ -414,8 +415,8 @@ def _dataset_from(corpus_docs, emb) -> classifiers.Dataset:
 def cmd_train(cfg: RunConfig) -> int:
     """Train every configured model, then write the artifacts: a model that
     fails to train, or a file that fails to write, leaves embeddings.txt,
-    model.json, lm.json and lm.bin as they were, never a new file beside
-    an old one."""
+    model.json and lm.json with its binary copy as they were, never a new
+    file beside an old one."""
     if not cfg.detectors:
         raise ConfigError("config has neither a classifier nor a zeroshot section")
     if cfg.zeroshot is not None:
@@ -442,12 +443,10 @@ def cmd_train(cfg: RunConfig) -> int:
 
     with _staged(cfg.output_dir) as stage:
         if cfg.classifier is not None:
-            embeddings.export_vectors(emb, stage("embeddings.txt"))
-            classifiers.save_model(model, stage("model.json"))
+            embeddings.export_vectors(emb, stage / "embeddings.txt")
+            classifiers.save_model(model, stage / "model.json")
         if cfg.zeroshot is not None:
-            lm_json = stage("lm.json")
-            zeroshot.save_lm(lm, lm_json)
-            zeroshot.save_lm_bin(lm, stage("lm.bin"), lm_json)
+            zeroshot.save_lm(lm, stage / "lm.json")
     if cfg.classifier is not None:
         print(f"classifier: {model.family}")
         for name in evaluation.METRIC_NAMES:
@@ -529,12 +528,12 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             metrics_payload[scorer.name] = {"threshold": scorer.threshold, **report["before"]}
             robustness_payload[scorer.name] = report
             safe = scorer.name.replace(":", "_")
-            _write_robustness_csv(stage(f"robustness_{safe}.csv"), report)
+            _write_robustness_csv(stage / f"robustness_{safe}.csv", report)
             print(f"[{scorer.name}] threshold={scorer.threshold:.4f}")
             for name in evaluation.METRIC_NAMES:
                 print(f"[{scorer.name}] test {name}: {report['before'][name]:.4f}")
-        _write_json(stage("metrics.json"), {"methods": metrics_payload})
-        _write_json(stage("robustness.json"), {"methods": robustness_payload})
+        _write_json(stage / "metrics.json", {"methods": metrics_payload})
+        _write_json(stage / "robustness.json", {"methods": robustness_payload})
     return EXIT_OK
 
 

@@ -110,8 +110,8 @@ def corpus_report(
     """Per class and per statistic: the mean of the per-document (or
     per-sentence) values and their histogram, binned at DEFAULT_BINS.
 
-    The dependency-distance section appears only when *parses* supplies
-    CoNLL-U sentences for each class.
+    The dependency-distance section appears when *parses* is given; a
+    class with no parsed non-root arc has a null mean there.
     """
     if corpus.class_counts[Label.HUMAN] == 0 or corpus.class_counts[Label.MACHINE] == 0:
         raise DataError("corpus report needs documents of both classes")
@@ -126,7 +126,7 @@ def corpus_report(
                 if any(h != 0 for h in s.heads)
             ]
         sections[label.value] = {
-            stat: {"mean": sum(vals) / len(vals) if vals else 0.0,
+            stat: {"mean": sum(vals) / len(vals) if vals else None,
                    "histogram": histogram(vals, DEFAULT_BINS[stat])}
             for stat, vals in values.items()
         }

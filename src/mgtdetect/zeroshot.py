@@ -23,7 +23,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import TextIO
 
@@ -58,9 +58,9 @@ LM_SCHEMA_VERSION = 1
 # refuses any other.
 LM_KEYS = ("counts", "discount", "end_id", "order", "schema_version", "vocabulary")
 VOCABULARY_KEYS = ("frequencies", "word_to_id")
-# lm.bin, the binary copy of lm.json that train writes beside it: after the
-# two SHA-256 digests, the magic, then order, end_id, the number of words,
-# the vocabulary text's byte length and discount (save_lm_bin has the rest).
+# lm.bin, the binary copy that save_lm writes beside lm.json: after the two
+# SHA-256 digests, the magic, then order, end_id, the number of words, the
+# vocabulary text's byte length and discount (_save_lm_bin has the rest).
 LM_BIN_MAGIC = b"mgtlm\x00b1"
 LM_BIN_HEADER = struct.Struct("<8s4qd")
 STD_GUARD = 1e-9
@@ -260,20 +260,17 @@ def _log_totals(probs: np.ndarray, groups: list[list[int]]) -> list[float]:
     when a probability is 0, as back-off products over a loaded model's
     counts can underflow to.
     """
+    values = chain.from_iterable(probs[start:start + ROW_BLOCK].tolist()
+                                 for start in range(0, len(probs), ROW_BLOCK))
     totals = []
-    values: list[float] = []  # probs[first:first + len(values)], converted a block at a time
-    first = start = 0
     try:
         for positions in groups:
             total = 0.0
             for n in positions:
-                if start + n > first + len(values):
-                    first, values = start, probs[start:start + max(n, ROW_BLOCK)].tolist()
                 sentence = 0.0
-                for p in values[start - first:start - first + n]:
+                for p in islice(values, n):
                     sentence += math.log(p)
                 total += sentence
-                start += n
             totals.append(total)
     except ValueError:  # math.log(0.0)
         raise DataError("a predicted symbol has probability 0 under the language model") from None
@@ -655,11 +652,12 @@ def sample_document(lm: NGramLM, seed: int, max_tokens: int = 60,
 
 
 def save_lm(lm: NGramLM, path: str | Path) -> None:
-    """Binary-free JSON: count tables as [ngram ids..., count] rows.
+    """lm.json at *path*, count tables as [ngram ids..., count] rows, then
+    its binary copy for load_lm_fast at path.with_suffix(".bin") (_save_lm_bin).
 
-    The bytes are those of json.dumps(payload, sort_keys=True), written
-    straight to the file in blocks of at most ROW_BLOCK count rows or
-    vocabulary entries, so that no whole level, table or text is built.
+    The lm.json bytes are those of json.dumps(payload, sort_keys=True),
+    written straight to the file in blocks of at most ROW_BLOCK count rows
+    or vocabulary entries, so that no whole level, table or text is built.
     LM_KEYS and VOCABULARY_KEYS are in json's key order, so "counts"
     opens the object and "vocabulary" closes it.
     """
@@ -681,6 +679,7 @@ def save_lm(lm: NGramLM, path: str | Path) -> None:
         fh.write('}, "word_to_id": {')
         _write_joined(fh, _entry_blocks(words, vocab.word_to_id))
         fh.write("}}}")
+    _save_lm_bin(lm, Path(path).with_suffix(".bin"), path)
 
 
 def _write_joined(fh: TextIO, blocks: Iterable[str]) -> None:
@@ -847,7 +846,7 @@ def _sha256_file(path: str | Path) -> bytes:
     return digest.digest()
 
 
-def save_lm_bin(lm: NGramLM, path: str | Path, json_path: str | Path) -> None:
+def _save_lm_bin(lm: NGramLM, path: str | Path, json_path: str | Path) -> None:
     """Write lm.bin, the binary copy of the lm.json that save_lm wrote for
     *lm* at *json_path*, for load_lm_fast to read in its place.
 
@@ -890,8 +889,8 @@ def save_lm_bin(lm: NGramLM, path: str | Path, json_path: str | Path) -> None:
 
 
 def load_lm_fast(path: str | Path) -> NGramLM:
-    """The model in the lm.json at *path*: read from lm.bin beside it when
-    that copy is current and whole, else by load_lm(path).
+    """The model in the lm.json at *path*: read from save_lm's copy at
+    path.with_suffix(".bin") when that is current and whole, else by load_lm(path).
 
     lm.bin is read only when its first digest is that of lm.json's bytes,
     its second that of its own bytes after the digests, and _read_lm_bin
@@ -907,8 +906,8 @@ def load_lm_fast(path: str | Path) -> NGramLM:
 
 
 def _read_lm_bin(path: Path, json_path: Path) -> NGramLM:
-    """The model save_lm_bin wrote to *path* as the copy of *json_path*.
-    ValueError unless both digests match and the file has save_lm_bin's
+    """The model _save_lm_bin wrote to *path* as the copy of *json_path*.
+    ValueError unless both digests match and the file has _save_lm_bin's
     layout: the magic, every size as the header gives it, and word
     lengths that cut the vocabulary text into words; then
     DataError unless _model_from_arrays finds every rule of the model kept."""

@@ -915,6 +915,29 @@ class TestMalformedInputs:
         assert main(["train", "--config", cfg_path(workspace), "--output", str(out)]) == 3
         one_error_line(capsys, "data error:")
 
+    @pytest.mark.parametrize("artifact, edit, line", [
+        ("corpus.jsonl", lambda r: r.__setitem__("question", 5), "malformed record"),
+        ("corpus.jsonl", lambda r: r.__setitem__("extra", 1), "malformed record"),
+        ("corpus.jsonl", lambda r: r.pop("question"), "malformed record"),
+        ("splits.json", lambda m: m.__setitem__("note", "x"), "malformed split manifest"),
+    ], ids=["question_not_string", "extra_record_key", "no_question_key", "extra_manifest_key"])
+    def test_record_or_manifest_off_its_keys_exits_3(self, workspace, tmp_path, capsys,
+                                                     artifact, edit, line):
+        """A corpus.jsonl record holds the four keys ingest writes, with
+        question a string or null, and splits.json no key but its five:
+        *edit* of the first record, or of the manifest, is refused."""
+        out = tmp_path / "out"
+        shutil.copytree(workspace / "out", out)
+        path = out / artifact
+        text = path.read_text(encoding="utf-8")
+        first, rest = text.split("\n", 1) if artifact == "corpus.jsonl" else (text, "")
+        value = json.loads(first)
+        edit(value)
+        path.write_text(json.dumps(value) + "\n" + rest, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["stats", "--config", cfg_path(workspace), "--output", str(out)]) == 3
+        assert f": {line}: " in one_error_line(capsys, "data error:")
+
     @pytest.mark.parametrize("split, command", [("test", "evaluate"), ("val", "train"),
                                                 ("train", "train")])
     def test_manifest_listing_a_document_twice_names_it(self, workspace, tmp_path, capsys,
@@ -1398,8 +1421,11 @@ def flip_middle_byte(path: Path) -> None:
 
 
 def rewrite_lm_json_from_another_model(path: Path) -> None:
-    zeroshot.save_lm(zeroshot.train_kn_lm(["waa wab wac.", "wab wac waa wad."], order=3),
-                     path.with_suffix(".json"))
+    """lm.json replaced by that of another model, beside the old lm.bin."""
+    other = path.with_name("other.json")
+    zeroshot.save_lm(zeroshot.train_kn_lm(["waa wab wac.", "wab wac waa wad."], order=3), other)
+    other.replace(path.with_suffix(".json"))
+    other.with_suffix(".bin").unlink()
 
 
 def copy_with_key_out_of_range(path: Path) -> None:
@@ -1409,7 +1435,7 @@ def copy_with_key_out_of_range(path: Path) -> None:
 
     lm = zeroshot.load_lm(path.with_suffix(".json"))
     copy = edited_copy(lm, grams=edited_grams(lm, 2, appended(lambda k: lm.base**2)))
-    zeroshot.save_lm_bin(copy, path, path.with_suffix(".json"))
+    zeroshot._save_lm_bin(copy, path, path.with_suffix(".json"))
 
 
 class TestLmCopy:
@@ -1483,18 +1509,49 @@ class TestLmCopy:
         if failure == "lm_order":
             config, code = write_config(tmp_path, workspace, zeroshot__order=60), 3
         else:
-            save_lm_bin = zeroshot.save_lm_bin
+            save_lm_bin = zeroshot._save_lm_bin
 
             def failing(lm, path, json_path):
                 save_lm_bin(lm, path, json_path)
                 raise OSError(f"cannot write {path}")
 
-            monkeypatch.setattr(zeroshot, "save_lm_bin", failing)
+            monkeypatch.setattr(zeroshot, "_save_lm_bin", failing)
             config, code = write_config(tmp_path, workspace, seed=8), 4
         capsys.readouterr()
         assert main(["train", "--config", config]) == code
         one_error_line(capsys, "data error:" if code == 3 else "io error:")
         assert file_bytes(out) == before
+
+
+class TestStagedWrites:
+    """Each command writes its files in one hidden directory inside the
+    output directory, and leaves no such directory behind, whether it
+    succeeds or fails."""
+
+    def test_no_staging_directory_is_left(self, workspace, tmp_path, capsys, monkeypatch):
+        from mgtdetect import cli
+
+        out = tmp_path / "out"
+        args = ["--config", cfg_path(workspace), "--output", str(out)]
+        for command in ("ingest", "stats", "train", "evaluate"):
+            assert main([command, *args]) == 0
+            assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
+        before = file_bytes(out)
+        staged = []
+
+        def failing(path, payload):
+            path.write_text("partial")
+            staged.append(path.parent)
+            raise OSError(f"cannot write {path}")
+
+        monkeypatch.setattr(cli, "_write_json", failing)
+        capsys.readouterr()
+        for command in ("ingest", "stats", "evaluate"):
+            assert main([command, *args]) == 4
+            one_error_line(capsys, "io error:")
+        assert file_bytes(out) == before
+        assert [p.parent for p in staged] == [out] * 3
+        assert all(p.name.startswith(".") and not p.exists() for p in staged)
 
 
 class TestOneLoadPerCommand:

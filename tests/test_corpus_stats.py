@@ -162,6 +162,21 @@ class TestCorpusReport:
         with_parses = corpus_report(corpus, parses=parses)
         assert "dependency_distance" in with_parses["human"]
 
+    @pytest.mark.parametrize("machine", [None, [ParsedSentence(("c", "d"), (0, 0))]],
+                             ids=["no_parses", "root_only"])
+    def test_class_without_dependency_distance_has_null_mean(self, machine):
+        """A class with no dependency-distance value reads a null mean, not
+        0.0 over zero sentences, and keeps its empty histogram."""
+        parses = {Label.HUMAN: [ParsedSentence(("a", "b"), (2, 0))]}
+        if machine is not None:
+            parses[Label.MACHINE] = machine
+        report = corpus_report(make_corpus(["a b c."], ["d e f."]), parses=parses)
+        assert report["human"]["dependency_distance"]["mean"] == 1.0
+        section = report["machine"]["dependency_distance"]
+        assert section["mean"] is None
+        assert section["histogram"]["counts"] == [0] * 16
+        assert (section["histogram"]["underflow"], section["histogram"]["overflow"]) == (0, 0)
+
     def test_single_class_corpus_rejected(self):
         with pytest.raises(DataError):
             corpus_report(make_corpus(["only human."], []))

@@ -9,6 +9,7 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -411,7 +412,7 @@ class TestPackedModel:
         with pytest.raises(DataError, match=r"2\*\*63"):
             zs.load_lm(path)
         copy = edited_copy(lm, end_id=payload["end_id"], vocabulary=SimpleNamespace(**vocab))
-        zs.save_lm_bin(copy, tmp_path / "lm.bin", path)
+        zs._save_lm_bin(copy, tmp_path / "lm.bin", path)
         with pytest.raises(DataError, match=r"2\*\*63"):
             zs._read_lm_bin(tmp_path / "lm.bin", path)
 
@@ -428,6 +429,55 @@ def log_prob(lm, body):
     [total] = zs._log_totals(lm._probs(zs._windows(sentences, lm.order, lm.end_id)),
                              [zs._positions(sentences)])
     return total
+
+
+def windowed_log_totals(probs, groups):
+    """_log_totals in its former form, the oracle of TestLogTotals: a
+    window of probs converted to floats a block at a time, at least a
+    sentence long, sliced per sentence by its offset in the window."""
+    totals = []
+    values = []  # probs[first:first + len(values)]
+    first = start = 0
+    try:
+        for positions in groups:
+            total = 0.0
+            for n in positions:
+                if start + n > first + len(values):
+                    first, values = start, probs[start:start + max(n, zs.ROW_BLOCK)].tolist()
+                sentence = 0.0
+                for p in values[start - first:start - first + n]:
+                    sentence += math.log(p)
+                total += sentence
+                start += n
+            totals.append(total)
+    except ValueError:  # math.log(0.0)
+        raise DataError("a predicted symbol has probability 0 under the language model") from None
+    return totals
+
+
+class TestLogTotals:
+    @settings(max_examples=200, deadline=None)
+    @given(groups=st.lists(st.lists(st.integers(1, 40), max_size=6), max_size=12),
+           long=st.integers(0, 2), block=st.sampled_from([1, 3, 16, zs.ROW_BLOCK]),
+           seed=st.integers(0, 2**32 - 1), zero=st.booleans())
+    def test_one_pass_matches_the_windowed_oracle(self, groups, long, block, seed, zero):
+        """Bit-equal totals (float.hex) at any block size, sentences longer
+        than a block included; a zero probability is refused by both."""
+        groups = groups + [[zs.ROW_BLOCK + 7] * long]
+        rng = np.random.default_rng(seed)
+        probs = 1.0 - rng.random(sum(map(sum, groups)))  # in (0, 1]
+        zero = zero and len(probs) > 0
+        if zero:
+            probs[rng.integers(len(probs))] = 0.0
+        with mock.patch.object(zs, "ROW_BLOCK", block):
+            if zero:
+                for log_totals in (zs._log_totals, windowed_log_totals):
+                    with pytest.raises(DataError, match="probability 0"):
+                        log_totals(probs, groups)
+            else:
+                got, expected = zs._log_totals(probs, groups), windowed_log_totals(probs, groups)
+                assert [t.hex() for t in got] == [t.hex() for t in expected]
+                assert len(got) == len(groups)
 
 
 class TestLogProb:
@@ -1805,11 +1855,13 @@ class TestLmJsonOracles:
 
 
 def write_pair(lm, directory: Path, copy=None) -> Path:
-    """save_lm(lm) to lm.json in *directory*, and save_lm_bin of *copy*
-    (default *lm*) as its lm.bin; the lm.json path."""
+    """save_lm(lm) to lm.json in *directory*, which writes its lm.bin
+    beside it; with *copy*, _save_lm_bin of *copy* then writes that lm.bin
+    in its place. The lm.json path."""
     json_path = directory / "lm.json"
     zs.save_lm(lm, json_path)
-    zs.save_lm_bin(lm if copy is None else copy, directory / "lm.bin", json_path)
+    if copy is not None:
+        zs._save_lm_bin(copy, directory / "lm.bin", json_path)
     return json_path
 
 
@@ -1830,7 +1882,7 @@ def assert_json_fallback(json_path: Path):
 
 
 def edited_copy(lm, **fields):
-    """What save_lm_bin reads of *lm*, with *fields* in place of its own:
+    """What _save_lm_bin reads of *lm*, with *fields* in place of its own:
     a model NGramLM itself might not build."""
     return SimpleNamespace(**{name: getattr(lm, name) for name in
                               ("order", "discount", "vocabulary", "grams", "end_id")} | fields)
@@ -1932,7 +1984,9 @@ class TestLmBin:
     def test_stale_copy_falls_back(self, tmp_path):
         """lm.json rewritten from another model beside the old lm.bin."""
         json_path = write_pair(IO_LM, tmp_path)
-        zs.save_lm(zs.train_kn_lm(CORRUPT_TEXTS, order=3), json_path)
+        (tmp_path / "other").mkdir()
+        zs.save_lm(zs.train_kn_lm(CORRUPT_TEXTS, order=3), tmp_path / "other" / "lm.json")
+        (tmp_path / "other" / "lm.json").replace(json_path)
         assert_json_fallback(json_path)
         assert zs.load_lm_fast(json_path).vocabulary.size != IO_LM.vocabulary.size
 
@@ -1991,6 +2045,21 @@ class TestLmBin:
             with pytest.raises(ValueError, match="word lengths differ"):
                 zs._read_lm_bin(path, json_path)
         assert_json_fallback(json_path)
+
+    def test_save_lm_writes_lm_json_and_its_copy(self, tmp_path):
+        """save_lm(lm, path) writes lm.json at path and its copy at
+        path.with_suffix(".bin"), and a model resaved from that lm.json
+        gives both files' bytes again: the copy depends on the model alone."""
+        zs.save_lm(IO_LM, str(tmp_path / "model.json"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin", "model.json"]
+        json_path = tmp_path / "model.json"
+        assert_same_model(zs._read_lm_bin(json_path.with_suffix(".bin"), json_path),
+                          zs.load_lm(json_path))
+        (tmp_path / "again").mkdir()
+        zs.save_lm(zs.load_lm(json_path), tmp_path / "again" / "lm_resaved.json")
+        for suffix in (".json", ".bin"):
+            assert (tmp_path / "again" / "lm_resaved").with_suffix(suffix).read_bytes() == \
+                json_path.with_suffix(suffix).read_bytes()
 
     def test_rewrite_gives_the_same_bytes(self, tmp_path):
         first = write_pair(IO_LM, tmp_path).with_suffix(".bin").read_bytes()
